@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import exact_area
+
 __all__ = [
     "PulseAreas",
+    "amplitudes",
     "closed_form_amplitudes",
     "series_amplitudes",
     "logical_unitary",
@@ -47,11 +50,6 @@ class PulseAreas:
             raise ValueError("pulse areas must be finite")
 
     @property
-    def lam(self) -> float:
-        """Total area sqrt(g_a^2 + g_b^2)."""
-        return math.hypot(self.g_a, self.g_b)
-
-    @property
     def ratio(self) -> float:
         """p = g_b / g_a (inf if g_a = 0 and g_b != 0)."""
         if self.g_a == 0.0:
@@ -59,29 +57,46 @@ class PulseAreas:
         return self.g_b / self.g_a
 
 
-def _cosm1_over_sq(lam: float) -> float:
-    # (cos(lam) - 1) / lam^2 with its limit -1/2 at lam -> 0.
-    if abs(lam) < _SMALL_LAMBDA:
-        return -0.5 + lam**2 / 24.0
-    return (math.cos(lam) - 1.0) / lam**2
+def _trig_factors(lam):
+    """(cos Lambda - 1) / Lambda^2 and sin(Lambda) / Lambda, elementwise.
+
+    Both switch to their Taylor forms below _SMALL_LAMBDA (removable
+    singularity at Lambda = 0).
+    """
+    small = lam < _SMALL_LAMBDA
+    safe = np.where(small, 1.0, lam)
+    cosm1_over_sq = (np.cos(safe) - 1.0) / safe**2
+    sin_over = np.sin(safe) / safe
+    if small.any():  # skips grid-sized temporaries on the common path
+        cosm1_over_sq = np.where(small, -0.5 + lam**2 / 24.0, cosm1_over_sq)
+        sin_over = np.where(small, 1.0 - lam**2 / 6.0, sin_over)
+    return cosm1_over_sq, sin_over
 
 
-def _sin_over(lam: float) -> float:
-    # sin(lam) / lam with its limit 1 at lam -> 0.
-    if abs(lam) < _SMALL_LAMBDA:
-        return 1.0 - lam**2 / 6.0
-    return math.sin(lam) / lam
+def amplitudes(g_a, g_b, initial: str = "100"):
+    """Closed-form amplitudes on (|100>, |010>, |001>) after pulse areas g_a, g_b.
+
+    The system starts in the basis state ``initial``.  Broadcasts over array
+    areas; returns three arrays.  closed_form_amplitudes, logical_unitary,
+    analytic_trajectory and sweep.surface all evaluate through here.
+    """
+    g_a = np.asarray(g_a, dtype=float)
+    g_b = np.asarray(g_b, dtype=float)
+    # a helper, so that its grid-sized intermediates are freed on return
+    cosm1_over_sq, sin_over = _trig_factors(np.hypot(g_a, g_b))
+    if initial == "100":
+        return 1.0 + g_a**2 * cosm1_over_sq, g_a * g_b * cosm1_over_sq, -1j * g_a * sin_over
+    if initial == "010":
+        return g_a * g_b * cosm1_over_sq, 1.0 + g_b**2 * cosm1_over_sq, -1j * g_b * sin_over
+    if initial == "001":  # photon initially in the cavity; cos(Lambda) = 1 + Lambda^2 c
+        photon = 1.0 + (g_a**2 + g_b**2) * cosm1_over_sq
+        return -1j * g_a * sin_over, -1j * g_b * sin_over, photon
+    raise ValueError("initial must be one of '100', '010', '001'")
 
 
 def closed_form_amplitudes(areas: PulseAreas) -> tuple[complex, complex, complex]:
     """Final (a, b, gamma) for the initial state |100> after the full pulse."""
-    lam = areas.lam
-    c = _cosm1_over_sq(lam)
-    s = _sin_over(lam)
-    a = 1.0 + areas.g_a**2 * c
-    b = areas.g_a * areas.g_b * c
-    gamma = -1j * areas.g_a * s
-    return (complex(a), complex(b), complex(gamma))
+    return tuple(complex(x) for x in amplitudes(areas.g_a, areas.g_b))
 
 
 def series_amplitudes(areas: PulseAreas, n_terms: int) -> tuple[complex, complex, complex]:
@@ -112,18 +127,14 @@ def logical_unitary(areas: PulseAreas) -> np.ndarray:
     """3x3 propagator over {|100>, |010>, |001>} for the given pulse areas.
 
     U = I + (cos(Lambda) - 1)/Lambda^2 * M^2 - i sin(Lambda)/Lambda * M with
-    M the symmetric matrix coupling each atom slot to the photon slot.  Its
+    M the symmetric matrix coupling each atom slot to the photon slot.
+    Column j holds :func:`amplitudes` from the j-th basis state, so the
     first column reproduces :func:`closed_form_amplitudes`.
     """
-    lam = areas.lam
-    m = np.zeros((3, 3))
-    m[0, 2] = m[2, 0] = areas.g_a
-    m[1, 2] = m[2, 1] = areas.g_b
-    return (
-        np.eye(3, dtype=complex)
-        + _cosm1_over_sq(lam) * (m @ m)
-        - 1j * _sin_over(lam) * m
-    )
+    return np.array(
+        [amplitudes(areas.g_a, areas.g_b, initial) for initial in ("100", "010", "001")],
+        dtype=complex,
+    ).T
 
 
 def commutation_check(profile_a, profile_b, n_samples: int = 200) -> float:
@@ -157,42 +168,24 @@ def analytic_trajectory(
 ) -> np.ndarray:
     """Closed-form amplitudes along ``times`` for proportional profiles.
 
-    Running pulse areas are accumulated by the trapezoidal rule on a grid
-    ``refine`` times denser than the requested output times.  Returns an
-    (len(times), 3) complex array over {|100>, |010>, |001>} for the chosen
-    initial basis state; row 0 is the initial state when times[0] is the
-    window start.
+    Running pulse areas are exact for generic profiles and constant multiples
+    of one (:func:`pcqed.coupling.exact_area`); any other drive is
+    accumulated by the trapezoidal rule on a grid ``refine`` times denser
+    than the requested output times.  Returns an (len(times), 3) complex
+    array over {|100>, |010>, |001>} for the chosen initial basis state; row
+    0 is the initial state when times[0] is the window start.
     """
     if initial not in ("100", "010", "001"):
         raise ValueError("initial must be one of '100', '010', '001'")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two output times")
-    fine = np.linspace(times[0], times[-1], (times.size - 1) * refine + 1)
-    values = np.asarray(profile_a(fine), dtype=float)
-    running = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(fine)))
-    )
-    g_a = running[::refine]
-    g_b = p * g_a
-
-    lam = np.abs(g_a) * math.hypot(1.0, p)
-    small = np.abs(lam) < _SMALL_LAMBDA
-    lam_safe = np.where(small, 1.0, lam)
-    c = np.where(small, -0.5 + lam**2 / 24.0, (np.cos(lam_safe) - 1.0) / lam_safe**2)
-    s = np.where(small, 1.0 - lam**2 / 6.0, np.sin(lam_safe) / lam_safe)
-
-    out = np.empty((times.size, 3), dtype=complex)
-    if initial == "100":
-        out[:, 0] = 1.0 + g_a**2 * c
-        out[:, 1] = g_a * g_b * c
-        out[:, 2] = -1j * g_a * s
-    elif initial == "010":
-        out[:, 0] = g_a * g_b * c
-        out[:, 1] = 1.0 + g_b**2 * c
-        out[:, 2] = -1j * g_b * s
-    else:  # photon initially in the cavity
-        out[:, 0] = -1j * g_a * s
-        out[:, 1] = -1j * g_b * s
-        out[:, 2] = np.cos(lam)
-    return out
+    g_a = exact_area(profile_a, times[0], times)
+    if g_a is None:
+        fine = np.linspace(times[0], times[-1], (times.size - 1) * refine + 1)
+        values = np.asarray(profile_a(fine), dtype=float)
+        running = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(fine)))
+        )
+        g_a = running[::refine]
+    return np.stack(amplitudes(g_a, p * g_a, initial), axis=1)

@@ -592,7 +592,6 @@ def _cmd_sweep(args) -> int:
         p_range=tuple(config.get("p_range", (0.0, 1.0))),
         initial=config.get("initial", "100"),
         resolution=tuple(config.get("resolution", (251, 201))),
-        workers=max(1, args.parallel),
     )
     out = _out_dir(args)
     paths = surfaces_to_csv(grid, out, _stem(args))
@@ -629,10 +628,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=["csv", "json"], default="csv", help="trajectory output format"
     )
-    parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N", help="worker cap for sweeps"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="reserved")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,8 @@ Two kinds of profile are supported: the analytic generic form (an
 exponentially decaying envelope times a lattice-period oscillation, peaked
 when the atom reaches the cavity center) and sampled traces, e.g. extracted
 from a discretized mode field.  Both integrate into pulse areas, the angles
-that drive the Rabi rotations downstream.
+that drive the Rabi rotations downstream; the generic profile's area has a
+closed form.
 
 Sign conventions: analytic generic profiles are real and signed.  Traces
 sampled from mode fields may be complex; the interaction uses their
@@ -31,6 +32,7 @@ __all__ = [
     "ScaledProfile",
     "CouplingTrace",
     "generic_coupling",
+    "exact_area",
     "pulse_area",
     "scaled_pair",
     "trace_to_csv",
@@ -201,14 +203,46 @@ def _window_of(profile) -> tuple[float, float]:
     return window
 
 
+def exact_area(profile, t0: float, t):
+    """Exact area (rad) from t0 to t of a generic profile or a constant multiple of one.
+
+    Vectorized over t; returns None for any other profile.  With
+    x = V t - L, a = 1/R and k = pi/l the generic profile has the odd
+    antiderivative
+
+        F(x) = sign(x) (a / (a^2 + k^2) + Re[e^((-a + ik)|x|) / (-a + ik)])
+
+    in x, so the area is Omega0 cos(zeta) / V * (F(x) - F(x0)).  Areas
+    therefore scale exactly as 1/V.
+    """
+    factor = 1.0
+    if isinstance(profile, ScaledProfile):
+        profile, factor = profile.base, profile.factor
+    if not isinstance(profile, GenericProfile):
+        return None
+    params = profile.params
+    a = 1.0 / params.defect_radius
+    k = math.pi / params.lattice_const
+    alpha = complex(-a, k)
+
+    def antiderivative(x):
+        return np.sign(x) * (a / (a * a + k * k) + (np.exp(alpha * np.abs(x)) / alpha).real)
+
+    x = params.velocity * np.asarray(t, dtype=float) - params.path_half_length
+    x0 = params.velocity * t0 - params.path_half_length
+    scale = factor * params.omega0 * math.cos(params.zeta) / params.velocity
+    return scale * (antiderivative(x) - antiderivative(x0))
+
+
 def pulse_area(profile, t0: float | None = None, t1: float | None = None, tol: float = 1e-10):
     """Integrated coupling (rad) of a profile over [t0, t1].
 
-    Defaults to the profile's own window.  Callable profiles are integrated
-    by adaptive quadrature to absolute error <= tol; traces by the
+    Defaults to the profile's own window.  Generic profiles, and constant
+    multiples of one, integrate exactly (:func:`exact_area`); traces by the
     trapezoidal rule over their samples (complex traces integrate
-    componentwise).  Raises ConvergenceError if the quadrature cannot reach
-    tol.
+    componentwise).  Any other callable, such as |g| of a generic profile,
+    is integrated by adaptive quadrature to absolute error <= tol; raises
+    ConvergenceError if the quadrature cannot reach tol.
     """
     if t0 is None or t1 is None:
         w0, w1 = _window_of(profile)
@@ -221,6 +255,9 @@ def pulse_area(profile, t0: float | None = None, t1: float | None = None, tol: f
 
     if isinstance(profile, CouplingTrace):
         return _trace_area(profile, t0, t1)
+    exact = exact_area(profile, t0, t1)
+    if exact is not None:
+        return float(exact)
 
     points = getattr(profile, "peak_time", None)
     points = [points] if points is not None and t0 < points < t1 else None

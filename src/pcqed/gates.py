@@ -274,12 +274,11 @@ def _rail_state(amp_10: complex, amp_01: complex) -> AmplitudeVector:
     return AmplitudeVector.from_amplitudes(1, [amp_10, amp_01, 0.0])
 
 
-def _evolve_rail_input(settings: GateSettings, label: str, engine: str) -> AmplitudeVector:
-    profile_b = scaled_pair(settings.profile_a, settings.p)
+def _evolve_rail_input(
+    settings: GateSettings, profile_b, areas: PulseAreas, label: str, engine: str
+) -> AmplitudeVector:
     if engine == "analytic":
-        g_a = pulse_area(drive_area_profile(settings.profile_a, settings.use_magnitude))
-        g_b = pulse_area(drive_area_profile(profile_b, settings.use_magnitude))
-        u = logical_unitary(PulseAreas(float(np.real(g_a)), float(np.real(g_b))))
+        u = logical_unitary(areas)
         column = {"10": 0, "01": 1}[label]
         return AmplitudeVector.from_amplitudes(1, u[:, column])
     if engine == "ode":
@@ -340,6 +339,7 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     profile_b = scaled_pair(settings.profile_a, settings.p)
     g_a = float(np.real(pulse_area(drive_area_profile(settings.profile_a, settings.use_magnitude))))
     g_b = float(np.real(pulse_area(drive_area_profile(profile_b, settings.use_magnitude))))
+    areas = PulseAreas(g_a, g_b)
 
     fidelities: dict[str, float] = {}
     residual: dict[str, float] = {}
@@ -347,7 +347,7 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     notes: list[str] = []
 
     for label, amps in target.rail_targets().items():
-        final = _evolve_rail_input(settings, label, engine)
+        final = _evolve_rail_input(settings, profile_b, areas, label, engine)
         target_state = _rail_state(*amps)
         z = target_state.overlap(final)
         overlaps[label] = z

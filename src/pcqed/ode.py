@@ -183,7 +183,6 @@ def evolve(
         )
     diagnostics = {
         "nfev": int(sol.nfev),
-        "n_internal_steps": int(sol.t.size),
         "rtol": rtol,
         "atol": atol,
         "method": method,

@@ -1,21 +1,21 @@
 """Asymptotic amplitude surfaces over velocity and coupling-ratio grids.
 
-For each velocity the full-transit pulse area is computed once by
-quadrature; the closed form then fills a whole row of ratios.  Surfaces
-store signed real amplitudes (the closed-form rail amplitudes are real), not
-probabilities.
+Pulse areas scale exactly as 1/V, so one exact area at V = 1 gives the
+area at every grid velocity; one broadcast call of the closed-form kernel
+then fills the whole grid.  Surfaces store signed real amplitudes (the
+closed-form rail amplitudes are real), not probabilities.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .analytic import amplitudes
 from .coupling import GenericProfile, GenericProfileParams, pulse_area
 
 __all__ = ["SweepGrid", "surface", "slice_surface", "surfaces_to_csv"]
@@ -56,36 +56,17 @@ class SweepGrid:
         return slice_surface(self, axis, value)
 
 
-def _row_amplitudes(area_a: float, p_values: np.ndarray, initial: str):
-    """Closed-form (a, b) across ratios for one velocity's pulse area."""
-    g_a = area_a
-    g_b = p_values * g_a
-    lam = np.hypot(g_a, g_b)
-    small = lam < 1e-6
-    lam_safe = np.where(small, 1.0, lam)
-    c = np.where(small, -0.5 + lam**2 / 24.0, (np.cos(lam_safe) - 1.0) / lam_safe**2)
-    if initial == "100":
-        a = 1.0 + g_a**2 * c
-        b = g_a * g_b * c
-    else:  # initial "010": amplitudes still reported on (|10>, |01>)
-        a = g_a * g_b * c
-        b = 1.0 + g_b**2 * c
-    return a, b
-
-
 def surface(
     family: GenericProfileParams,
     v_range: tuple[float, float] = (150.0, 650.0),
     p_range: tuple[float, float] = (0.0, 1.0),
     initial: str = "100",
     resolution: tuple[int, int] = (251, 201),
-    workers: int = 1,
-    tol: float = 1e-10,
 ) -> SweepGrid:
     """Evaluate the amplitude surfaces on a (velocity x ratio) grid.
 
-    family's velocity field is ignored; each grid velocity gets its own
-    full-transit quadrature.  Results are independent of worker count.
+    family's velocity field is ignored: the area at each grid velocity V is
+    the exact area at V = 1 divided by V.
     """
     if initial not in ("100", "010"):
         raise ValueError("initial state must be '100' or '010'")
@@ -99,20 +80,8 @@ def surface(
     v_values = np.linspace(v_range[0], v_range[1], n_v)
     p_values = np.linspace(p_range[0], p_range[1], n_p)
 
-    a_surf = np.empty((n_v, n_p))
-    b_surf = np.empty((n_v, n_p))
-
-    def fill_row(i: int) -> None:
-        profile = GenericProfile(family.replace_velocity(float(v_values[i])))
-        area = pulse_area(profile, tol=tol)
-        a_surf[i], b_surf[i] = _row_amplitudes(area, p_values, initial)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n_v)))
-    else:
-        for i in range(n_v):
-            fill_row(i)
+    g_a = pulse_area(GenericProfile(family.replace_velocity(1.0))) / v_values[:, None]
+    a_surf, b_surf, _ = amplitudes(g_a, p_values * g_a, initial)
     return SweepGrid(v_values, p_values, initial, a_surf, b_surf)
 
 

@@ -189,8 +189,8 @@ class TestAnalyticTrajectory:
         traj = analytic_trajectory(profile, 0.414, times)
         g_a = pulse_area(profile)
         want = closed_form_amplitudes(PulseAreas(g_a, 0.414 * g_a))
-        # limited by the trapezoidal accumulation of the running areas
-        np.testing.assert_allclose(traj[-1], want, atol=1e-5)
+        # running areas of generic profiles are exact
+        np.testing.assert_allclose(traj[-1], want, atol=1e-12)
 
     def test_starts_at_initial_state(self, fig_family):
         profile = GenericProfile(fig_family)

@@ -178,7 +178,7 @@ class TestSweepCommand:
             "svg": True,
         }
         path = write_config(tmp_path, "cfg", config)
-        assert run(["sweep", "--config", path, "--out", tmp_path, "--parallel", "2"]) == 0
+        assert run(["sweep", "--config", path, "--out", tmp_path]) == 0
         lines = (tmp_path / "cfg_a.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "v_m_per_s"
         assert len(lines) == 10

@@ -182,6 +182,23 @@ class TestEvolve:
             err = np.max(np.abs(traj.amplitudes[-1] - np.array(want)))
             assert err < 1e-6
 
+    def test_diagnostic_keys(self, fig_family):
+        profile = GenericProfile(fig_family)
+        t0, t1 = profile.window
+        traj = evolve(
+            build_subspace(1),
+            profile,
+            scaled_pair(profile, 0.414),
+            AmplitudeVector.basis_state("100"),
+            t0,
+            t1,
+        )
+        # solve_ivp with t_eval exposes no step count, so none is reported
+        assert set(traj.diagnostics) == {"nfev", "rtol", "atol", "method", "norm_drift"}
+        assert traj.diagnostics["nfev"] > 0
+        assert traj.diagnostics["method"] == "DOP853"
+        assert traj.diagnostics["norm_drift"] == traj.norm_drift
+
     def test_norm_preserved(self, fig_family):
         profile = GenericProfile(fig_family)
         t0, t1 = profile.window

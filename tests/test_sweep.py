@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from pcqed import (
     GenericProfile,
     PulseAreas,
     closed_form_amplitudes,
+    logical_unitary,
     pulse_area,
     slice_surface,
     surface,
@@ -74,14 +76,24 @@ class TestSurface:
             assert small_grid.a_surface[i, j] == pytest.approx(float(a.real), abs=1e-12)
             assert small_grid.b_surface[i, j] == pytest.approx(float(b.real), abs=1e-12)
 
-    def test_worker_count_does_not_change_bits(self):
-        kwargs = dict(
-            v_range=(420.0, 460.0), p_range=(0.3, 0.5), resolution=(11, 13)
-        )
-        serial = surface(generic_family(), **kwargs, workers=1)
-        threaded = surface(generic_family(), **kwargs, workers=4)
-        assert np.array_equal(serial.a_surface, threaded.a_surface)
-        assert np.array_equal(serial.b_surface, threaded.b_surface)
+    def test_scaled_surface_matches_per_velocity_quadrature(self):
+        kwargs = dict(v_range=(150.0, 650.0), p_range=(0.0, 1.0), resolution=(21, 13))
+        areas = []
+        for v in np.linspace(150.0, 650.0, 21):
+            profile = GenericProfile(generic_family(velocity=float(v)))
+            area, _ = integrate.quad(
+                profile, *profile.window, epsabs=1e-12, epsrel=0.0, limit=500,
+                points=[profile.peak_time],
+            )
+            areas.append(area)
+        for column, initial in enumerate(("100", "010")):
+            grid = surface(generic_family(), **kwargs, initial=initial)
+            for i, area in enumerate(areas):
+                u = [logical_unitary(PulseAreas(area, p * area)) for p in grid.p_values]
+                want_a = [m[0, column].real for m in u]
+                want_b = [m[1, column].real for m in u]
+                np.testing.assert_allclose(grid.a_surface[i], want_a, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(grid.b_surface[i], want_b, rtol=0, atol=1e-12)
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
