@@ -7,16 +7,13 @@ volume, peak coupling, polarization fraction) for discretized cavity modes.
 """
 
 from .core import (
-    CONSTANTS,
     HBAR,
     EPS0,
     C_LIGHT,
     AmplitudeVector,
-    AtomParams,
     CalibrationError,
     CavityParams,
     ConvergenceError,
-    PhysicalConstants,
     basis_labels,
     g0_from_params,
     mode_volume_from_g0,
@@ -26,6 +23,7 @@ from .coupling import (
     CouplingTrace,
     GenericProfile,
     GenericProfileParams,
+    drive_from_profile,
     generic_coupling,
     pulse_area,
     scaled_pair,
@@ -44,7 +42,6 @@ from .ode import (
     SubspaceHamiltonian,
     Trajectory,
     build_subspace,
-    drive_from_profile,
     evolve,
     trajectory_to_csv,
     two_excitation_return,

@@ -164,16 +164,17 @@ def commutation_check(profile_a, profile_b, n_samples: int = 200) -> float:
 
 
 def analytic_trajectory(
-    profile_a, p: float, times: np.ndarray, initial: str = "100", refine: int = 8
+    profile_a, p: float, times: np.ndarray, initial: str = "100"
 ) -> np.ndarray:
-    """Closed-form amplitudes along ``times`` for proportional profiles.
+    """Closed-form amplitudes along ``times`` for proportional drives.
 
-    Running pulse areas are exact for generic profiles and constant multiples
-    of one (:func:`pcqed.coupling.exact_area`); any other drive is
-    accumulated by the trapezoidal rule on a grid ``refine`` times denser
-    than the requested output times.  Returns an (len(times), 3) complex
-    array over {|100>, |010>, |001>} for the chosen initial basis state; row
-    0 is the initial state when times[0] is the window start.
+    profile_a is atom A's drive (:func:`pcqed.coupling.drive_from_profile`)
+    and atom B's is p times it.  Running pulse areas are exact
+    (:func:`pcqed.coupling.exact_area`); a drive without an exact area, such
+    as a raw or complex trace or an arbitrary callable, raises ValueError.
+    Returns an (len(times), 3) complex array over {|100>, |010>, |001>} for
+    the chosen initial basis state; row 0 is the initial state when
+    times[0] is the window start.
     """
     if initial not in ("100", "010", "001"):
         raise ValueError("initial must be one of '100', '010', '001'")
@@ -182,10 +183,8 @@ def analytic_trajectory(
         raise ValueError("need at least two output times")
     g_a = exact_area(profile_a, times[0], times)
     if g_a is None:
-        fine = np.linspace(times[0], times[-1], (times.size - 1) * refine + 1)
-        values = np.asarray(profile_a(fine), dtype=float)
-        running = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(fine)))
+        raise ValueError(
+            f"no exact running area for a drive of type {type(profile_a).__name__}; "
+            "pass drive_from_profile(profile) of a generic profile or a trace"
         )
-        g_a = running[::refine]
     return np.stack(amplitudes(g_a, p * g_a, initial), axis=1)

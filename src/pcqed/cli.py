@@ -26,7 +26,13 @@ from .core import (
     AmplitudeVector,
     basis_labels,
 )
-from .coupling import CouplingTrace, GenericProfile, GenericProfileParams, scaled_pair
+from .coupling import (
+    CouplingTrace,
+    GenericProfile,
+    GenericProfileParams,
+    drive_from_profile,
+    scaled_pair,
+)
 from .fieldgrid import (
     FieldGrid,
     PathSpec,
@@ -38,7 +44,7 @@ from .fieldgrid import (
     synthesize_mode,
 )
 from .gates import GateSettings, TARGETS, calibrate_velocity, truth_table
-from .ode import Trajectory, build_subspace, drive_from_profile, evolve, trajectory_to_csv
+from .ode import Trajectory, build_subspace, evolve, trajectory_to_csv
 from .sweep import surface, surfaces_to_csv
 from . import svg as svgmod
 
@@ -119,93 +125,55 @@ _ODE_SCHEMA = {
 _SCENARIO = {"enum": ["generic", "field2d", "field3d"]}
 _TARGET = {"enum": sorted(TARGETS)}
 
+_V_BOUNDS = {"type": "array", "items": _NUM_POS, "minItems": 2, "maxItems": 2}
+_N_SAMPLES = {"type": "integer", "minimum": 2}
+
+# Keys every command that builds atom A's profile from a scenario accepts.
+_SCENARIO_KEYS = {
+    "description": {"type": "string"},
+    "scenario": _SCENARIO,
+    "profile": _PROFILE_SCHEMA,
+    "field": _FIELD_SCHEMA,
+    "path": _PATH_SCHEMA,
+    "g0": _NUM_POS,
+    "dipole_moment": _NUM_POS,
+    "omega_cav": _NUM_POS,
+    "effective_height": _NUM_POS,
+    "p": _NUM,
+}
+
+
+def _scenario_command(required: tuple[str, ...], **keys) -> dict:
+    """Schema of a scenario command: the shared keys plus its own."""
+    return {
+        "type": "object",
+        "properties": {**_SCENARIO_KEYS, **keys},
+        "required": ["scenario", "p", *required],
+        "additionalProperties": False,
+    }
+
+
 SCHEMAS = {
-    "evolve": {
-        "type": "object",
-        "properties": {
-            "description": {"type": "string"},
-            "scenario": _SCENARIO,
-            "profile": _PROFILE_SCHEMA,
-            "field": _FIELD_SCHEMA,
-            "path": _PATH_SCHEMA,
-            "g0": _NUM_POS,
-            "dipole_moment": _NUM_POS,
-            "omega_cav": _NUM_POS,
-            "effective_height": _NUM_POS,
-            "p": _NUM,
-            "initial": {"enum": ["100", "010", "001"]},
-            "engine": {"enum": ["analytic", "ode", "both"]},
-            "ode": _ODE_SCHEMA,
-            "n_points": {"type": "integer", "minimum": 2},
-            "n_samples": {"type": "integer", "minimum": 2},
-            "use_magnitude": {"type": "boolean"},
-            "svg": {"type": "boolean"},
-        },
-        "required": ["scenario", "p", "initial"],
-        "additionalProperties": False,
-    },
-    "profile": {
-        "type": "object",
-        "properties": {
-            "description": {"type": "string"},
-            "scenario": _SCENARIO,
-            "profile": _PROFILE_SCHEMA,
-            "field": _FIELD_SCHEMA,
-            "path": _PATH_SCHEMA,
-            "g0": _NUM_POS,
-            "dipole_moment": _NUM_POS,
-            "omega_cav": _NUM_POS,
-            "effective_height": _NUM_POS,
-            "p": _NUM,
-            "n_samples": {"type": "integer", "minimum": 2},
-            "svg": {"type": "boolean"},
-        },
-        "required": ["scenario", "p"],
-        "additionalProperties": False,
-    },
-    "calibrate": {
-        "type": "object",
-        "properties": {
-            "description": {"type": "string"},
-            "scenario": _SCENARIO,
-            "profile": _PROFILE_SCHEMA,
-            "field": _FIELD_SCHEMA,
-            "path": _PATH_SCHEMA,
-            "g0": _NUM_POS,
-            "dipole_moment": _NUM_POS,
-            "omega_cav": _NUM_POS,
-            "effective_height": _NUM_POS,
-            "p": _NUM,
-            "target": _TARGET,
-            "v_bounds": {"type": "array", "items": _NUM_POS, "minItems": 2, "maxItems": 2},
-        },
-        "required": ["scenario", "p", "target"],
-        "additionalProperties": False,
-    },
-    "gate-report": {
-        "type": "object",
-        "properties": {
-            "description": {"type": "string"},
-            "scenario": _SCENARIO,
-            "profile": _PROFILE_SCHEMA,
-            "field": _FIELD_SCHEMA,
-            "path": _PATH_SCHEMA,
-            "g0": _NUM_POS,
-            "dipole_moment": _NUM_POS,
-            "omega_cav": _NUM_POS,
-            "effective_height": _NUM_POS,
-            "p": _NUM,
-            "target": _TARGET,
-            "v_bounds": {"type": "array", "items": _NUM_POS, "minItems": 2, "maxItems": 2},
-            "velocity": _NUM_POS,
-            "q_factor": _NUM_POS,
-            "engine": {"enum": ["analytic", "ode"]},
-            "ode": _ODE_SCHEMA,
-            "use_magnitude": {"type": "boolean"},
-        },
-        "required": ["scenario", "p", "target", "omega_cav"],
-        "additionalProperties": False,
-    },
+    "evolve": _scenario_command(
+        ("initial",),
+        initial={"enum": ["100", "010", "001"]},
+        engine={"enum": ["analytic", "ode", "both"]},
+        ode=_ODE_SCHEMA,
+        n_points={"type": "integer", "minimum": 2},
+        n_samples=_N_SAMPLES,
+        svg={"type": "boolean"},
+    ),
+    "profile": _scenario_command((), n_samples=_N_SAMPLES, svg={"type": "boolean"}),
+    "calibrate": _scenario_command(("target",), target=_TARGET, v_bounds=_V_BOUNDS),
+    "gate-report": _scenario_command(
+        ("target", "omega_cav"),
+        target=_TARGET,
+        v_bounds=_V_BOUNDS,
+        velocity=_NUM_POS,
+        q_factor=_NUM_POS,
+        engine={"enum": ["analytic", "ode"]},
+        ode=_ODE_SCHEMA,
+    ),
     "field-stats": {
         "type": "object",
         "properties": {
@@ -310,24 +278,33 @@ def _build_field_scenario(config: dict):
     return grid, path, cavity, trace
 
 
+def _generic_params(block: dict) -> GenericProfileParams:
+    """Generic-profile parameters from a validated 'profile' or 'family' block.
+
+    A sweep family carries no velocity; the sweep sets each grid velocity.
+    """
+    return GenericProfileParams(**{"velocity": 1.0, **block})
+
+
 def _profile_from_config(config: dict):
-    """Atom A's coupling profile for the configured scenario."""
-    scenario = config["scenario"]
-    if scenario == "generic":
+    """Atom A's coupling profile for the configured scenario.
+
+    A GenericProfile for the generic scenario, else the CouplingTrace
+    sampled along the configured path; both carry their reference velocity.
+    """
+    if config["scenario"] == "generic":
         if "profile" not in config:
             raise ConfigError("generic scenarios need a 'profile' section")
-        block = config["profile"]
-        params = GenericProfileParams(
-            omega0=block["omega0"],
-            path_half_length=block["path_half_length"],
-            defect_radius=block["defect_radius"],
-            lattice_const=block["lattice_const"],
-            velocity=block["velocity"],
-            zeta=block.get("zeta", 0.0),
-        )
-        return GenericProfile(params)
+        return GenericProfile(_generic_params(config["profile"]))
     _, _, _, trace = _build_field_scenario(config)
     return trace
+
+
+def _calibrate(config: dict, profile_a) -> tuple[float, tuple[float, float]]:
+    """(calibrated velocity, velocity bounds) for the configured target."""
+    family = profile_a.params if isinstance(profile_a, GenericProfile) else profile_a
+    v_bounds = tuple(config.get("v_bounds", (150.0, 650.0)))
+    return calibrate_velocity(family, config["p"], config["target"], v_bounds), v_bounds
 
 
 def _stem(args) -> str:
@@ -364,7 +341,6 @@ def _cmd_evolve(args) -> int:
     profile_a = _profile_from_config(config)
     p = config["p"]
     initial = config["initial"]
-    use_magnitude = config.get("use_magnitude")
     ode_opts = config.get("ode", {})
     rtol = ode_opts.get("rtol", 1e-9)
     atol = ode_opts.get("atol", 1e-11)
@@ -375,13 +351,13 @@ def _cmd_evolve(args) -> int:
     stem = _stem(args)
     written: list[Path] = []
 
-    drive_a = drive_from_profile(profile_a, use_magnitude)
+    drive_a = drive_from_profile(profile_a)
     if engine in ("analytic", "both"):
         amps = analytic_trajectory(drive_a, p, times, initial=initial)
         traj = Trajectory(1, basis_labels(1), times, amps, {"engine": "analytic"})
         written.append(_write_trajectory(traj, out / f"{stem}_analytic.csv", args.format))
     if engine in ("ode", "both"):
-        drive_b = drive_from_profile(scaled_pair(profile_a, p), use_magnitude)
+        drive_b = drive_from_profile(scaled_pair(profile_a, p))
         traj = evolve(
             build_subspace(1),
             drive_a,
@@ -471,28 +447,9 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _family_for_calibration(config: dict):
-    if config["scenario"] == "generic":
-        if "profile" not in config:
-            raise ConfigError("generic scenarios need a 'profile' section")
-        block = config["profile"]
-        return GenericProfileParams(
-            omega0=block["omega0"],
-            path_half_length=block["path_half_length"],
-            defect_radius=block["defect_radius"],
-            lattice_const=block["lattice_const"],
-            velocity=block["velocity"],
-            zeta=block.get("zeta", 0.0),
-        )
-    _, _, _, trace = _build_field_scenario(config)
-    return trace
-
-
 def _cmd_calibrate(args) -> int:
     config = _load_config(args.config, "calibrate")
-    family = _family_for_calibration(config)
-    v_bounds = tuple(config.get("v_bounds", (150.0, 650.0)))
-    v_star = calibrate_velocity(family, config["p"], config["target"], v_bounds)
+    v_star, v_bounds = _calibrate(config, _profile_from_config(config))
     doc = {
         "target": config["target"],
         "p": config["p"],
@@ -512,17 +469,13 @@ def _cmd_gate_report(args) -> int:
     config = _load_config(args.config, "gate-report")
     target = TARGETS[config["target"]]
     p = config["p"]
-    family = _family_for_calibration(config)
-    if "velocity" in config:
-        v_star = config["velocity"]
+    reference = _profile_from_config(config)
+    v_star = config["velocity"] if "velocity" in config else _calibrate(config, reference)[0]
+    if isinstance(reference, GenericProfile):
+        profile_a = GenericProfile(reference.params.replace_velocity(v_star))
     else:
-        v_bounds = tuple(config.get("v_bounds", (150.0, 650.0)))
-        v_star = calibrate_velocity(family, p, target, v_bounds)
-    if isinstance(family, GenericProfileParams):
-        profile_a = GenericProfile(family.replace_velocity(v_star))
-    else:
-        scale = family.velocity / v_star
-        profile_a = CouplingTrace(family.times * scale, family.values, velocity=v_star)
+        scale = reference.velocity / v_star
+        profile_a = CouplingTrace(reference.times * scale, reference.values, velocity=v_star)
     ode_opts = config.get("ode", {})
     settings = GateSettings(
         target=target,
@@ -531,7 +484,6 @@ def _cmd_gate_report(args) -> int:
         velocity=v_star,
         omega_cav=config["omega_cav"],
         q_factor=config.get("q_factor", 1e8),
-        use_magnitude=config.get("use_magnitude"),
         rtol=ode_opts.get("rtol", 1e-9),
         atol=ode_opts.get("atol", 1e-11),
     )
@@ -577,17 +529,8 @@ def _cmd_field_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config, "sweep")
-    fam = config["family"]
-    family = GenericProfileParams(
-        omega0=fam["omega0"],
-        path_half_length=fam["path_half_length"],
-        defect_radius=fam["defect_radius"],
-        lattice_const=fam["lattice_const"],
-        velocity=1.0,  # placeholder; the sweep sets each grid velocity
-        zeta=fam.get("zeta", 0.0),
-    )
     grid = surface(
-        family,
+        _generic_params(config["family"]),
         v_range=tuple(config.get("v_range", (150.0, 650.0))),
         p_range=tuple(config.get("p_range", (0.0, 1.0))),
         initial=config.get("initial", "100"),

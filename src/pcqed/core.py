@@ -16,11 +16,8 @@ __all__ = [
     "HBAR",
     "EPS0",
     "C_LIGHT",
-    "PhysicalConstants",
-    "CONSTANTS",
     "ConvergenceError",
     "CalibrationError",
-    "AtomParams",
     "CavityParams",
     "AmplitudeVector",
     "basis_labels",
@@ -34,18 +31,6 @@ __all__ = [
 HBAR = 1.054571817e-34    # J*s
 EPS0 = 8.8541878128e-12   # F/m
 C_LIGHT = 299792458.0     # m/s
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants (SI)."""
-
-    hbar: float = HBAR    # J*s
-    eps0: float = EPS0    # F/m
-    c: float = C_LIGHT    # m/s
-
-
-CONSTANTS = PhysicalConstants()
 
 
 class ConvergenceError(RuntimeError):
@@ -98,30 +83,6 @@ def photon_lifetime(q_factor: float, omega: float) -> float:
     """Cavity photon lifetime tau = Q / omega, in s (omega in rad/s)."""
     _require_positive(q_factor=q_factor, omega=omega)
     return q_factor / omega
-
-
-@dataclass(frozen=True)
-class AtomParams:
-    """One flying two-level atom.
-
-    dipole_moment: C*m.  zeta: angle (rad) between the dipole and the mode
-    polarization, restricted to [0, pi/2].  velocity: m/s.
-    transition_omega: rad/s.
-    """
-
-    dipole_moment: float
-    zeta: float
-    velocity: float
-    transition_omega: float
-
-    def __post_init__(self) -> None:
-        _require_positive(
-            dipole_moment=self.dipole_moment,
-            velocity=self.velocity,
-            transition_omega=self.transition_omega,
-        )
-        if not 0.0 <= self.zeta <= math.pi / 2:
-            raise ValueError(f"zeta must lie in [0, pi/2], got {self.zeta!r}")
 
 
 @dataclass(frozen=True)

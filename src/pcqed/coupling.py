@@ -7,10 +7,12 @@ from a discretized mode field.  Both integrate into pulse areas, the angles
 that drive the Rabi rotations downstream; the generic profile's area has a
 closed form.
 
-Sign conventions: analytic generic profiles are real and signed.  Traces
-sampled from mode fields may be complex; the interaction uses their
-magnitude (see :mod:`pcqed.ode`), while ``pulse_area`` integrates values
-exactly as stored.
+Drive convention, decided in one place, :func:`drive_from_profile`:
+analytic generic profiles are real and signed and drive the interaction as
+they are; traces sampled from mode fields may be complex and drive it
+through their magnitude |g|, whose area is the exact area of the magnitude
+of the linear interpolant.  ``pulse_area`` of a profile itself integrates
+its values exactly as stored.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "GenericProfile",
     "ScaledProfile",
     "CouplingTrace",
+    "TraceMagnitude",
+    "drive_from_profile",
     "generic_coupling",
     "exact_area",
     "pulse_area",
@@ -187,11 +191,34 @@ class CouplingTrace:
     def is_complex(self) -> bool:
         return bool(np.iscomplexobj(self.values))
 
-    def magnitude(self) -> "CouplingTrace":
-        return CouplingTrace(self.times, np.abs(self.values), velocity=self.velocity)
-
     def scaled(self, factor: float) -> "CouplingTrace":
         return CouplingTrace(self.times, factor * self.values, velocity=self.velocity)
+
+
+@dataclass(frozen=True)
+class TraceMagnitude:
+    """|g| of a sampled trace: the drive a field-derived trace puts into the interaction."""
+
+    trace: CouplingTrace
+
+    def __call__(self, t):
+        return np.abs(self.trace(t))
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return self.trace.window
+
+
+def drive_from_profile(profile):
+    """The drive a coupling profile puts into the interaction Hamiltonian.
+
+    Sampled traces, possibly complex, drive through their magnitude
+    (:class:`TraceMagnitude`); every other profile is real and signed and is
+    its own drive.
+    """
+    if isinstance(profile, CouplingTrace):
+        return TraceMagnitude(profile)
+    return profile
 
 
 def _window_of(profile) -> tuple[float, float]:
@@ -204,7 +231,8 @@ def _window_of(profile) -> tuple[float, float]:
 
 
 def exact_area(profile, t0: float, t):
-    """Exact area (rad) from t0 to t of a generic profile or a constant multiple of one.
+    """Exact area (rad) from t0 to t of a generic profile, a trace magnitude,
+    or a constant multiple of either.
 
     Vectorized over t; returns None for any other profile.  With
     x = V t - L, a = 1/R and k = pi/l the generic profile has the odd
@@ -213,11 +241,15 @@ def exact_area(profile, t0: float, t):
         F(x) = sign(x) (a / (a^2 + k^2) + Re[e^((-a + ik)|x|) / (-a + ik)])
 
     in x, so the area is Omega0 cos(zeta) / V * (F(x) - F(x0)).  Areas
-    therefore scale exactly as 1/V.
+    therefore scale exactly as 1/V.  A :class:`TraceMagnitude` integrates
+    |linear interpolant| interval by interval in closed form
+    (:func:`_mean_abs_on_segments`) and is zero outside the trace window.
     """
     factor = 1.0
     if isinstance(profile, ScaledProfile):
         profile, factor = profile.base, profile.factor
+    if isinstance(profile, TraceMagnitude):
+        return factor * _trace_magnitude_area(profile.trace, t0, t)
     if not isinstance(profile, GenericProfile):
         return None
     params = profile.params
@@ -234,15 +266,71 @@ def exact_area(profile, t0: float, t):
     return scale * (antiderivative(x) - antiderivative(x0))
 
 
+def _mean_abs_on_segments(z0, z1):
+    """Mean of |z0 + u (z1 - z0)| over u in [0, 1], elementwise, in closed form.
+
+    On the line through z0 and z1, with s the coordinate along the segment
+    from the foot of the perpendicular from 0 and delta the distance of the
+    line from 0, |z| = sqrt(s^2 + delta^2) integrates to
+    (s |z| + delta^2 asinh(s / delta)) / 2.  Both terms are rearranged so
+    that nothing cancels when the segment is short, passes through or near
+    zero, or does not move at all; scaling by the larger end magnitude keeps
+    tiny values from underflowing.
+    """
+    scale = np.maximum(np.abs(z0), np.abs(z1))
+    safe_scale = np.where(scale > 0, scale, 1.0)
+    z0, z1 = z0 / safe_scale, z1 / safe_scale
+    d = z1 - z0
+    length = np.abs(d)
+    a, b = np.abs(z0), np.abs(z1)
+    moving = length > 0
+    safe_length = np.where(moving, length, 1.0)
+    direction = np.conj(d) / safe_length
+    s0, s1 = (z0 * direction).real, (z1 * direction).real
+    delta = np.abs((z0 * direction).imag)
+    # (s1 b - s0 a) / (2 length), by b - a = length (s0 + s1) / (a + b)
+    mean = 0.25 * (a + b) + 0.25 * (s0 + s1) ** 2 / np.where(a + b > 0, a + b, 1.0)
+    # asinh(s1 / delta) - asinh(s0 / delta): one asinh when both ends lie on
+    # one side of the foot, a sum of two positive ones when they straddle it.
+    # The floor on delta and the cap on the ratio keep both finite; past them
+    # delta^2 times the asinh terms is under 1e-297, against a mean >= 1/4.
+    same_side = s0 * s1 > 0
+    safe_delta = np.maximum(delta, 1e-150)
+    with np.errstate(over="ignore"):  # only where delta^2 underflows; capped below
+        ratio = length * (s0 + s1) / np.where(same_side, s1 * a + s0 * b, 1.0)
+    asinh_diff = np.where(
+        same_side,
+        np.arcsinh(np.minimum(ratio, 1e300)),
+        np.arcsinh(s1 / safe_delta) - np.arcsinh(s0 / safe_delta),
+    )
+    return scale * np.where(moving, mean + delta**2 * asinh_diff / (2.0 * safe_length), a)
+
+
+def _trace_magnitude_area(trace: CouplingTrace, t0: float, t):
+    """Exact area of |linear interpolant of trace| from t0 to t; vectorized over t."""
+    times, values = trace.times, trace.values
+    knots = np.concatenate(
+        ([0.0], np.cumsum(np.diff(times) * _mean_abs_on_segments(values[:-1], values[1:])))
+    )
+
+    def running(t):
+        t = np.clip(t, times[0], times[-1])
+        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+        return knots[i] + (t - times[i]) * _mean_abs_on_segments(values[i], trace(t))
+
+    return running(np.asarray(t, dtype=float)) - running(t0)
+
+
 def pulse_area(profile, t0: float | None = None, t1: float | None = None, tol: float = 1e-10):
     """Integrated coupling (rad) of a profile over [t0, t1].
 
-    Defaults to the profile's own window.  Generic profiles, and constant
-    multiples of one, integrate exactly (:func:`exact_area`); traces by the
-    trapezoidal rule over their samples (complex traces integrate
-    componentwise).  Any other callable, such as |g| of a generic profile,
-    is integrated by adaptive quadrature to absolute error <= tol; raises
-    ConvergenceError if the quadrature cannot reach tol.
+    Defaults to the profile's own window.  Generic profiles, trace
+    magnitudes, and constant multiples of either integrate exactly
+    (:func:`exact_area`); traces by the trapezoidal rule over their samples,
+    exact for their linear interpolant (complex traces integrate
+    componentwise).  Any other callable is integrated by adaptive quadrature
+    to absolute error <= tol; raises ConvergenceError if the quadrature
+    cannot reach tol.
     """
     if t0 is None or t1 is None:
         w0, w1 = _window_of(profile)
@@ -329,15 +417,22 @@ def scaled_pair(profile, p: float):
     return ScaledProfile(profile, p)
 
 
+_VELOCITY_PREFIX = "# velocity_m_per_s="
+
+
 def trace_to_csv(trace: CouplingTrace, path) -> Path:
     """Write a trace as CSV: time_s, coupling_rad_per_s.
 
     Complex traces get three columns (time_s, coupling_re_rad_per_s,
-    coupling_im_rad_per_s).  Floats are written with 17 significant digits.
+    coupling_im_rad_per_s).  A trace that records its velocity gets a first
+    line ``# velocity_m_per_s=<V>`` before the header.  Floats are written
+    with 17 significant digits, so a read-back trace is bit-identical.
     """
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
+        if trace.velocity is not None:
+            writer.writerow([f"{_VELOCITY_PREFIX}{trace.velocity:.17g}"])
         if trace.is_complex:
             writer.writerow(["time_s", "coupling_re_rad_per_s", "coupling_im_rad_per_s"])
             for t, v in zip(trace.times, trace.values):
@@ -350,15 +445,19 @@ def trace_to_csv(trace: CouplingTrace, path) -> Path:
 
 
 def trace_from_csv(path) -> CouplingTrace:
-    """Read a trace written by :func:`trace_to_csv`."""
+    """Read a trace written by :func:`trace_to_csv`, with its velocity if recorded."""
     path = Path(path)
+    velocity = None
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
+        if len(header) == 1 and header[0].startswith(_VELOCITY_PREFIX):
+            velocity = float(header[0][len(_VELOCITY_PREFIX):])
+            header = next(reader)
         if header[:1] != ["time_s"] or len(header) not in (2, 3):
             raise ValueError(f"unrecognized trace header {header!r} in {path}")
         rows = [[float(cell) for cell in row] for row in reader if row]
     data = np.asarray(rows, dtype=float)
     if len(header) == 3:
-        return CouplingTrace(data[:, 0], data[:, 1] + 1j * data[:, 2])
-    return CouplingTrace(data[:, 0], data[:, 1])
+        return CouplingTrace(data[:, 0], data[:, 1] + 1j * data[:, 2], velocity=velocity)
+    return CouplingTrace(data[:, 0], data[:, 1], velocity=velocity)

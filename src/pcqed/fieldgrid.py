@@ -285,7 +285,7 @@ def coupling_trace_from_field(
 def _rod_coverage(x, y, cx, cy, radius, hx, hy, sub=4):
     """Fraction of each (hx x hy) cell covered by the rod, by subcell sampling.
 
-    Anti-aliasing the rod edges keeps grid sums convergent under refinement;
+    Anti-aliasing the rod edges keeps grid sums convergent as the spacing shrinks;
     hard-rasterized disks would make cell counts jitter at O(h).
     """
     cover = np.zeros(np.broadcast(x, y).shape)

@@ -24,11 +24,12 @@ from .coupling import (
     CouplingTrace,
     GenericProfile,
     GenericProfileParams,
+    drive_from_profile,
     pulse_area,
     scaled_pair,
 )
 from .fieldgrid import PathSpec
-from .ode import build_subspace, drive_from_profile, evolve
+from .ode import build_subspace, evolve
 
 __all__ = [
     "GateTarget",
@@ -113,16 +114,16 @@ def fidelity(state: AmplitudeVector, target: AmplitudeVector) -> float:
 
 
 def _reference_area(family) -> tuple[float, float]:
-    """(pulse area, velocity) of atom A's profile at the reference velocity."""
+    """(pulse area, velocity) of atom A's drive at the reference velocity."""
     if isinstance(family, GenericProfileParams):
-        profile = GenericProfile(family)
-        return float(pulse_area(profile)), family.velocity
-    if isinstance(family, CouplingTrace):
+        profile, velocity = GenericProfile(family), family.velocity
+    elif isinstance(family, CouplingTrace):
         if family.velocity is None:
             raise ValueError("trace carries no velocity; cannot rescale to calibrate")
-        # Traces drive the interaction through their magnitude.
-        return float(np.real(pulse_area(family.magnitude()))), family.velocity
-    raise TypeError(f"cannot calibrate a family of type {type(family).__name__}")
+        profile, velocity = family, family.velocity
+    else:
+        raise TypeError(f"cannot calibrate a family of type {type(family).__name__}")
+    return pulse_area(drive_from_profile(profile)), velocity
 
 
 def calibrate_velocity(
@@ -205,9 +206,9 @@ class GateSettings:
     """A calibrated operating point ready for a truth table.
 
     profile_a: atom A's coupling profile at the operating velocity
-    (GenericProfile or CouplingTrace).  omega_cav feeds the photon-lifetime
-    margin.  use_magnitude overrides the drive convention (default: traces
-    drive with |g|, analytic profiles signed).
+    (GenericProfile or CouplingTrace); both engines drive with
+    :func:`pcqed.coupling.drive_from_profile` of it, so a trace drives
+    through |g|.  omega_cav feeds the photon-lifetime margin.
     """
 
     target: GateTarget
@@ -216,7 +217,6 @@ class GateSettings:
     velocity: float
     omega_cav: float
     q_factor: float = 1e8
-    use_magnitude: bool | None = None
     rtol: float = 1e-9
     atol: float = 1e-11
 
@@ -285,8 +285,8 @@ def _evolve_rail_input(
         t0, t1 = settings.profile_a.window
         traj = evolve(
             build_subspace(1),
-            drive_from_profile(settings.profile_a, settings.use_magnitude),
-            drive_from_profile(profile_b, settings.use_magnitude),
+            drive_from_profile(settings.profile_a),
+            drive_from_profile(profile_b),
             AmplitudeVector.basis_state({"10": "100", "01": "010"}[label]),
             t0,
             t1,
@@ -296,33 +296,6 @@ def _evolve_rail_input(
         )
         return traj.final_state
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def drive_area_profile(profile, use_magnitude: bool | None):
-    """Profile whose plain integral equals the area of the interaction drive."""
-    if use_magnitude is None:
-        use_magnitude = isinstance(profile, CouplingTrace)
-    if not use_magnitude:
-        return profile
-    if isinstance(profile, CouplingTrace):
-        return profile.magnitude()
-    return _MagnitudeProfile(profile)
-
-
-@dataclass(frozen=True)
-class _MagnitudeProfile:
-    base: object
-
-    def __call__(self, t):
-        return np.abs(self.base(t))
-
-    @property
-    def window(self):
-        return self.base.window
-
-    @property
-    def peak_time(self):
-        return getattr(self.base, "peak_time", None)
 
 
 def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> GateReport:
@@ -337,8 +310,8 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     """
     target = settings.target
     profile_b = scaled_pair(settings.profile_a, settings.p)
-    g_a = float(np.real(pulse_area(drive_area_profile(settings.profile_a, settings.use_magnitude))))
-    g_b = float(np.real(pulse_area(drive_area_profile(profile_b, settings.use_magnitude))))
+    g_a = pulse_area(drive_from_profile(settings.profile_a))
+    g_b = pulse_area(drive_from_profile(profile_b))
     areas = PulseAreas(g_a, g_b)
 
     fidelities: dict[str, float] = {}
@@ -371,8 +344,8 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
         t0, t1 = settings.profile_a.window
         traj2 = evolve(
             build_subspace(2),
-            drive_from_profile(settings.profile_a, settings.use_magnitude),
-            drive_from_profile(profile_b, settings.use_magnitude),
+            drive_from_profile(settings.profile_a),
+            drive_from_profile(profile_b),
             AmplitudeVector.basis_state("110"),
             t0,
             t1,

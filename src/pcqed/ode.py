@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import AmplitudeVector, ConvergenceError, basis_labels
-from .coupling import scaled_pair
+from .coupling import drive_from_profile, scaled_pair
 
 __all__ = [
     "SubspaceHamiltonian",
@@ -192,28 +192,11 @@ def evolve(
     return traj
 
 
-def drive_from_profile(profile, use_magnitude: bool | None = None) -> Callable:
-    """Turn a coupling profile into the drive the interaction actually uses.
-
-    Field-derived traces enter the Hamiltonian through their magnitude by
-    default; analytic profiles are real and signed and are used directly.
-    Pass use_magnitude explicitly to override either default.
-    """
-    from .coupling import CouplingTrace  # local import to keep module load light
-
-    if use_magnitude is None:
-        use_magnitude = isinstance(profile, CouplingTrace)
-    if use_magnitude:
-        return lambda t: np.abs(profile(t))
-    return profile
-
-
 def two_excitation_return(
     profile_a,
     p: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    use_magnitude: bool | None = None,
 ) -> float:
     """Probability that both-atoms-excited returns to itself after transit.
 
@@ -225,8 +208,8 @@ def two_excitation_return(
     h = build_subspace(2)
     psi0 = AmplitudeVector.basis_state("110")
     t0, t1 = profile_a.window
-    drive_a = drive_from_profile(profile_a, use_magnitude)
-    drive_b = drive_from_profile(scaled_pair(profile_a, p), use_magnitude)
+    drive_a = drive_from_profile(profile_a)
+    drive_b = drive_from_profile(scaled_pair(profile_a, p))
     traj = evolve(h, drive_a, drive_b, psi0, t0, t1, rtol=rtol, atol=atol, n_points=2)
     return float(np.abs(traj.final_state.amplitude("110")) ** 2)
 

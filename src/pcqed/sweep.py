@@ -52,9 +52,6 @@ class SweepGrid:
         object.__setattr__(self, "a_surface", a)
         object.__setattr__(self, "b_surface", b)
 
-    def slice(self, axis: str, value: float) -> np.ndarray:
-        return slice_surface(self, axis, value)
-
 
 def surface(
     family: GenericProfileParams,

@@ -1,8 +1,19 @@
+import json
 import math
 
 import pytest
 
-from pcqed import C_LIGHT, GenericProfileParams
+from pcqed import (
+    C_LIGHT,
+    CavityParams,
+    GenericProfileParams,
+    PathSpec,
+    coupling_trace_from_field,
+    mode_volume,
+    peak_energy_point,
+    synthesize_mode,
+)
+from pcqed.cli import example_config_path
 
 # Reference generic scenario used throughout: optical transition at
 # 2.4e15 rad/s, lattice period 1.6*pi*c/omega, half-path of ten periods,
@@ -31,3 +42,23 @@ def generic_family(velocity: float = 433.0, zeta: float = 0.0) -> GenericProfile
 @pytest.fixture
 def fig_family() -> GenericProfileParams:
     return generic_family()
+
+
+@pytest.fixture(scope="session")
+def field3d_config() -> dict:
+    return json.loads(example_config_path("evolve_field3d").read_text())
+
+
+@pytest.fixture(scope="session")
+def field3d_trace(field3d_config):
+    """The complex coupling trace of the bundled evolve_field3d transit."""
+    c = field3d_config
+    f = c["field"]
+    grid = synthesize_mode(f["kind"], f["lattice_const"], f["decay_radius"],
+                           tuple(f["dims"]), tuple(f["spacing"]))
+    path = PathSpec(entry=tuple(c["path"]["entry"]), direction=tuple(c["path"]["direction"]),
+                    length=c["path"]["length"], velocity=c["path"]["velocity"])
+    _, eps_m = peak_energy_point(grid)
+    cavity = CavityParams(omega_cav=c["omega_cav"], eps_m=eps_m, mode_volume=mode_volume(grid),
+                          g0=c["g0"])
+    return coupling_trace_from_field(grid, path, cavity, c["n_samples"])

@@ -8,8 +8,12 @@ from pcqed import (
     GenericProfile,
     PulseAreas,
     analytic_trajectory,
+    AmplitudeVector,
+    build_subspace,
     closed_form_amplitudes,
     commutation_check,
+    drive_from_profile,
+    evolve,
     logical_unitary,
     pulse_area,
     scaled_pair,
@@ -208,3 +212,24 @@ class TestAnalyticTrajectory:
             traj = analytic_trajectory(profile, 0.414, times, initial=initial)
             norms = np.sum(np.abs(traj) ** 2, axis=1)
             np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+
+    def test_drive_without_exact_area_is_refused(self):
+        raw = CouplingTrace([0.0, 1e-8, 2e-8], [1e8 + 1e8j, -2e8j, 5e7])
+        times = np.linspace(0.0, 2e-8, 5)
+        with pytest.raises(ValueError):
+            analytic_trajectory(raw, 0.5, times)
+        with pytest.raises(ValueError):
+            analytic_trajectory(lambda t: np.ones_like(t), 0.5, times)
+        assert analytic_trajectory(drive_from_profile(raw), 0.5, times).shape == (5, 3)
+
+    def test_field_trace_drive_matches_tight_ode(self, field3d_trace):
+        # |g| of the complex trace: exact |linear interpolant| areas against DOP853
+        p = 0.414
+        drive = drive_from_profile(field3d_trace)
+        t0, t1 = field3d_trace.window
+        times = np.linspace(t0, t1, 400)
+        want = evolve(build_subspace(1), drive, drive_from_profile(scaled_pair(field3d_trace, p)),
+                      AmplitudeVector.basis_state("100"), t0, t1, rtol=1e-12, atol=1e-14,
+                      n_points=times.size)
+        np.testing.assert_allclose(analytic_trajectory(drive, p, times), want.amplitudes,
+                                   rtol=0.0, atol=1e-8)

@@ -2,9 +2,12 @@ import csv
 import json
 import math
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pcqed
 from pcqed import ConvergenceError
 from pcqed.cli import example_config_path, main
 
@@ -240,3 +243,30 @@ class TestGateReport:
         assert doc["classified_label"] == "NOT"
         assert doc["fidelities"]["10"] >= 0.99
         assert 150.0 <= doc["velocity"] <= 650.0
+
+
+# Command of each bundled config, by file-name prefix; the first match wins.
+COMMAND_BY_PREFIX = (
+    ("calibrate_", "calibrate"),
+    ("gate_report_", "gate-report"),
+    ("profile_", "profile"),
+    ("sweep_", "sweep"),
+    ("field", "field-stats"),
+    ("", "evolve"),
+)
+BUNDLED = sorted((Path(pcqed.__file__).parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", BUNDLED, ids=lambda path: path.stem)
+def test_bundled_config_runs(config, tmp_path):
+    command = next(c for prefix, c in COMMAND_BY_PREFIX if config.stem.startswith(prefix))
+    assert run([command, "--config", config, "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("command", ["evolve", "gate-report"])
+def test_removed_use_magnitude_key_is_rejected(command, tmp_path):
+    config = generic_config(use_magnitude=True)
+    if command == "gate-report":
+        del config["initial"], config["engine"]
+        config.update(target="ENTANGLER_HADAMARD", omega_cav=2.4e15)
+    assert run([command, "--config", write_config(tmp_path, "cfg", config), "--out", tmp_path]) == 2

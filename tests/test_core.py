@@ -5,7 +5,6 @@ import pytest
 
 from pcqed import (
     AmplitudeVector,
-    AtomParams,
     C_LIGHT,
     CavityParams,
     basis_labels,
@@ -68,19 +67,6 @@ class TestCavityParams:
     def test_rejects_non_positive_volume(self):
         with pytest.raises(ValueError):
             CavityParams(omega_cav=OMEGA_MM, eps_m=12.0, mode_volume=0.0, g0=1e6)
-
-
-class TestAtomParams:
-    def test_valid(self):
-        AtomParams(dipole_moment=MU_RB, zeta=0.3, velocity=433.0, transition_omega=OMEGA_MM)
-
-    def test_zeta_range(self):
-        with pytest.raises(ValueError):
-            AtomParams(MU_RB, zeta=2.0, velocity=433.0, transition_omega=OMEGA_MM)
-
-    def test_velocity_positive(self):
-        with pytest.raises(ValueError):
-            AtomParams(MU_RB, zeta=0.0, velocity=0.0, transition_omega=OMEGA_MM)
 
 
 class TestBasis:

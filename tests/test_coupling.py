@@ -7,6 +7,8 @@ from pcqed import (
     ConvergenceError,
     CouplingTrace,
     GenericProfile,
+    calibrate_velocity,
+    drive_from_profile,
     generic_coupling,
     pulse_area,
     scaled_pair,
@@ -180,6 +182,24 @@ class TestCouplingTrace:
         np.testing.assert_array_equal(back.times, trace.times)
         np.testing.assert_array_equal(back.values, trace.values)
 
+    def test_csv_without_velocity_keeps_its_format(self, tmp_path):
+        trace = CouplingTrace([0.0, 1e-9, 2e-9], [1.0e6, -2.0e6, 0.5e6])
+        path = trace_to_csv(trace, tmp_path / "t.csv")
+        assert path.read_bytes() == (
+            b"time_s,coupling_rad_per_s\r\n0,1000000\r\n"
+            b"1.0000000000000001e-09,-2000000\r\n2.0000000000000001e-09,500000\r\n"
+        )
+        assert trace_from_csv(path).velocity is None
+
+    def test_csv_round_trip_keeps_velocity_for_calibration(self, tmp_path, fig_family):
+        profile = GenericProfile(fig_family)
+        times = np.linspace(*profile.window, 2001)
+        trace = CouplingTrace(times, profile(times) * np.exp(0.3j), velocity=433.0)
+        back = trace_from_csv(trace_to_csv(trace, tmp_path / "t.csv"))
+        assert back.velocity == 433.0
+        np.testing.assert_array_equal(back.values, trace.values)
+        assert calibrate_velocity(back, 1.0, "NOT") == calibrate_velocity(trace, 1.0, "NOT")
+
     def test_csv_round_trip_complex(self, tmp_path):
         trace = CouplingTrace([0.0, 1e-9], [1e6 + 2e6j, -3e6 + 0.5e6j])
         back = trace_from_csv(trace_to_csv(trace, tmp_path / "t.csv"))
@@ -189,3 +209,18 @@ class TestCouplingTrace:
         trace = CouplingTrace([1.0, 2.0], [5.0, 5.0])
         assert trace(0.0) == 0.0
         assert trace(3.0) == 0.0
+
+
+class TestDriveFromProfile:
+    def test_trace_drives_through_its_magnitude(self):
+        trace = CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5])
+        drive = drive_from_profile(trace)
+        t = np.linspace(-0.5, 2.5, 13)
+        np.testing.assert_array_equal(drive(t), np.abs(trace(t)))
+        assert drive.window == trace.window
+
+    def test_analytic_profiles_are_their_own_drive(self, fig_family):
+        profile = GenericProfile(fig_family)
+        assert drive_from_profile(profile) is profile
+        companion = scaled_pair(profile, 0.414)
+        assert drive_from_profile(companion) is companion

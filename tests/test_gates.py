@@ -293,3 +293,20 @@ class TestTimes:
     def test_operation_time_rejects_other_types(self):
         with pytest.raises(TypeError):
             operation_time(3.0)
+
+
+class TestFieldTraceGate:
+    def test_engines_agree_on_the_bundled_field3d_trace(self, field3d_trace, field3d_config):
+        # both engines drive with |g|; the closed form takes its exact area
+        settings = GateSettings(
+            target=ENTANGLER_HADAMARD,
+            profile_a=field3d_trace,
+            p=field3d_config["p"],
+            velocity=field3d_trace.velocity,
+            omega_cav=field3d_config["omega_cav"],
+        )
+        analytic = truth_table(settings, "analytic")
+        ode = truth_table(settings, "ode")
+        assert analytic.pulse_area_a == ode.pulse_area_a
+        for label in ("10", "01"):
+            assert abs(analytic.fidelities[label] - ode.fidelities[label]) <= 1e-6

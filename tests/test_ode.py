@@ -309,7 +309,7 @@ class TestTwoExcitationReturn:
 
             window = (0.0, duration)
 
-        got = two_excitation_return(Flat(), 1.0, use_magnitude=False)
+        got = two_excitation_return(Flat(), 1.0)
         # eigendecomposition oracle on the 4x4 generator
         h2 = build_subspace(2).matrix(g, g)
         amp = expm_unitary(h2, duration)[0, 0]
