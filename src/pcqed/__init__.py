@@ -14,7 +14,9 @@ from .core import (
     CalibrationError,
     CavityParams,
     ConvergenceError,
+    SubspaceHamiltonian,
     basis_labels,
+    build_subspace,
     g0_from_params,
     mode_volume_from_g0,
     photon_lifetime,
@@ -24,6 +26,7 @@ from .coupling import (
     GenericProfile,
     GenericProfileParams,
     drive_from_profile,
+    drive_pair,
     generic_coupling,
     pulse_area,
     scaled_pair,
@@ -34,14 +37,12 @@ from .analytic import (
     PulseAreas,
     analytic_trajectory,
     closed_form_amplitudes,
-    commutation_check,
     logical_unitary,
     series_amplitudes,
+    two_excitation_unitary,
 )
 from .ode import (
-    SubspaceHamiltonian,
     Trajectory,
-    build_subspace,
     evolve,
     trajectory_to_csv,
     two_excitation_return,
@@ -73,6 +74,6 @@ from .gates import (
     operation_time,
     truth_table,
 )
-from .sweep import SweepGrid, slice_surface, surface, surfaces_to_csv
+from .sweep import SweepGrid, surface, surfaces_to_csv
 
 __version__ = "0.1.0"

@@ -1,17 +1,22 @@
-"""Closed-form single-excitation dynamics for proportional coupling pulses.
+"""Closed-form dynamics for proportional coupling pulses.
 
-When the two atoms see proportional couplings, the interaction Hamiltonians
-at different times commute, so the propagator is the exponential of the
-integrated Hamiltonian and everything reduces to the two pulse areas.  With
+Every drive pair the system builds (:func:`pcqed.coupling.drive_pair`) gives
+atom B a constant multiple c of atom A's drive.  The interaction Hamiltonian
+of each excitation subspace is then g_a(t) times a constant matrix, so it
+commutes with itself at all times, the propagator is the exponential of the
+integrated Hamiltonian, and everything reduces to the two pulse areas.  With
 Lambda = sqrt(g_a^2 + g_b^2) the amplitudes over {|100>, |010>, |001>} are
 
     a     = 1 + g_a^2 (cos Lambda - 1) / Lambda^2
     b     = g_a g_b (cos Lambda - 1) / Lambda^2
     gamma = -i g_a sin(Lambda) / Lambda
 
-for the initial state |100>.  The same expressions arise as resummed series
-in powers of the integrated Hamiltonian; ``series_amplitudes`` keeps the
-partial sums mostly for convergence diagnostics.
+for the initial state |100>.  The two-excitation block over {|110>, |101>,
+|011>, |002>} is exponentiated by :func:`two_excitation_unitary`, so no
+logical input needs the ODE.  The single-excitation expressions also arise
+as resummed series in powers of the integrated Hamiltonian;
+``series_amplitudes`` keeps the partial sums mostly for convergence
+diagnostics.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import build_subspace
 from .coupling import exact_area
 
 __all__ = [
@@ -29,7 +35,7 @@ __all__ = [
     "closed_form_amplitudes",
     "series_amplitudes",
     "logical_unitary",
-    "commutation_check",
+    "two_excitation_unitary",
     "analytic_trajectory",
 ]
 
@@ -137,39 +143,27 @@ def logical_unitary(areas: PulseAreas) -> np.ndarray:
     ).T
 
 
-def commutation_check(profile_a, profile_b, n_samples: int = 200) -> float:
-    """Worst-case violation of the proportional-couplings assumption.
+def two_excitation_unitary(areas: PulseAreas) -> np.ndarray:
+    """4x4 propagator over {|110>, |101>, |011>, |002>} for the given pulse areas.
 
-    Samples both profiles on their common window and returns
-    max |g_b(t) g_a(t') - g_a(t) g_b(t')| normalized by the product of the
-    peak magnitudes.  A value at rounding level (<= 1e-12) certifies that the
-    interaction Hamiltonians at different times commute, which is what makes
-    the closed forms applicable.
+    The Tavis-Cummings block of the two-excitation subspace is
+    H_2(t) = g_a(t) M_2(c) for drives in a constant ratio c, so it commutes
+    with itself at all times and U = exp(-i H_2(g_a, g_b)) exactly, with
+    H_2 the Hamiltonian of :func:`pcqed.core.build_subspace` evaluated at the
+    pulse areas.  The exponential goes through its eigendecomposition.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    a_lo, a_hi = profile_a.window
-    b_lo, b_hi = profile_b.window
-    lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-    if not lo < hi:
-        raise ValueError("profiles share no time window")
-    ts = np.linspace(lo, hi, n_samples)
-    ga = np.asarray(profile_a(ts))
-    gb = np.asarray(profile_b(ts))
-    peak = float(np.max(np.abs(ga))) * float(np.max(np.abs(gb)))
-    if peak == 0.0:
-        return 0.0
-    cross = np.abs(np.outer(gb, ga) - np.outer(ga, gb))
-    return float(np.max(cross)) / peak
+    w, v = np.linalg.eigh(build_subspace(2).matrix(areas.g_a, areas.g_b))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def analytic_trajectory(
-    profile_a, p: float, times: np.ndarray, initial: str = "100"
+    profile_a, c: float, times: np.ndarray, initial: str = "100"
 ) -> np.ndarray:
     """Closed-form amplitudes along ``times`` for proportional drives.
 
-    profile_a is atom A's drive (:func:`pcqed.coupling.drive_from_profile`)
-    and atom B's is p times it.  Running pulse areas are exact
+    profile_a is atom A's drive and atom B's is c times it; both come from
+    :func:`pcqed.coupling.drive_pair`, which also returns c (|p| for a
+    trace, p otherwise).  Running pulse areas are exact
     (:func:`pcqed.coupling.exact_area`); a drive without an exact area, such
     as a raw or complex trace or an arbitrary callable, raises ValueError.
     Returns an (len(times), 3) complex array over {|100>, |010>, |001>} for
@@ -187,4 +181,4 @@ def analytic_trajectory(
             f"no exact running area for a drive of type {type(profile_a).__name__}; "
             "pass drive_from_profile(profile) of a generic profile or a trace"
         )
-    return np.stack(amplitudes(g_a, p * g_a, initial), axis=1)
+    return np.stack(amplitudes(g_a, c * g_a, initial), axis=1)

@@ -30,7 +30,7 @@ from .coupling import (
     CouplingTrace,
     GenericProfile,
     GenericProfileParams,
-    drive_from_profile,
+    drive_pair,
     scaled_pair,
 )
 from .fieldgrid import (
@@ -351,13 +351,12 @@ def _cmd_evolve(args) -> int:
     stem = _stem(args)
     written: list[Path] = []
 
-    drive_a = drive_from_profile(profile_a)
+    drive_a, drive_b, c = drive_pair(profile_a, p)
     if engine in ("analytic", "both"):
-        amps = analytic_trajectory(drive_a, p, times, initial=initial)
+        amps = analytic_trajectory(drive_a, c, times, initial=initial)
         traj = Trajectory(1, basis_labels(1), times, amps, {"engine": "analytic"})
         written.append(_write_trajectory(traj, out / f"{stem}_analytic.csv", args.format))
     if engine in ("ode", "both"):
-        drive_b = drive_from_profile(scaled_pair(profile_a, p))
         traj = evolve(
             build_subspace(1),
             drive_a,
@@ -370,27 +369,15 @@ def _cmd_evolve(args) -> int:
             n_points=n_points,
         )
         written.append(_write_trajectory(traj, out / f"{stem}_ode.csv", args.format))
-        if config.get("svg"):
-            probs = {
-                f"|{lbl}>": np.abs(traj.amplitudes[:, i]) ** 2
-                for i, lbl in enumerate(traj.basis_labels)
-            }
-            written.append(
-                svgmod.line_plot_svg(
-                    out / f"{stem}.svg",
-                    traj.times,
-                    probs,
-                    title=config.get("description", stem),
-                    xlabel="time (s)",
-                    ylabel="probability",
-                )
-            )
-    elif config.get("svg") and engine == "analytic":
-        probs = {f"|{lbl}>": np.abs(amps[:, i]) ** 2 for i, lbl in enumerate(basis_labels(1))}
+    if config.get("svg"):  # the last trajectory written: ODE if it ran, else analytic
+        probs = {
+            f"|{lbl}>": np.abs(traj.amplitudes[:, i]) ** 2
+            for i, lbl in enumerate(traj.basis_labels)
+        }
         written.append(
             svgmod.line_plot_svg(
                 out / f"{stem}.svg",
-                times,
+                traj.times,
                 probs,
                 title=config.get("description", stem),
                 xlabel="time (s)",
@@ -414,20 +401,16 @@ def _cmd_profile(args) -> int:
     out = _out_dir(args)
     path = out / f"{_stem(args)}_profile.csv"
     is_complex = np.iscomplexobj(va) or np.iscomplexobj(vb)
+    if is_complex:
+        names = ("coupling_a_re", "coupling_a_im", "coupling_b_re", "coupling_b_im")
+        columns = (va.real, va.imag, vb.real, vb.imag)
+    else:
+        names = ("coupling_a", "coupling_b")
+        columns = (va, vb)
     with path.open("w", newline="") as fh:
-        if is_complex:
-            fh.write(
-                "time_s,coupling_a_re_rad_per_s,coupling_a_im_rad_per_s,"
-                "coupling_b_re_rad_per_s,coupling_b_im_rad_per_s\n"
-            )
-            for t, a, b in zip(times, va.astype(complex), vb.astype(complex)):
-                fh.write(
-                    f"{t:.17g},{a.real:.17g},{a.imag:.17g},{b.real:.17g},{b.imag:.17g}\n"
-                )
-        else:
-            fh.write("time_s,coupling_a_rad_per_s,coupling_b_rad_per_s\n")
-            for t, a, b in zip(times, va, vb):
-                fh.write(f"{t:.17g},{a:.17g},{b:.17g}\n")
+        fh.write(",".join(["time_s", *(f"{name}_rad_per_s" for name in names)]) + "\n")
+        for row in zip(times, *columns):
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     print(path)
     if config.get("svg"):
         series = (

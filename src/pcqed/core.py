@@ -1,4 +1,5 @@
-"""Shared domain types, physical constants, and unit conventions.
+"""Shared domain types, physical constants, unit conventions, and the
+interaction Hamiltonian of each excitation subspace.
 
 Unit discipline across the package: angular frequencies in rad/s, times in s,
 lengths in m, dipole moments in C*m.  Every quoted frequency is angular; the
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,8 +22,10 @@ __all__ = [
     "CalibrationError",
     "CavityParams",
     "AmplitudeVector",
+    "SubspaceHamiltonian",
     "basis_labels",
     "basis_index",
+    "build_subspace",
     "g0_from_params",
     "mode_volume_from_g0",
     "photon_lifetime",
@@ -90,8 +94,7 @@ class CavityParams:
     """Single-mode cavity: frequency, permittivity at the peak, volume, coupling.
 
     ``g0`` must be consistent with the other fields; build instances through
-    :meth:`from_dipole` to guarantee that, or check with
-    :meth:`g0_relative_residual`.
+    :meth:`from_dipole` to guarantee that.
     """
 
     omega_cav: float      # rad/s
@@ -113,11 +116,6 @@ class CavityParams:
     ) -> "CavityParams":
         g0 = g0_from_params(mu_eg, omega_cav, eps_m, mode_volume)
         return cls(omega_cav=omega_cav, eps_m=eps_m, mode_volume=mode_volume, g0=g0)
-
-    def g0_relative_residual(self, mu_eg: float) -> float:
-        """Relative mismatch between stored g0 and the one implied by mu_eg."""
-        g0_ref = g0_from_params(mu_eg, self.omega_cav, self.eps_m, self.mode_volume)
-        return abs(self.g0 - g0_ref) / g0_ref
 
 
 def basis_labels(n_excitations: int) -> tuple[str, ...]:
@@ -153,6 +151,62 @@ def basis_index(n_excitations: int, label: str) -> int:
         raise ValueError(
             f"label {label!r} not in the n={n_excitations} basis {labels}"
         ) from None
+
+
+@dataclass(frozen=True)
+class SubspaceHamiltonian:
+    """Hamiltonian builder (units of rad/s) for a fixed number of excitations."""
+
+    n_excitations: int
+    basis_labels: tuple[str, ...]
+    matrix_builder: Callable[[complex, complex], np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_labels)
+
+    def matrix(self, g_a: complex, g_b: complex) -> np.ndarray:
+        return self.matrix_builder(g_a, g_b)
+
+
+def _matrix_n0(g_a: complex, g_b: complex) -> np.ndarray:
+    return np.zeros((1, 1), dtype=complex)
+
+
+def _matrix_n1(g_a: complex, g_b: complex) -> np.ndarray:
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 2] = g_a
+    h[2, 0] = np.conj(g_a)
+    h[1, 2] = g_b
+    h[2, 1] = np.conj(g_b)
+    return h
+
+
+def _matrix_n2(g_a: complex, g_b: complex) -> np.ndarray:
+    # Basis {|110>, |101>, |011>, |002>}: lowering atom B from |110> emits
+    # into the empty mode (factor 1); lowering the remaining excited atom
+    # from a one-photon state picks up the sqrt(2) ladder factor.
+    root2 = np.sqrt(2.0)
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = g_b
+    h[1, 0] = np.conj(g_b)
+    h[0, 2] = g_a
+    h[2, 0] = np.conj(g_a)
+    h[1, 3] = root2 * g_a
+    h[3, 1] = root2 * np.conj(g_a)
+    h[2, 3] = root2 * g_b
+    h[3, 2] = root2 * np.conj(g_b)
+    return h
+
+
+_BUILDERS = {0: _matrix_n0, 1: _matrix_n1, 2: _matrix_n2}
+
+
+def build_subspace(n: int) -> SubspaceHamiltonian:
+    """Interaction Hamiltonian for n total excitations, n in {0, 1, 2}."""
+    if n not in _BUILDERS:
+        raise ValueError(f"unsupported excitation number {n}; supported: 0, 1, 2")
+    return SubspaceHamiltonian(n, basis_labels(n), _BUILDERS[n])
 
 
 # Construction guard; evolution routines hold themselves to tighter bounds

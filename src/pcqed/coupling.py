@@ -11,8 +11,9 @@ Drive convention, decided in one place, :func:`drive_from_profile`:
 analytic generic profiles are real and signed and drive the interaction as
 they are; traces sampled from mode fields may be complex and drive it
 through their magnitude |g|, whose area is the exact area of the magnitude
-of the linear interpolant.  ``pulse_area`` of a profile itself integrates
-its values exactly as stored.
+of the linear interpolant.  :func:`drive_pair` adds atom B, whose drive is
+a constant multiple c of atom A's.  ``pulse_area`` of a profile itself
+integrates its values exactly as stored.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "CouplingTrace",
     "TraceMagnitude",
     "drive_from_profile",
+    "drive_pair",
     "generic_coupling",
     "exact_area",
     "pulse_area",
@@ -219,6 +221,18 @@ def drive_from_profile(profile):
     if isinstance(profile, CouplingTrace):
         return TraceMagnitude(profile)
     return profile
+
+
+def drive_pair(profile, p: float):
+    """Drives of atoms A and B, and their exact constant ratio c = drive_b / drive_a.
+
+    Atom A's profile is ``profile``; atom B's is :func:`scaled_pair` of it
+    with factor p; both drive through :func:`drive_from_profile`.  A trace
+    drives through |g|, so c = |p|; every other profile drives signed, so
+    c = p.  Every engine reads atom B from here.
+    """
+    c = abs(p) if isinstance(profile, CouplingTrace) else p
+    return drive_from_profile(profile), drive_from_profile(scaled_pair(profile, p)), c
 
 
 def _window_of(profile) -> tuple[float, float]:

@@ -4,8 +4,8 @@ This is the independent check on the closed forms: an adaptive Runge-Kutta
 integration of i psi' = H(t) psi with the coupling-only Hamiltonian (free
 phases removed exactly on resonance), valid for arbitrary, including
 non-proportional and complex, couplings.  Subspaces with zero, one, and two
-total excitations are supported; the two-excitation block carries the
-sqrt(2) photon-ladder factor into the two-photon state.
+total excitations are supported, through the Hamiltonians of
+:func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import AmplitudeVector, ConvergenceError, basis_labels
-from .coupling import drive_from_profile, scaled_pair
+from .core import AmplitudeVector, ConvergenceError, SubspaceHamiltonian, build_subspace
+from .coupling import drive_from_profile, drive_pair
 
 __all__ = [
     "SubspaceHamiltonian",
@@ -34,62 +34,6 @@ __all__ = [
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_POINTS = 2000
-
-
-@dataclass(frozen=True)
-class SubspaceHamiltonian:
-    """Hamiltonian builder (units of rad/s) for a fixed number of excitations."""
-
-    n_excitations: int
-    basis_labels: tuple[str, ...]
-    matrix_builder: Callable[[complex, complex], np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_labels)
-
-    def matrix(self, g_a: complex, g_b: complex) -> np.ndarray:
-        return self.matrix_builder(g_a, g_b)
-
-
-def _matrix_n0(g_a: complex, g_b: complex) -> np.ndarray:
-    return np.zeros((1, 1), dtype=complex)
-
-
-def _matrix_n1(g_a: complex, g_b: complex) -> np.ndarray:
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 2] = g_a
-    h[2, 0] = np.conj(g_a)
-    h[1, 2] = g_b
-    h[2, 1] = np.conj(g_b)
-    return h
-
-
-def _matrix_n2(g_a: complex, g_b: complex) -> np.ndarray:
-    # Basis {|110>, |101>, |011>, |002>}: lowering atom B from |110> emits
-    # into the empty mode (factor 1); lowering the remaining excited atom
-    # from a one-photon state picks up the sqrt(2) ladder factor.
-    root2 = np.sqrt(2.0)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = g_b
-    h[1, 0] = np.conj(g_b)
-    h[0, 2] = g_a
-    h[2, 0] = np.conj(g_a)
-    h[1, 3] = root2 * g_a
-    h[3, 1] = root2 * np.conj(g_a)
-    h[2, 3] = root2 * g_b
-    h[3, 2] = root2 * np.conj(g_b)
-    return h
-
-
-_BUILDERS = {0: _matrix_n0, 1: _matrix_n1, 2: _matrix_n2}
-
-
-def build_subspace(n: int) -> SubspaceHamiltonian:
-    """Interaction Hamiltonian for n total excitations, n in {0, 1, 2}."""
-    if n not in _BUILDERS:
-        raise ValueError(f"unsupported excitation number {n}; supported: 0, 1, 2")
-    return SubspaceHamiltonian(n, basis_labels(n), _BUILDERS[n])
 
 
 @dataclass(frozen=True)
@@ -200,16 +144,15 @@ def two_excitation_return(
 ) -> float:
     """Probability that both-atoms-excited returns to itself after transit.
 
-    Evolves |110> in the two-excitation subspace under the same coupling
-    profiles used by the single-excitation gate (atom B scaled by p) and
+    Evolves |110> in the two-excitation subspace under the same drives as
+    the single-excitation gate (:func:`pcqed.coupling.drive_pair`) and
     returns |<110|psi(t1)>|^2.  The value is reported as measured; it is not
     forced to match any idealized truth table.
     """
     h = build_subspace(2)
     psi0 = AmplitudeVector.basis_state("110")
     t0, t1 = profile_a.window
-    drive_a = drive_from_profile(profile_a)
-    drive_b = drive_from_profile(scaled_pair(profile_a, p))
+    drive_a, drive_b, _ = drive_pair(profile_a, p)
     traj = evolve(h, drive_a, drive_b, psi0, t0, t1, rtol=rtol, atol=atol, n_points=2)
     return float(np.abs(traj.final_state.amplitude("110")) ** 2)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .analytic import amplitudes
 from .coupling import GenericProfile, GenericProfileParams, pulse_area
 
-__all__ = ["SweepGrid", "surface", "slice_surface", "surfaces_to_csv"]
+__all__ = ["SweepGrid", "surface", "surfaces_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -80,29 +80,6 @@ def surface(
     g_a = pulse_area(GenericProfile(family.replace_velocity(1.0))) / v_values[:, None]
     a_surf, b_surf, _ = amplitudes(g_a, p_values * g_a, initial)
     return SweepGrid(v_values, p_values, initial, a_surf, b_surf)
-
-
-def slice_surface(grid: SweepGrid, axis: str, value: float) -> np.ndarray:
-    """Extract the nearest gridline as rows of (abscissa, a, b).
-
-    axis "V" slices at fixed velocity (abscissa = p); axis "p" at fixed
-    ratio (abscissa = V).  No interpolation; value must lie within range.
-    """
-    if axis not in ("V", "p"):
-        raise ValueError("axis must be 'V' or 'p'")
-    coords = grid.v_values if axis == "V" else grid.p_values
-    if not coords[0] <= value <= coords[-1]:
-        raise ValueError(
-            f"{axis} = {value!r} outside the grid range [{coords[0]}, {coords[-1]}]"
-        )
-    idx = int(np.argmin(np.abs(coords - value)))
-    if axis == "V":
-        return np.column_stack(
-            (grid.p_values, grid.a_surface[idx], grid.b_surface[idx])
-        )
-    return np.column_stack(
-        (grid.v_values, grid.a_surface[:, idx], grid.b_surface[:, idx])
-    )
 
 
 def surfaces_to_csv(grid: SweepGrid, out_dir, stem: str) -> tuple[Path, Path]:

@@ -11,7 +11,6 @@ from pcqed import (
     AmplitudeVector,
     build_subspace,
     closed_form_amplitudes,
-    commutation_check,
     drive_from_profile,
     evolve,
     logical_unitary,
@@ -148,41 +147,6 @@ class TestLogicalUnitary:
         swapped = logical_unitary(PulseAreas(0.4, 1.3))
         perm = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
         np.testing.assert_allclose(perm @ u @ perm, swapped, atol=1e-14)
-
-
-class TestCommutationCheck:
-    def test_proportional_profiles_commute(self, fig_family):
-        base = GenericProfile(fig_family)
-        companion = scaled_pair(base, 0.414)
-        assert commutation_check(base, companion) <= 1e-12
-
-    def test_time_shift_breaks_commutation(self, fig_family):
-        base = GenericProfile(fig_family)
-        shift = fig_family.lattice_const / fig_family.velocity
-        t0, t1 = base.window
-        ts = np.linspace(t0, t1, 400)
-        shifted = CouplingTrace(ts, base(ts - shift))
-        deviation = commutation_check(base, shifted, n_samples=128)
-        # oracle: direct nested sampling
-        sample = np.linspace(t0, t1, 128)
-        ga = base(sample)
-        gb = shifted(sample)
-        worst = 0.0
-        for i in range(len(sample)):
-            worst = max(worst, float(np.max(np.abs(gb[i] * ga - ga[i] * gb))))
-        worst /= float(np.max(np.abs(ga)) * np.max(np.abs(gb)))
-        assert deviation == pytest.approx(worst, rel=1e-12)
-        assert deviation > 0.01
-
-    def test_zero_profile_commutes(self, fig_family):
-        base = GenericProfile(fig_family)
-        assert commutation_check(base, scaled_pair(base, 0.0)) == 0.0
-
-    def test_disjoint_windows_rejected(self):
-        a = CouplingTrace([0.0, 1.0], [1.0, 1.0])
-        b = CouplingTrace([2.0, 3.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            commutation_check(a, b)
 
 
 class TestAnalyticTrajectory:

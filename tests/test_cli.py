@@ -114,6 +114,14 @@ class TestEvolve:
         svg = (tmp_path / "cfg.svg").read_text()
         assert svg.startswith("<svg")
 
+    def test_svg_emission_analytic_only(self, tmp_path):
+        path = write_config(tmp_path, "cfg", generic_config(engine="analytic", svg=True, n_points=200))
+        assert run(["evolve", "--config", path, "--out", tmp_path]) == 0
+        assert not (tmp_path / "cfg_ode.csv").exists()
+        svg = (tmp_path / "cfg.svg").read_text()
+        assert svg.startswith("<svg")
+        assert svg.count("<polyline") == 3
+
 
 class TestCalibrate:
     def test_bundled_entangler_calibration(self, tmp_path, capsys):
@@ -162,6 +170,24 @@ class TestProfile:
         assert float(np.max(np.abs(data[:, 1]))) == pytest.approx(OMEGA0_GENERIC, rel=0.01)
         assert float(np.max(np.abs(data[:, 2]))) == pytest.approx(0.414 * OMEGA0_GENERIC, rel=0.01)
         assert float(np.max(np.abs(data[:, 2]))) / float(np.max(np.abs(data[:, 1]))) == pytest.approx(0.414, rel=1e-9)
+
+
+    def test_complex_trace_bytes(self, tmp_path, field3d_config):
+        # header and rows recorded from the two-writer version of the command
+        config = {k: v for k, v in field3d_config.items() if k not in ("initial", "engine", "svg")}
+        path = write_config(tmp_path, "f3", config)
+        assert run(["profile", "--config", path, "--out", tmp_path]) == 0
+        lines = (tmp_path / "f3_profile.csv").read_text().splitlines()
+        assert len(lines) == 1 + config["n_samples"]
+        assert lines[0] == (
+            "time_s,coupling_a_re_rad_per_s,coupling_a_im_rad_per_s,"
+            "coupling_b_re_rad_per_s,coupling_b_im_rad_per_s"
+        )
+        assert lines[1] == "0,-14495.017433131514,4607.1840440526548,-6000.9372173164465,1907.374194237799"
+        assert lines[1000] == (
+            "4.7247322946175644e-05,2864032.3319641049,-572.94148251914555,"
+            "1185709.3854331395,-237.19777376292623"
+        )
 
 
 class TestSweepCommand:
@@ -270,3 +296,23 @@ def test_removed_use_magnitude_key_is_rejected(command, tmp_path):
         del config["initial"], config["engine"]
         config.update(target="ENTANGLER_HADAMARD", omega_cav=2.4e15)
     assert run([command, "--config", write_config(tmp_path, "cfg", config), "--out", tmp_path]) == 2
+
+
+def _cross_engine_cases():
+    """Every bundled evolve config that runs both engines, and the field3d transit at p < 0."""
+    configs = {c.stem: json.loads(c.read_text()) for c in BUNDLED}
+    cases = [pytest.param(stem, config, id=stem) for stem, config in configs.items()
+             if config.get("engine") == "both"]
+    negative_p = {**configs["evolve_field3d"], "p": -0.414, "engine": "both"}
+    return cases + [pytest.param("evolve_field3d_negative_p", negative_p, id="evolve_field3d_negative_p")]
+
+
+@pytest.mark.parametrize("stem, config", _cross_engine_cases())
+def test_engines_agree(stem, config, tmp_path):
+    path = write_config(tmp_path, stem, config)
+    assert run(["evolve", "--config", path, "--out", tmp_path]) == 0
+    analytic, ode = (
+        np.loadtxt(tmp_path / f"{stem}_{engine}.csv", delimiter=",", skiprows=1)[:, 4:]
+        for engine in ("analytic", "ode")
+    )
+    assert np.max(np.abs(analytic - ode)) <= 1e-6

@@ -62,7 +62,7 @@ class TestPhotonLifetime:
 class TestCavityParams:
     def test_from_dipole_is_consistent(self):
         cav = CavityParams.from_dipole(MU_RB, OMEGA_MM, 12.0, 1e-9)
-        assert cav.g0_relative_residual(MU_RB) <= 1e-12
+        assert cav.g0 == g0_from_params(MU_RB, OMEGA_MM, 12.0, 1e-9)
 
     def test_rejects_non_positive_volume(self):
         with pytest.raises(ValueError):

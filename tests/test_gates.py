@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import pcqed
 from pcqed import (
     AmplitudeVector,
     CalibrationError,
@@ -24,6 +26,8 @@ from pcqed import (
     photon_lifetime,
     truth_table,
 )
+
+from pcqed.cli import example_config_path, main
 
 from conftest import (
     LATTICE_2D,
@@ -182,6 +186,18 @@ class TestTruthTable:
         # the no-excitation input keeps phase 0 while the rails flip sign
         assert abs(abs(report.relative_phases["00"]) - math.pi) <= 0.05
 
+    def test_analytic_swap_matches_tight_ode(self):
+        # the closed-form |11> block against DOP853 at rtol 1e-12
+        settings = dataclasses.replace(settings_for(SWAP, 1.0, 433.0), rtol=1e-12, atol=1e-14)
+        analytic = truth_table(settings, "analytic")
+        ode = truth_table(settings, "ode")
+        assert analytic.classified_label == "SWAP"
+        for field in ("fidelities", "residual_cavity", "relative_phases"):
+            got, want = getattr(analytic, field), getattr(ode, field)
+            assert got.keys() == want.keys()
+            for label in want:  # phases near +-pi compare modulo 2 pi
+                assert abs(math.remainder(got[label] - want[label], 2 * math.pi)) <= 1e-9
+
     def test_misratioed_gate_declassified(self, fig_family):
         v = calibrate_velocity(fig_family, 1.0, "NOT")
         profile = GenericProfile(fig_family.replace_velocity(v))
@@ -310,3 +326,18 @@ class TestFieldTraceGate:
         assert analytic.pulse_area_a == ode.pulse_area_a
         for label in ("10", "01"):
             assert abs(analytic.fidelities[label] - ode.fidelities[label]) <= 1e-6
+
+
+def test_analytic_engine_runs_no_ode(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analytic engine called ode.evolve")
+
+    for module in (pcqed.ode, pcqed.gates, pcqed.cli):
+        monkeypatch.setattr(module, "evolve", refuse)
+    report = truth_table(settings_for(SWAP, 1.0, 433.0), "analytic")
+    assert report.classified_label == "SWAP"
+    assert report.fidelities["11"] == pytest.approx(((2 + math.cos(math.sqrt(3) * math.pi)) / 3) ** 2,
+                                                    abs=1e-9)
+    config = example_config_path("entangler_generic")
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path), "--engine", "analytic"]) == 0
+    assert (tmp_path / "entangler_generic_analytic.csv").exists()

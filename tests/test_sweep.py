@@ -10,7 +10,6 @@ from pcqed import (
     closed_form_amplitudes,
     logical_unitary,
     pulse_area,
-    slice_surface,
     surface,
     surfaces_to_csv,
 )
@@ -112,16 +111,16 @@ class TestSlice:
             p_range=(0.0, 1.0),
             resolution=(2, 501),
         )
-        rows = slice_surface(grid, "V", 433.0)
-        crossing = rows[int(np.argmin(np.abs(rows[:, 1] - rows[:, 2]))), 0]
+        a, b = grid.a_surface[0], grid.b_surface[0]  # the V = 433 m/s gridline
+        crossing = grid.p_values[int(np.argmin(np.abs(a - b)))]
         assert crossing == pytest.approx(0.414, abs=0.01)
 
     def test_ratio_slice_reaches_full_transfer(self, small_grid):
-        rows = slice_surface(small_grid, "p", 1.0)
-        idx = int(np.argmin(rows[:, 2]))
-        assert rows[idx, 2] <= -0.999
+        b = small_grid.b_surface[:, -1]  # the p = 1 gridline
+        idx = int(np.argmin(b))
+        assert b[idx] <= -0.999
         # full transfer happens near the quoted 565 m/s operating point
-        assert rows[idx, 0] == pytest.approx(565.0, rel=0.03)
+        assert small_grid.v_values[idx] == pytest.approx(565.0, rel=0.03)
 
     def test_zero_coupling_family(self):
         # dipole orthogonal to the mode: couplings vanish identically
@@ -131,15 +130,8 @@ class TestSlice:
             p_range=(0.0, 1.0),
             resolution=(5, 7),
         )
-        rows = slice_surface(grid, "p", 0.5)
-        np.testing.assert_allclose(rows[:, 1], 1.0, atol=1e-12)
-        np.testing.assert_allclose(rows[:, 2], 0.0, atol=1e-12)
-
-    def test_out_of_range_rejected(self, small_grid):
-        with pytest.raises(ValueError):
-            slice_surface(small_grid, "V", 700.0)
-        with pytest.raises(ValueError):
-            slice_surface(small_grid, "x", 500.0)
+        np.testing.assert_allclose(grid.a_surface, 1.0, atol=1e-12)
+        np.testing.assert_allclose(grid.b_surface, 0.0, atol=1e-12)
 
 
 class TestExport:
