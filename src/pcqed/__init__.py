@@ -38,7 +38,6 @@ from .analytic import (
     analytic_trajectory,
     closed_form_amplitudes,
     logical_unitary,
-    series_amplitudes,
     two_excitation_unitary,
 )
 from .ode import (

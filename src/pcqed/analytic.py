@@ -13,10 +13,7 @@ Lambda = sqrt(g_a^2 + g_b^2) the amplitudes over {|100>, |010>, |001>} are
 
 for the initial state |100>.  The two-excitation block over {|110>, |101>,
 |011>, |002>} is exponentiated by :func:`two_excitation_unitary`, so no
-logical input needs the ODE.  The single-excitation expressions also arise
-as resummed series in powers of the integrated Hamiltonian;
-``series_amplitudes`` keeps the partial sums mostly for convergence
-diagnostics.
+logical input needs the ODE.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ __all__ = [
     "PulseAreas",
     "amplitudes",
     "closed_form_amplitudes",
-    "series_amplitudes",
     "logical_unitary",
     "two_excitation_unitary",
     "analytic_trajectory",
@@ -103,30 +99,6 @@ def amplitudes(g_a, g_b, initial: str = "100"):
 def closed_form_amplitudes(areas: PulseAreas) -> tuple[complex, complex, complex]:
     """Final (a, b, gamma) for the initial state |100> after the full pulse."""
     return tuple(complex(x) for x in amplitudes(areas.g_a, areas.g_b))
-
-
-def series_amplitudes(areas: PulseAreas, n_terms: int) -> tuple[complex, complex, complex]:
-    """Partial sums of the power series through order n_terms.
-
-    The even series carries terms (-1)^n Lambda^(2n-2) / (2n)! and the odd
-    one (-1)^n Lambda^(2n-2) / (2n-1)!; n_terms = 0 returns (1, 0, 0).
-    """
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
-    lam_sq = areas.g_a**2 + areas.g_b**2
-    even_sum = 0.0  # sum of (-1)^n lam^(2n-2) / (2n)!
-    odd_sum = 0.0   # sum of (-1)^n lam^(2n-2) / (2n-1)!
-    even_term = -0.5
-    odd_term = -1.0
-    for n in range(1, n_terms + 1):
-        even_sum += even_term
-        odd_sum += odd_term
-        even_term *= -lam_sq / ((2 * n + 1) * (2 * n + 2))
-        odd_term *= -lam_sq / ((2 * n) * (2 * n + 1))
-    a = 1.0 + areas.g_a**2 * even_sum
-    b = areas.g_a * areas.g_b * even_sum
-    gamma = 1j * areas.g_a * odd_sum
-    return (complex(a), complex(b), complex(gamma))
 
 
 def logical_unitary(areas: PulseAreas) -> np.ndarray:

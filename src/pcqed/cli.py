@@ -86,7 +86,7 @@ _FIELD_SCHEMA = {
                 "decay_radius": _NUM_POS,
                 "dims": {
                     "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
+                    "items": {"type": "integer", "minimum": 1, "maximum": 401},
                     "minItems": 3,
                     "maxItems": 3,
                 },
@@ -126,7 +126,8 @@ _SCENARIO = {"enum": ["generic", "field2d", "field3d"]}
 _TARGET = {"enum": sorted(TARGETS)}
 
 _V_BOUNDS = {"type": "array", "items": _NUM_POS, "minItems": 2, "maxItems": 2}
-_N_SAMPLES = {"type": "integer", "minimum": 2}
+# Every size key has a maximum, so that a typo is refused before anything is allocated.
+_N_POINTS = {"type": "integer", "minimum": 2, "maximum": 1_000_000}
 
 # Keys every command that builds atom A's profile from a scenario accepts.
 _SCENARIO_KEYS = {
@@ -159,11 +160,11 @@ SCHEMAS = {
         initial={"enum": ["100", "010", "001"]},
         engine={"enum": ["analytic", "ode", "both"]},
         ode=_ODE_SCHEMA,
-        n_points={"type": "integer", "minimum": 2},
-        n_samples=_N_SAMPLES,
+        n_points=_N_POINTS,
+        n_samples=_N_POINTS,
         svg={"type": "boolean"},
     ),
-    "profile": _scenario_command((), n_samples=_N_SAMPLES, svg={"type": "boolean"}),
+    "profile": _scenario_command((), n_samples=_N_POINTS, svg={"type": "boolean"}),
     "calibrate": _scenario_command(("target",), target=_TARGET, v_bounds=_V_BOUNDS),
     "gate-report": _scenario_command(
         ("target", "omega_cav"),
@@ -196,7 +197,7 @@ SCHEMAS = {
             "p_range": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
             "resolution": {
                 "type": "array",
-                "items": {"type": "integer", "minimum": 2},
+                "items": {"type": "integer", "minimum": 2, "maximum": 5001},
                 "minItems": 2,
                 "maxItems": 2,
             },

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from .core import ConvergenceError
 
@@ -360,6 +359,8 @@ def pulse_area(profile, t0: float | None = None, t1: float | None = None, tol: f
     exact = exact_area(profile, t0, t1)
     if exact is not None:
         return float(exact)
+
+    from scipy import integrate  # imported here: only this fallback needs scipy
 
     points = getattr(profile, "peak_time", None)
     points = [points] if points is not None and t0 < points < t1 else None

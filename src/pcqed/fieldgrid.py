@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .core import CavityParams
 from .coupling import CouplingTrace
@@ -195,6 +194,8 @@ def _interpolators(grid: FieldGrid):
     E_z (the TM component that couples to the dipole).  Degenerate axes
     (length 1) are dropped from the interpolation.
     """
+    from scipy.interpolate import RegularGridInterpolator  # imported here: only sampling needs scipy
+
     values = grid.field if grid.components == 1 else grid.field[..., 2]
     axes = [grid.axis_centers(k) for k in range(3)]
     live = [k for k in range(3) if grid.dims[k] > 1]

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import AmplitudeVector, ConvergenceError, SubspaceHamiltonian, build_subspace
 from .coupling import drive_from_profile, drive_pair
@@ -102,6 +101,7 @@ def evolve(
         raise ValueError("tolerances must be positive")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
+    from scipy.integrate import solve_ivp  # imported here: only the ODE engine needs scipy
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
         ga, gb = g_a(t), g_b(t)

@@ -30,12 +30,12 @@ from pcqed import (
     polarization_fraction,
     pulse_area,
     scaled_pair,
-    series_amplitudes,
     surface,
     two_excitation_return,
 )
 
 from conftest import LATTICE_2D, OMEGA_MM, generic_family
+from oracles import series_amplitudes
 
 RATIO = math.sqrt(2.0) / math.hypot(1.0, 0.414)
 

@@ -16,8 +16,9 @@ from pcqed import (
     logical_unitary,
     pulse_area,
     scaled_pair,
-    series_amplitudes,
 )
+
+from oracles import series_amplitudes
 
 P_STAR = math.sqrt(2.0) - 1.0
 

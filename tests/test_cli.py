@@ -4,11 +4,12 @@ import math
 
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 import pcqed
-from pcqed import ConvergenceError
+from pcqed import ConvergenceError, cli
 from pcqed.cli import example_config_path, main
 
 from conftest import LATTICE_GENERIC, OMEGA0_GENERIC
@@ -296,6 +297,50 @@ def test_removed_use_magnitude_key_is_rejected(command, tmp_path):
         del config["initial"], config["engine"]
         config.update(target="ENTANGLER_HADAMARD", omega_cav=2.4e15)
     assert run([command, "--config", write_config(tmp_path, "cfg", config), "--out", tmp_path]) == 2
+
+
+# Each size key's maximum: the command, a bundled config that carries the key,
+# the key's path in the config, and the bound.
+SIZE_BOUNDS = [
+    pytest.param("evolve", "entangler_generic", ("n_points",), 1_000_000, id="evolve-n_points"),
+    pytest.param("evolve", "evolve_field3d", ("n_samples",), 1_000_000, id="evolve-n_samples"),
+    pytest.param("profile", "profile_generic", ("n_samples",), 1_000_000, id="profile-n_samples"),
+    pytest.param("sweep", "sweep_default", ("resolution",), 5001, id="sweep-resolution"),
+    pytest.param("field-stats", "field2d_stats", ("field", "dims"), 401, id="field-dims"),
+]
+
+
+def bundled_with(stem, key, value):
+    """A bundled config with the size at ``key`` set to ``value`` (on every axis of a list)."""
+    config = json.loads(example_config_path(stem).read_text())
+    *parents, leaf = key
+    block = config
+    for name in parents:
+        block = block[name]
+    block[leaf] = [value] * len(block[leaf]) if isinstance(block.get(leaf), list) else value
+    return config
+
+
+@pytest.mark.parametrize("command, stem, key, bound", SIZE_BOUNDS)
+def test_size_maximum_is_exact(command, stem, key, bound):
+    jsonschema.validate(bundled_with(stem, key, bound), cli.SCHEMAS[command])
+    with pytest.raises(jsonschema.ValidationError, match="maximum"):
+        jsonschema.validate(bundled_with(stem, key, bound + 1), cli.SCHEMAS[command])
+
+
+@pytest.mark.parametrize("command, stem, key, bound", SIZE_BOUNDS)
+def test_oversize_config_rejected_by_schema(command, stem, key, bound, tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversize config passed validation")
+
+    # Nothing past validation may run, so a missing bound fails here instead of allocating.
+    for builder in ("_profile_from_config", "_build_grid", "surface"):
+        monkeypatch.setattr(cli, builder, unreachable)
+    path = write_config(tmp_path, stem, bundled_with(stem, key, 10**9))
+    assert run([command, "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid at {'/'.join(key)}" in err
+    assert "greater than the maximum" in err
 
 
 def _cross_engine_cases():
