@@ -137,7 +137,7 @@ def analytic_trajectory(
     :func:`pcqed.coupling.drive_pair`, which also returns c (|p| for a
     trace, p otherwise).  Running pulse areas are exact
     (:func:`pcqed.coupling.exact_area`); a drive without an exact area, such
-    as a raw or complex trace or an arbitrary callable, raises ValueError.
+    as a raw or complex trace or an arbitrary callable, raises TypeError.
     Returns an (len(times), 3) complex array over {|100>, |010>, |001>} for
     the chosen initial basis state; row 0 is the initial state when
     times[0] is the window start.
@@ -148,9 +148,4 @@ def analytic_trajectory(
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two output times")
     g_a = exact_area(profile_a, times[0], times)
-    if g_a is None:
-        raise ValueError(
-            f"no exact running area for a drive of type {type(profile_a).__name__}; "
-            "pass drive_from_profile(profile) of a generic profile or a trace"
-        )
     return np.stack(amplitudes(g_a, c * g_a, initial), axis=1)

@@ -1,7 +1,8 @@
 """Command-line front end: evolve, sweep, calibrate, field-stats, gate-report, profile.
 
 Science parameters come from JSON config files (schema-validated, unknown
-keys rejected); flags handle only I/O and execution concerns.  Outputs are
+keys rejected, optional keys resolved to the defaults of the library code
+that reads them); flags handle only I/O and execution concerns.  Outputs are
 deterministic for a fixed config, with floats written at 17 significant
 digits.  Exit codes: 0 ok, 2 config error, 3 integrator convergence
 failure, 4 calibration not found.
@@ -10,6 +11,7 @@ failure, 4 calibration not found.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from importlib import resources
@@ -34,6 +36,7 @@ from .coupling import (
     scaled_pair,
 )
 from .fieldgrid import (
+    DEFAULT_SAMPLES,
     FieldGrid,
     PathSpec,
     coupling_trace_from_field,
@@ -44,7 +47,15 @@ from .fieldgrid import (
     synthesize_mode,
 )
 from .gates import GateSettings, TARGETS, calibrate_velocity, truth_table
-from .ode import Trajectory, build_subspace, evolve, trajectory_to_csv
+from .ode import (
+    DEFAULT_ATOL,
+    DEFAULT_POINTS,
+    DEFAULT_RTOL,
+    Trajectory,
+    build_subspace,
+    evolve,
+    trajectory_to_csv,
+)
 from .sweep import surface, surfaces_to_csv
 from . import svg as svgmod
 
@@ -210,6 +221,41 @@ SCHEMAS = {
 }
 
 
+
+def _keyword_defaults(function) -> dict:
+    """Default of each keyword parameter of a library function, by name."""
+    return {
+        name: param.default
+        for name, param in inspect.signature(function).parameters.items()
+        if param.default is not param.empty
+    }
+
+
+# Each command's optional keys, resolved to the defaults of the library code
+# that reads them; only the engine choices and the profile plot's title are
+# the CLI's own.  A nested block ("ode") resolves key by key.
+_ODE_DEFAULTS = {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL}
+DEFAULTS = {
+    "evolve": {
+        "engine": "both",
+        "ode": _ODE_DEFAULTS,
+        "n_points": DEFAULT_POINTS,
+        "n_samples": DEFAULT_SAMPLES,
+    },
+    "profile": {"n_samples": DEFAULT_SAMPLES, "description": "coupling profiles"},
+    "calibrate": {"n_samples": DEFAULT_SAMPLES, **_keyword_defaults(calibrate_velocity)},
+    "gate-report": {
+        "n_samples": DEFAULT_SAMPLES,
+        **_keyword_defaults(calibrate_velocity),
+        "q_factor": GateSettings.q_factor,
+        "engine": "ode",
+        "ode": _ODE_DEFAULTS,
+    },
+    "field-stats": {},
+    "sweep": _keyword_defaults(surface),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -222,6 +268,7 @@ def example_config_path(name: str) -> Path:
 
 
 def _load_config(path: str, command: str) -> dict:
+    """The config at ``path``, validated for ``command`` and resolved over its DEFAULTS."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -235,7 +282,12 @@ def _load_config(path: str, command: str) -> dict:
     except jsonschema.ValidationError as exc:
         location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config {path} invalid at {location}: {exc.message}") from exc
-    return config
+    defaults = DEFAULTS[command]
+    resolved = {**defaults, **config}
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            resolved[key] = {**value, **config.get(key, {})}
+    return resolved
 
 
 def _build_grid(config: dict) -> FieldGrid:
@@ -256,14 +308,7 @@ def _build_field_scenario(config: dict):
     if "field" not in config or "path" not in config:
         raise ConfigError("field scenarios need both 'field' and 'path' sections")
     grid = _build_grid(config)
-    p = config["path"]
-    path = PathSpec(
-        entry=tuple(p["entry"]),
-        direction=tuple(p["direction"]),
-        length=p["length"],
-        velocity=p["velocity"],
-        zeta=p.get("zeta", 0.0),
-    )
+    path = PathSpec(**config["path"])
     omega_cav = config.get("omega_cav")
     if omega_cav is None:
         raise ConfigError("field scenarios need 'omega_cav'")
@@ -275,7 +320,7 @@ def _build_field_scenario(config: dict):
         cavity = CavityParams.from_dipole(config["dipole_moment"], omega_cav, eps_m, v_mode)
     else:
         raise ConfigError("field scenarios need 'g0' or 'dipole_moment'")
-    trace = coupling_trace_from_field(grid, path, cavity, config.get("n_samples", 2001))
+    trace = coupling_trace_from_field(grid, path, cavity, config["n_samples"])
     return grid, path, cavity, trace
 
 
@@ -304,7 +349,7 @@ def _profile_from_config(config: dict):
 def _calibrate(config: dict, profile_a) -> tuple[float, tuple[float, float]]:
     """(calibrated velocity, velocity bounds) for the configured target."""
     family = profile_a.params if isinstance(profile_a, GenericProfile) else profile_a
-    v_bounds = tuple(config.get("v_bounds", (150.0, 650.0)))
+    v_bounds = tuple(config["v_bounds"])
     return calibrate_velocity(family, config["p"], config["target"], v_bounds), v_bounds
 
 
@@ -338,14 +383,11 @@ def _write_trajectory(traj: Trajectory, path: Path, fmt: str) -> Path:
 
 def _cmd_evolve(args) -> int:
     config = _load_config(args.config, "evolve")
-    engine = args.engine or config.get("engine", "both")
+    engine = args.engine or config["engine"]
     profile_a = _profile_from_config(config)
     p = config["p"]
     initial = config["initial"]
-    ode_opts = config.get("ode", {})
-    rtol = ode_opts.get("rtol", 1e-9)
-    atol = ode_opts.get("atol", 1e-11)
-    n_points = config.get("n_points", 2000)
+    n_points = config["n_points"]
     t0, t1 = profile_a.window
     times = np.linspace(t0, t1, n_points)
     out = _out_dir(args)
@@ -365,8 +407,8 @@ def _cmd_evolve(args) -> int:
             AmplitudeVector.basis_state(initial),
             t0,
             t1,
-            rtol=rtol,
-            atol=atol,
+            rtol=config["ode"]["rtol"],
+            atol=config["ode"]["atol"],
             n_points=n_points,
         )
         written.append(_write_trajectory(traj, out / f"{stem}_ode.csv", args.format))
@@ -394,9 +436,8 @@ def _cmd_profile(args) -> int:
     config = _load_config(args.config, "profile")
     profile_a = _profile_from_config(config)
     p = config["p"]
-    n_samples = config.get("n_samples", 2000)
     t0, t1 = profile_a.window
-    times = np.linspace(t0, t1, n_samples)
+    times = np.linspace(t0, t1, config["n_samples"])
     va = np.asarray(profile_a(times))
     vb = np.asarray(scaled_pair(profile_a, p)(times))
     out = _out_dir(args)
@@ -423,7 +464,7 @@ def _cmd_profile(args) -> int:
             out / f"{_stem(args)}_profile.svg",
             times,
             series,
-            title=config.get("description", "coupling profiles"),
+            title=config["description"],
             xlabel="time (s)",
             ylabel="coupling (rad/s)",
         )
@@ -460,18 +501,17 @@ def _cmd_gate_report(args) -> int:
     else:
         scale = reference.velocity / v_star
         profile_a = CouplingTrace(reference.times * scale, reference.values, velocity=v_star)
-    ode_opts = config.get("ode", {})
     settings = GateSettings(
         target=target,
         profile_a=profile_a,
         p=p,
         velocity=v_star,
         omega_cav=config["omega_cav"],
-        q_factor=config.get("q_factor", 1e8),
-        rtol=ode_opts.get("rtol", 1e-9),
-        atol=ode_opts.get("atol", 1e-11),
+        q_factor=config["q_factor"],
+        rtol=config["ode"]["rtol"],
+        atol=config["ode"]["atol"],
     )
-    report = truth_table(settings, config.get("engine", "ode"))
+    report = truth_table(settings, config["engine"])
     print(report.table())
     out = _out_dir(args)
     path = out / f"{_stem(args)}_report.json"
@@ -515,10 +555,10 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config, "sweep")
     grid = surface(
         _generic_params(config["family"]),
-        v_range=tuple(config.get("v_range", (150.0, 650.0))),
-        p_range=tuple(config.get("p_range", (0.0, 1.0))),
-        initial=config.get("initial", "100"),
-        resolution=tuple(config.get("resolution", (251, 201))),
+        v_range=tuple(config["v_range"]),
+        p_range=tuple(config["p_range"]),
+        initial=config["initial"],
+        resolution=tuple(config["resolution"]),
     )
     out = _out_dir(args)
     paths = surfaces_to_csv(grid, out, _stem(args))

@@ -29,6 +29,7 @@ __all__ = [
     "g0_from_params",
     "mode_volume_from_g0",
     "photon_lifetime",
+    "VELOCITY_WINDOW",
 ]
 
 # CODATA 2018
@@ -36,12 +37,15 @@ HBAR = 1.054571817e-34    # J*s
 EPS0 = 8.8541878128e-12   # F/m
 C_LIGHT = 299792458.0     # m/s
 
+# Experimentally sensible transit velocities (m/s): the default calibration
+# bounds and sweep range.
+VELOCITY_WINDOW = (150.0, 650.0)
+
 
 class ConvergenceError(RuntimeError):
     """An adaptive numerical routine could not reach its tolerance.
 
-    ``t`` carries the time (or abscissa) at which the routine gave up, when
-    known.
+    ``t`` carries the time at which the routine gave up, when known.
     """
 
     def __init__(self, message: str, t: float | None = None):

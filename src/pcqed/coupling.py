@@ -3,17 +3,18 @@
 Two kinds of profile are supported: the analytic generic form (an
 exponentially decaying envelope times a lattice-period oscillation, peaked
 when the atom reaches the cavity center) and sampled traces, e.g. extracted
-from a discretized mode field.  Both integrate into pulse areas, the angles
-that drive the Rabi rotations downstream; the generic profile's area has a
-closed form.
+from a discretized mode field.  The drives built from both integrate into
+pulse areas, the angles that drive the Rabi rotations downstream, and every
+such area has a closed form.
 
 Drive convention, decided in one place, :func:`drive_from_profile`:
 analytic generic profiles are real and signed and drive the interaction as
 they are; traces sampled from mode fields may be complex and drive it
 through their magnitude |g|, whose area is the exact area of the magnitude
 of the linear interpolant.  :func:`drive_pair` adds atom B, whose drive is
-a constant multiple c of atom A's.  ``pulse_area`` of a profile itself
-integrates its values exactly as stored.
+a constant multiple c of atom A's.  :func:`pulse_area` is exact or refuses:
+it integrates what :func:`exact_area` integrates and raises TypeError for
+anything else, a raw trace or a bare callable included.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-
-from .core import ConvergenceError
 
 __all__ = [
     "GenericProfileParams",
@@ -71,14 +70,7 @@ class GenericProfileParams:
             raise ValueError("zeta must be finite")
 
     def replace_velocity(self, velocity: float) -> "GenericProfileParams":
-        return GenericProfileParams(
-            omega0=self.omega0,
-            path_half_length=self.path_half_length,
-            defect_radius=self.defect_radius,
-            lattice_const=self.lattice_const,
-            velocity=velocity,
-            zeta=self.zeta,
-        )
+        return replace(self, velocity=velocity)
 
 
 def generic_coupling(t, params: GenericProfileParams):
@@ -234,20 +226,24 @@ def drive_pair(profile, p: float):
     return drive_from_profile(profile), drive_from_profile(scaled_pair(profile, p)), c
 
 
-def _window_of(profile) -> tuple[float, float]:
-    window = getattr(profile, "window", None)
-    if window is None:
-        raise ValueError(
-            "profile carries no window; pass explicit integration bounds"
+def _exact_parts(profile):
+    """(base drive, constant factor) of a drive with an exact area; TypeError otherwise."""
+    factor = 1.0
+    if isinstance(profile, ScaledProfile):
+        profile, factor = profile.base, profile.factor
+    if not isinstance(profile, (GenericProfile, TraceMagnitude)):
+        raise TypeError(
+            f"no exact area for a drive of type {type(profile).__name__}; "
+            "pass drive_from_profile(profile) of a generic profile or a trace"
         )
-    return window
+    return profile, factor
 
 
 def exact_area(profile, t0: float, t):
     """Exact area (rad) from t0 to t of a generic profile, a trace magnitude,
     or a constant multiple of either.
 
-    Vectorized over t; returns None for any other profile.  With
+    Vectorized over t; raises TypeError for any other drive.  With
     x = V t - L, a = 1/R and k = pi/l the generic profile has the odd
     antiderivative
 
@@ -258,13 +254,9 @@ def exact_area(profile, t0: float, t):
     |linear interpolant| interval by interval in closed form
     (:func:`_mean_abs_on_segments`) and is zero outside the trace window.
     """
-    factor = 1.0
-    if isinstance(profile, ScaledProfile):
-        profile, factor = profile.base, profile.factor
+    profile, factor = _exact_parts(profile)
     if isinstance(profile, TraceMagnitude):
         return factor * _trace_magnitude_area(profile.trace, t0, t)
-    if not isinstance(profile, GenericProfile):
-        return None
     params = profile.params
     a = 1.0 / params.defect_radius
     k = math.pi / params.lattice_const
@@ -334,64 +326,21 @@ def _trace_magnitude_area(trace: CouplingTrace, t0: float, t):
     return running(np.asarray(t, dtype=float)) - running(t0)
 
 
-def pulse_area(profile, t0: float | None = None, t1: float | None = None, tol: float = 1e-10):
-    """Integrated coupling (rad) of a profile over [t0, t1].
+def pulse_area(profile, t0: float | None = None, t1: float | None = None) -> float:
+    """Exact integrated coupling (rad) of a drive over [t0, t1].
 
-    Defaults to the profile's own window.  Generic profiles, trace
-    magnitudes, and constant multiples of either integrate exactly
-    (:func:`exact_area`); traces by the trapezoidal rule over their samples,
-    exact for their linear interpolant (complex traces integrate
-    componentwise).  Any other callable is integrated by adaptive quadrature
-    to absolute error <= tol; raises ConvergenceError if the quadrature
-    cannot reach tol.
+    Defaults to the drive's own window.  Takes what :func:`exact_area` takes,
+    a generic profile, a trace magnitude or a constant multiple of either,
+    and raises TypeError for anything else: pass a trace through
+    :func:`drive_from_profile` first.
     """
-    if t0 is None or t1 is None:
-        w0, w1 = _window_of(profile)
-        t0 = w0 if t0 is None else t0
-        t1 = w1 if t1 is None else t1
+    base, _ = _exact_parts(profile)
+    w0, w1 = base.window
+    t0 = w0 if t0 is None else t0
+    t1 = w1 if t1 is None else t1
     if not (t0 < t1):
         raise ValueError(f"need t0 < t1, got [{t0!r}, {t1!r}]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
-    if isinstance(profile, CouplingTrace):
-        return _trace_area(profile, t0, t1)
-    exact = exact_area(profile, t0, t1)
-    if exact is not None:
-        return float(exact)
-
-    from scipy import integrate  # imported here: only this fallback needs scipy
-
-    points = getattr(profile, "peak_time", None)
-    points = [points] if points is not None and t0 < points < t1 else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            area, abserr = integrate.quad(
-                profile, t0, t1, epsabs=tol, epsrel=0.0, limit=500, points=points
-            )
-        except integrate.IntegrationWarning as exc:
-            raise ConvergenceError(
-                f"pulse-area quadrature did not reach tol={tol:g}: {exc}", t=t0
-            ) from exc
-    if abserr > 10.0 * tol:
-        raise ConvergenceError(
-            f"pulse-area quadrature error estimate {abserr:g} exceeds tol={tol:g}",
-            t=t0,
-        )
-    return area
-
-
-def _trace_area(trace: CouplingTrace, t0: float, t1: float):
-    lo = max(t0, trace.times[0])
-    hi = min(t1, trace.times[-1])
-    if not lo < hi:
-        return 0.0j if trace.is_complex else 0.0
-    inside = (trace.times > lo) & (trace.times < hi)
-    ts = np.concatenate(([lo], trace.times[inside], [hi]))
-    vs = np.concatenate(([trace(lo)], trace.values[inside], [trace(hi)]))
-    area = np.trapezoid(vs, ts)
-    return complex(area) if trace.is_complex else float(area)
+    return float(exact_area(profile, t0, t1))
 
 
 def scaled_pair(profile, p: float):
@@ -412,15 +361,7 @@ def scaled_pair(profile, p: float):
     if isinstance(profile, GenericProfile):
         target = p * math.cos(profile.params.zeta)
         if abs(target) <= 1.0:
-            params = GenericProfileParams(
-                omega0=profile.params.omega0,
-                path_half_length=profile.params.path_half_length,
-                defect_radius=profile.params.defect_radius,
-                lattice_const=profile.params.lattice_const,
-                velocity=profile.params.velocity,
-                zeta=math.acos(target),
-            )
-            return GenericProfile(params)
+            return GenericProfile(replace(profile.params, zeta=math.acos(target)))
         warnings.warn(
             f"ratio p={p:g} with cos(zeta_A)={math.cos(profile.params.zeta):g} "
             "is not realizable as a dipole orientation; returning a scaled "

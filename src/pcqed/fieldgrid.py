@@ -35,6 +35,9 @@ __all__ = [
     "grid_from_json",
 ]
 
+# Samples per coupling trace, unless the caller asks for another count.
+DEFAULT_SAMPLES = 2001
+
 
 @dataclass(frozen=True)
 class FieldGrid:
@@ -246,7 +249,7 @@ def _clip_to_bounds(path: PathSpec, grid: FieldGrid) -> tuple[float, float]:
 
 
 def coupling_trace_from_field(
-    grid: FieldGrid, path: PathSpec, cavity: CavityParams, n_samples: int = 1001
+    grid: FieldGrid, path: PathSpec, cavity: CavityParams, n_samples: int = DEFAULT_SAMPLES
 ) -> CouplingTrace:
     """Coupling trace g0 * Psi(r(t)) * cos(zeta) along an atom path.
 

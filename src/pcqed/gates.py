@@ -19,7 +19,14 @@ from typing import Literal
 import numpy as np
 
 from .analytic import PulseAreas, logical_unitary, two_excitation_unitary
-from .core import AmplitudeVector, CalibrationError, basis_index, build_subspace, photon_lifetime
+from .core import (
+    VELOCITY_WINDOW,
+    AmplitudeVector,
+    CalibrationError,
+    basis_index,
+    build_subspace,
+    photon_lifetime,
+)
 from .coupling import (
     CouplingTrace,
     GenericProfile,
@@ -29,7 +36,7 @@ from .coupling import (
     pulse_area,
 )
 from .fieldgrid import PathSpec
-from .ode import evolve
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, evolve
 
 __all__ = [
     "GateTarget",
@@ -130,7 +137,7 @@ def calibrate_velocity(
     family,
     p: float,
     target: GateTarget | str,
-    v_bounds: tuple[float, float] = (150.0, 650.0),
+    v_bounds: tuple[float, float] = VELOCITY_WINDOW,
 ) -> float:
     """Velocity (m/s) realizing the gate condition, the fastest one in bounds.
 
@@ -217,8 +224,8 @@ class GateSettings:
     velocity: float
     omega_cav: float
     q_factor: float = 1e8
-    rtol: float = 1e-9
-    atol: float = 1e-11
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_POINTS = 2000
+_METHOD = "DOP853"
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ def evolve(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     n_points: int = DEFAULT_POINTS,
-    method: str = "DOP853",
 ) -> Trajectory:
     """Integrate i psi' = H(t) psi from t0 to t1.
 
@@ -115,7 +115,7 @@ def evolve(
         rhs,
         (t0, t1),
         np.asarray(psi0.amplitudes, dtype=complex),
-        method=method,
+        method=_METHOD,
         t_eval=times,
         rtol=rtol,
         atol=atol,
@@ -129,7 +129,7 @@ def evolve(
         "nfev": int(sol.nfev),
         "rtol": rtol,
         "atol": atol,
-        "method": method,
+        "method": _METHOD,
     }
     traj = Trajectory(h.n_excitations, h.basis_labels, times, sol.y.T, diagnostics)
     diagnostics["norm_drift"] = traj.norm_drift

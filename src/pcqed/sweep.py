@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import amplitudes
+from .core import VELOCITY_WINDOW
 from .coupling import GenericProfile, GenericProfileParams, pulse_area
 
 __all__ = ["SweepGrid", "surface", "surfaces_to_csv"]
@@ -55,7 +56,7 @@ class SweepGrid:
 
 def surface(
     family: GenericProfileParams,
-    v_range: tuple[float, float] = (150.0, 650.0),
+    v_range: tuple[float, float] = VELOCITY_WINDOW,
     p_range: tuple[float, float] = (0.0, 1.0),
     initial: str = "100",
     resolution: tuple[int, int] = (251, 201),

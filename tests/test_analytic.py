@@ -181,9 +181,9 @@ class TestAnalyticTrajectory:
     def test_drive_without_exact_area_is_refused(self):
         raw = CouplingTrace([0.0, 1e-8, 2e-8], [1e8 + 1e8j, -2e8j, 5e7])
         times = np.linspace(0.0, 2e-8, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             analytic_trajectory(raw, 0.5, times)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             analytic_trajectory(lambda t: np.ones_like(t), 0.5, times)
         assert analytic_trajectory(drive_from_profile(raw), 0.5, times).shape == (5, 3)
 

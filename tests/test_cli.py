@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -190,6 +191,22 @@ class TestProfile:
             "1185709.3854331395,-237.19777376292623"
         )
 
+    def test_field_scenario_writes_one_row_per_trace_sample(self, tmp_path, field3d_config, monkeypatch):
+        # without n_samples, the trace and the output grid share one default count
+        config = {k: v for k, v in field3d_config.items()
+                  if k not in ("initial", "engine", "svg", "n_samples")}
+        traces = []
+        sample = cli.coupling_trace_from_field
+
+        def recording(*args, **kwargs):
+            traces.append(sample(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "coupling_trace_from_field", recording)
+        assert run(["profile", "--config", write_config(tmp_path, "f3", config), "--out", tmp_path]) == 0
+        lines = (tmp_path / "f3_profile.csv").read_text().splitlines()
+        assert len(lines) - 1 == traces[0].times.size
+
 
 class TestSweepCommand:
     def test_small_sweep_with_svg(self, tmp_path):
@@ -361,3 +378,82 @@ def test_engines_agree(stem, config, tmp_path):
         for engine in ("analytic", "ode")
     )
     assert np.max(np.abs(analytic - ode)) <= 1e-6
+
+
+def _default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+# Every command's required keys, and the library default each optional key must resolve to.
+_GENERIC = {k: v for k, v in generic_config().items() if k in ("scenario", "profile", "p")}
+_FAMILY = {k: v for k, v in _GENERIC["profile"].items() if k != "velocity"}
+_RESOLVED_DEFAULTS = [
+    pytest.param(
+        "evolve",
+        {**_GENERIC, "initial": "100"},
+        {
+            "engine": "both",
+            "ode": {"rtol": _default(pcqed.evolve, "rtol"), "atol": _default(pcqed.evolve, "atol")},
+            "n_points": _default(pcqed.evolve, "n_points"),
+            "n_samples": _default(pcqed.coupling_trace_from_field, "n_samples"),
+        },
+        id="evolve",
+    ),
+    pytest.param(
+        "profile",
+        _GENERIC,
+        {"n_samples": _default(pcqed.coupling_trace_from_field, "n_samples")},
+        id="profile",
+    ),
+    pytest.param(
+        "calibrate",
+        {**_GENERIC, "target": "ENTANGLER_HADAMARD"},
+        {"v_bounds": _default(pcqed.calibrate_velocity, "v_bounds")},
+        id="calibrate",
+    ),
+    pytest.param(
+        "gate-report",
+        {**_GENERIC, "target": "ENTANGLER_HADAMARD", "omega_cav": 2.4e15},
+        {
+            "v_bounds": _default(pcqed.calibrate_velocity, "v_bounds"),
+            "q_factor": _default(pcqed.GateSettings, "q_factor"),
+            "engine": "ode",
+            "ode": {"rtol": _default(pcqed.GateSettings, "rtol"),
+                    "atol": _default(pcqed.GateSettings, "atol")},
+        },
+        id="gate-report",
+    ),
+    pytest.param(
+        "field-stats",
+        {"field": json.loads(example_config_path("field3d_stats").read_text())["field"]},
+        {},
+        id="field-stats",
+    ),
+    pytest.param(
+        "sweep",
+        {"family": _FAMILY},
+        {name: _default(pcqed.surface, name) for name in ("v_range", "p_range", "initial", "resolution")},
+        id="sweep",
+    ),
+]
+# Optional keys without a library default: blocks, physical inputs, plot switches and labels.
+_NO_LIBRARY_DEFAULT = {"description", "svg", "profile", "field", "path", "g0", "dipole_moment",
+                       "omega_cav", "effective_height", "plane_index", "velocity"}
+
+
+@pytest.mark.parametrize("command, minimal, defaults", _RESOLVED_DEFAULTS)
+def test_load_config_resolves_library_defaults(command, minimal, defaults, tmp_path):
+    schema = cli.SCHEMAS[command]
+    assert set(schema["required"]) <= set(minimal) <= set(schema["required"]) | {"profile"}
+    optional = set(schema["properties"]) - set(schema["required"]) - _NO_LIBRARY_DEFAULT
+    assert optional <= set(defaults)
+    resolved = cli._load_config(str(write_config(tmp_path, command, minimal)), command)
+    assert {k: resolved[k] for k in minimal} == minimal
+    for key, value in defaults.items():
+        assert resolved[key] == value, key
+
+
+def test_ode_block_resolves_key_by_key(tmp_path):
+    config = {**_GENERIC, "initial": "100", "ode": {"rtol": 1e-10}}
+    resolved = cli._load_config(str(write_config(tmp_path, "cfg", config)), "evolve")
+    assert resolved["ode"] == {"rtol": 1e-10, "atol": _default(pcqed.evolve, "atol")}

@@ -10,6 +10,7 @@ from pcqed import (
     FieldGrid,
     PathSpec,
     coupling_trace_from_field,
+    drive_from_profile,
     grid_from_json,
     grid_to_json,
     mode_volume,
@@ -258,15 +259,16 @@ class TestCouplingTraceFromField:
     def test_pulse_area_matches_quadrature_oracle(self):
         grid = square_grid_2d(101, 12.625 * LATTICE_2D)
         trace = coupling_trace_from_field(grid, self.center_path(grid), mm_cavity(), 2001)
-        area = pulse_area(trace)
-        # oracle: adaptive quadrature of the trace interpolant, in chunks so
-        # each call sees a manageable number of kinks
+        area = pulse_area(drive_from_profile(trace))
+        # oracle: adaptive quadrature of |trace interpolant|, the drive, in
+        # chunks so each call sees a manageable number of kinks
         t0, t1 = trace.window
         edges = np.linspace(t0, t1, 81)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             oracle = sum(
-                quad(trace, a, b, epsabs=1e-10 * abs(area), epsrel=1e-10, limit=400)[0]
+                quad(lambda t: abs(trace(t)), a, b, epsabs=1e-10 * abs(area), epsrel=1e-10,
+                     limit=400)[0]
                 for a, b in zip(edges, edges[1:])
             )
         assert area == pytest.approx(oracle, rel=1e-6)

@@ -1,7 +1,7 @@
 """What a fresh pcqed process imports.
 
-scipy serves only the ODE engine, field-trace sampling and the quadrature
-fallback of ``pulse_area``, so the analytic commands must start without it.
+scipy serves only the ODE engine and field-trace sampling, so the analytic
+commands must start without it.
 Each check runs a fresh interpreter, because this test process has loaded
 scipy long before.
 """
