@@ -221,7 +221,6 @@ SCHEMAS = {
 }
 
 
-
 def _keyword_defaults(function) -> dict:
     """Default of each keyword parameter of a library function, by name."""
     return {

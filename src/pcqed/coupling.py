@@ -128,10 +128,6 @@ class ScaledProfile:
     def window(self) -> tuple[float, float]:
         return self.base.window
 
-    @property
-    def peak_time(self) -> float | None:
-        return getattr(self.base, "peak_time", None)
-
 
 @dataclass(frozen=True)
 class CouplingTrace:
