@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -159,58 +158,53 @@ def basis_index(n_excitations: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class SubspaceHamiltonian:
-    """Hamiltonian builder (units of rad/s) for a fixed number of excitations."""
+    """Interaction Hamiltonian (units of rad/s) for a fixed number of excitations.
+
+    ``couplings`` is its one description: entries (row, col, atom, factor)
+    with H = sum of factor * g_atom * |row><col| + h.c., atom 0 for A and 1
+    for B.  The matrix and the ODE right-hand side both read it.
+    """
 
     n_excitations: int
     basis_labels: tuple[str, ...]
-    matrix_builder: Callable[[complex, complex], np.ndarray]
+    couplings: tuple[tuple[int, int, int, float], ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis_labels)
 
     def matrix(self, g_a: complex, g_b: complex) -> np.ndarray:
-        return self.matrix_builder(g_a, g_b)
+        g = (g_a, g_b)
+        h = np.zeros((self.dim, self.dim), dtype=complex)
+        for row, col, atom, factor in self.couplings:
+            h[row, col] = factor * g[atom]
+            h[col, row] = factor * np.conj(g[atom])
+        return h
 
 
-def _matrix_n0(g_a: complex, g_b: complex) -> np.ndarray:
-    return np.zeros((1, 1), dtype=complex)
+def _couplings(labels: tuple[str, ...]) -> tuple[tuple[int, int, int, float], ...]:
+    """Coupling table of g_atom sigma+_atom a + h.c. over a canonical basis.
 
-
-def _matrix_n1(g_a: complex, g_b: complex) -> np.ndarray:
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 2] = g_a
-    h[2, 0] = np.conj(g_a)
-    h[1, 2] = g_b
-    h[2, 1] = np.conj(g_b)
-    return h
-
-
-def _matrix_n2(g_a: complex, g_b: complex) -> np.ndarray:
-    # Basis {|110>, |101>, |011>, |002>}: lowering atom B from |110> emits
-    # into the empty mode (factor 1); lowering the remaining excited atom
-    # from a one-photon state picks up the sqrt(2) ladder factor.
-    root2 = np.sqrt(2.0)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = g_b
-    h[1, 0] = np.conj(g_b)
-    h[0, 2] = g_a
-    h[2, 0] = np.conj(g_a)
-    h[1, 3] = root2 * g_a
-    h[3, 1] = root2 * np.conj(g_a)
-    h[2, 3] = root2 * g_b
-    h[3, 2] = root2 * np.conj(g_b)
-    return h
-
-
-_BUILDERS = {0: _matrix_n0, 1: _matrix_n1, 2: _matrix_n2}
+    Each excited atom of a basis state couples it to the state with that
+    atom lowered and one more photon, with the ladder factor sqrt(m + 1) of
+    a photon added to m.
+    """
+    entries = []
+    for row, label in enumerate(labels):
+        photons = int(label[2:])
+        for atom in (0, 1):
+            if label[atom] == "1":
+                lowered = label[:atom] + "0" + label[atom + 1:2] + str(photons + 1)
+                entries.append((row, labels.index(lowered), atom, math.sqrt(photons + 1)))
+    return tuple(entries)
 
 
 def build_subspace(n: int) -> SubspaceHamiltonian:
     """Interaction Hamiltonian for n total excitations, n in {0, 1, 2}."""
-    if n not in _BUILDERS:
+    if n not in (0, 1, 2):
         raise ValueError(f"unsupported excitation number {n}; supported: 0, 1, 2")
-    return SubspaceHamiltonian(n, basis_labels(n), _BUILDERS[n])
+    labels = basis_labels(n)
+    return SubspaceHamiltonian(n, labels, _couplings(labels))
 
 
 # Construction guard; evolution routines hold themselves to tighter bounds

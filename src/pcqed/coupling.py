@@ -19,10 +19,12 @@ anything else, a raw trace or a bare callable included.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,23 @@ class GenericProfile:
     def __call__(self, t):
         return generic_coupling(t, self.params)
 
+    def at(self, t: float) -> float:
+        """The coupling at one time t, as a Python float: :func:`generic_coupling`
+        term by term on scalars."""
+        params = self.params
+        x = params.velocity * t - params.path_half_length
+        return (
+            params.omega0
+            * math.cos(params.zeta)
+            * math.exp(-abs(x) / params.defect_radius)
+            * math.cos(math.pi * x / params.lattice_const)
+        )
+
+    def breakpoints(self, t0: float, t1: float) -> np.ndarray:
+        """Times in (t0, t1) where the profile's derivative jumps: the peak,
+        where the |V t - L| of the envelope has its kink."""
+        return _inside(np.array([self.peak_time]), t0, t1)
+
     @property
     def window(self) -> tuple[float, float]:
         """Transit window [0, 2L/V], symmetric about the envelope peak."""
@@ -107,10 +126,6 @@ class GenericProfile:
     @property
     def peak_time(self) -> float:
         return self.params.path_half_length / self.params.velocity
-
-    @property
-    def peak_value(self) -> float:
-        return self.params.omega0 * math.cos(self.params.zeta)
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,16 @@ class ScaledProfile:
 
     def __call__(self, t):
         return self.factor * self.base(t)
+
+    def at(self, t: float) -> float:
+        """The value at one time t: factor times the base's own scalar value,
+        or its call where it has none."""
+        return self.factor * getattr(self.base, "at", self.base)(t)
+
+    def breakpoints(self, t0: float, t1: float) -> np.ndarray:
+        """The base's breakpoints in (t0, t1); none for a base that reports none."""
+        base = getattr(self.base, "breakpoints", None)
+        return np.empty(0) if base is None else base(t0, t1)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -193,9 +218,57 @@ class TraceMagnitude:
     def __call__(self, t):
         return np.abs(self.trace(t))
 
+    def at(self, t: float) -> float:
+        """|g| at one time t, as a Python float: the arithmetic of ``np.interp``
+        on the bracketing samples, found by bisection."""
+        times, re, im = self._samples
+        j = bisect.bisect_right(times, t) - 1
+        if j < 0 or t > times[-1]:
+            return 0.0
+        if t == times[j]:
+            return abs(complex(re[j], im[j])) if im else abs(re[j])
+        u = t - times[j]
+        h = times[j + 1] - times[j]
+        value = (re[j + 1] - re[j]) / h * u + re[j]
+        if im:
+            return abs(complex(value, (im[j + 1] - im[j]) / h * u + im[j]))
+        return abs(value)
+
+    def breakpoints(self, t0: float, t1: float) -> np.ndarray:
+        """Times in (t0, t1) where |g| bends: the sample times, and each
+        segment's closest approach to zero where it falls inside the segment
+        (a zero crossing on a real trace).  |z0 + u d| = sqrt(s^2 + delta^2)
+        in the distance s along the segment from that point is smooth for
+        delta > 0, but its curvature 1/delta grows without bound as the
+        segment passes near zero."""
+        return _inside(self._kinks, t0, t1)
+
+    @cached_property
+    def _samples(self) -> tuple[list, list, list]:
+        """Times, real parts and imaginary parts (empty for a real trace) as lists."""
+        values = self.trace.values
+        im = values.imag.tolist() if self.trace.is_complex else []
+        return self.trace.times.tolist(), values.real.tolist(), im
+
+    @cached_property
+    def _kinks(self) -> np.ndarray:
+        times, values = self.trace.times, self.trace.values
+        z0, d = values[:-1], np.diff(values)
+        d_sq = np.abs(d) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = -np.real(z0 * np.conj(d)) / d_sq
+        inside = (d_sq > 0) & (u > 0) & (u < 1)
+        closest = times[:-1][inside] + u[inside] * np.diff(times)[inside]
+        return np.union1d(times, closest)
+
     @property
     def window(self) -> tuple[float, float]:
         return self.trace.window
+
+
+def _inside(times: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """The entries of a sorted array that lie strictly inside (t0, t1)."""
+    return times[np.searchsorted(times, t0, side="right"):np.searchsorted(times, t1, side="left")]
 
 
 def drive_from_profile(profile):

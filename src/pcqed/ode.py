@@ -6,10 +6,18 @@ phases removed exactly on resonance), valid for arbitrary, including
 non-proportional and complex, couplings.  Subspaces with zero, one, and two
 total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
+
+DOP853 assumes a smooth right-hand side; a step across a jump in a
+derivative of the drive loses its order and its error estimate.  The drives
+of :mod:`pcqed.coupling` report such breakpoints, and :func:`evolve` steps
+span by span between them (Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, sec. II.6).  Any other callable integrates as one
+span.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,10 +93,16 @@ def evolve(
     atol: float = DEFAULT_ATOL,
     n_points: int = DEFAULT_POINTS,
 ) -> Trajectory:
-    """Integrate i psi' = H(t) psi from t0 to t1.
+    """Integrate i psi' = H(t) psi from t0 to t1 with DOP853, span by span.
 
     g_a, g_b: coupling strengths as functions of time, rad/s (complex
-    allowed).  Output is sampled on a fixed stride of n_points times
+    allowed).  A drive that pcqed builds (:mod:`pcqed.coupling`) is read
+    through its scalar evaluator ``at`` and reports ``breakpoints``, the
+    times where its derivative jumps; the integrator stops at every
+    breakpoint of either drive and resumes from there, so no step straddles
+    a kink.  Any other callable is called as it is and, reporting no
+    breakpoints, integrates as one span.  Output is sampled on a fixed
+    stride of n_points times, filled from each step's dense output,
     independent of the internal adaptive steps.  Raises ConvergenceError when
     the integrator cannot proceed (step underflow / non-finite couplings),
     carrying the failure time.
@@ -101,39 +115,73 @@ def evolve(
         raise ValueError("tolerances must be positive")
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    from scipy.integrate import solve_ivp  # imported here: only the ODE engine needs scipy
+    from scipy.integrate import DOP853  # imported here: only the ODE engine needs scipy
+
+    # scipy's solvers sit in a reference cycle, freed only by the cyclic
+    # collector; the drives (and the sample lists a trace's drive caches) are
+    # let go of when integration ends, so the cycle holds no more than the
+    # solver's own arrays.
+    drives = [getattr(g_a, "at", g_a), getattr(g_b, "at", g_b)]
+    couplings, dim = h.couplings, h.dim
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        ga, gb = g_a(t), g_b(t)
-        if not (np.isfinite(ga) and np.isfinite(gb)):
+        t = float(t)  # the solver's times are numpy scalars; the drives run on floats
+        g = (drives[0](t), drives[1](t))
+        if not (cmath.isfinite(g[0]) and cmath.isfinite(g[1])):
             # DOP853 loops forever on NaN error norms; fail fast instead.
             raise ConvergenceError(f"non-finite coupling at t={t:g}", t=t)
-        return -1j * (h.matrix(ga, gb) @ psi)
+        amps = psi.tolist()
+        out = [0j] * dim
+        for row, col, atom, factor in couplings:
+            c = -1j * factor * g[atom]  # -i H[row, col]; -i H[col, row] = -conj(c)
+            out[row] += c * amps[col]
+            out[col] -= c.conjugate() * amps[row]
+        return np.array(out)
 
+    bounds = [*_breakpoints((g_a, g_b), t0, t1), t1]
     times = np.linspace(t0, t1, n_points)
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        np.asarray(psi0.amplitudes, dtype=complex),
-        method=_METHOD,
-        t_eval=times,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else t0
-        raise ConvergenceError(
-            f"integration failed at t={t_fail:g}: {sol.message}", t=t_fail
-        )
+    amplitudes = np.empty((n_points, dim), dtype=complex)
+    amplitudes[0] = psi0.amplitudes
+    filled, n_steps = 1, 0
+    try:
+        solver = DOP853(rhs, t0, psi0.amplitudes, bounds[0], rtol=rtol, atol=atol)
+        # DOP853 is a one-step method whose first stage reuses f at the
+        # step's end.  The state and f are continuous across a kink of the
+        # drive, so moving the solver's bound to the next breakpoint and
+        # stepping on is a restart there that keeps the last proposed step.
+        for bound in bounds:
+            solver.t_bound, solver.status = bound, "running"
+            while solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    raise ConvergenceError(
+                        f"integration failed at t={solver.t:g}: {message}", t=solver.t
+                    )
+                n_steps += 1
+                done = int(np.searchsorted(times, solver.t, side="right"))
+                if done > filled:
+                    amplitudes[filled:done] = solver.dense_output()(times[filled:done]).T
+                    filled = done
+    finally:
+        drives.clear()
     diagnostics = {
-        "nfev": int(sol.nfev),
+        "nfev": solver.nfev,
+        "n_steps": n_steps,
+        "n_spans": len(bounds),
         "rtol": rtol,
         "atol": atol,
         "method": _METHOD,
     }
-    traj = Trajectory(h.n_excitations, h.basis_labels, times, sol.y.T, diagnostics)
+    traj = Trajectory(h.n_excitations, h.basis_labels, times, amplitudes, diagnostics)
     diagnostics["norm_drift"] = traj.norm_drift
     return traj
+
+
+def _breakpoints(drives, t0: float, t1: float) -> list[float]:
+    """Sorted union of the drives' breakpoints in (t0, t1); a drive that
+    reports none adds none."""
+    cuts = [g.breakpoints(t0, t1) for g in drives if hasattr(g, "breakpoints")]
+    return np.unique(np.concatenate([np.empty(0), *cuts])).tolist()
 
 
 def two_excitation_return(

@@ -14,7 +14,7 @@ from pcqed import (
     trace_from_csv,
     trace_to_csv,
 )
-from pcqed.coupling import exact_area
+from pcqed.coupling import ScaledProfile, TraceMagnitude, exact_area
 
 from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, generic_family
 
@@ -215,3 +215,106 @@ class TestDriveFromProfile:
         assert drive_from_profile(profile) is profile
         companion = scaled_pair(profile, 0.414)
         assert drive_from_profile(companion) is companion
+
+
+def complex_trace(n: int = 64, seed: int = 5) -> CouplingTrace:
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 1e-8, n))
+    return CouplingTrace(times, 3e9 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+
+
+def real_trace(n: int = 64, seed: int = 6) -> CouplingTrace:
+    rng = np.random.default_rng(seed)
+    return CouplingTrace(np.sort(rng.uniform(0.0, 1e-8, n)), 3e9 * rng.normal(size=n))
+
+
+def probe_times(window, samples=(), seed: int = 7) -> np.ndarray:
+    """Random times across the window, its ends, points outside it and the given samples."""
+    t0, t1 = window
+    span = t1 - t0
+    rng = np.random.default_rng(seed)
+    inside = rng.uniform(t0, t1, 400)
+    outside = [t0 - 0.1 * span, t0 - 1e-3 * span, t1 + 1e-3 * span, t1 + 0.1 * span]
+    return np.concatenate((inside, [t0, t1], outside, samples))
+
+
+class TestScalarDrives:
+    """Each drive's scalar evaluator ``at`` against its vectorized ``__call__``."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda fam: GenericProfile(fam),
+            lambda fam: GenericProfile(generic_family(velocity=211.0, zeta=0.7)),
+            lambda fam: ScaledProfile(GenericProfile(fam), -1.7),
+            lambda fam: TraceMagnitude(complex_trace()),
+            lambda fam: TraceMagnitude(real_trace()),
+            lambda fam: ScaledProfile(TraceMagnitude(complex_trace()), 0.414),
+        ],
+        ids=["generic", "generic-zeta", "scaled-generic", "complex-trace", "real-trace",
+             "scaled-trace"],
+    )
+    def test_agrees_with_vectorized_call(self, make, fig_family):
+        drive = make(fig_family)
+        base = drive.base if isinstance(drive, ScaledProfile) else drive
+        samples = base.trace.times if isinstance(base, TraceMagnitude) else [base.peak_time]
+        times = probe_times(drive.window, samples)
+        vectorized = drive(times)
+        peak = np.max(np.abs(vectorized))
+        for t, want in zip(times.tolist(), vectorized):
+            got = drive.at(t)
+            assert isinstance(got, float)
+            assert abs(got - want) <= 4e-16 * peak, t
+
+    def test_trace_is_zero_outside_its_window(self):
+        drive = TraceMagnitude(complex_trace())
+        t0, t1 = drive.window
+        assert drive.at(t0) > 0 and drive.at(t1) > 0
+        assert drive.at(np.nextafter(t0, -np.inf)) == 0.0
+        assert drive.at(np.nextafter(t1, np.inf)) == 0.0
+
+    def test_scaled_profile_over_a_bare_callable(self):
+        drive = ScaledProfile(lambda t: 2.0 * t, 3.0)
+        assert drive.at(0.5) == 3.0
+        assert drive.breakpoints(0.0, 1.0).size == 0
+
+
+class TestBreakpoints:
+    def test_generic_profile_breaks_at_its_peak(self, fig_family):
+        profile = GenericProfile(fig_family)
+        t0, t1 = profile.window
+        np.testing.assert_array_equal(profile.breakpoints(t0, t1), [profile.peak_time])
+        assert profile.breakpoints(t0, profile.peak_time).size == 0
+        assert profile.breakpoints(profile.peak_time, t1).size == 0
+        scaled = ScaledProfile(profile, 0.5)
+        np.testing.assert_array_equal(scaled.breakpoints(t0, t1), [profile.peak_time])
+
+    def test_real_trace_breaks_at_samples_and_zero_crossings(self):
+        trace = CouplingTrace([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -3.0, -1.0, 2.0, 2.0])
+        drive = TraceMagnitude(trace)
+        # crossings at 0.25 and 2 + 1/3; the segment [2, 3] crossing is inside it
+        np.testing.assert_allclose(drive.breakpoints(0.0, 4.0), [0.25, 1.0, 2.0, 2.0 + 1 / 3, 3.0],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(drive.breakpoints(-1.0, 5.0),
+                                   [0.0, 0.25, 1.0, 2.0, 2.0 + 1 / 3, 3.0, 4.0], rtol=1e-15)
+        np.testing.assert_allclose(drive.breakpoints(0.5, 2.5), [1.0, 2.0, 2.0 + 1 / 3],
+                                   rtol=1e-15)
+
+    def test_complex_trace_breaks_at_closest_approaches(self):
+        delta = 1e-3
+        trace = CouplingTrace([0.0, 1.0, 2.0, 3.0], [-3.0 + 1j, -1.0 + delta * 1j, 1.0 + delta * 1j,
+                                                       3.0 + 2j])
+        drive = TraceMagnitude(trace)
+        # segment 1 -> 2 passes delta from zero at its midpoint; the others'
+        # closest approaches fall at or beyond an end, which is a sample time
+        np.testing.assert_allclose(drive.breakpoints(0.0, 3.0), [1.0, 1.5, 2.0], rtol=1e-15)
+        t = 1.5
+        assert drive.at(t) == pytest.approx(delta, rel=1e-12)
+        assert drive.at(t - 1e-2) > drive.at(t) < drive.at(t + 1e-2)
+
+    def test_companion_trace_shares_the_breakpoints(self):
+        trace = complex_trace()
+        a = TraceMagnitude(trace).breakpoints(*trace.window)
+        b = TraceMagnitude(scaled_pair(trace, -0.414)).breakpoints(*trace.window)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15 * trace.times[-1])
+        assert np.all(np.diff(a) > 0)

@@ -6,10 +6,13 @@ import pytest
 from pcqed import (
     AmplitudeVector,
     ConvergenceError,
+    CouplingTrace,
     GenericProfile,
     PulseAreas,
+    analytic_trajectory,
     build_subspace,
     closed_form_amplitudes,
+    drive_pair,
     evolve,
     logical_unitary,
     pulse_area,
@@ -193,9 +196,12 @@ class TestEvolve:
             t0,
             t1,
         )
-        # solve_ivp with t_eval exposes no step count, so none is reported
-        assert set(traj.diagnostics) == {"nfev", "rtol", "atol", "method", "norm_drift"}
-        assert traj.diagnostics["nfev"] > 0
+        # evolve owns the stepping loop, so accepted steps and spans are exact
+        assert set(traj.diagnostics) == {
+            "nfev", "n_steps", "n_spans", "rtol", "atol", "method", "norm_drift"
+        }
+        assert traj.diagnostics["nfev"] > traj.diagnostics["n_steps"] > 0
+        assert traj.diagnostics["n_spans"] == 2  # split at the envelope peak
         assert traj.diagnostics["method"] == "DOP853"
         assert traj.diagnostics["norm_drift"] == traj.norm_drift
 
@@ -285,6 +291,89 @@ class TestEvolve:
                 0.0,
                 1.0,
             )
+
+
+class TestBareCallables:
+    """Callables without a scalar evaluator or breakpoints integrate as one span."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_callables_match_expm(self, n):
+        g_a, g_b, duration = 0.9e9, -0.5e9, 2.3e-9
+        h = build_subspace(n)
+        psi0 = AmplitudeVector.from_amplitudes(n, np.eye(h.dim)[0])
+        traj = evolve(h, lambda t: g_a, lambda t: np.float64(g_b), psi0, 0.0, duration, n_points=5)
+        want = expm_unitary(h.matrix(g_a, g_b), duration) @ psi0.amplitudes
+        np.testing.assert_allclose(traj.amplitudes[-1], want, rtol=0, atol=1e-9)
+        assert traj.diagnostics["n_spans"] == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_complex_callables_match_expm(self, n):
+        g_a, g_b, duration = (0.6 + 0.7j) * 1e9, (-0.2 + 0.4j) * 1e9, 2.3e-9
+        h = build_subspace(n)
+        psi0 = AmplitudeVector.from_amplitudes(n, np.eye(h.dim)[-1])
+        traj = evolve(h, lambda t: g_a, lambda t: np.asarray(g_b), psi0, 0.0, duration, n_points=5)
+        want = expm_unitary(h.matrix(g_a, g_b), duration) @ psi0.amplitudes
+        np.testing.assert_allclose(traj.amplitudes[-1], want, rtol=0, atol=1e-9)
+        assert traj.diagnostics["n_spans"] == 1
+
+    def test_nan_in_a_built_drive_fails_with_time(self):
+        trace = CouplingTrace([0.0, 1e-9, 2e-9], [1e9, 2e9, 1e9])
+        drive_a, _, _ = drive_pair(trace, 1.0)
+        with pytest.raises(ConvergenceError) as err:
+            evolve(build_subspace(2), drive_a, lambda t: math.nan if t > 1.5e-9 else 0.0,
+                   AmplitudeVector.basis_state("110"), 0.0, 2e-9)
+        assert 1.5e-9 < err.value.t <= 2e-9
+
+
+def kinked_trace(n: int, delta: float, g0: float = 4e9, duration: float = 1e-9) -> CouplingTrace:
+    """A complex trace whose middle segment passes delta * g0 from zero, with
+    |g| curving sharply there and bending at every sample."""
+    u = np.linspace(-1.0, 1.0, n)
+    values = g0 * (u * np.exp(-2 * u**2) + 1j * delta * np.cos(3 * u))
+    return CouplingTrace(np.linspace(0.0, duration, n), values)
+
+
+def zero_crossing_trace(n: int, g0: float = 4e9, duration: float = 1e-9) -> CouplingTrace:
+    """A real trace that crosses zero inside its sample intervals."""
+    u = np.linspace(-1.0, 1.0, n) + 0.3 / (n - 1)
+    return CouplingTrace(np.linspace(0.0, duration, n), g0 * np.sin(4 * u) * np.exp(-(u**2)))
+
+
+class TestKinkedTraces:
+    """|g| of a trace bends at every sample, where a real trace crosses zero,
+    and where a complex one passes near it; stepping span by span between
+    those points follows the exact |linear interpolant| areas at every
+    output point."""
+
+    @pytest.mark.parametrize(
+        "trace, p, initial",
+        [
+            (kinked_trace(201, 1e-2), 0.414, "100"),
+            (kinked_trace(201, 1e-4), -0.7, "010"),
+            (kinked_trace(81, 1e-3), 0.414, "100"),
+            (zero_crossing_trace(201), 0.414, "010"),
+            (zero_crossing_trace(41), -0.7, "100"),
+        ],
+        ids=["complex-1e-2", "complex-1e-4", "complex-81", "real-201", "real-41"],
+    )
+    def test_synthesized_trace_matches_exact_areas(self, trace, p, initial):
+        drive_a, drive_b, c = drive_pair(trace, p)
+        t0, t1 = trace.window
+        traj = evolve(build_subspace(1), drive_a, drive_b, AmplitudeVector.basis_state(initial),
+                      t0, t1)
+        want = analytic_trajectory(drive_a, c, traj.times, initial)
+        assert np.max(np.abs(traj.amplitudes - want)) <= 1e-8
+
+    @pytest.mark.parametrize("initial", ["100", "010"])
+    def test_bundled_field3d_transit_matches_exact_areas(self, field3d_trace, field3d_config,
+                                                         initial):
+        drive_a, drive_b, c = drive_pair(field3d_trace, field3d_config["p"])
+        t0, t1 = field3d_trace.window
+        traj = evolve(build_subspace(1), drive_a, drive_b, AmplitudeVector.basis_state(initial),
+                      t0, t1)
+        want = analytic_trajectory(drive_a, c, traj.times, initial)
+        assert np.max(np.abs(traj.amplitudes - want)) <= 1e-9
+        assert traj.diagnostics["n_spans"] > field3d_trace.times.size - 2
 
 
 # ---------------------------------------------------------------------------
