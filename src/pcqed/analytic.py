@@ -51,13 +51,6 @@ class PulseAreas:
         if not (math.isfinite(self.g_a) and math.isfinite(self.g_b)):
             raise ValueError("pulse areas must be finite")
 
-    @property
-    def ratio(self) -> float:
-        """p = g_b / g_a (inf if g_a = 0 and g_b != 0)."""
-        if self.g_a == 0.0:
-            return math.inf if self.g_b else 0.0
-        return self.g_b / self.g_a
-
 
 def _trig_factors(lam):
     """(cos Lambda - 1) / Lambda^2 and sin(Lambda) / Lambda, elementwise.

@@ -4,7 +4,9 @@ Science parameters come from JSON config files (schema-validated, unknown
 keys rejected, optional keys resolved to the defaults of the library code
 that reads them); flags handle only I/O and execution concerns.  Outputs are
 deterministic for a fixed config, with floats written at 17 significant
-digits.  Exit codes: 0 ok, 2 config error, 3 integrator convergence
+digits.  Every command runs under one protocol, in :func:`main`: load the
+config, create the output directory, run, print each path written, and map
+exceptions to exit codes: 0 ok, 2 config error, 3 integrator convergence
 failure, 4 calibration not found.
 """
 
@@ -28,13 +30,7 @@ from .core import (
     AmplitudeVector,
     basis_labels,
 )
-from .coupling import (
-    CouplingTrace,
-    GenericProfile,
-    GenericProfileParams,
-    drive_pair,
-    scaled_pair,
-)
+from .coupling import GenericProfile, GenericProfileParams, drive_pair, scaled_pair
 from .fieldgrid import (
     DEFAULT_SAMPLES,
     FieldGrid,
@@ -303,7 +299,7 @@ def _build_grid(config: dict) -> FieldGrid:
 
 
 def _build_field_scenario(config: dict):
-    """Grid, path, cavity parameters, and the sampled coupling trace."""
+    """The coupling trace sampled along the configured path through the configured field."""
     if "field" not in config or "path" not in config:
         raise ConfigError("field scenarios need both 'field' and 'path' sections")
     grid = _build_grid(config)
@@ -319,8 +315,7 @@ def _build_field_scenario(config: dict):
         cavity = CavityParams.from_dipole(config["dipole_moment"], omega_cav, eps_m, v_mode)
     else:
         raise ConfigError("field scenarios need 'g0' or 'dipole_moment'")
-    trace = coupling_trace_from_field(grid, path, cavity, config["n_samples"])
-    return grid, path, cavity, trace
+    return coupling_trace_from_field(grid, path, cavity, config["n_samples"])
 
 
 def _generic_params(block: dict) -> GenericProfileParams:
@@ -341,25 +336,7 @@ def _profile_from_config(config: dict):
         if "profile" not in config:
             raise ConfigError("generic scenarios need a 'profile' section")
         return GenericProfile(_generic_params(config["profile"]))
-    _, _, _, trace = _build_field_scenario(config)
-    return trace
-
-
-def _calibrate(config: dict, profile_a) -> tuple[float, tuple[float, float]]:
-    """(calibrated velocity, velocity bounds) for the configured target."""
-    family = profile_a.params if isinstance(profile_a, GenericProfile) else profile_a
-    v_bounds = tuple(config["v_bounds"])
-    return calibrate_velocity(family, config["p"], config["target"], v_bounds), v_bounds
-
-
-def _stem(args) -> str:
-    return Path(args.config).stem
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _build_field_scenario(config)
 
 
 def _write_trajectory(traj: Trajectory, path: Path, fmt: str) -> Path:
@@ -380,8 +357,11 @@ def _write_trajectory(traj: Trajectory, path: Path, fmt: str) -> Path:
     return trajectory_to_csv(traj, path)
 
 
-def _cmd_evolve(args) -> int:
-    config = _load_config(args.config, "evolve")
+# Each command takes the resolved config, the output directory, the file-name
+# stem and the parsed flags, prints its own lines, and returns the paths it wrote.
+
+
+def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
     engine = args.engine or config["engine"]
     profile_a = _profile_from_config(config)
     p = config["p"]
@@ -389,8 +369,6 @@ def _cmd_evolve(args) -> int:
     n_points = config["n_points"]
     t0, t1 = profile_a.window
     times = np.linspace(t0, t1, n_points)
-    out = _out_dir(args)
-    stem = _stem(args)
     written: list[Path] = []
 
     drive_a, drive_b, c = drive_pair(profile_a, p)
@@ -426,21 +404,17 @@ def _cmd_evolve(args) -> int:
                 ylabel="probability",
             )
         )
-    for path in written:
-        print(path)
-    return 0
+    return written
 
 
-def _cmd_profile(args) -> int:
-    config = _load_config(args.config, "profile")
+def _cmd_profile(config: dict, out: Path, stem: str, args) -> list[Path]:
     profile_a = _profile_from_config(config)
     p = config["p"]
     t0, t1 = profile_a.window
     times = np.linspace(t0, t1, config["n_samples"])
     va = np.asarray(profile_a(times))
     vb = np.asarray(scaled_pair(profile_a, p)(times))
-    out = _out_dir(args)
-    path = out / f"{_stem(args)}_profile.csv"
+    path = out / f"{stem}_profile.csv"
     is_complex = np.iscomplexobj(va) or np.iscomplexobj(vb)
     if is_complex:
         names = ("coupling_a_re", "coupling_a_im", "coupling_b_re", "coupling_b_im")
@@ -452,28 +426,29 @@ def _cmd_profile(args) -> int:
         fh.write(",".join(["time_s", *(f"{name}_rad_per_s" for name in names)]) + "\n")
         for row in zip(times, *columns):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    print(path)
+    written = [path]
     if config.get("svg"):
         series = (
             {"|g_A|": np.abs(va), "|g_B|": np.abs(vb)}
             if is_complex
             else {"g_A": va, "g_B": vb}
         )
-        svg_path = svgmod.line_plot_svg(
-            out / f"{_stem(args)}_profile.svg",
-            times,
-            series,
-            title=config["description"],
-            xlabel="time (s)",
-            ylabel="coupling (rad/s)",
+        written.append(
+            svgmod.line_plot_svg(
+                out / f"{stem}_profile.svg",
+                times,
+                series,
+                title=config["description"],
+                xlabel="time (s)",
+                ylabel="coupling (rad/s)",
+            )
         )
-        print(svg_path)
-    return 0
+    return written
 
 
-def _cmd_calibrate(args) -> int:
-    config = _load_config(args.config, "calibrate")
-    v_star, v_bounds = _calibrate(config, _profile_from_config(config))
+def _cmd_calibrate(config: dict, out: Path, stem: str, args) -> list[Path]:
+    v_bounds = tuple(config["v_bounds"])
+    v_star = calibrate_velocity(_profile_from_config(config), config["p"], config["target"], v_bounds)
     doc = {
         "target": config["target"],
         "p": config["p"],
@@ -481,28 +456,22 @@ def _cmd_calibrate(args) -> int:
         "v_bounds_m_per_s": list(v_bounds),
         "scenario": config["scenario"],
     }
-    out = _out_dir(args)
-    path = out / f"{_stem(args)}_calibration.json"
+    path = out / f"{stem}_calibration.json"
     path.write_text(json.dumps(doc, indent=2))
     print(f"calibrated velocity: {v_star:.6g} m/s (target {config['target']})")
-    print(path)
-    return 0
+    return [path]
 
 
-def _cmd_gate_report(args) -> int:
-    config = _load_config(args.config, "gate-report")
-    target = TARGETS[config["target"]]
+def _cmd_gate_report(config: dict, out: Path, stem: str, args) -> list[Path]:
     p = config["p"]
     reference = _profile_from_config(config)
-    v_star = config["velocity"] if "velocity" in config else _calibrate(config, reference)[0]
-    if isinstance(reference, GenericProfile):
-        profile_a = GenericProfile(reference.params.replace_velocity(v_star))
+    if "velocity" in config:
+        v_star = config["velocity"]
     else:
-        scale = reference.velocity / v_star
-        profile_a = CouplingTrace(reference.times * scale, reference.values, velocity=v_star)
+        v_star = calibrate_velocity(reference, p, config["target"], tuple(config["v_bounds"]))
     settings = GateSettings(
-        target=target,
-        profile_a=profile_a,
+        target=TARGETS[config["target"]],
+        profile_a=reference.at_velocity(v_star),
         p=p,
         velocity=v_star,
         omega_cav=config["omega_cav"],
@@ -512,15 +481,12 @@ def _cmd_gate_report(args) -> int:
     )
     report = truth_table(settings, config["engine"])
     print(report.table())
-    out = _out_dir(args)
-    path = out / f"{_stem(args)}_report.json"
+    path = out / f"{stem}_report.json"
     path.write_text(report.to_json(indent=2))
-    print(path)
-    return 0
+    return [path]
 
 
-def _cmd_field_stats(args) -> int:
-    config = _load_config(args.config, "field-stats")
+def _cmd_field_stats(config: dict, out: Path, stem: str, args) -> list[Path]:
     grid = _build_grid(config)
     r_m, eps_m = peak_energy_point(grid)
     v_mode = mode_volume(grid, config.get("effective_height"))
@@ -542,16 +508,13 @@ def _cmd_field_stats(args) -> int:
         "g0_rad_s": g0,
         "polarization_fraction": pol,
     }
-    out = _out_dir(args)
-    path = out / f"{_stem(args)}_stats.json"
+    path = out / f"{stem}_stats.json"
     path.write_text(json.dumps(doc, indent=2))
     print(json.dumps(doc, indent=2))
-    print(path)
-    return 0
+    return [path]
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args.config, "sweep")
+def _cmd_sweep(config: dict, out: Path, stem: str, args) -> list[Path]:
     grid = surface(
         _generic_params(config["family"]),
         v_range=tuple(config["v_range"]),
@@ -559,23 +522,21 @@ def _cmd_sweep(args) -> int:
         initial=config["initial"],
         resolution=tuple(config["resolution"]),
     )
-    out = _out_dir(args)
-    paths = surfaces_to_csv(grid, out, _stem(args))
-    for path in paths:
-        print(path)
+    written = list(surfaces_to_csv(grid, out, stem))
     if config.get("svg"):
         for name, surf in (("a", grid.a_surface), ("b", grid.b_surface)):
-            path = svgmod.heatmap_svg(
-                out / f"{_stem(args)}_{name}.svg",
-                grid.v_values,
-                grid.p_values,
-                surf,
-                title=f"{name}(V, p), initial |{grid.initial}>",
-                xlabel="velocity (m/s)",
-                ylabel="coupling ratio p",
+            written.append(
+                svgmod.heatmap_svg(
+                    out / f"{stem}_{name}.svg",
+                    grid.v_values,
+                    grid.p_values,
+                    surf,
+                    title=f"{name}(V, p), initial |{grid.initial}>",
+                    xlabel="velocity (m/s)",
+                    ylabel="coupling ratio p",
+                )
             )
-            print(path)
-    return 0
+    return written
 
 
 _COMMANDS = {
@@ -588,14 +549,6 @@ _COMMANDS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument(
-        "--format", choices=["csv", "json"], default="csv", help="trajectory output format"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcqed",
@@ -605,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="JSON config file")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
         if name == "evolve":
             p.add_argument(
                 "--engine",
@@ -613,14 +567,21 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="override the config's engine",
             )
+            p.add_argument(
+                "--format", choices=["csv", "json"], default="csv", help="trajectory output format"
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, jsonschema.ValidationError, ValueError, TypeError) as exc:
+        config = _load_config(args.config, args.command)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for path in _COMMANDS[args.command](config, out, Path(args.config).stem, args):
+            print(path)
+    except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
@@ -629,6 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     except CalibrationError as exc:
         print(f"calibration not found: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

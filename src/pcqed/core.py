@@ -253,11 +253,6 @@ class AmplitudeVector:
         amps[labels.index(label)] = 1.0
         return cls(n, labels, amps)
 
-    @property
-    def norm_error(self) -> float:
-        """|sum of probabilities - 1|."""
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 

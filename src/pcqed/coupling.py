@@ -127,6 +127,14 @@ class GenericProfile:
     def peak_time(self) -> float:
         return self.params.path_half_length / self.params.velocity
 
+    @property
+    def velocity(self) -> float:
+        return self.params.velocity
+
+    def at_velocity(self, velocity: float) -> "GenericProfile":
+        """The same profile crossed at ``velocity`` (m/s)."""
+        return GenericProfile(self.params.replace_velocity(velocity))
+
 
 @dataclass(frozen=True)
 class ScaledProfile:
@@ -207,6 +215,13 @@ class CouplingTrace:
 
     def scaled(self, factor: float) -> "CouplingTrace":
         return CouplingTrace(self.times, factor * self.values, velocity=self.velocity)
+
+    def at_velocity(self, velocity: float) -> "CouplingTrace":
+        """The same path crossed at ``velocity`` (m/s): the times scale by the
+        ratio of the recorded velocity to the new one, the values stay."""
+        if self.velocity is None:
+            raise ValueError("trace carries no velocity; cannot rescale to calibrate")
+        return CouplingTrace(self.times * (self.velocity / velocity), self.values, velocity=velocity)
 
 
 @dataclass(frozen=True)

@@ -123,14 +123,12 @@ def fidelity(state: AmplitudeVector, target: AmplitudeVector) -> float:
 def _reference_area(family) -> tuple[float, float]:
     """(pulse area, velocity) of atom A's drive at the reference velocity."""
     if isinstance(family, GenericProfileParams):
-        profile, velocity = GenericProfile(family), family.velocity
-    elif isinstance(family, CouplingTrace):
-        if family.velocity is None:
-            raise ValueError("trace carries no velocity; cannot rescale to calibrate")
-        profile, velocity = family, family.velocity
-    else:
+        family = GenericProfile(family)
+    elif not isinstance(family, (GenericProfile, CouplingTrace)):
         raise TypeError(f"cannot calibrate a family of type {type(family).__name__}")
-    return pulse_area(drive_from_profile(profile)), velocity
+    if family.velocity is None:
+        raise ValueError("trace carries no velocity; cannot rescale to calibrate")
+    return pulse_area(drive_from_profile(family)), family.velocity
 
 
 def calibrate_velocity(
@@ -141,11 +139,12 @@ def calibrate_velocity(
 ) -> float:
     """Velocity (m/s) realizing the gate condition, the fastest one in bounds.
 
-    family: GenericProfileParams (its velocity is the reference) or a
-    CouplingTrace sampled at a known velocity.  The total pulse area scales
-    exactly as 1/V, so the condition Lambda_total = (2k+1) pi solves
-    algebraically; the largest in-bounds solution (fastest transit) is
-    returned with residual |Lambda_total - (2k+1) pi| <= 1e-8.  Raises
+    family: GenericProfileParams or GenericProfile (its velocity is the
+    reference), or a CouplingTrace sampled at a known velocity.  The total
+    pulse area scales exactly as 1/V, so the condition
+    Lambda_total = (2k+1) pi solves algebraically; the largest in-bounds
+    solution (fastest transit) is returned with residual
+    |Lambda_total - (2k+1) pi| <= 1e-8.  Raises
     CalibrationError listing the nearest candidates when no odd multiple
     falls inside the bounds, and ValueError when p does not match the gate.
     """
@@ -366,11 +365,8 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     phases_ok = all(abs(relative_phases[lbl]) <= MAX_RELATIVE_PHASE for lbl in rail_labels)
     classified = target.label if (rail_ok and phases_ok) else None
 
-    op_time = (
-        operation_time(settings.profile_a.params)
-        if isinstance(settings.profile_a, GenericProfile)
-        else settings.profile_a.window[1] - settings.profile_a.window[0]
-    )
+    t0, t1 = settings.profile_a.window
+    op_time = t1 - t0
     margin = photon_lifetime(settings.q_factor, settings.omega_cav) / op_time
 
     return GateReport(

@@ -302,9 +302,35 @@ BUNDLED = sorted((Path(pcqed.__file__).parent / "configs").glob("*.json"))
 
 
 @pytest.mark.parametrize("config", BUNDLED, ids=lambda path: path.stem)
-def test_bundled_config_runs(config, tmp_path):
+def test_bundled_config_runs(config, tmp_path, monkeypatch, capsys):
+    # Two runs from two directories into the same relative --out: every
+    # written file and stdout match byte for byte, and stdout names each file.
     command = next(c for prefix, c in COMMAND_BY_PREFIX if config.stem.startswith(prefix))
-    assert run([command, "--config", config, "--out", tmp_path]) == 0
+    runs = []
+    for name in ("a", "b"):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run([command, "--config", config, "--out", "out"]) == 0
+        written = {str(p.relative_to(work)): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        runs.append((capsys.readouterr().out, written))
+    stdout, written = runs[0]
+    assert written
+    assert set(written) <= set(stdout.splitlines())
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("command, stem", [
+    ("sweep", "sweep_default"),
+    ("calibrate", "calibrate_entangler_generic"),
+    ("profile", "profile_generic"),
+    ("field-stats", "field2d_stats"),
+    ("gate-report", "gate_report_entangler_generic"),
+])
+def test_format_flag_is_evolve_only(command, stem, tmp_path):
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--config", example_config_path(stem), "--out", tmp_path, "--format", "json"])
+    assert exit_.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["evolve", "gate-report"])

@@ -202,6 +202,44 @@ class TestCouplingTrace:
         assert trace(3.0) == 0.0
 
 
+def sampled(family, n=801, phase=0.0):
+    """The generic profile of ``family`` sampled over its window, times e^(i phase)."""
+    profile = GenericProfile(family)
+    times = np.linspace(*profile.window, n)
+    values = profile(times) * (np.exp(1j * phase) if phase else 1.0)
+    return CouplingTrace(times, values, velocity=family.velocity)
+
+
+class TestAtVelocity:
+    def test_generic_profile_replaces_its_velocity(self, fig_family):
+        profile = GenericProfile(fig_family)
+        assert profile.velocity == fig_family.velocity
+        moved = profile.at_velocity(866.0)
+        assert moved == GenericProfile(fig_family.replace_velocity(866.0))
+        assert moved.velocity == 866.0
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "complex"])
+    def test_trace_scales_its_times_and_keeps_its_values(self, fig_family, phase):
+        ref = sampled(fig_family, phase=phase)
+        moved = ref.at_velocity(510.0)
+        # the rescale written out by hand
+        by_hand = CouplingTrace(ref.times * (ref.velocity / 510.0), ref.values, velocity=510.0)
+        assert moved.times.tobytes() == by_hand.times.tobytes()
+        assert moved.values.tobytes() == ref.values.tobytes()
+        assert moved.velocity == 510.0
+
+    @pytest.mark.parametrize("make", [GenericProfile, sampled], ids=["generic", "trace"])
+    def test_area_scales_as_inverse_velocity(self, make, fig_family):
+        profile = make(fig_family)
+        area = pulse_area(drive_from_profile(profile))
+        moved = pulse_area(drive_from_profile(profile.at_velocity(2 * profile.velocity)))
+        assert moved == pytest.approx(area / 2, rel=1e-12)
+
+    def test_trace_without_velocity_is_refused(self):
+        with pytest.raises(ValueError, match="no velocity"):
+            CouplingTrace([0.0, 1.0], [1.0, 1.0]).at_velocity(433.0)
+
+
 class TestDriveFromProfile:
     def test_trace_drives_through_its_magnitude(self):
         trace = CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5])

@@ -135,6 +135,15 @@ class TestCalibrateVelocity:
         with pytest.raises(ValueError):
             calibrate_velocity(trace, 1.0, "NOT")
 
+    @pytest.mark.parametrize("target, p", [("ENTANGLER_HADAMARD", 0.414), ("NOT", 1.0), ("Z", 0.0)])
+    def test_profile_and_params_calibrate_alike(self, fig_family, target, p):
+        by_params = calibrate_velocity(fig_family, p, target)
+        assert calibrate_velocity(GenericProfile(fig_family), p, target) == by_params
+
+    def test_other_family_rejected(self, fig_family):
+        with pytest.raises(TypeError):
+            calibrate_velocity(fig_family.velocity, 1.0, "NOT")
+
 
 def settings_for(target, p, fig_velocity, engine_q=1e8):
     family = generic_family(velocity=fig_velocity)
@@ -305,6 +314,20 @@ class TestTimes:
         tau = photon_lifetime(1e8, OMEGA_MM)
         hadamard_time = 10 * LATTICE_2D / 374.0
         assert tau / hadamard_time >= 5.0
+
+    def test_report_takes_the_transit_time(self):
+        settings = settings_for(NOT, 1.0, 433.0)
+        report = truth_table(settings, "analytic")
+        assert report.operation_time == operation_time(settings.profile_a.params)
+
+    def test_trace_report_takes_its_window(self, fig_family):
+        profile = GenericProfile(fig_family)
+        times = np.linspace(*profile.window, 801)
+        trace = CouplingTrace(times + 1e-9, profile(times), velocity=fig_family.velocity)
+        settings = GateSettings(target=NOT, profile_a=trace, p=1.0, velocity=fig_family.velocity,
+                                omega_cav=OMEGA_GENERIC)
+        report = truth_table(settings, "analytic")
+        assert report.operation_time == trace.window[1] - trace.window[0]
 
     def test_operation_time_rejects_other_types(self):
         with pytest.raises(TypeError):
