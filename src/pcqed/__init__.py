@@ -43,6 +43,7 @@ from .analytic import (
 from .ode import (
     Trajectory,
     evolve,
+    final_states,
     trajectory_to_csv,
     two_excitation_return,
 )

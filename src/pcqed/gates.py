@@ -4,9 +4,10 @@ A logical qubit lives in which atom carries the single excitation (|10> vs
 |01>, cavity empty).  Calibration exploits the exact 1/V scaling of pulse
 areas: the gate conditions are odd multiples of pi in the total area, so the
 operating velocities follow algebraically from one reference area.  Truth
-tables evolve each logical input with either engine, extract fidelities and
-phases, and classify the result; everything is reported up to a common
-global phase, printed separately.
+tables evolve every logical input with either engine (the ODE engine all of
+them in one integration), extract fidelities and phases, and classify the
+result; everything is reported up to a common global phase, printed
+separately.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core import (
     AmplitudeVector,
     CalibrationError,
     basis_index,
-    build_subspace,
     photon_lifetime,
 )
 from .coupling import (
@@ -36,7 +36,7 @@ from .coupling import (
     pulse_area,
 )
 from .fieldgrid import PathSpec
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, evolve
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, final_states
 
 __all__ = [
     "GateTarget",
@@ -280,29 +280,23 @@ def _rail_state(amp_10: complex, amp_01: complex) -> AmplitudeVector:
     return AmplitudeVector.from_amplitudes(1, [amp_10, amp_01, 0.0])
 
 
-def _final_state(
-    settings: GateSettings, drives, areas: PulseAreas, label: str, engine: str
-) -> AmplitudeVector:
-    """Final state of the logical input |label> ("10", "01" or "11") after the transit."""
-    initial = label + "0"
-    n = label.count("1")
+def _final_states(
+    settings: GateSettings, drives, areas: PulseAreas, labels: list[str], engine: str
+) -> dict[str, AmplitudeVector]:
+    """Final state of each logical input |label> ("10", "01" or "11") after the transit."""
     if engine == "analytic":
-        u = logical_unitary(areas) if n == 1 else two_excitation_unitary(areas)
-        return AmplitudeVector.from_amplitudes(n, u[:, basis_index(n, initial)])
-    if engine == "ode":
-        t0, t1 = settings.profile_a.window
-        traj = evolve(
-            build_subspace(n),
-            *drives,
-            AmplitudeVector.basis_state(initial),
-            t0,
-            t1,
-            rtol=settings.rtol,
-            atol=settings.atol,
-            n_points=2,
-        )
-        return traj.final_state
-    raise ValueError(f"unknown engine {engine!r}")
+        finals = []
+        for label in labels:
+            n = label.count("1")
+            u = logical_unitary(areas) if n == 1 else two_excitation_unitary(areas)
+            finals.append(AmplitudeVector.from_amplitudes(n, u[:, basis_index(n, label + "0")]))
+    elif engine == "ode":
+        initials = [AmplitudeVector.basis_state(label + "0") for label in labels]
+        finals = final_states(*drives, initials, *settings.profile_a.window,
+                              rtol=settings.rtol, atol=settings.atol)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    return dict(zip(labels, finals))
 
 
 def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> GateReport:
@@ -311,10 +305,11 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     Every input runs on the requested engine in its own excitation subspace:
     the analytic engine reads a column of :func:`logical_unitary` or, for
     SWAP's |11>, of :func:`two_excitation_unitary`, and runs no ODE; the ode
-    engine integrates each input with DOP853.  SWAP's |00> carries no
-    excitation and is exactly invariant.  The label is assigned only if
-    every rail fidelity reaches 0.99 and the rail phases agree to within
-    MAX_RELATIVE_PHASE; the common global phase is reported separately.
+    engine integrates every input it reports together, in one DOP853 run of
+    :func:`pcqed.ode.final_states`.  SWAP's |00> carries no excitation and
+    is exactly invariant.  The label is assigned only if every rail fidelity
+    reaches 0.99 and the rail phases agree to within MAX_RELATIVE_PHASE; the
+    common global phase is reported separately.
     """
     target = settings.target
     drive_a, drive_b, _ = drive_pair(settings.profile_a, settings.p)
@@ -327,8 +322,10 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     overlaps: dict[str, complex] = {}
     notes: list[str] = []
 
+    labels = [*target.rail_targets(), *(["11"] if target.includes_outer else [])]
+    finals = _final_states(settings, (drive_a, drive_b), areas, labels, engine)
     for label, amps in target.rail_targets().items():
-        final = _final_state(settings, (drive_a, drive_b), areas, label, engine)
+        final = finals[label]
         target_state = _rail_state(*amps)
         z = target_state.overlap(final)
         overlaps[label] = z
@@ -349,7 +346,7 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
         fidelities["00"] = 1.0
         relative_phases["00"] = float(np.angle(np.conj(z0))) if abs(z0) > 0 else 0.0
         residual["00"] = 0.0
-        final = _final_state(settings, (drive_a, drive_b), areas, "11", engine)
+        final = finals["11"]
         amp11 = final.amplitude("110")
         fidelities["11"] = float(abs(amp11) ** 2)
         relative_phases["11"] = float(np.angle(amp11 * np.conj(z0))) if abs(amp11) > 0 else 0.0

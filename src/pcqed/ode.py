@@ -9,10 +9,10 @@ total excitations are supported, through the Hamiltonians of
 
 DOP853 assumes a smooth right-hand side; a step across a jump in a
 derivative of the drive loses its order and its error estimate.  The drives
-of :mod:`pcqed.coupling` report such breakpoints, and :func:`evolve` steps
-span by span between them (Hairer, Norsett & Wanner, Solving Ordinary
-Differential Equations I, sec. II.6).  Any other callable integrates as one
-span.
+of :mod:`pcqed.coupling` report such breakpoints, and :func:`evolve` and
+:func:`final_states` step span by span between them (Hairer, Norsett &
+Wanner, Solving Ordinary Differential Equations I, sec. II.6) through one
+private driver.  Any other callable integrates as one span.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "Trajectory",
     "build_subspace",
     "evolve",
+    "final_states",
     "drive_from_profile",
     "two_excitation_return",
     "trajectory_to_csv",
@@ -109,12 +110,97 @@ def evolve(
     """
     if psi0.n_excitations != h.n_excitations:
         raise ValueError("initial state and Hamiltonian subspaces differ")
+    _check_window(t0, t1, rtol, atol)
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
+
+    times = np.linspace(t0, t1, n_points)
+    amplitudes = np.empty((n_points, h.dim), dtype=complex)
+    amplitudes[0] = psi0.amplitudes
+    filled = 1
+
+    def sample(solver) -> None:
+        nonlocal filled
+        done = int(np.searchsorted(times, solver.t, side="right"))
+        if done > filled:
+            amplitudes[filled:done] = solver.dense_output()(times[filled:done]).T
+            filled = done
+
+    solver, n_steps, n_spans = _integrate(
+        h.couplings, g_a, g_b, psi0.amplitudes, t0, t1, rtol, atol, sample
+    )
+    diagnostics = {
+        "nfev": solver.nfev,
+        "n_steps": n_steps,
+        "n_spans": n_spans,
+        "rtol": rtol,
+        "atol": atol,
+        "method": _METHOD,
+    }
+    traj = Trajectory(h.n_excitations, h.basis_labels, times, amplitudes, diagnostics)
+    diagnostics["norm_drift"] = traj.norm_drift
+    return traj
+
+
+def final_states(
+    g_a: Callable[[float], complex],
+    g_b: Callable[[float], complex],
+    states: list[AmplitudeVector],
+    t0: float,
+    t1: float,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> list[AmplitudeVector]:
+    """Final states of several initial states under one pair of drives.
+
+    The states are integrated together as one block-diagonal system, each
+    in the subspace of its own excitation number (1 or 2), by a single
+    DOP853 run that steps span by span between the drives' breakpoints as
+    :func:`evolve` does; the no-excitation state |000> is exactly invariant
+    and is returned unintegrated.  Each block's coupling table is the one of
+    :func:`pcqed.core.build_subspace`, shifted to the block's offset.  The
+    step control is shared: scipy's error norm is a root mean square over
+    every stacked component, so a state's result may differ from its own
+    :func:`evolve` run in the last digits the tolerances allow.  Returns the
+    final states in the order given.  Raises ValueError on an empty list and
+    ConvergenceError, carrying the failure time, as :func:`evolve` does.
+    """
+    if not states:
+        raise ValueError("need at least one initial state")
+    _check_window(t0, t1, rtol, atol)
+    # The interaction annihilates |000>: it is returned as it is, since its
+    # constant amplitude in the stack would only dilute the error norm.
+    couplings, blocks, offset = [], {}, 0
+    for i, psi in enumerate(states):
+        if psi.n_excitations > 0:
+            h = build_subspace(psi.n_excitations)
+            couplings += [(row + offset, col + offset, atom, factor)
+                          for row, col, atom, factor in h.couplings]
+            blocks[i] = slice(offset, offset + h.dim)
+            offset += h.dim
+    if not blocks:
+        return list(states)
+    y0 = np.concatenate([states[i].amplitudes for i in blocks])
+    y1 = _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol)[0].y
+    return [AmplitudeVector(psi.n_excitations, psi.basis_labels, y1[blocks[i]]) if i in blocks
+            else psi for i, psi in enumerate(states)]
+
+
+def _check_window(t0: float, t1: float, rtol: float, atol: float) -> None:
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got [{t0!r}, {t1!r}]")
     if not (rtol > 0 and atol > 0):
         raise ValueError("tolerances must be positive")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+
+
+def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, on_step=None):
+    """Run one DOP853 from y0 at t0 to t1, span by span between breakpoints.
+
+    The right-hand side is -i H(t) y with H read from ``couplings``, entries
+    (row, col, atom, factor) over the components of y.  on_step, if given,
+    is called with the solver after every accepted step.  Returns the
+    solver, the number of accepted steps and the number of spans.
+    """
     from scipy.integrate import DOP853  # imported here: only the ODE engine needs scipy
 
     # scipy's solvers sit in a reference cycle, freed only by the cyclic
@@ -122,7 +208,7 @@ def evolve(
     # let go of when integration ends, so the cycle holds no more than the
     # solver's own arrays.
     drives = [getattr(g_a, "at", g_a), getattr(g_b, "at", g_b)]
-    couplings, dim = h.couplings, h.dim
+    dim = len(y0)
 
     def rhs(t: float, psi: np.ndarray) -> np.ndarray:
         t = float(t)  # the solver's times are numpy scalars; the drives run on floats
@@ -139,12 +225,9 @@ def evolve(
         return np.array(out)
 
     bounds = [*_breakpoints((g_a, g_b), t0, t1), t1]
-    times = np.linspace(t0, t1, n_points)
-    amplitudes = np.empty((n_points, dim), dtype=complex)
-    amplitudes[0] = psi0.amplitudes
-    filled, n_steps = 1, 0
+    n_steps = 0
     try:
-        solver = DOP853(rhs, t0, psi0.amplitudes, bounds[0], rtol=rtol, atol=atol)
+        solver = DOP853(rhs, t0, y0, bounds[0], rtol=rtol, atol=atol)
         # DOP853 is a one-step method whose first stage reuses f at the
         # step's end.  The state and f are continuous across a kink of the
         # drive, so moving the solver's bound to the next breakpoint and
@@ -158,23 +241,11 @@ def evolve(
                         f"integration failed at t={solver.t:g}: {message}", t=solver.t
                     )
                 n_steps += 1
-                done = int(np.searchsorted(times, solver.t, side="right"))
-                if done > filled:
-                    amplitudes[filled:done] = solver.dense_output()(times[filled:done]).T
-                    filled = done
+                if on_step is not None:
+                    on_step(solver)
     finally:
         drives.clear()
-    diagnostics = {
-        "nfev": solver.nfev,
-        "n_steps": n_steps,
-        "n_spans": len(bounds),
-        "rtol": rtol,
-        "atol": atol,
-        "method": _METHOD,
-    }
-    traj = Trajectory(h.n_excitations, h.basis_labels, times, amplitudes, diagnostics)
-    diagnostics["norm_drift"] = traj.norm_drift
-    return traj
+    return solver, n_steps, len(bounds)
 
 
 def _breakpoints(drives, t0: float, t1: float) -> list[float]:
@@ -192,17 +263,15 @@ def two_excitation_return(
 ) -> float:
     """Probability that both-atoms-excited returns to itself after transit.
 
-    Evolves |110> in the two-excitation subspace under the same drives as
-    the single-excitation gate (:func:`pcqed.coupling.drive_pair`) and
-    returns |<110|psi(t1)>|^2.  The value is reported as measured; it is not
+    Integrates |110> in the two-excitation subspace with
+    :func:`final_states`, under the same drives as the single-excitation
+    gate (:func:`pcqed.coupling.drive_pair`), and returns |<110|psi(t1)>|^2.  The value is reported as measured; it is not
     forced to match any idealized truth table.
     """
-    h = build_subspace(2)
-    psi0 = AmplitudeVector.basis_state("110")
-    t0, t1 = profile_a.window
     drive_a, drive_b, _ = drive_pair(profile_a, p)
-    traj = evolve(h, drive_a, drive_b, psi0, t0, t1, rtol=rtol, atol=atol, n_points=2)
-    return float(np.abs(traj.final_state.amplitude("110")) ** 2)
+    (final,) = final_states(drive_a, drive_b, [AmplitudeVector.basis_state("110")],
+                            *profile_a.window, rtol=rtol, atol=atol)
+    return float(abs(final.amplitude("110")) ** 2)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:

@@ -207,6 +207,31 @@ class TestTruthTable:
             for label in want:  # phases near +-pi compare modulo 2 pi
                 assert abs(math.remainder(got[label] - want[label], 2 * math.pi)) <= 1e-9
 
+    @pytest.mark.parametrize("target, p", [(ENTANGLER_HADAMARD, 0.414), (NOT, 1.0), (Z, 0.0),
+                                           (SWAP, 1.0)], ids=lambda x: getattr(x, "label", x))
+    def test_ode_engine_integrates_once(self, monkeypatch, target, p):
+        # every input the report reads comes from one stacked DOP853 run,
+        # which stays within 1e-8 of the closed forms at default tolerances
+        import scipy.integrate
+
+        built = []
+        real = scipy.integrate.DOP853
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "DOP853", counting)
+        settings = settings_for(target, p, 433.0)
+        ode = truth_table(settings, "ode")
+        assert len(built) == 1
+        analytic = truth_table(settings, "analytic")
+        for field in ("fidelities", "residual_cavity", "relative_phases"):
+            got, want = getattr(ode, field), getattr(analytic, field)
+            assert got.keys() == want.keys()
+            for label in want:  # phases near +-pi compare modulo 2 pi
+                assert abs(math.remainder(got[label] - want[label], 2 * math.pi)) <= 1e-8
+
     def test_misratioed_gate_declassified(self, fig_family):
         v = calibrate_velocity(fig_family, 1.0, "NOT")
         profile = GenericProfile(fig_family.replace_velocity(v))
@@ -353,10 +378,15 @@ class TestFieldTraceGate:
 
 def test_analytic_engine_runs_no_ode(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
-        raise AssertionError("the analytic engine called ode.evolve")
+        raise AssertionError("the analytic engine ran the ODE")
 
+    # both ways into the ODE are refused under every name; ode defines both,
+    # and gates and cli are refused a name even where they do not bind it
     for module in (pcqed.ode, pcqed.gates, pcqed.cli):
-        monkeypatch.setattr(module, "evolve", refuse)
+        for name in ("evolve", "final_states"):
+            monkeypatch.setattr(module, name, refuse, raising=module is pcqed.ode)
+    with pytest.raises(AssertionError, match="ran the ODE"):
+        truth_table(settings_for(SWAP, 1.0, 433.0), "ode")  # the refusal is in the ODE's way
     report = truth_table(settings_for(SWAP, 1.0, 433.0), "analytic")
     assert report.classified_label == "SWAP"
     assert report.fidelities["11"] == pytest.approx(((2 + math.cos(math.sqrt(3) * math.pi)) / 3) ** 2,

@@ -14,11 +14,13 @@ from pcqed import (
     closed_form_amplitudes,
     drive_pair,
     evolve,
+    final_states,
     logical_unitary,
     pulse_area,
     scaled_pair,
     trajectory_to_csv,
     two_excitation_return,
+    two_excitation_unitary,
 )
 
 from conftest import generic_family
@@ -374,6 +376,55 @@ class TestKinkedTraces:
         want = analytic_trajectory(drive_a, c, traj.times, initial)
         assert np.max(np.abs(traj.amplitudes - want)) <= 1e-9
         assert traj.diagnostics["n_spans"] > field3d_trace.times.size - 2
+
+
+# ---------------------------------------------------------------------------
+# several states in one integration
+# ---------------------------------------------------------------------------
+
+BATCHES = [("100", "010", "110", "000"), ("110", "000", "100"), ("000", "010", "100"), ("000",)]
+
+
+def check_batch(profile, p: float, batch) -> None:
+    """One stacked run against each state's own evolve (1e-9) and against the
+    propagator's column (1e-8); proportional drives make the propagator a
+    function of the two pulse areas."""
+    drive_a, drive_b, _ = drive_pair(profile, p)
+    areas = PulseAreas(pulse_area(drive_a), pulse_area(drive_b))
+    unitaries = {0: np.eye(1), 1: logical_unitary(areas), 2: two_excitation_unitary(areas)}
+    initials = [AmplitudeVector.basis_state(label) for label in batch]
+    finals = final_states(drive_a, drive_b, initials, *profile.window)
+    assert len(finals) == len(batch)
+    for label, psi, got in zip(batch, initials, finals):
+        assert got.basis_labels == psi.basis_labels
+        own = evolve(build_subspace(psi.n_excitations), drive_a, drive_b, psi, *profile.window,
+                     n_points=2)
+        assert np.max(np.abs(got.amplitudes - own.final_state.amplitudes)) <= 1e-9, label
+        column = unitaries[psi.n_excitations][:, psi.index(label)]
+        assert np.max(np.abs(got.amplitudes - column)) <= 1e-8, label
+
+
+class TestFinalStates:
+    @pytest.mark.parametrize("batch", BATCHES, ids="-".join)
+    @pytest.mark.parametrize("velocity, p", [(438.0, 0.414), (300.0, -0.7)])
+    def test_generic_drive(self, batch, velocity, p):
+        check_batch(GenericProfile(generic_family(velocity=velocity)), p, batch)
+
+    @pytest.mark.parametrize("batch", BATCHES[:2], ids="-".join)
+    def test_bundled_field3d_trace(self, field3d_trace, field3d_config, batch):
+        check_batch(field3d_trace, field3d_config["p"], batch)
+
+    def test_nan_drive_fails_with_time(self):
+        trace = CouplingTrace([0.0, 1e-9, 2e-9], [1e9, 2e9, 1e9])
+        drive_a, _, _ = drive_pair(trace, 1.0)
+        initials = [AmplitudeVector.basis_state(label) for label in ("100", "110")]
+        with pytest.raises(ConvergenceError) as err:
+            final_states(drive_a, lambda t: math.nan if t > 1.5e-9 else 0.0, initials, 0.0, 2e-9)
+        assert 1.5e-9 < err.value.t <= 2e-9
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            final_states(constant(1e9), constant(1e9), [], 0.0, 1e-9)
 
 
 # ---------------------------------------------------------------------------
