@@ -2,10 +2,10 @@
 
 Science parameters come from JSON config files (schema-validated, unknown
 keys rejected, optional keys resolved to the defaults of the library code
-that reads them); flags handle only I/O and execution concerns.  Outputs are
-deterministic for a fixed config, with floats written at 17 significant
-digits.  Every command runs under one protocol, in :func:`main`: load the
-config, create the output directory, run, print each path written, and map
+that reads them); flags handle only I/O.  Outputs are deterministic for a
+fixed config; every table is written by :func:`pcqed.core.write_csv`.
+Every command runs under one protocol, in :func:`main`: load the config,
+create the output directory, run, print each path written, and map
 exceptions to exit codes: 0 ok, 2 config error, 3 integrator convergence
 failure, 4 calibration not found.
 """
@@ -29,6 +29,7 @@ from .core import (
     ConvergenceError,
     AmplitudeVector,
     basis_labels,
+    write_csv,
 )
 from .coupling import GenericProfile, GenericProfileParams, drive_pair, scaled_pair
 from .fieldgrid import (
@@ -344,10 +345,7 @@ def _write_trajectory(traj: Trajectory, path: Path, fmt: str) -> Path:
         doc = {
             "basis": list(traj.basis_labels),
             "times_s": traj.times.tolist(),
-            "probabilities": {
-                lbl: (np.abs(traj.amplitudes[:, i]) ** 2).tolist()
-                for i, lbl in enumerate(traj.basis_labels)
-            },
+            "probabilities": dict(zip(traj.basis_labels, traj.probabilities().T.tolist())),
             "amplitudes_re": traj.amplitudes.real.tolist(),
             "amplitudes_im": traj.amplitudes.imag.tolist(),
         }
@@ -362,7 +360,7 @@ def _write_trajectory(traj: Trajectory, path: Path, fmt: str) -> Path:
 
 
 def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
-    engine = args.engine or config["engine"]
+    engine = config["engine"]
     profile_a = _profile_from_config(config)
     p = config["p"]
     initial = config["initial"]
@@ -390,10 +388,7 @@ def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
         )
         written.append(_write_trajectory(traj, out / f"{stem}_ode.csv", args.format))
     if config.get("svg"):  # the last trajectory written: ODE if it ran, else analytic
-        probs = {
-            f"|{lbl}>": np.abs(traj.amplitudes[:, i]) ** 2
-            for i, lbl in enumerate(traj.basis_labels)
-        }
+        probs = {f"|{lbl}>": col for lbl, col in zip(traj.basis_labels, traj.probabilities().T)}
         written.append(
             svgmod.line_plot_svg(
                 out / f"{stem}.svg",
@@ -414,7 +409,6 @@ def _cmd_profile(config: dict, out: Path, stem: str, args) -> list[Path]:
     times = np.linspace(t0, t1, config["n_samples"])
     va = np.asarray(profile_a(times))
     vb = np.asarray(scaled_pair(profile_a, p)(times))
-    path = out / f"{stem}_profile.csv"
     is_complex = np.iscomplexobj(va) or np.iscomplexobj(vb)
     if is_complex:
         names = ("coupling_a_re", "coupling_a_im", "coupling_b_re", "coupling_b_im")
@@ -422,10 +416,8 @@ def _cmd_profile(config: dict, out: Path, stem: str, args) -> list[Path]:
     else:
         names = ("coupling_a", "coupling_b")
         columns = (va, vb)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(["time_s", *(f"{name}_rad_per_s" for name in names)]) + "\n")
-        for row in zip(times, *columns):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    header = ["time_s", *(f"{name}_rad_per_s" for name in names)]
+    path = write_csv(out / f"{stem}_profile.csv", header, (times, *columns))
     written = [path]
     if config.get("svg"):
         series = (
@@ -561,12 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if name == "evolve":
-            p.add_argument(
-                "--engine",
-                choices=["analytic", "ode", "both"],
-                default=None,
-                help="override the config's engine",
-            )
             p.add_argument(
                 "--format", choices=["csv", "json"], default="csv", help="trajectory output format"
             )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +30,8 @@ __all__ = [
     "mode_volume_from_g0",
     "photon_lifetime",
     "VELOCITY_WINDOW",
+    "FLOAT_FORMAT",
+    "write_csv",
 ]
 
 # CODATA 2018
@@ -270,3 +273,23 @@ class AmplitudeVector:
         ):
             raise ValueError("basis mismatch between states")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+# Every table pcqed writes: 17 significant digits read back bit-identical.
+FLOAT_FORMAT = "%.17g"
+
+
+def write_csv(path, header, columns, preamble=()) -> Path:
+    """Write a table as CSV and return its path.
+
+    Writes the ``preamble`` lines, then the ``header`` cells, then one row
+    per index of the equal-length ``columns`` (1-D, or 2-D blocks of
+    columns), every cell a float in FLOAT_FORMAT.  Lines end in CRLF.
+    """
+    path = Path(path)
+    table = np.column_stack(columns)
+    row_format = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\r\n"
+    with path.open("w", newline="") as fh:
+        fh.writelines(f"{line}\r\n" for line in (*preamble, ",".join(header)))
+        fh.writelines(row_format % tuple(row.tolist()) for row in table)
+    return path

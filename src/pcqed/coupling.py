@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import FLOAT_FORMAT, write_csv
+
 __all__ = [
     "GenericProfileParams",
     "GenericProfile",
@@ -468,20 +470,15 @@ def trace_to_csv(trace: CouplingTrace, path) -> Path:
     line ``# velocity_m_per_s=<V>`` before the header.  Floats are written
     with 17 significant digits, so a read-back trace is bit-identical.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if trace.velocity is not None:
-            writer.writerow([f"{_VELOCITY_PREFIX}{trace.velocity:.17g}"])
-        if trace.is_complex:
-            writer.writerow(["time_s", "coupling_re_rad_per_s", "coupling_im_rad_per_s"])
-            for t, v in zip(trace.times, trace.values):
-                writer.writerow([f"{t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
-        else:
-            writer.writerow(["time_s", "coupling_rad_per_s"])
-            for t, v in zip(trace.times, trace.values):
-                writer.writerow([f"{t:.17g}", f"{v:.17g}"])
-    return path
+    preamble = []
+    if trace.velocity is not None:
+        preamble.append(_VELOCITY_PREFIX + FLOAT_FORMAT % trace.velocity)
+    if trace.is_complex:
+        header = ("time_s", "coupling_re_rad_per_s", "coupling_im_rad_per_s")
+        columns = (trace.times, trace.values.real, trace.values.imag)
+    else:
+        header, columns = ("time_s", "coupling_rad_per_s"), (trace.times, trace.values)
+    return write_csv(path, header, columns, preamble)
 
 
 def trace_from_csv(path) -> CouplingTrace:

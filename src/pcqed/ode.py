@@ -18,14 +18,13 @@ private driver.  Any other callable integrates as one span.
 from __future__ import annotations
 
 import cmath
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import AmplitudeVector, ConvergenceError, SubspaceHamiltonian, build_subspace
+from .core import AmplitudeVector, ConvergenceError, SubspaceHamiltonian, build_subspace, write_csv
 from .coupling import drive_from_profile, drive_pair
 
 __all__ = [
@@ -76,10 +75,14 @@ class Trajectory:
     def final_state(self) -> AmplitudeVector:
         return self.state_at(-1)
 
+    def probabilities(self) -> np.ndarray:
+        """|amplitude|^2, one row per output time."""
+        return np.abs(self.amplitudes) ** 2
+
     @property
     def norm_drift(self) -> float:
         """max over output points of |sum of probabilities - 1|."""
-        norms = np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+        norms = np.sum(self.probabilities(), axis=1)
         return float(np.max(np.abs(norms - 1.0)))
 
 
@@ -276,20 +279,12 @@ def two_excitation_return(
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
     """CSV export: time_s, |amplitude|^2 per basis label, then re/im parts."""
-    path = Path(path)
     labels = traj.basis_labels
     header = (
         ["time_s"]
         + [f"prob_{lbl}" for lbl in labels]
         + [part for lbl in labels for part in (f"re_{lbl}", f"im_{lbl}")]
     )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, row in zip(traj.times, traj.amplitudes):
-            cells = [f"{t:.17g}"]
-            cells += [f"{abs(c) ** 2:.17g}" for c in row]
-            for c in row:
-                cells += [f"{c.real:.17g}", f"{c.imag:.17g}"]
-            writer.writerow(cells)
-    return path
+    # A contiguous complex array viewed as floats interleaves re and im per label.
+    parts = np.ascontiguousarray(traj.amplitudes).view(float)
+    return write_csv(path, header, (traj.times, traj.probabilities(), parts))

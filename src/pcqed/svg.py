@@ -23,9 +23,40 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: floa
     return out_lo + (values - lo) * (out_hi - out_lo) / span
 
 
+def _frame(title: str, xlabel: str, ylabel: str) -> list[str]:
+    """The opening of every plot: root, white background, title and axis labels."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="16" y="{_H / 2}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 16 {_H / 2})">{ylabel}</text>',
+    ]
+
+
+def _ticks(x_ticks, y_ticks) -> list[str]:
+    """Tick labels from (pixel, value) pairs: below the x axis, left of the y axis."""
+    return [
+        f'<text x="{px:.1f}" y="{_H - _MB + 16}" text-anchor="middle" '
+        f'font-size="10">{tick:.3g}</text>'
+        for px, tick in x_ticks
+    ] + [
+        f'<text x="{_ML - 6}" y="{py + 3:.1f}" text-anchor="end" '
+        f'font-size="10">{tick:.3g}</text>'
+        for py, tick in y_ticks
+    ]
+
+
+def _write(path, parts: list[str]) -> Path:
+    path = Path(path)
+    path.write_text("\n".join([*parts, "</svg>"]))
+    return path
+
+
 def line_plot_svg(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> Path:
     """Write a line plot; ``series`` maps legend labels to y arrays."""
-    path = Path(path)
     x = np.asarray(x, dtype=float)
     ys = {k: np.asarray(v, dtype=float) for k, v in series.items()}
     y_all = np.concatenate(list(ys.values()))
@@ -36,29 +67,17 @@ def line_plot_svg(path, x, series: dict, title: str = "", xlabel: str = "", ylab
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
+    x_ticks = np.linspace(x_lo, x_hi, 5)
+    y_ticks = np.linspace(y_lo, y_hi, 5)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-        f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle" font-size="12">{xlabel}</text>',
-        f'<text x="16" y="{_H / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {_H / 2})">{ylabel}</text>',
+        *_frame(title, xlabel, ylabel),
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         f'fill="none" stroke="#888"/>',
+        *_ticks(
+            zip(_scale(x_ticks, x_lo, x_hi, _ML, _W - _MR), x_ticks),
+            zip(_scale(y_ticks, y_lo, y_hi, _H - _MB, _MT), y_ticks),
+        ),
     ]
-    for i, tick in enumerate(np.linspace(x_lo, x_hi, 5)):
-        px = _scale(np.array([tick]), x_lo, x_hi, _ML, _W - _MR)[0]
-        parts.append(
-            f'<text x="{px:.1f}" y="{_H - _MB + 16}" text-anchor="middle" '
-            f'font-size="10">{tick:.3g}</text>'
-        )
-    for tick in np.linspace(y_lo, y_hi, 5):
-        py = _scale(np.array([tick]), y_lo, y_hi, _H - _MB, _MT)[0]
-        parts.append(
-            f'<text x="{_ML - 6}" y="{py + 3:.1f}" text-anchor="end" '
-            f'font-size="10">{tick:.3g}</text>'
-        )
     for i, (label, y) in enumerate(ys.items()):
         color = _PALETTE[i % len(_PALETTE)]
         px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
@@ -69,9 +88,7 @@ def line_plot_svg(path, x, series: dict, title: str = "", xlabel: str = "", ylab
             f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 14 * i}" text-anchor="end" '
             f'font-size="11" fill="{color}">{label}</text>'
         )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts))
-    return path
+    return _write(path, parts)
 
 
 def _diverging_color(v: float) -> str:
@@ -89,7 +106,6 @@ def heatmap_svg(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = 
 
     The color scale is symmetric about zero (positive red, negative blue).
     """
-    path = Path(path)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -99,15 +115,7 @@ def heatmap_svg(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = 
 
     plot_w, plot_h = _W - _ML - _MR, _H - _MT - _MB
     cw, ch = plot_w / x.size, plot_h / y.size
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-        f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle" font-size="12">{xlabel}</text>',
-        f'<text x="16" y="{_H / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {_H / 2})">{ylabel}</text>',
-    ]
+    parts = _frame(title, xlabel, ylabel)
     for i in range(x.size):
         for j in range(y.size):
             px = _ML + i * cw
@@ -117,18 +125,6 @@ def heatmap_svg(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = 
                 f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
                 f'height="{ch + 0.5:.2f}" fill="{color}"/>'
             )
-    for tick in (x[0], x[-1]):
-        px = _ML + (np.searchsorted(x, tick) / max(x.size - 1, 1)) * plot_w
-        parts.append(
-            f'<text x="{px:.1f}" y="{_H - _MB + 16}" text-anchor="middle" '
-            f'font-size="10">{tick:.3g}</text>'
-        )
-    for tick in (y[0], y[-1]):
-        py = _H - _MB - (np.searchsorted(y, tick) / max(y.size - 1, 1)) * plot_h
-        parts.append(
-            f'<text x="{_ML - 6}" y="{py + 3:.1f}" text-anchor="end" '
-            f'font-size="10">{tick:.3g}</text>'
-        )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts))
-    return path
+    # the end values, at the outer edges of the first and last cells
+    parts += _ticks(((_ML, x[0]), (_ML + plot_w, x[-1])), ((_H - _MB, y[0]), (_MT, y[-1])))
+    return _write(path, parts)

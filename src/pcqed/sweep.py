@@ -8,7 +8,6 @@ closed-form rail amplitudes are real), not probabilities.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import amplitudes
-from .core import VELOCITY_WINDOW
+from .core import FLOAT_FORMAT, VELOCITY_WINDOW, write_csv
 from .coupling import GenericProfile, GenericProfileParams, pulse_area
 
 __all__ = ["SweepGrid", "surface", "surfaces_to_csv"]
@@ -87,13 +86,8 @@ def surfaces_to_csv(grid: SweepGrid, out_dir, stem: str) -> tuple[Path, Path]:
     """One CSV per surface: header of p values, first column V, cells = amplitude."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, surf in (("a", grid.a_surface), ("b", grid.b_surface)):
-        path = out_dir / f"{stem}_{name}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["v_m_per_s"] + [f"{p:.17g}" for p in grid.p_values])
-            for v, row in zip(grid.v_values, surf):
-                writer.writerow([f"{v:.17g}"] + [f"{x:.17g}" for x in row])
-        paths.append(path)
-    return tuple(paths)
+    header = ["v_m_per_s", *(FLOAT_FORMAT % p for p in grid.p_values.tolist())]
+    return tuple(
+        write_csv(out_dir / f"{stem}_{name}.csv", header, (grid.v_values, surf))
+        for name, surf in (("a", grid.a_surface), ("b", grid.b_surface))
+    )

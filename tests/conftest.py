@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,13 @@ OMEGA0_GENERIC = 11e9
 OMEGA_MM = 2 * math.pi * C_LIGHT / 5.9e-3
 LATTICE_2D = 2.202e-3
 LATTICE_3D = 3.18e-3
+
+
+def csv_rows(path) -> list[list[str]]:
+    """The cells of a CSV pcqed wrote, one list per line; every line must end in CRLF."""
+    data = Path(path).read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+    return [line.split(",") for line in data.decode().split("\r\n")[:-1]]
 
 
 def generic_family(velocity: float = 433.0, zeta: float = 0.0) -> GenericProfileParams:

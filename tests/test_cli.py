@@ -1,4 +1,3 @@
-import csv
 import inspect
 import json
 import math
@@ -10,10 +9,10 @@ import numpy as np
 import pytest
 
 import pcqed
-from pcqed import ConvergenceError, cli
+from pcqed import ConvergenceError, cli, scaled_pair
 from pcqed.cli import example_config_path, main
 
-from conftest import LATTICE_GENERIC, OMEGA0_GENERIC
+from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, csv_rows
 
 
 def run(args):
@@ -46,9 +45,7 @@ def write_config(tmp_path, name, config):
 
 
 def final_probabilities(csv_path):
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
-    return [float(x) for x in rows[-1][1:4]]
+    return [float(x) for x in csv_rows(csv_path)[-1][1:4]]
 
 
 class TestEvolve:
@@ -98,17 +95,19 @@ class TestEvolve:
         assert (out1 / "cfg_ode.csv").read_bytes() == (out2 / "cfg_ode.csv").read_bytes()
 
     def test_json_format(self, tmp_path):
-        path = write_config(tmp_path, "cfg", generic_config(engine="analytic"))
-        assert run(["evolve", "--config", path, "--out", tmp_path, "--format", "json"]) == 0
-        doc = json.loads((tmp_path / "cfg_analytic.json").read_text())
-        assert doc["basis"] == ["100", "010", "001"]
-        assert doc["probabilities"]["100"][0] == pytest.approx(1.0)
-
-    def test_engine_flag_overrides_config(self, tmp_path):
-        path = write_config(tmp_path, "cfg", generic_config(engine="both"))
-        assert run(["evolve", "--config", path, "--out", tmp_path, "--engine", "analytic"]) == 0
-        assert (tmp_path / "cfg_analytic.csv").exists()
-        assert not (tmp_path / "cfg_ode.csv").exists()
+        # the JSON and the CSV of one run carry the same floats, probabilities included
+        config = example_config_path("entangler_generic")  # engine: both
+        assert run(["evolve", "--config", config, "--out", tmp_path / "csv"]) == 0
+        assert run(["evolve", "--config", config, "--out", tmp_path / "json", "--format", "json"]) == 0
+        for engine in ("analytic", "ode"):
+            doc = json.loads((tmp_path / "json" / f"entangler_generic_{engine}.json").read_text())
+            data = np.array(csv_rows(tmp_path / "csv" / f"entangler_generic_{engine}.csv")[1:], dtype=float)
+            assert doc["basis"] == ["100", "010", "001"]
+            assert doc["probabilities"]["100"][0] == pytest.approx(1.0)
+            assert doc["times_s"] == data[:, 0].tolist()
+            assert [doc["probabilities"][label] for label in doc["basis"]] == data[:, 1:4].T.tolist()
+            assert doc["amplitudes_re"] == data[:, 4::2].tolist()
+            assert doc["amplitudes_im"] == data[:, 5::2].tolist()
 
     def test_svg_emission(self, tmp_path):
         path = write_config(tmp_path, "cfg", generic_config(engine="ode", svg=True, n_points=200))
@@ -162,12 +161,18 @@ class TestFieldStats:
 
 class TestProfile:
     def test_bundled_trace_peaks(self, tmp_path):
-        code = run(["profile", "--config", example_config_path("profile_generic"), "--out", tmp_path])
-        assert code == 0
-        with open(tmp_path / "profile_generic_profile.csv") as fh:
-            rows = list(csv.reader(fh))
+        path = example_config_path("profile_generic")
+        assert run(["profile", "--config", path, "--out", tmp_path]) == 0
+        rows = csv_rows(tmp_path / "profile_generic_profile.csv")
         assert rows[0] == ["time_s", "coupling_a_rad_per_s", "coupling_b_rad_per_s"]
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
+        data = np.array(rows[1:], dtype=float)
+        # every float reads back bit-identical
+        config = cli._load_config(str(path), "profile")
+        profile = cli._profile_from_config(config)
+        times = np.linspace(*profile.window, config["n_samples"])
+        np.testing.assert_array_equal(data[:, 0], times)
+        np.testing.assert_array_equal(data[:, 1], profile(times))
+        np.testing.assert_array_equal(data[:, 2], scaled_pair(profile, config["p"])(times))
         # peaks up to the sampling stride of the exported trace
         assert float(np.max(np.abs(data[:, 1]))) == pytest.approx(OMEGA0_GENERIC, rel=0.01)
         assert float(np.max(np.abs(data[:, 2]))) == pytest.approx(0.414 * OMEGA0_GENERIC, rel=0.01)
@@ -179,7 +184,7 @@ class TestProfile:
         config = {k: v for k, v in field3d_config.items() if k not in ("initial", "engine", "svg")}
         path = write_config(tmp_path, "f3", config)
         assert run(["profile", "--config", path, "--out", tmp_path]) == 0
-        lines = (tmp_path / "f3_profile.csv").read_text().splitlines()
+        lines = [",".join(row) for row in csv_rows(tmp_path / "f3_profile.csv")]
         assert len(lines) == 1 + config["n_samples"]
         assert lines[0] == (
             "time_s,coupling_a_re_rad_per_s,coupling_a_im_rad_per_s,"
@@ -206,6 +211,25 @@ class TestProfile:
         assert run(["profile", "--config", write_config(tmp_path, "f3", config), "--out", tmp_path]) == 0
         lines = (tmp_path / "f3_profile.csv").read_text().splitlines()
         assert len(lines) - 1 == traces[0].times.size
+
+
+class TestScenarioRules:
+    """Rules on a config's scenario that its schema does not express."""
+
+    @pytest.mark.parametrize(
+        "scenario, drop, message",
+        [
+            ("generic", "profile", "generic scenarios need a 'profile' section"),
+            ("field3d", "path", "field scenarios need both 'field' and 'path' sections"),
+            ("field3d", "omega_cav", "field scenarios need 'omega_cav'"),
+            ("field3d", "g0", "field scenarios need 'g0' or 'dipole_moment'"),
+        ],
+    )
+    def test_missing_section_exits_2(self, tmp_path, capsys, field3d_config, scenario, drop, message):
+        base = generic_config() if scenario == "generic" else field3d_config
+        config = {k: v for k, v in base.items() if k != drop}
+        assert run(["evolve", "--config", write_config(tmp_path, "cfg", config), "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestSweepCommand:

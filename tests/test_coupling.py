@@ -16,7 +16,7 @@ from pcqed import (
 )
 from pcqed.coupling import ScaledProfile, TraceMagnitude, exact_area
 
-from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, generic_family
+from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, csv_rows, generic_family
 
 
 def simpson_oracle(f, a, b, n_start=4096, max_doublings=8, tol=1e-12):
@@ -168,10 +168,14 @@ class TestCouplingTrace:
             CouplingTrace([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_csv_round_trip_real(self, tmp_path):
-        trace = CouplingTrace([0.0, 1e-9, 2e-9], [1.0e6, -2.0e6, 0.5e6])
-        back = trace_from_csv(trace_to_csv(trace, tmp_path / "t.csv"))
-        np.testing.assert_array_equal(back.times, trace.times)
-        np.testing.assert_array_equal(back.values, trace.values)
+        for velocity in (None, 433.1):
+            trace = CouplingTrace([0.0, 1e-9, 2e-9], [1.0e6, -2.0e6, 0.5e6], velocity=velocity)
+            path = trace_to_csv(trace, tmp_path / "t.csv")
+            assert len(csv_rows(path)) == 4 + (velocity is not None)
+            back = trace_from_csv(path)
+            assert back.velocity == velocity
+            np.testing.assert_array_equal(back.times, trace.times)
+            np.testing.assert_array_equal(back.values, trace.values)
 
     def test_csv_without_velocity_keeps_its_format(self, tmp_path):
         trace = CouplingTrace([0.0, 1e-9, 2e-9], [1.0e6, -2.0e6, 0.5e6])
@@ -186,15 +190,22 @@ class TestCouplingTrace:
         profile = GenericProfile(fig_family)
         times = np.linspace(*profile.window, 2001)
         trace = CouplingTrace(times, profile(times) * np.exp(0.3j), velocity=433.0)
-        back = trace_from_csv(trace_to_csv(trace, tmp_path / "t.csv"))
+        path = trace_to_csv(trace, tmp_path / "t.csv")
+        assert csv_rows(path)[0] == ["# velocity_m_per_s=433"]
+        back = trace_from_csv(path)
         assert back.velocity == 433.0
         np.testing.assert_array_equal(back.values, trace.values)
         assert calibrate_velocity(back, 1.0, "NOT") == calibrate_velocity(trace, 1.0, "NOT")
 
     def test_csv_round_trip_complex(self, tmp_path):
-        trace = CouplingTrace([0.0, 1e-9], [1e6 + 2e6j, -3e6 + 0.5e6j])
-        back = trace_from_csv(trace_to_csv(trace, tmp_path / "t.csv"))
-        np.testing.assert_array_equal(back.values, trace.values)
+        for velocity in (None, 433.1):
+            trace = CouplingTrace([0.0, 1e-9], [1e6 + 2e6j, -3e6 + 0.5e6j / 3], velocity=velocity)
+            path = trace_to_csv(trace, tmp_path / "t.csv")
+            assert len(csv_rows(path)) == 3 + (velocity is not None)
+            back = trace_from_csv(path)
+            assert back.velocity == velocity
+            np.testing.assert_array_equal(back.times, trace.times)
+            np.testing.assert_array_equal(back.values, trace.values)
 
     def test_interpolation_outside_is_zero(self):
         trace = CouplingTrace([1.0, 2.0], [5.0, 5.0])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -391,6 +392,8 @@ def test_analytic_engine_runs_no_ode(monkeypatch, tmp_path):
     assert report.classified_label == "SWAP"
     assert report.fidelities["11"] == pytest.approx(((2 + math.cos(math.sqrt(3) * math.pi)) / 3) ** 2,
                                                     abs=1e-9)
-    config = example_config_path("entangler_generic")
-    assert main(["evolve", "--config", str(config), "--out", str(tmp_path), "--engine", "analytic"]) == 0
+    config = json.loads(example_config_path("entangler_generic").read_text())
+    path = tmp_path / "entangler_generic.json"
+    path.write_text(json.dumps({**config, "engine": "analytic"}))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "entangler_generic_analytic.csv").exists()

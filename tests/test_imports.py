@@ -47,9 +47,9 @@ def scipy_modules(modules: set[str]) -> list[str]:
     return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
 
 
-def run_main(command: str, config: str, tmp_path: Path, *flags: str) -> str:
+def run_main(command: str, config: str, tmp_path: Path) -> str:
     """Code that runs ``pcqed <command>`` on a bundled config and checks its exit code."""
-    argv = [command, "--config", str(cli.example_config_path(config)), "--out", str(tmp_path), *flags]
+    argv = [command, "--config", str(cli.example_config_path(config)), "--out", str(tmp_path)]
     return f"from pcqed.cli import main; assert main({argv!r}) == 0"
 
 
@@ -73,7 +73,7 @@ def test_analytic_command_loads_no_scipy(command, config, tmp_path):
 
 def test_ode_engine_loads_scipy(tmp_path):
     """Control: the check above can fail, because the ODE engine does load scipy."""
-    code = run_main("evolve", "entangler_generic", tmp_path, "--engine", "both")
+    code = run_main("evolve", "entangler_generic", tmp_path)  # engine: both
     assert "scipy.integrate" in loaded_modules(code, tmp_path)
 
 

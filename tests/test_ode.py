@@ -23,7 +23,7 @@ from pcqed import (
     two_excitation_unitary,
 )
 
-from conftest import generic_family
+from conftest import csv_rows, generic_family
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +491,16 @@ class TestTrajectoryExport:
             n_points=50,
         )
         path = trajectory_to_csv(traj, tmp_path / "traj.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == (
+        rows = csv_rows(path)
+        assert ",".join(rows[0]) == (
             "time_s,prob_100,prob_010,prob_001,"
             "re_100,im_100,re_010,im_010,re_001,im_001"
         )
-        assert len(lines) == 51
-        first = [float(x) for x in lines[1].split(",")]
-        assert first[1] == pytest.approx(1.0)
+        assert len(rows) == 51
+        # every float reads back bit-identical
+        data = np.array(rows[1:], dtype=float)
+        np.testing.assert_array_equal(data[:, 0], traj.times)
+        np.testing.assert_array_equal(data[:, 1:4], traj.probabilities())
+        np.testing.assert_array_equal(data[:, 4::2], traj.amplitudes.real)
+        np.testing.assert_array_equal(data[:, 5::2], traj.amplitudes.imag)
+        assert data[0, 1] == pytest.approx(1.0)

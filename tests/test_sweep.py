@@ -14,7 +14,7 @@ from pcqed import (
     surfaces_to_csv,
 )
 
-from conftest import generic_family
+from conftest import csv_rows, generic_family
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +137,12 @@ class TestSlice:
 class TestExport:
     def test_csv_layout(self, tmp_path, small_grid):
         path_a, path_b = surfaces_to_csv(small_grid, tmp_path, "surf")
-        lines = path_a.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        assert header[0] == "v_m_per_s"
-        assert len(header) == 1 + small_grid.p_values.size
-        assert len(lines) == 1 + small_grid.v_values.size
-        first = lines[1].split(",")
-        assert float(first[0]) == small_grid.v_values[0]
-        assert float(first[1]) == small_grid.a_surface[0, 0]
         assert path_b.name == "surf_b.csv"
+        for path, surf in ((path_a, small_grid.a_surface), (path_b, small_grid.b_surface)):
+            header, *rows = csv_rows(path)
+            assert header[0] == "v_m_per_s"
+            # every float, in the header and the rows, reads back bit-identical
+            np.testing.assert_array_equal(np.array(header[1:], dtype=float), small_grid.p_values)
+            data = np.array(rows, dtype=float)
+            np.testing.assert_array_equal(data[:, 0], small_grid.v_values)
+            np.testing.assert_array_equal(data[:, 1:], surf)
