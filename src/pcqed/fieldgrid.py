@@ -12,6 +12,7 @@ dielectric rods in air).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -191,29 +192,43 @@ def polarization_fraction(grid: FieldGrid, plane_index: int) -> float:
 
 
 def _interpolators(grid: FieldGrid):
-    """Linear interpolators for the coupling component of the field.
+    """Linear interpolator for the coupling component of the field.
 
     Scalar grids interpolate the scalar field; 3-component grids interpolate
     E_z (the TM component that couples to the dipole).  Degenerate axes
-    (length 1) are dropped from the interpolation.
+    (length 1) are dropped from the interpolation.  The arithmetic is that
+    of scipy's ``RegularGridInterpolator`` (method "linear"), real and
+    imaginary parts apart: on each axis the cell index i with g[i] < q <=
+    g[i+1], clipped to the first and last cells, and the distance
+    (q - g[i]) / (g[i+1] - g[i]); then the values at the cell's corners
+    times their weights, summed corner by corner in ``itertools.product``
+    order, each weight multiplied up from 1 axis by axis.
     """
-    from scipy.interpolate import RegularGridInterpolator  # imported here: only sampling needs scipy
-
     values = grid.field if grid.components == 1 else grid.field[..., 2]
     axes = [grid.axis_centers(k) for k in range(3)]
     live = [k for k in range(3) if grid.dims[k] > 1]
-    pts = tuple(axes[k] for k in live)
     squeezed = values.reshape([grid.dims[k] for k in live]) if live else values
-    interp_re = RegularGridInterpolator(pts, squeezed.real)
-    interp_im = RegularGridInterpolator(pts, squeezed.imag)
+    parts = (squeezed.real, squeezed.imag)
 
     def sample(positions: np.ndarray) -> np.ndarray:
-        # Clamp to the cell-center hull: linear interpolation then never
-        # exceeds the sampled extrema.
-        q = positions[:, live].copy()
-        for col, k in enumerate(live):
-            q[:, col] = np.clip(q[:, col], axes[k][0], axes[k][-1])
-        return interp_re(q) + 1j * interp_im(q)
+        corners = []  # per axis, the lower and upper (index, weight)
+        for k in live:
+            g = axes[k]
+            # Clamp to the cell-center hull: linear interpolation then never
+            # exceeds the sampled extrema.
+            q = np.clip(positions[:, k], g[0], g[-1])
+            i = np.clip(np.searchsorted(g, q, side="left") - 1, 0, g.size - 2)
+            d = (q - g[i]) / (g[i + 1] - g[i])
+            corners.append(((i, 1 - d), (i + 1, d)))
+        re, im = 0.0, 0.0
+        for corner in itertools.product(*corners):
+            index, weights = zip(*corner)
+            weight = 1.0
+            for w in weights:
+                weight = weight * w
+            re = re + parts[0][index] * weight
+            im = im + parts[1][index] * weight
+        return re + 1j * im
 
     return sample
 

@@ -7,12 +7,14 @@ non-proportional and complex, couplings.  Subspaces with zero, one, and two
 total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 
-DOP853 assumes a smooth right-hand side; a step across a jump in a
-derivative of the drive loses its order and its error estimate.  The drives
-of :mod:`pcqed.coupling` report such breakpoints, and :func:`evolve` and
-:func:`final_states` step span by span between them (Hairer, Norsett &
-Wanner, Solving Ordinary Differential Equations I, sec. II.6) through one
-private driver.  Any other callable integrates as one span.
+The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
+complex scalars.  DOP853 assumes a smooth right-hand side; a step across a
+jump in a derivative of the drive loses its order and its error estimate.
+The drives of :mod:`pcqed.coupling` report such breakpoints, and
+:func:`evolve` and :func:`final_states` step span by span between them
+(Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
+sec. II.6) through one private integration loop.  Any other callable
+integrates as one span.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .core import AmplitudeVector, ConvergenceError, SubspaceHamiltonian, build_subspace, write_csv
 from .coupling import drive_from_profile, drive_pair
+from .dop853 import DOP853
 
 __all__ = [
     "SubspaceHamiltonian",
@@ -122,15 +125,15 @@ def evolve(
     amplitudes[0] = psi0.amplitudes
     filled = 1
 
-    def sample(solver) -> None:
+    def sample(solver: DOP853) -> None:
         nonlocal filled
         done = int(np.searchsorted(times, solver.t, side="right"))
         if done > filled:
-            amplitudes[filled:done] = solver.dense_output()(times[filled:done]).T
+            amplitudes[filled:done] = solver.dense_output(times[filled:done].tolist())
             filled = done
 
     solver, n_steps, n_spans = _integrate(
-        h.couplings, g_a, g_b, psi0.amplitudes, t0, t1, rtol, atol, sample
+        h.couplings, g_a, g_b, psi0.amplitudes, t0, t1, rtol, atol, on_step=sample
     )
     diagnostics = {
         "nfev": solver.nfev,
@@ -162,31 +165,39 @@ def final_states(
     :func:`evolve` does; the no-excitation state |000> is exactly invariant
     and is returned unintegrated.  Each block's coupling table is the one of
     :func:`pcqed.core.build_subspace`, shifted to the block's offset.  The
-    step control is shared: scipy's error norm is a root mean square over
-    every stacked component, so a state's result may differ from its own
-    :func:`evolve` run in the last digits the tolerances allow.  Returns the
+    steps are shared, but the error norm is taken block by block and the
+    largest one sets the step, so a block that barely moves does not loosen
+    the control of the others; a state's result may still differ from its
+    own :func:`evolve` run in the last digits the tolerances allow, since
+    the blocks stacked with it may force shorter steps.  Returns the
     final states in the order given.  Raises ValueError on an empty list and
     ConvergenceError, carrying the failure time, as :func:`evolve` does.
     """
     if not states:
         raise ValueError("need at least one initial state")
     _check_window(t0, t1, rtol, atol)
-    # The interaction annihilates |000>: it is returned as it is, since its
-    # constant amplitude in the stack would only dilute the error norm.
+    # The interaction annihilates |000>: it is returned as it is.
+    couplings, blocks = _stack(states)
+    if not blocks:
+        return list(states)
+    y0 = np.concatenate([states[i].amplitudes for i in blocks])
+    y1 = _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=blocks.values())[0].y
+    return [AmplitudeVector(psi.n_excitations, psi.basis_labels, y1[slice(*blocks[i])])
+            if i in blocks else psi for i, psi in enumerate(states)]
+
+
+def _stack(states: list[AmplitudeVector]) -> tuple[list, dict[int, tuple[int, int]]]:
+    """The block-diagonal coupling table of the states that carry an
+    excitation, and each one's (start, stop) range in the stack, by index."""
     couplings, blocks, offset = [], {}, 0
     for i, psi in enumerate(states):
         if psi.n_excitations > 0:
             h = build_subspace(psi.n_excitations)
             couplings += [(row + offset, col + offset, atom, factor)
                           for row, col, atom, factor in h.couplings]
-            blocks[i] = slice(offset, offset + h.dim)
+            blocks[i] = (offset, offset + h.dim)
             offset += h.dim
-    if not blocks:
-        return list(states)
-    y0 = np.concatenate([states[i].amplitudes for i in blocks])
-    y1 = _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol)[0].y
-    return [AmplitudeVector(psi.n_excitations, psi.basis_labels, y1[blocks[i]]) if i in blocks
-            else psi for i, psi in enumerate(states)]
+    return couplings, blocks
 
 
 def _check_window(t0: float, t1: float, rtol: float, atol: float) -> None:
@@ -196,58 +207,46 @@ def _check_window(t0: float, t1: float, rtol: float, atol: float) -> None:
         raise ValueError("tolerances must be positive")
 
 
-def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, on_step=None):
+def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, on_step=None):
     """Run one DOP853 from y0 at t0 to t1, span by span between breakpoints.
 
     The right-hand side is -i H(t) y with H read from ``couplings``, entries
-    (row, col, atom, factor) over the components of y.  on_step, if given,
-    is called with the solver after every accepted step.  Returns the
+    (row, col, atom, factor) over the components of y; ``blocks`` are the
+    (start, stop) ranges the solver takes its norms over apart.  on_step, if
+    given, is called with the solver after every accepted step.  Returns the
     solver, the number of accepted steps and the number of spans.
     """
-    from scipy.integrate import DOP853  # imported here: only the ODE engine needs scipy
-
-    # scipy's solvers sit in a reference cycle, freed only by the cyclic
-    # collector; the drives (and the sample lists a trace's drive caches) are
-    # let go of when integration ends, so the cycle holds no more than the
-    # solver's own arrays.
-    drives = [getattr(g_a, "at", g_a), getattr(g_b, "at", g_b)]
+    drives = (getattr(g_a, "at", g_a), getattr(g_b, "at", g_b))
+    table = [(row, col, atom, -1j * factor) for row, col, atom, factor in couplings]
     dim = len(y0)
 
-    def rhs(t: float, psi: np.ndarray) -> np.ndarray:
-        t = float(t)  # the solver's times are numpy scalars; the drives run on floats
+    def rhs(t: float, psi: list) -> list:
         g = (drives[0](t), drives[1](t))
         if not (cmath.isfinite(g[0]) and cmath.isfinite(g[1])):
-            # DOP853 loops forever on NaN error norms; fail fast instead.
+            # The step control would shrink the step to nothing on NaN; fail fast.
             raise ConvergenceError(f"non-finite coupling at t={t:g}", t=t)
-        amps = psi.tolist()
         out = [0j] * dim
-        for row, col, atom, factor in couplings:
-            c = -1j * factor * g[atom]  # -i H[row, col]; -i H[col, row] = -conj(c)
-            out[row] += c * amps[col]
-            out[col] -= c.conjugate() * amps[row]
-        return np.array(out)
+        for row, col, atom, c in table:
+            c *= g[atom]  # -i H[row, col]; -i H[col, row] = -conj(c)
+            out[row] += c * psi[col]
+            out[col] -= c.conjugate() * psi[row]
+        return out
 
-    bounds = [*_breakpoints((g_a, g_b), t0, t1), t1]
+    bounds = [*_breakpoints((g_a, g_b), t0, t1), float(t1)]
+    solver = DOP853(rhs, float(t0), np.asarray(y0, dtype=complex).tolist(), bounds[0],
+                    rtol, atol, blocks)
     n_steps = 0
-    try:
-        solver = DOP853(rhs, t0, y0, bounds[0], rtol=rtol, atol=atol)
-        # DOP853 is a one-step method whose first stage reuses f at the
-        # step's end.  The state and f are continuous across a kink of the
-        # drive, so moving the solver's bound to the next breakpoint and
-        # stepping on is a restart there that keeps the last proposed step.
-        for bound in bounds:
-            solver.t_bound, solver.status = bound, "running"
-            while solver.status == "running":
-                message = solver.step()
-                if solver.status == "failed":
-                    raise ConvergenceError(
-                        f"integration failed at t={solver.t:g}: {message}", t=solver.t
-                    )
-                n_steps += 1
-                if on_step is not None:
-                    on_step(solver)
-    finally:
-        drives.clear()
+    # DOP853 is a one-step method whose first stage reuses f at the step's
+    # end.  The state and f are continuous across a kink of the drive, so
+    # moving the solver's bound to the next breakpoint and stepping on is a
+    # restart there that keeps the last proposed step.
+    for bound in bounds:
+        solver.t_bound = bound
+        while solver.t < bound:
+            solver.step()
+            n_steps += 1
+            if on_step is not None:
+                on_step(solver)
     return solver, n_steps, len(bounds)
 
 

@@ -325,11 +325,15 @@ COMMAND_BY_PREFIX = (
 BUNDLED = sorted((Path(pcqed.__file__).parent / "configs").glob("*.json"))
 
 
+def command_of(config: Path) -> str:
+    return next(c for prefix, c in COMMAND_BY_PREFIX if config.stem.startswith(prefix))
+
+
 @pytest.mark.parametrize("config", BUNDLED, ids=lambda path: path.stem)
 def test_bundled_config_runs(config, tmp_path, monkeypatch, capsys):
     # Two runs from two directories into the same relative --out: every
     # written file and stdout match byte for byte, and stdout names each file.
-    command = next(c for prefix, c in COMMAND_BY_PREFIX if config.stem.startswith(prefix))
+    command = command_of(config)
     runs = []
     for name in ("a", "b"):
         work = tmp_path / name

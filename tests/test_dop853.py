@@ -1,0 +1,187 @@
+"""pcqed's DOP853 against its sources: the published tableau and scipy's solver.
+
+``scipy.integrate.DOP853`` is the reference the transcription follows: the
+same tableau and the same step control, so on the same problem both must
+take the same steps, call the right-hand side as often, and end in the same
+state to rounding.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from scipy.integrate import DOP853 as ScipyDOP853
+from scipy.integrate._ivp import dop853_coefficients as ref
+
+from pcqed import AmplitudeVector, GenericProfile, build_subspace, drive_pair, dop853, ode
+
+from conftest import generic_family
+
+
+def coefficient(prefix: str, row: int, col: int) -> float:
+    """dop853.f's coefficient ``<prefix><row><col>`` (1-based), or 0 if the
+    tableau leaves it out."""
+    return getattr(dop853, f"{prefix}{row}{col}", 0.0)
+
+
+def tableau():
+    """(C, A, B, E3, E5, D) in the layout of scipy's dop853_coefficients."""
+    n = ref.N_STAGES_EXTENDED
+    c = np.array([0.0] + [getattr(dop853, f"C{i}", 1.0) for i in range(2, n + 1)])
+    a = np.zeros((n, n))
+    for row in range(2, n + 1):
+        for col in range(1, row):
+            a[row - 1, col - 1] = coefficient("A", row, col)
+    b = np.array([getattr(dop853, f"B{i}", 0.0) for i in range(1, ref.N_STAGES + 1)])
+    a[ref.N_STAGES, :ref.N_STAGES] = b  # stage 13, f at the step's end, is taken at y_new
+    e3 = np.append(b, 0.0)
+    e3[[0, 8, 11]] -= [dop853.BHH1, dop853.BHH2, dop853.BHH3]
+    e5 = np.array([getattr(dop853, f"ER{i}", 0.0) for i in range(1, ref.N_STAGES + 2)])
+    d = np.array([[coefficient("D", row, col) for col in range(1, n + 1)] for row in range(4, 8)])
+    return c, a, b, e3, e5, d
+
+
+class TestTableau:
+    def test_equals_scipy_coefficients(self):
+        c, a, b, e3, e5, d = tableau()
+        np.testing.assert_array_equal(c, ref.C)
+        np.testing.assert_array_equal(a, ref.A)
+        np.testing.assert_array_equal(b, ref.B)
+        np.testing.assert_array_equal(e3, ref.E3)
+        np.testing.assert_array_equal(e5, ref.E5)
+        np.testing.assert_array_equal(d, ref.D)
+
+    def test_every_named_coefficient_is_in_the_tableau(self):
+        # a misnamed constant would read as a zero in the layout above
+        names = {name for name in vars(dop853) if re.fullmatch(r"(A|B|C|D|ER|BHH|E3)\d+", name)}
+        n = ref.N_STAGES_EXTENDED
+        laid_out = ({f"C{i}" for i in range(2, n + 1)}
+                    | {f"A{r}{c}" for r in range(2, n + 1) for c in range(1, r)}
+                    | {f"B{i}" for i in range(1, 13)} | {f"ER{i}" for i in range(1, 14)}
+                    | {f"D{r}{c}" for r in range(4, 8) for c in range(1, n + 1)}
+                    | {"BHH1", "BHH2", "BHH3", "E31", "E39", "E312"})
+        assert names <= laid_out
+
+    def test_row_sums_are_the_nodes(self):
+        c, a, _, _, _, _ = tableau()
+        np.testing.assert_allclose(a.sum(axis=1), c, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_weights_meet_the_quadrature_conditions(self, k):
+        c, _, b, _, _, _ = tableau()
+        assert np.sum(b * c[:ref.N_STAGES] ** (k - 1)) == pytest.approx(1 / k, rel=0, abs=1e-14)
+
+    def test_order3_estimator_is_b_less_bhh(self):
+        assert dop853.E31 == dop853.B1 - dop853.BHH1
+        assert dop853.E39 == dop853.B9 - dop853.BHH2
+        assert dop853.E312 == dop853.B12 - dop853.BHH3
+
+
+def run_both(couplings, g_a, g_b, y0, t0, t1, sample_at=()):
+    """pcqed's integration loop and scipy's DOP853 on the same right-hand side
+    and spans.
+
+    Returns, for each, the times of the accepted steps, nfev, the final state
+    and the dense output at ``sample_at`` (each time read from the step that
+    first reaches it).
+    """
+    mine_t, mine_dense = [], []
+
+    def record(solver):
+        mine_t.append(solver.t)
+        for s in sample_at:
+            if solver.t_old < s <= solver.t:
+                mine_dense.append(solver.dense_output([s])[0])
+
+    solver, n_steps, _ = ode._integrate(couplings, g_a, g_b, y0, t0, t1, ode.DEFAULT_RTOL,
+                                        ode.DEFAULT_ATOL, on_step=record)
+    assert n_steps == len(mine_t)
+    mine = (mine_t, solver.nfev, np.array(solver.y), np.array(mine_dense))
+
+    fun = solver.fun  # the same right-hand side, on arrays
+    bounds = [*ode._breakpoints((g_a, g_b), t0, t1), t1]
+    theirs = ScipyDOP853(lambda t, y: np.array(fun(float(t), y.tolist())), t0, np.asarray(y0),
+                         bounds[0], rtol=ode.DEFAULT_RTOL, atol=ode.DEFAULT_ATOL)
+    their_t, their_dense = [], []
+    for bound in bounds:
+        theirs.t_bound, theirs.status = bound, "running"
+        while theirs.status == "running":
+            theirs.step()
+            assert theirs.status != "failed"
+            their_t.append(float(theirs.t))
+            for s in sample_at:
+                if theirs.t_old < s <= theirs.t:
+                    their_dense.append(theirs.dense_output()(s))
+    # scipy runs the three extra stages on every dense_output() call, pcqed
+    # once per step: nfev agrees while the sampled points sit in distinct steps.
+    return mine, (their_t, theirs.nfev, theirs.y, np.array(their_dense))
+
+
+class TestScipyParity:
+    def test_generic_drive(self):
+        profile = GenericProfile(generic_family(velocity=433.0))
+        g_a, g_b, _ = drive_pair(profile, 0.414)
+        t0, t1 = profile.window
+        y0 = AmplitudeVector.basis_state("100").amplitudes
+        check_same_steps(build_subspace(1).couplings, g_a, g_b, y0, t0, t1,
+                         sample_at=np.linspace(t0, t1, 7)[1:])
+
+    def test_bundled_field3d_trace(self, field3d_trace, field3d_config):
+        g_a, g_b, _ = drive_pair(field3d_trace, field3d_config["p"])
+        t0, t1 = field3d_trace.window
+        y0 = AmplitudeVector.basis_state("010").amplitudes
+        check_same_steps(build_subspace(1).couplings, g_a, g_b, y0, t0, t1,
+                         sample_at=np.linspace(t0, t1, 5)[1:])
+
+    def test_four_state_stack(self):
+        # One block over the stack, so the norms are scipy's (final_states
+        # takes them block by block).  Beyond three components numpy sums
+        # scipy's stage and error dot products in BLAS order, not in the
+        # order of the transcription; in components at the atol floor the
+        # step control amplifies that rounding, so the steps agree in number
+        # and place only closely and the states to rounding.
+        states = [AmplitudeVector.basis_state(label) for label in ("100", "010", "110", "000")]
+        couplings, blocks = ode._stack(states)
+        profile = GenericProfile(generic_family(velocity=433.0))
+        g_a, g_b, _ = drive_pair(profile, 0.414)
+        y0 = np.concatenate([states[i].amplitudes for i in blocks])
+        (mine_t, mine_nfev, mine_y, _), (their_t, their_nfev, their_y, _) = run_both(
+            couplings, g_a, g_b, y0, *profile.window)
+        assert len(y0) == 10
+        assert len(mine_t) == pytest.approx(len(their_t), rel=0.01)
+        assert mine_nfev == pytest.approx(their_nfev, rel=0.02)
+        assert np.max(np.abs(mine_y - their_y)) <= 1e-12
+
+
+def check_same_steps(couplings, g_a, g_b, y0, t0, t1, sample_at=()):
+    """On up to three components the arithmetic is scipy's to the last bit
+    but for the summation order of the norms: the same steps, nfev and, to
+    rounding, states."""
+    (mine_t, mine_nfev, mine_y, mine_d), (their_t, their_nfev, their_y, their_d) = run_both(
+        couplings, g_a, g_b, y0, t0, t1, sample_at)
+    assert len(mine_t) == len(their_t)
+    np.testing.assert_allclose(mine_t, their_t, rtol=1e-13, atol=0)
+    assert mine_nfev == their_nfev
+    assert np.max(np.abs(mine_y - their_y)) <= 1e-13
+    assert np.max(np.abs(mine_d - their_d)) <= 1e-13
+
+
+class TestSolver:
+    def test_nfev_counts_every_call(self):
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return [-1j * v for v in y]
+
+        solver = dop853.DOP853(fun, 0.0, [1 + 0j], 10.0, 1e-9, 1e-11)
+        while solver.t < 10.0:
+            solver.step()
+        solver.dense_output([9.9, 10.0])
+        solver.dense_output([9.95])  # the interpolant is built once per step
+        assert solver.nfev == len(calls)
+        assert abs(solver.y[0] - np.exp(-10j)) <= 1e-8
+
+    def test_empty_span_rejected(self):
+        with pytest.raises(ValueError, match="t0 < t_bound"):
+            dop853.DOP853(lambda t, y: y, 1.0, [1 + 0j], 1.0, 1e-9, 1e-11)

@@ -1,9 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 
 from pcqed import (
     CavityParams,
@@ -19,6 +21,8 @@ from pcqed import (
     pulse_area,
     synthesize_mode,
 )
+from pcqed import fieldgrid
+from pcqed.cli import example_config_path
 
 from conftest import LATTICE_2D, LATTICE_3D, OMEGA_MM
 
@@ -323,3 +327,49 @@ class TestCouplingTraceFromField:
         assert trace.times[0] == pytest.approx(0.0)
         assert trace.times[-1] == pytest.approx(path.length / velocity, rel=1e-12)
         assert trace.velocity == velocity
+
+
+def rgi_sampler(grid):
+    """The field sampler on scipy's RegularGridInterpolator: the reference
+    whose arithmetic ``fieldgrid._interpolators`` keeps."""
+    values = grid.field if grid.components == 1 else grid.field[..., 2]
+    axes = [grid.axis_centers(k) for k in range(3)]
+    live = [k for k in range(3) if grid.dims[k] > 1]
+    squeezed = values.reshape([grid.dims[k] for k in live])
+    pts = tuple(axes[k] for k in live)
+    interp_re = RegularGridInterpolator(pts, squeezed.real)
+    interp_im = RegularGridInterpolator(pts, squeezed.imag)
+
+    def sample(positions):
+        q = np.column_stack([np.clip(positions[:, k], axes[k][0], axes[k][-1]) for k in live])
+        return interp_re(q) + 1j * interp_im(q)
+
+    return sample
+
+
+def bundled_grid(name):
+    f = json.loads(example_config_path(name).read_text())["field"]
+    return synthesize_mode(f["kind"], f["lattice_const"], f["decay_radius"], tuple(f["dims"]),
+                           tuple(f["spacing"]))
+
+
+class TestSampler:
+    @pytest.mark.parametrize("grid", [
+        pytest.param(lambda: square_grid_2d(49, 12.625 * LATTICE_2D), id="cavity2d-49"),
+        pytest.param(lambda: bundled_grid("field2d_stats"), id="cavity2d-101"),
+        pytest.param(lambda: bundled_grid("field3d_stats"), id="cavity3d-49x49x25"),
+    ])
+    def test_bit_identical_to_regular_grid_interpolator(self, grid):
+        grid = grid()
+        mine, ref = fieldgrid._interpolators(grid), rgi_sampler(grid)
+        lo, hi = grid.bounds
+        rng = np.random.default_rng(2001)
+        centres = [grid.axis_centers(k) for k in range(3)]
+        for _ in range(30):
+            a, b = lo + rng.random(3) * (hi - lo), lo + rng.random(3) * (hi - lo)
+            positions = a + np.linspace(0.0, 1.0, 2001)[:, None] * (b - a)
+            for k in range(3):  # grid nodes on one axis, on several where rows repeat
+                positions[rng.integers(0, 2001, 100), k] = rng.choice(centres[k], 100)
+            positions[:4] = [lo - 1.0, hi + 1.0, lo, [c[-1] for c in centres]]
+            got, want = mine(positions), ref(positions)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

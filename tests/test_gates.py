@@ -213,16 +213,14 @@ class TestTruthTable:
     def test_ode_engine_integrates_once(self, monkeypatch, target, p):
         # every input the report reads comes from one stacked DOP853 run,
         # which stays within 1e-8 of the closed forms at default tolerances
-        import scipy.integrate
-
         built = []
-        real = scipy.integrate.DOP853
+        real = pcqed.ode.DOP853
 
         def counting(*args, **kwargs):
             built.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.integrate, "DOP853", counting)
+        monkeypatch.setattr(pcqed.ode, "DOP853", counting)
         settings = settings_for(target, p, 433.0)
         ode = truth_table(settings, "ode")
         assert len(built) == 1

@@ -1,7 +1,8 @@
 """What a fresh pcqed process imports.
 
-scipy serves only the ODE engine and field-trace sampling, so the analytic
-commands must start without it.
+pcqed's runtime needs numpy and jsonschema only: the ODE engine runs its own
+DOP853 and field traces are sampled by its own multilinear interpolation, so
+no command loads scipy (a test-only dependency).
 Each check runs a fresh interpreter, because this test process has loaded
 scipy long before.
 """
@@ -17,6 +18,7 @@ import pytest
 
 import pcqed
 from pcqed import cli
+from test_cli import BUNDLED, command_of
 
 PACKAGE = Path(pcqed.__file__).parent
 
@@ -71,10 +73,11 @@ def test_analytic_command_loads_no_scipy(command, config, tmp_path):
     assert scipy_modules(loaded_modules(run_main(command, config, tmp_path), tmp_path)) == []
 
 
-def test_ode_engine_loads_scipy(tmp_path):
-    """Control: the check above can fail, because the ODE engine does load scipy."""
-    code = run_main("evolve", "entangler_generic", tmp_path)  # engine: both
-    assert "scipy.integrate" in loaded_modules(code, tmp_path)
+def test_bundled_configs_load_no_scipy(tmp_path):
+    """Every bundled config, the ODE engine and trace sampling included, run
+    one after the other in one fresh interpreter."""
+    code = "; ".join(run_main(command_of(config), config.stem, tmp_path) for config in BUNDLED)
+    assert scipy_modules(loaded_modules(code, tmp_path)) == []
 
 
 def test_cli_import_loads_what_the_benchmark_probes(tmp_path):

@@ -22,6 +22,7 @@ from pcqed import (
     two_excitation_return,
     two_excitation_unitary,
 )
+from pcqed.gates import calibrate_velocity
 
 from conftest import csv_rows, generic_family
 
@@ -413,6 +414,20 @@ class TestFinalStates:
     @pytest.mark.parametrize("batch", BATCHES[:2], ids="-".join)
     def test_bundled_field3d_trace(self, field3d_trace, field3d_config, batch):
         check_batch(field3d_trace, field3d_config["p"], batch)
+
+    def test_stationary_block_leaves_the_others_alone(self):
+        # Z at p = 0: atom B is not driven, so |010> does not move.  The step
+        # control takes the largest block norm, so stacking it changes no step
+        # and |100> comes out bit for bit as when integrated alone.
+        family = generic_family()
+        profile = GenericProfile(family.replace_velocity(calibrate_velocity(family, 0.0, "Z")))
+        drive_a, drive_b, _ = drive_pair(profile, 0.0)
+        rail_a, rail_b = (AmplitudeVector.basis_state(label) for label in ("100", "010"))
+        (alone,) = final_states(drive_a, drive_b, [rail_a], *profile.window)
+        stacked = final_states(drive_a, drive_b, [rail_a, rail_b], *profile.window)
+        np.testing.assert_array_equal(stacked[1].amplitudes, rail_b.amplitudes)
+        np.testing.assert_array_equal(stacked[0].amplitudes, alone.amplitudes)
+        assert alone.amplitude("100").real < -0.99  # the excitation went round: Z's sign
 
     def test_nan_drive_fails_with_time(self):
         trace = CouplingTrace([0.0, 1e-9, 2e-9], [1e9, 2e9, 1e9])
