@@ -29,6 +29,7 @@ from .core import (
     ConvergenceError,
     AmplitudeVector,
     basis_labels,
+    g0_from_params,
     write_csv,
 )
 from .coupling import GenericProfile, GenericProfileParams, drive_pair, scaled_pair
@@ -201,7 +202,7 @@ SCHEMAS = {
         "properties": {
             "description": {"type": "string"},
             "family": _FAMILY_SCHEMA,
-            "v_range": {"type": "array", "items": _NUM_POS, "minItems": 2, "maxItems": 2},
+            "v_range": _V_BOUNDS,
             "p_range": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
             "resolution": {
                 "type": "array",
@@ -490,8 +491,6 @@ def _cmd_field_stats(config: dict, out: Path, stem: str, args) -> list[Path]:
         pol = 1.0
     g0 = None
     if "dipole_moment" in config and "omega_cav" in config:
-        from .core import g0_from_params
-
         g0 = g0_from_params(config["dipole_moment"], config["omega_cav"], eps_m, v_mode)
     doc = {
         "v_mode_m3": v_mode,

@@ -133,14 +133,21 @@ class PathSpec:
         object.__setattr__(self, "entry", tuple(float(x) for x in self.entry))
 
 
+def _energy_density(grid: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
+    """|E|^2 and eps |E|^2 per cell; raises ValueError for a field that is identically zero."""
+    intensity = grid.field_intensity()
+    density = grid.epsilon * intensity
+    if not np.any(density > 0):
+        raise ValueError("field is identically zero")
+    return intensity, density
+
+
 def peak_energy_point(grid: FieldGrid) -> tuple[np.ndarray, float]:
     """Position (cell center) maximizing eps |E|^2, and eps there.
 
     Ties break deterministically to the lowest linear (row-major) index.
     """
-    density = grid.epsilon * grid.field_intensity()
-    if not np.any(density > 0):
-        raise ValueError("field is identically zero")
+    density = _energy_density(grid)[1]
     flat_idx = int(np.argmax(density))
     idx = np.unravel_index(flat_idx, grid.dims)
     r_m = np.array(
@@ -156,10 +163,7 @@ def mode_volume(grid: FieldGrid, effective_height: float | None = None) -> float
     multiplied by an effective height: the explicit argument if given, else
     the grid's lattice constant.
     """
-    intensity = grid.field_intensity()
-    density = grid.epsilon * intensity
-    if not np.any(density > 0):
-        raise ValueError("field is identically zero")
+    density = _energy_density(grid)[1]
     hx, hy, hz = grid.spacing
     if grid.is_2d:
         height = effective_height if effective_height is not None else grid.lattice_const
@@ -275,10 +279,7 @@ def coupling_trace_from_field(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    intensity = grid.field_intensity()
-    density = grid.epsilon * intensity
-    if not np.any(density > 0):
-        raise ValueError("field is identically zero")
+    intensity, density = _energy_density(grid)
     # Psi normalizes by |E| at the energy-density maximum, not the global
     # |E| maximum (the two coincide only when the peak sits in dielectric).
     peak_mag = math.sqrt(float(intensity.flat[int(np.argmax(density))]))

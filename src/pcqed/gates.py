@@ -4,10 +4,10 @@ A logical qubit lives in which atom carries the single excitation (|10> vs
 |01>, cavity empty).  Calibration exploits the exact 1/V scaling of pulse
 areas: the gate conditions are odd multiples of pi in the total area, so the
 operating velocities follow algebraically from one reference area.  Truth
-tables evolve every logical input with either engine (the ODE engine all of
-them in one integration), extract fidelities and phases, and classify the
-result; everything is reported up to a common global phase, printed
-separately.
+tables evolve every input of a gate, SWAP's |00> and |11> included, with
+either engine (the ODE engine all of them in one integration), measure each
+against its target state in one loop, and classify the result; everything is
+reported up to a common global phase, printed separately.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .core import (
     VELOCITY_WINDOW,
     AmplitudeVector,
     CalibrationError,
-    basis_index,
     photon_lifetime,
 )
 from .coupling import (
@@ -66,9 +65,10 @@ MAX_RELATIVE_PHASE = 0.2
 class GateTarget:
     """Intended logical action: input label -> target rail amplitudes.
 
-    Rail amplitudes are (amplitude on |10>, amplitude on |01>); the dual-rail
-    block must be unitary.  SWAP additionally maps the no-excitation and
-    double-excitation inputs to themselves (checked outside the rail block).
+    Rail amplitudes are (amplitude on |10>, amplitude on |01>) for the inputs
+    "10" and "01", once each; the dual-rail block must be unitary.  SWAP
+    additionally maps the no-excitation and double-excitation inputs to
+    themselves (checked outside the rail block).
     """
 
     label: str
@@ -77,13 +77,10 @@ class GateTarget:
 
     def __post_init__(self) -> None:
         block = np.array([amps for _, amps in self.rail_map], dtype=complex).T
-        if block.shape != (2, 2):
+        if sorted(label for label, _ in self.rail_map) != ["01", "10"] or block.shape != (2, 2):
             raise ValueError("rail map must cover exactly the two rail inputs")
         if not np.allclose(block.conj().T @ block, np.eye(2), atol=1e-12):
             raise ValueError(f"target {self.label!r} is not unitary on the rails")
-
-    def rail_targets(self) -> dict[str, tuple[complex, complex]]:
-        return dict(self.rail_map)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -276,40 +273,38 @@ class GateReport:
         return "\n".join(lines)
 
 
-def _rail_state(amp_10: complex, amp_01: complex) -> AmplitudeVector:
-    return AmplitudeVector.from_amplitudes(1, [amp_10, amp_01, 0.0])
+# The initial state of each logical input |label>, cavity empty.
+_INPUTS = {label: AmplitudeVector.basis_state(label + "0") for label in ("10", "01", "00", "11")}
+_PROPAGATORS = {1: logical_unitary, 2: two_excitation_unitary}
 
 
 def _final_states(
-    settings: GateSettings, drives, areas: PulseAreas, labels: list[str], engine: str
-) -> dict[str, AmplitudeVector]:
-    """Final state of each logical input |label> ("10", "01" or "11") after the transit."""
-    if engine == "analytic":
-        finals = []
-        for label in labels:
-            n = label.count("1")
-            u = logical_unitary(areas) if n == 1 else two_excitation_unitary(areas)
-            finals.append(AmplitudeVector.from_amplitudes(n, u[:, basis_index(n, label + "0")]))
-    elif engine == "ode":
-        initials = [AmplitudeVector.basis_state(label + "0") for label in labels]
-        finals = final_states(*drives, initials, *settings.profile_a.window,
-                              rtol=settings.rtol, atol=settings.atol)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return dict(zip(labels, finals))
+    settings: GateSettings, drives, areas: PulseAreas, labels, engine: str
+) -> list[AmplitudeVector]:
+    """Final state of each logical input |label> after the transit, in order."""
+    initials = [_INPUTS[label] for label in labels]
+    if engine == "analytic":  # |000> carries no excitation and is returned as it is
+        return [AmplitudeVector(psi.n_excitations, psi.basis_labels,
+                                _PROPAGATORS[psi.n_excitations](areas) @ psi.amplitudes)
+                if psi.n_excitations else psi for psi in initials]
+    if engine == "ode":
+        return final_states(*drives, initials, *settings.profile_a.window,
+                            rtol=settings.rtol, atol=settings.atol)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> GateReport:
-    """Run every logical input through the gate and report the outcome.
+    """Run every input of the gate through the engine and report the outcome.
 
     Every input runs on the requested engine in its own excitation subspace:
-    the analytic engine reads a column of :func:`logical_unitary` or, for
-    SWAP's |11>, of :func:`two_excitation_unitary`, and runs no ODE; the ode
-    engine integrates every input it reports together, in one DOP853 run of
-    :func:`pcqed.ode.final_states`.  SWAP's |00> carries no excitation and
-    is exactly invariant.  The label is assigned only if every rail fidelity
-    reaches 0.99 and the rail phases agree to within MAX_RELATIVE_PHASE; the
-    common global phase is reported separately.
+    the analytic engine applies :func:`logical_unitary` or, for SWAP's |11>,
+    :func:`two_excitation_unitary`, and runs no ODE; the ode engine runs
+    them all in one DOP853 run of :func:`pcqed.ode.final_states`.  Both
+    return SWAP's |00> as it is.  Each input's fidelity and phase come from
+    its overlap with its target state, the phase relative to the first
+    rail's (the global phase); its residual is the probability on basis
+    states that hold a photon.  The label is assigned only if every rail
+    fidelity reaches 0.99 and the rail phases agree to MAX_RELATIVE_PHASE.
     """
     target = settings.target
     drive_a, drive_b, _ = drive_pair(settings.profile_a, settings.p)
@@ -317,46 +312,30 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     g_b = pulse_area(drive_b)
     areas = PulseAreas(g_a, g_b)
 
-    fidelities: dict[str, float] = {}
-    residual: dict[str, float] = {}
-    overlaps: dict[str, complex] = {}
-    notes: list[str] = []
-
-    labels = [*target.rail_targets(), *(["11"] if target.includes_outer else [])]
-    finals = _final_states(settings, (drive_a, drive_b), areas, labels, engine)
-    for label, amps in target.rail_targets().items():
-        final = finals[label]
-        target_state = _rail_state(*amps)
-        z = target_state.overlap(final)
-        overlaps[label] = z
-        fidelities[label] = float(abs(z) ** 2)
-        residual[label] = float(abs(final.amplitude("001")) ** 2)
-
-    rail_labels = list(target.rail_targets())
-    z0 = overlaps[rail_labels[0]]
-    global_phase = float(np.angle(z0)) if abs(z0) > 0 else 0.0
-    relative_phases = {
-        label: float(np.angle(overlaps[label] * np.conj(z0))) if abs(overlaps[label]) > 0 else 0.0
-        for label in rail_labels
-    }
-
+    # The rails' target states, then SWAP's |00> and |11>, which it keeps as they are.
+    targets = {label: AmplitudeVector.from_amplitudes(1, [*amps, 0.0])
+               for label, amps in target.rail_map}
     if target.includes_outer:
-        # |00> carries no excitation: the interaction annihilates it, so it
-        # is exactly invariant with zero acquired phase.
-        fidelities["00"] = 1.0
-        relative_phases["00"] = float(np.angle(np.conj(z0))) if abs(z0) > 0 else 0.0
-        residual["00"] = 0.0
-        final = finals["11"]
-        amp11 = final.amplitude("110")
-        fidelities["11"] = float(abs(amp11) ** 2)
-        relative_phases["11"] = float(np.angle(amp11 * np.conj(z0))) if abs(amp11) > 0 else 0.0
-        residual["11"] = float(np.sum(np.abs(final.amplitudes[1:]) ** 2))
-        notes.append(
-            "double-excitation return measured, not asserted: the two-excitation "
-            f"spectrum is incommensurate with the rail condition (fidelity "
-            f"{fidelities['11']:.4f}); |00> acquires no phase in the interaction "
-            "picture"
-        )
+        targets.update((label, _INPUTS[label]) for label in ("00", "11"))
+    finals = _final_states(settings, (drive_a, drive_b), areas, targets, engine)
+    rail_labels = [label for label, _ in target.rail_map]
+    z0 = targets[rail_labels[0]].overlap(finals[0])
+    global_phase = float(np.angle(z0)) if abs(z0) > 0 else 0.0
+
+    fidelities, residual, relative_phases = {}, {}, {}
+    for (label, state), final in zip(targets.items(), finals):
+        z = state.overlap(final)
+        fidelities[label] = float(abs(z) ** 2)
+        probs = zip(final.basis_labels, final.probabilities())
+        residual[label] = float(sum(prob for basis, prob in probs if basis[2:] != "0"))
+        relative_phases[label] = float(np.angle(z * np.conj(z0))) if abs(z) > 0 else 0.0
+
+    notes = (
+        "double-excitation return measured, not asserted: the two-excitation "
+        f"spectrum is incommensurate with the rail condition (fidelity "
+        f"{fidelities['11']:.4f}); |00> acquires no phase in the interaction "
+        "picture",
+    ) if target.includes_outer else ()
 
     rail_ok = all(fidelities[lbl] >= MIN_FIDELITY for lbl in rail_labels)
     phases_ok = all(abs(relative_phases[lbl]) <= MAX_RELATIVE_PHASE for lbl in rail_labels)
@@ -380,5 +359,5 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
         operation_time=op_time,
         lifetime_margin=margin,
         classified_label=classified,
-        notes=tuple(notes),
+        notes=notes,
     )

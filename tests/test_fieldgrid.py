@@ -102,8 +102,12 @@ class TestPeakEnergyPoint:
             (1.0, 1.0, 1.0),
             (0.0, 0.0, 0.0),
         )
-        with pytest.raises(ValueError):
-            peak_energy_point(grid)
+        # every statistic that normalizes by the energy-density peak refuses it
+        path = PathSpec((0.0, 1.0, 0.5), (1.0, 0.0, 0.0), 2.0, 1.0)
+        for stat in (peak_energy_point, mode_volume,
+                     lambda g: coupling_trace_from_field(g, path, mm_cavity())):
+            with pytest.raises(ValueError, match="identically zero"):
+                stat(grid)
 
 
 class TestModeVolume:

@@ -73,6 +73,25 @@ class TestFidelity:
         assert fidelity(state, target) >= 0.9999
 
 
+class TestGateTarget:
+    @pytest.mark.parametrize("rail_map", [
+        (("10", (1.0, 0.0)), ("10", (0.0, 1.0))),
+        (("10", (1.0, 0.0)), ("11", (0.0, 1.0))),
+        (("10", (1.0, 0.0)),),
+        (("10", (1.0, 0.0, 0.0)), ("01", (0.0, 1.0, 0.0))),
+    ], ids=["repeated-rail", "outer-label", "one-rail", "triples"])
+    def test_rail_map_must_cover_exactly_the_two_rails(self, rail_map):
+        with pytest.raises(ValueError, match="two rail inputs"):
+            GateTarget("X", rail_map)
+
+    def test_rail_order_is_free(self):
+        flipped = GateTarget("NOT", (("01", (1.0, 0.0)), ("10", (0.0, 1.0))))
+        report = truth_table(dataclasses.replace(settings_for(NOT, 1.0, 433.0), target=flipped),
+                             "analytic")
+        assert list(report.fidelities) == ["01", "10"]
+        assert report.classified_label == "NOT"
+
+
 class TestCalibrateVelocity:
     def test_entangler_velocity(self, fig_family):
         v = calibrate_velocity(fig_family, 0.414, "ENTANGLER_HADAMARD")
@@ -195,6 +214,36 @@ class TestTruthTable:
         assert any("measured" in note for note in report.notes)
         # the no-excitation input keeps phase 0 while the rails flip sign
         assert abs(abs(report.relative_phases["00"]) - math.pi) <= 0.05
+
+    @pytest.mark.parametrize("engine, tol", [("analytic", 1e-12), ("ode", 1e-8)])
+    @pytest.mark.parametrize("detuning", [1.0, 1.3])
+    def test_swap_no_excitation_row_is_measured(self, monkeypatch, engine, tol, detuning):
+        # |00> runs through the engine like every other input; off the
+        # operating point the rails leave a visible photon residual
+        settings = settings_for(SWAP, 1.0, 433.0)
+        v = detuning * settings.velocity
+        settings = dataclasses.replace(settings, profile_a=settings.profile_a.at_velocity(v),
+                                       velocity=v)
+        integrated = []
+        real = pcqed.gates.final_states
+
+        def recording(g_a, g_b, states, *args, **kwargs):
+            integrated.extend(psi.basis_labels for psi in states)
+            return real(g_a, g_b, states, *args, **kwargs)
+
+        monkeypatch.setattr(pcqed.gates, "final_states", recording)
+        report = truth_table(settings, engine)
+        if engine == "ode":
+            assert ("000",) in integrated and len(integrated) == 4
+        assert list(report.fidelities) == ["10", "01", "00", "11"]
+        assert report.fidelities["00"] == 1.0
+        assert report.residual_cavity["00"] == 0.0
+        assert report.relative_phases["00"] == -report.global_phase
+        g_a, g_b = report.pulse_area_a, report.pulse_area_b
+        for label, areas in (("10", PulseAreas(g_a, g_b)), ("01", PulseAreas(g_b, g_a))):
+            gamma = closed_form_amplitudes(areas)[2]
+            assert report.residual_cavity[label] == pytest.approx(abs(gamma) ** 2, rel=0, abs=tol)
+            assert detuning == 1.0 or abs(gamma) ** 2 > 0.1
 
     def test_analytic_swap_matches_tight_ode(self):
         # the closed-form |11> block against DOP853 at rtol 1e-12
