@@ -28,7 +28,6 @@ from .core import (
     CavityParams,
     ConvergenceError,
     AmplitudeVector,
-    basis_labels,
     g0_from_params,
     write_csv,
 )
@@ -373,7 +372,7 @@ def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
     drive_a, drive_b, c = drive_pair(profile_a, p)
     if engine in ("analytic", "both"):
         amps = analytic_trajectory(drive_a, c, times, initial=initial)
-        traj = Trajectory(1, basis_labels(1), times, amps, {"engine": "analytic"})
+        traj = Trajectory(1, times, amps, {"engine": "analytic"})
         written.append(_write_trajectory(traj, out / f"{stem}_analytic.csv", args.format))
     if engine in ("ode", "both"):
         traj = evolve(

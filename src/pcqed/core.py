@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "AmplitudeVector",
     "SubspaceHamiltonian",
     "basis_labels",
-    "basis_index",
     "build_subspace",
     "g0_from_params",
     "mode_volume_from_g0",
@@ -124,6 +124,7 @@ class CavityParams:
         return cls(omega_cav=omega_cav, eps_m=eps_m, mode_volume=mode_volume, g0=g0)
 
 
+@cache
 def basis_labels(n_excitations: int) -> tuple[str, ...]:
     """Canonical basis of the two-atom + mode system with n total excitations.
 
@@ -134,29 +135,9 @@ def basis_labels(n_excitations: int) -> tuple[str, ...]:
     """
     if n_excitations < 0:
         raise ValueError(f"n_excitations must be >= 0, got {n_excitations}")
-    labels: list[str] = []
-    for m in range(n_excitations + 1):
-        atoms = n_excitations - m
-        if atoms > 2:
-            continue
-        if atoms == 2:
-            labels.append(f"11{m}")
-        elif atoms == 1:
-            labels.append(f"10{m}")
-            labels.append(f"01{m}")
-        else:
-            labels.append(f"00{m}")
-    return tuple(labels)
-
-
-def basis_index(n_excitations: int, label: str) -> int:
-    labels = basis_labels(n_excitations)
-    try:
-        return labels.index(label)
-    except ValueError:
-        raise ValueError(
-            f"label {label!r} not in the n={n_excitations} basis {labels}"
-        ) from None
+    return tuple(f"{atoms}{m}" for m in range(n_excitations + 1)
+                 for atoms in ("11", "10", "01", "00")
+                 if atoms.count("1") + m == n_excitations)
 
 
 @dataclass(frozen=True)
@@ -165,12 +146,16 @@ class SubspaceHamiltonian:
 
     ``couplings`` is its one description: entries (row, col, atom, factor)
     with H = sum of factor * g_atom * |row><col| + h.c., atom 0 for A and 1
-    for B.  The matrix and the ODE right-hand side both read it.
+    for B, over ``basis_labels``, derived from ``n_excitations``.  The matrix
+    and the ODE right-hand side both read it.
     """
 
     n_excitations: int
-    basis_labels: tuple[str, ...]
     couplings: tuple[tuple[int, int, int, float], ...]
+
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        return basis_labels(self.n_excitations)
 
     @property
     def dim(self) -> int:
@@ -202,12 +187,14 @@ def _couplings(labels: tuple[str, ...]) -> tuple[tuple[int, int, int, float], ..
     return tuple(entries)
 
 
+_SUBSPACES = {n: SubspaceHamiltonian(n, _couplings(basis_labels(n))) for n in (0, 1, 2)}
+
+
 def build_subspace(n: int) -> SubspaceHamiltonian:
-    """Interaction Hamiltonian for n total excitations, n in {0, 1, 2}."""
+    """Interaction Hamiltonian for n total excitations, n in {0, 1, 2}; built once, shared."""
     if n not in (0, 1, 2):
         raise ValueError(f"unsupported excitation number {n}; supported: 0, 1, 2")
-    labels = basis_labels(n)
-    return SubspaceHamiltonian(n, labels, _couplings(labels))
+    return _SUBSPACES[n]
 
 
 # Construction guard; evolution routines hold themselves to tighter bounds
@@ -217,24 +204,17 @@ NORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class AmplitudeVector:
-    """Normalized complex amplitudes over a canonical n-excitation basis."""
+    """Normalized complex amplitudes, one per label of ``basis_labels``,
+    the canonical basis derived from ``n_excitations``."""
 
     n_excitations: int
-    basis_labels: tuple[str, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = basis_labels(self.n_excitations)
-        if tuple(self.basis_labels) != expected:
-            raise ValueError(
-                f"basis labels {self.basis_labels} do not match the canonical "
-                f"ordering {expected}"
-            )
+        dim = len(self.basis_labels)
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if amps.shape != (len(expected),):
-            raise ValueError(
-                f"expected {len(expected)} amplitudes, got shape {amps.shape}"
-            )
+        if amps.shape != (dim,):
+            raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -242,11 +222,10 @@ class AmplitudeVector:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
-    @classmethod
-    def from_amplitudes(cls, n_excitations: int, amplitudes) -> "AmplitudeVector":
-        return cls(n_excitations, basis_labels(n_excitations), np.asarray(amplitudes))
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        return basis_labels(self.n_excitations)
 
     @classmethod
     def basis_state(cls, label: str) -> "AmplitudeVector":
@@ -254,23 +233,25 @@ class AmplitudeVector:
         labels = basis_labels(n)
         amps = np.zeros(len(labels), dtype=complex)
         amps[labels.index(label)] = 1.0
-        return cls(n, labels, amps)
+        return cls(n, amps)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
     def index(self, label: str) -> int:
-        return basis_index(self.n_excitations, label)
+        try:
+            return self.basis_labels.index(label)
+        except ValueError:
+            raise ValueError(
+                f"label {label!r} not in the n={self.n_excitations} basis {self.basis_labels}"
+            ) from None
 
     def amplitude(self, label: str) -> complex:
         return complex(self.amplitudes[self.index(label)])
 
     def overlap(self, other: "AmplitudeVector") -> complex:
-        """<self|other>; the two states must share a basis."""
-        if (
-            self.n_excitations != other.n_excitations
-            or self.basis_labels != other.basis_labels
-        ):
+        """<self|other>; the two states must share an excitation number."""
+        if self.n_excitations != other.n_excitations:
             raise ValueError("basis mismatch between states")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 

@@ -494,7 +494,8 @@ def trace_from_csv(path) -> CouplingTrace:
         if header[:1] != ["time_s"] or len(header) not in (2, 3):
             raise ValueError(f"unrecognized trace header {header!r} in {path}")
         rows = [[float(cell) for cell in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float)
+    # A header-only file gives no samples, which CouplingTrace refuses.
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     if len(header) == 3:
         return CouplingTrace(data[:, 0], data[:, 1] + 1j * data[:, 2], velocity=velocity)
     return CouplingTrace(data[:, 0], data[:, 1], velocity=velocity)

@@ -49,6 +49,7 @@ class FieldGrid:
     array is (nx, ny, nz) for scalar (TM 2D) grids or (nx, ny, nz, 3) for
     3-component grids.  lattice_const optionally records the generating
     lattice period, used as the default effective height of 2D grids.
+    Every sample, spacing and origin must be finite.
     """
 
     spacing: tuple[float, float, float]
@@ -66,12 +67,14 @@ class FieldGrid:
             raise ValueError(
                 f"field shape {fld.shape} inconsistent with epsilon shape {eps.shape}"
             )
+        if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(fld))):
+            raise ValueError("epsilon and field must be finite")
         if np.any(eps < 1.0):
             raise ValueError("epsilon must be >= 1 everywhere")
-        if len(self.spacing) != 3 or any(not (h > 0) for h in self.spacing):
-            raise ValueError("spacing must be three positive lengths")
-        if len(self.origin) != 3:
-            raise ValueError("origin must have three components")
+        if len(self.spacing) != 3 or any(not (0 < h < math.inf) for h in self.spacing):
+            raise ValueError("spacing must be three positive finite lengths")
+        if len(self.origin) != 3 or not all(math.isfinite(o) for o in self.origin):
+            raise ValueError("origin must have three finite components")
         eps.flags.writeable = False
         fld.flags.writeable = False
         object.__setattr__(self, "epsilon", eps)
@@ -437,8 +440,20 @@ def grid_to_json(grid: FieldGrid, path) -> Path:
 
 
 def grid_from_json(path) -> FieldGrid:
-    """Load a grid written by :func:`grid_to_json`."""
-    doc = json.loads(Path(path).read_text())
+    """Load a grid written by :func:`grid_to_json`.
+
+    Raises ValueError naming the file when it cannot be read, is not JSON,
+    lacks a key or holds a malformed or non-finite grid.
+    """
+    try:
+        return _grid_from_doc(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ValueError(f"field grid {path} lacks key {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot load field grid {path}: {exc}") from exc
+
+
+def _grid_from_doc(doc: dict) -> FieldGrid:
     dims = tuple(int(n) for n in doc["dims"])
     comps = int(doc["components"])
     if comps not in (1, 3):

@@ -284,8 +284,8 @@ def _final_states(
     """Final state of each logical input |label> after the transit, in order."""
     initials = [_INPUTS[label] for label in labels]
     if engine == "analytic":  # |000> carries no excitation and is returned as it is
-        return [AmplitudeVector(psi.n_excitations, psi.basis_labels,
-                                _PROPAGATORS[psi.n_excitations](areas) @ psi.amplitudes)
+        unitaries = {n: _PROPAGATORS[n](areas) for n in {psi.n_excitations for psi in initials} if n}
+        return [AmplitudeVector(psi.n_excitations, unitaries[psi.n_excitations] @ psi.amplitudes)
                 if psi.n_excitations else psi for psi in initials]
     if engine == "ode":
         return final_states(*drives, initials, *settings.profile_a.window,
@@ -313,8 +313,7 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     areas = PulseAreas(g_a, g_b)
 
     # The rails' target states, then SWAP's |00> and |11>, which it keeps as they are.
-    targets = {label: AmplitudeVector.from_amplitudes(1, [*amps, 0.0])
-               for label, amps in target.rail_map}
+    targets = {label: AmplitudeVector(1, [*amps, 0.0]) for label, amps in target.rail_map}
     if target.includes_outer:
         targets.update((label, _INPUTS[label]) for label in ("00", "11"))
     finals = _final_states(settings, (drive_a, drive_b), areas, targets, engine)

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AmplitudeVector, ConvergenceError, SubspaceHamiltonian, build_subspace, write_csv
+from .core import (AmplitudeVector, ConvergenceError, SubspaceHamiltonian, basis_labels,
+                   build_subspace, write_csv)
 from .coupling import drive_from_profile, drive_pair
 from .dop853 import DOP853
 
@@ -49,10 +50,10 @@ _METHOD = "DOP853"
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Evolution samples: times (s) and amplitudes, one row per output time."""
+    """Evolution samples: times (s) and amplitudes, one row per output time
+    and one column per label of ``basis_labels``, derived from ``n_excitations``."""
 
     n_excitations: int
-    basis_labels: tuple[str, ...]
     times: np.ndarray
     amplitudes: np.ndarray  # shape (n_times, dim), complex
     diagnostics: dict = field(default_factory=dict)
@@ -69,10 +70,12 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
 
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        return basis_labels(self.n_excitations)
+
     def state_at(self, i: int) -> AmplitudeVector:
-        return AmplitudeVector(
-            self.n_excitations, self.basis_labels, self.amplitudes[i]
-        )
+        return AmplitudeVector(self.n_excitations, self.amplitudes[i])
 
     @property
     def final_state(self) -> AmplitudeVector:
@@ -143,7 +146,7 @@ def evolve(
         "atol": atol,
         "method": _METHOD,
     }
-    traj = Trajectory(h.n_excitations, h.basis_labels, times, amplitudes, diagnostics)
+    traj = Trajectory(h.n_excitations, times, amplitudes, diagnostics)
     diagnostics["norm_drift"] = traj.norm_drift
     return traj
 
@@ -182,7 +185,7 @@ def final_states(
         return list(states)
     y0 = np.concatenate([states[i].amplitudes for i in blocks])
     y1 = _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=blocks.values())[0].y
-    return [AmplitudeVector(psi.n_excitations, psi.basis_labels, y1[slice(*blocks[i])])
+    return [AmplitudeVector(psi.n_excitations, y1[slice(*blocks[i])])
             if i in blocks else psi for i, psi in enumerate(states)]
 
 

@@ -158,6 +158,28 @@ class TestFieldStats:
         assert doc["polarization_fraction"] == 1.0
         assert doc["eps_m"] == 12.0
 
+    @pytest.mark.parametrize("damage, message", [
+        (None, "cannot load field grid"),
+        ("components", "lacks key 'components'"),
+        ("nan", "must be finite"),
+    ])
+    def test_bad_field_file_exits_2(self, tmp_path, capsys, damage, message):
+        grid_path = tmp_path / "grid.json"
+        if damage is not None:
+            grid = pcqed.synthesize_mode("cavity2d", 1e-3, 1e-3, (5, 5, 1), (2e-4, 2e-4, 1e-3))
+            doc = json.loads(pcqed.grid_to_json(grid, grid_path).read_text())
+            if damage == "nan":
+                doc["epsilon"][0] = math.nan
+            else:
+                del doc[damage]
+            grid_path.write_text(json.dumps(doc))
+        config = {"field": {"source": "file", "path": str(grid_path)}}
+        path = write_config(tmp_path, "stats", config)
+        assert run(["field-stats", "--config", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and str(grid_path) in err
+        assert not (tmp_path / "out" / "stats_stats.json").exists()
+
 
 class TestProfile:
     def test_bundled_trace_peaks(self, tmp_path):

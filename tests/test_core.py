@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,10 @@ from pcqed import (
     AmplitudeVector,
     C_LIGHT,
     CavityParams,
+    SubspaceHamiltonian,
+    Trajectory,
     basis_labels,
+    build_subspace,
     g0_from_params,
     mode_volume_from_g0,
     photon_lifetime,
@@ -92,11 +96,11 @@ class TestAmplitudeVector:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            AmplitudeVector.from_amplitudes(1, [1.0, 1.0, 0.0])
+            AmplitudeVector(1, [1.0, 1.0, 0.0])
 
     def test_overlap_and_mismatch(self):
         a = AmplitudeVector.basis_state("100")
-        b = AmplitudeVector.from_amplitudes(1, np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
+        b = AmplitudeVector(1, np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
         assert a.overlap(b) == pytest.approx(1 / math.sqrt(2))
         with pytest.raises(ValueError):
             a.overlap(AmplitudeVector.basis_state("110"))
@@ -105,3 +109,33 @@ class TestAmplitudeVector:
         psi = AmplitudeVector.basis_state("100")
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+    def test_index_names_the_basis(self):
+        psi = AmplitudeVector.basis_state("110")
+        assert psi.index("002") == 3
+        with pytest.raises(ValueError, match=r"'100' not in the n=2 basis"):
+            psi.index("100")
+
+
+class TestStateModel:
+    """A state's basis follows from its excitation number; none stores one."""
+
+    @pytest.mark.parametrize("cls", [AmplitudeVector, Trajectory, SubspaceHamiltonian])
+    def test_basis_is_derived_not_stored(self, cls):
+        assert "basis_labels" not in {f.name for f in dataclasses.fields(cls)}
+        assert isinstance(cls.basis_labels, property)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_each_subspace_is_built_once(self, n):
+        h = build_subspace(n)
+        assert build_subspace(n) is h
+        assert h.basis_labels == basis_labels(n) and h.dim == len(basis_labels(n))
+
+    def test_constructors_take_the_excitation_number(self):
+        psi = AmplitudeVector(2, [0.0, 0.6, 0.8j, 0.0])
+        assert psi.basis_labels == ("110", "101", "011", "002")
+        traj = Trajectory(1, [0.0, 1.0], np.eye(3)[:2])
+        assert traj.basis_labels == ("100", "010", "001")
+        assert traj.state_at(1).amplitude("010") == 1.0
+        with pytest.raises(ValueError):
+            AmplitudeVector(2, [1.0, 0.0, 0.0])

@@ -207,6 +207,13 @@ class TestCouplingTrace:
             np.testing.assert_array_equal(back.times, trace.times)
             np.testing.assert_array_equal(back.values, trace.values)
 
+    def test_csv_without_samples_rejected(self, tmp_path):
+        for header in ("time_s,coupling_rad_per_s", "# velocity_m_per_s=433\r\ntime_s,re,im"):
+            path = tmp_path / "t.csv"
+            path.write_text(header + "\r\n")
+            with pytest.raises(ValueError, match="at least two samples"):
+                trace_from_csv(path)
+
     def test_interpolation_outside_is_zero(self):
         trace = CouplingTrace([1.0, 2.0], [5.0, 5.0])
         assert trace(0.0) == 0.0

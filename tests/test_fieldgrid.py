@@ -68,6 +68,19 @@ class TestFieldGridValidation:
                 (0.0, 0.0, 0.0),
             )
 
+    @pytest.mark.parametrize("where", ["epsilon", "field", "spacing", "origin"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, where, bad):
+        parts = {
+            "epsilon": np.ones((2, 2, 1)),
+            "field": np.ones((2, 2, 1), dtype=complex),
+            "spacing": [1.0, 1.0, 1.0],
+            "origin": [0.0, 0.0, 0.0],
+        }
+        parts[where][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FieldGrid(**parts)
+
 
 class TestPeakEnergyPoint:
     def test_single_nonzero_cell(self):
@@ -239,6 +252,24 @@ class TestSynthesizeMode:
             np.testing.assert_array_equal(back.field, grid.field)
             assert back.spacing == grid.spacing
             assert back.lattice_const == grid.lattice_const
+
+    def test_json_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "grid.json"
+        with pytest.raises(ValueError, match="cannot load field grid .*grid.json"):
+            grid_from_json(path)
+        doc = json.loads(grid_to_json(square_grid_2d(5, 4 * LATTICE_2D), path).read_text())
+        del doc["components"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="grid.json lacks key 'components'"):
+            grid_from_json(path)
+
+    def test_json_with_nan_permittivity_rejected(self, tmp_path):
+        path = grid_to_json(square_grid_2d(5, 4 * LATTICE_2D), tmp_path / "grid.json")
+        doc = json.loads(path.read_text())
+        doc["epsilon"][7] = math.nan
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="must be finite"):
+            grid_from_json(path)
 
 
 class TestCouplingTraceFromField:

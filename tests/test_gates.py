@@ -23,6 +23,7 @@ from pcqed import (
     closed_form_amplitudes,
     effective_interaction_time,
     fidelity,
+    logical_unitary,
     operation_time,
     photon_lifetime,
     truth_table,
@@ -43,7 +44,7 @@ RATIO_NOT_TO_HADAMARD = math.sqrt(2.0) / math.hypot(1.0, 0.414)
 
 class TestFidelity:
     def test_identical_states(self):
-        psi = AmplitudeVector.from_amplitudes(1, np.array([0.6, 0.8j, 0.0]))
+        psi = AmplitudeVector(1, np.array([0.6, 0.8j, 0.0]))
         assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_kets(self):
@@ -56,20 +57,14 @@ class TestFidelity:
             fidelity(AmplitudeVector.basis_state("100"), AmplitudeVector.basis_state("110"))
 
     def test_entangler_output_against_bell_target(self):
-        target = AmplitudeVector.from_amplitudes(
-            1, np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
-        )
+        target = AmplitudeVector(1, np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
         # exact ratio: the overlap is 1 up to rounding
         g_a = math.pi / math.hypot(1.0, P_STAR)
-        state = AmplitudeVector.from_amplitudes(
-            1, closed_form_amplitudes(PulseAreas(g_a, P_STAR * g_a))
-        )
+        state = AmplitudeVector(1, closed_form_amplitudes(PulseAreas(g_a, P_STAR * g_a)))
         assert fidelity(state, target) == pytest.approx(1.0, abs=1e-10)
         # quoted three-digit ratio: still essentially perfect
         g_a = math.pi / math.hypot(1.0, 0.414)
-        state = AmplitudeVector.from_amplitudes(
-            1, closed_form_amplitudes(PulseAreas(g_a, 0.414 * g_a))
-        )
+        state = AmplitudeVector(1, closed_form_amplitudes(PulseAreas(g_a, 0.414 * g_a)))
         assert fidelity(state, target) >= 0.9999
 
 
@@ -180,6 +175,18 @@ def settings_for(target, p, fig_velocity, engine_q=1e8):
 
 
 class TestTruthTable:
+    def test_analytic_rails_share_one_propagator(self, monkeypatch):
+        built = []
+
+        def counting(areas):
+            built.append(areas)
+            return logical_unitary(areas)
+
+        monkeypatch.setitem(pcqed.gates._PROPAGATORS, 1, counting)
+        report = truth_table(settings_for(NOT, 1.0, 433.0), "analytic")
+        assert len(built) == 1
+        assert report.classified_label == "NOT"
+
     @pytest.mark.parametrize("engine", ["analytic", "ode"])
     def test_entangler(self, engine):
         report = truth_table(settings_for(ENTANGLER_HADAMARD, 0.414, 433.0), engine)
@@ -332,13 +339,11 @@ class TestTruthTable:
         def min_fid(p):
             g_a = math.pi / math.hypot(1.0, p)
             u_col0 = closed_form_amplitudes(PulseAreas(g_a, p * g_a))
-            out0 = AmplitudeVector.from_amplitudes(1, u_col0)
-            t0 = AmplitudeVector.from_amplitudes(1, np.array([1, 1, 0]) / math.sqrt(2))
+            out0 = AmplitudeVector(1, u_col0)
+            t0 = AmplitudeVector(1, np.array([1, 1, 0]) / math.sqrt(2))
             u_col1 = closed_form_amplitudes(PulseAreas(p * g_a, g_a))  # exchange symmetry
-            out1 = AmplitudeVector.from_amplitudes(
-                1, [u_col1[1], u_col1[0], u_col1[2]]
-            )
-            t1 = AmplitudeVector.from_amplitudes(1, np.array([1, -1, 0]) / math.sqrt(2))
+            out1 = AmplitudeVector(1, [u_col1[1], u_col1[0], u_col1[2]])
+            t1 = AmplitudeVector(1, np.array([1, -1, 0]) / math.sqrt(2))
             return min(fidelity(out0, t0), fidelity(out1, t1))
 
         fids = [min_fid(p) for p in ps]

@@ -125,7 +125,7 @@ class TestBuildSubspace:
 
 class TestEvolve:
     def test_zero_couplings_freeze_the_state(self):
-        psi0 = AmplitudeVector.from_amplitudes(1, np.array([0.6, 0.8j, 0.0]))
+        psi0 = AmplitudeVector(1, np.array([0.6, 0.8j, 0.0]))
         traj = evolve(build_subspace(1), constant(0.0), constant(0.0), psi0, 0.0, 1.0)
         np.testing.assert_allclose(traj.amplitudes[-1], psi0.amplitudes, atol=1e-12)
 
@@ -303,7 +303,7 @@ class TestBareCallables:
     def test_real_callables_match_expm(self, n):
         g_a, g_b, duration = 0.9e9, -0.5e9, 2.3e-9
         h = build_subspace(n)
-        psi0 = AmplitudeVector.from_amplitudes(n, np.eye(h.dim)[0])
+        psi0 = AmplitudeVector(n, np.eye(h.dim)[0])
         traj = evolve(h, lambda t: g_a, lambda t: np.float64(g_b), psi0, 0.0, duration, n_points=5)
         want = expm_unitary(h.matrix(g_a, g_b), duration) @ psi0.amplitudes
         np.testing.assert_allclose(traj.amplitudes[-1], want, rtol=0, atol=1e-9)
@@ -313,7 +313,7 @@ class TestBareCallables:
     def test_complex_callables_match_expm(self, n):
         g_a, g_b, duration = (0.6 + 0.7j) * 1e9, (-0.2 + 0.4j) * 1e9, 2.3e-9
         h = build_subspace(n)
-        psi0 = AmplitudeVector.from_amplitudes(n, np.eye(h.dim)[-1])
+        psi0 = AmplitudeVector(n, np.eye(h.dim)[-1])
         traj = evolve(h, lambda t: g_a, lambda t: np.asarray(g_b), psi0, 0.0, duration, n_points=5)
         want = expm_unitary(h.matrix(g_a, g_b), duration) @ psi0.amplitudes
         np.testing.assert_allclose(traj.amplitudes[-1], want, rtol=0, atol=1e-9)
