@@ -68,17 +68,8 @@ def _trig_factors(lam):
     return cosm1_over_sq, sin_over
 
 
-def amplitudes(g_a, g_b, initial: str = "100"):
-    """Closed-form amplitudes on (|100>, |010>, |001>) after pulse areas g_a, g_b.
-
-    The system starts in the basis state ``initial``.  Broadcasts over array
-    areas; returns three arrays.  closed_form_amplitudes, logical_unitary,
-    analytic_trajectory and sweep.surface all evaluate through here.
-    """
-    g_a = np.asarray(g_a, dtype=float)
-    g_b = np.asarray(g_b, dtype=float)
-    # a helper, so that its grid-sized intermediates are freed on return
-    cosm1_over_sq, sin_over = _trig_factors(np.hypot(g_a, g_b))
+def _column(g_a, g_b, cosm1_over_sq, sin_over, initial: str):
+    """Amplitudes on (|100>, |010>, |001>) from the basis state ``initial``, given the trig factors."""
     if initial == "100":
         return 1.0 + g_a**2 * cosm1_over_sq, g_a * g_b * cosm1_over_sq, -1j * g_a * sin_over
     if initial == "010":
@@ -87,6 +78,20 @@ def amplitudes(g_a, g_b, initial: str = "100"):
         photon = 1.0 + (g_a**2 + g_b**2) * cosm1_over_sq
         return -1j * g_a * sin_over, -1j * g_b * sin_over, photon
     raise ValueError("initial must be one of '100', '010', '001'")
+
+
+def amplitudes(g_a, g_b, initial: str = "100"):
+    """Closed-form amplitudes on (|100>, |010>, |001>) after pulse areas g_a, g_b.
+
+    The system starts in the basis state ``initial``.  Broadcasts over array
+    areas; returns three arrays.  closed_form_amplitudes, analytic_trajectory
+    and sweep.surface evaluate through here; logical_unitary shares its
+    per-column formulas.
+    """
+    g_a = np.asarray(g_a, dtype=float)
+    g_b = np.asarray(g_b, dtype=float)
+    # a helper, so that its grid-sized intermediates are freed on return
+    return _column(g_a, g_b, *_trig_factors(np.hypot(g_a, g_b)), initial)
 
 
 def closed_form_amplitudes(areas: PulseAreas) -> tuple[complex, complex, complex]:
@@ -100,10 +105,14 @@ def logical_unitary(areas: PulseAreas) -> np.ndarray:
     U = I + (cos(Lambda) - 1)/Lambda^2 * M^2 - i sin(Lambda)/Lambda * M with
     M the symmetric matrix coupling each atom slot to the photon slot.
     Column j holds :func:`amplitudes` from the j-th basis state, so the
-    first column reproduces :func:`closed_form_amplitudes`.
+    first column reproduces :func:`closed_form_amplitudes`; the trig
+    factors are evaluated once for all three.
     """
+    g_a = np.asarray(areas.g_a, dtype=float)
+    g_b = np.asarray(areas.g_b, dtype=float)
+    factors = _trig_factors(np.hypot(g_a, g_b))
     return np.array(
-        [amplitudes(areas.g_a, areas.g_b, initial) for initial in ("100", "010", "001")],
+        [_column(g_a, g_b, *factors, initial) for initial in ("100", "010", "001")],
         dtype=complex,
     ).T
 

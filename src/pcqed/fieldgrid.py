@@ -12,6 +12,7 @@ dielectric rods in air).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -305,21 +306,6 @@ def coupling_trace_from_field(
     return CouplingTrace(s / path.velocity, values, velocity=path.velocity)
 
 
-def _rod_coverage(x, y, cx, cy, radius, hx, hy, sub=4):
-    """Fraction of each (hx x hy) cell covered by the rod, by subcell sampling.
-
-    Anti-aliasing the rod edges keeps grid sums convergent as the spacing shrinks;
-    hard-rasterized disks would make cell counts jitter at O(h).
-    """
-    cover = np.zeros(np.broadcast(x, y).shape)
-    offsets = (np.arange(sub) + 0.5) / sub - 0.5
-    for ox in offsets:
-        for oy in offsets:
-            inside = (x + ox * hx - cx) ** 2 + (y + oy * hy - cy) ** 2 <= radius**2
-            cover += inside
-    return cover / sub**2
-
-
 def _triangular_rod_epsilon(
     x: np.ndarray,
     y: np.ndarray,
@@ -330,23 +316,53 @@ def _triangular_rod_epsilon(
     rod_radius_frac: float = 0.175,
     defect_radius_frac: float = 0.15,
 ) -> np.ndarray:
-    """Dielectric map: triangular lattice of rods with a reduced rod at the origin."""
+    """Dielectric map: triangular lattice of rods with a reduced rod at the origin.
+
+    Each (hx x hy) cell is sampled at 4 x 4 subcell points, and its rod
+    coverage is the largest number of them inside any one rod, divided by
+    16 (anti-aliasing the rod edges keeps grid sums convergent as the
+    spacing shrinks).  The maximum over rods, not the sum, keeps cells wider
+    than the gap between rods exact where they touch two.  The lattice is
+    a1 = (l, 0), a2 = (l/2, l sqrt(3)/2), cut to |i| <= reach_i and
+    |j| <= reach_j; the rod at the origin is replaced by the defect rod.
+
+    A point needs testing against four rods only.  In lattice coordinates
+    (u, v) it lies in the parallelogram with corners (floor u, floor v) +
+    {0, 1}^2.  The rod radius 0.175 l is below the parallelogram's height
+    0.866 l, so a point inside a rod lies in one of the four parallelograms
+    that have that rod as a corner, and is found there.  The rod radius is
+    also below l/2, so the rods are disjoint and a point lies in one rod at
+    most.  The work is thus set by the grid size alone, whatever the ratio
+    of the box to the lattice constant.
+    """
     l = lattice_const
-    cover = np.zeros(np.broadcast(x, y).shape)
-    a1 = np.array([l, 0.0])
-    a2 = np.array([0.5 * l, 0.5 * math.sqrt(3.0) * l])
-    reach_i = int(np.ceil((np.max(np.abs(x)) + l) / l)) + 1
-    reach_j = int(np.ceil((np.max(np.abs(y)) + l) / a2[1])) + 1
-    rod_r = rod_radius_frac * l
-    for j in range(-reach_j, reach_j + 1):
-        for i in range(-reach_i, reach_i + 1):
-            if i == 0 and j == 0:
-                continue
-            cx, cy = i * a1 + j * a2
-            cover = np.maximum(cover, _rod_coverage(x, y, cx, cy, rod_r, hx, hy))
-    defect_r = defect_radius_frac * l
-    cover = np.maximum(cover, _rod_coverage(x, y, 0.0, 0.0, defect_r, hx, hy))
-    return 1.0 + (rod_eps - 1.0) * cover
+    a2x, a2y = 0.5 * l, 0.5 * math.sqrt(3.0) * l
+    reach_i = np.ceil((np.max(np.abs(x)) + l) / l) + 1
+    reach_j = np.ceil((np.max(np.abs(y)) + l) / a2y) + 1
+    rod_r2 = (rod_radius_frac * l) ** 2
+    defect_r2 = (defect_radius_frac * l) ** 2
+    sub = 4  # subcell points per axis
+    offsets = (np.arange(sub) + 0.5) / sub - 0.5
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    # Per subcell offset, the rod holding each point as i + 1j*j; NaN where none does.
+    rods = np.full((sub * sub, x.size), complex(math.nan, math.nan))
+    defect_hits = np.zeros(x.size)
+    for rod, (ox, oy) in zip(rods, itertools.product(offsets, offsets)):
+        px = x + ox * hx
+        py = y + oy * hy
+        v = py / a2y
+        j0 = np.floor(v)
+        i0 = np.floor((px - a2x * v) / l)
+        for i, j in ((i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1)):
+            inside = (px - (i * l + j * a2x)) ** 2 + (py - j * a2y) ** 2 <= rod_r2
+            inside &= (np.abs(i) <= reach_i) & (np.abs(j) <= reach_j) & ((i != 0) | (j != 0))
+            rod.real[inside] = i[inside]
+            rod.imag[inside] = j[inside]
+        defect_hits += px**2 + py**2 <= defect_r2
+    hits = functools.reduce(np.maximum, (np.count_nonzero(rods == rod, axis=0) for rod in rods))
+    cover = np.maximum(hits / sub**2, defect_hits / sub**2)
+    return (1.0 + (rod_eps - 1.0) * cover).reshape(shape)
 
 
 def synthesize_mode(
@@ -363,11 +379,19 @@ def synthesize_mode(
     plane carries >= 99% of the in-plane energy.  Both place the maximum of
     eps |E|^2 at the box center (use odd dims so a cell center sits exactly
     there) and decay radially while oscillating at the lattice period.
+    The work is set by dims alone, whatever the spacing.  Raises ValueError
+    naming the argument for an unknown kind, a lattice_const, decay_radius
+    or spacing that is not positive and finite, or a dims axis below 1.
     """
     if kind not in ("cavity2d", "cavity3d"):
         raise ValueError(f"unknown synthetic mode kind {kind!r}")
-    if not (lattice_const > 0 and decay_radius > 0):
-        raise ValueError("lattice_const and decay_radius must be positive")
+    for name, length in (("lattice_const", lattice_const), ("decay_radius", decay_radius)):
+        if not 0 < length < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {length!r}")
+    if len(dims) != 3 or any(n < 1 for n in dims):
+        raise ValueError(f"dims must be three axis lengths of at least 1, got {dims!r}")
+    if len(spacing) != 3 or not all(0 < h < math.inf for h in spacing):
+        raise ValueError(f"spacing must be three positive finite lengths, got {spacing!r}")
     nx, ny, nz = dims
     if kind == "cavity2d" and nz != 1:
         raise ValueError("cavity2d grids must have nz = 1")

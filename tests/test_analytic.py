@@ -17,6 +17,7 @@ from pcqed import (
     pulse_area,
     scaled_pair,
 )
+from pcqed import analytic
 
 from oracles import series_amplitudes
 
@@ -148,6 +149,26 @@ class TestLogicalUnitary:
         swapped = logical_unitary(PulseAreas(0.4, 1.3))
         perm = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
         np.testing.assert_allclose(perm @ u @ perm, swapped, atol=1e-14)
+
+    def test_columns_are_amplitudes_byte_for_byte(self):
+        rng = np.random.default_rng(20)
+        pairs = 10 ** rng.uniform(-8, 1, size=(500, 2)) * rng.choice([-1.0, 1.0], size=(500, 2))
+        for g_a, g_b in [(0.0, 0.0), (1e-7, 0.0), *pairs]:
+            columns = [analytic.amplitudes(g_a, g_b, initial) for initial in ("100", "010", "001")]
+            want = np.array(columns, dtype=complex).T
+            assert logical_unitary(PulseAreas(g_a, g_b)).tobytes() == want.tobytes()
+
+    def test_trig_factors_evaluated_once(self, monkeypatch):
+        calls = []
+        trig_factors = analytic._trig_factors
+
+        def counted(lam):
+            calls.append(lam)
+            return trig_factors(lam)
+
+        monkeypatch.setattr(analytic, "_trig_factors", counted)
+        logical_unitary(PulseAreas(1.3, 0.4))
+        assert len(calls) == 1
 
 
 class TestAnalyticTrajectory:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
@@ -25,6 +26,7 @@ from pcqed import fieldgrid
 from pcqed.cli import example_config_path
 
 from conftest import LATTICE_2D, LATTICE_3D, OMEGA_MM
+from oracles import rod_loop_epsilon
 
 G0_2D = 2.765e6  # rad/s, calibration input for the 2D scenario
 
@@ -245,6 +247,27 @@ class TestSynthesizeMode:
         with pytest.raises(ValueError):
             synthesize_mode("cavity4d", 1.0, 1.0, (3, 3, 1), (0.1, 0.1, 0.1))
 
+    @pytest.mark.parametrize("lattice_const, decay_radius, dims, spacing, named", [
+        (math.inf, 1.0, (3, 3, 1), (0.1, 0.1, 1.0), "lattice_const"),
+        (math.nan, 1.0, (3, 3, 1), (0.1, 0.1, 1.0), "lattice_const"),
+        (1.0, math.inf, (3, 3, 1), (0.1, 0.1, 1.0), "decay_radius"),
+        (1.0, math.nan, (3, 3, 1), (0.1, 0.1, 1.0), "decay_radius"),
+        (1.0, 1.0, (3, 3, 1), (math.nan, 0.1, 1.0), "spacing"),
+        (1.0, 1.0, (3, 3, 1), (0.1, math.inf, 1.0), "spacing"),
+        (1.0, 1.0, (0, 3, 1), (0.1, 0.1, 1.0), "dims"),
+        (1.0, 1.0, (3, -1, 1), (0.1, 0.1, 1.0), "dims"),
+    ])
+    def test_bad_sizes_refused_by_name(self, lattice_const, decay_radius, dims, spacing, named):
+        with pytest.raises(ValueError, match=named):
+            synthesize_mode("cavity2d", lattice_const, decay_radius, dims, spacing)
+
+    def test_work_does_not_grow_with_the_spacing(self):
+        # Cells 125 lattice periods wide: the box spans ~1400 periods, about
+        # two million rods, of which each subcell point still tests four.
+        grid = synthesize_mode("cavity2d", 1.0, 1.0, (11, 11, 1), (125.0, 125.0, 1.0))
+        assert grid.dims == (11, 11, 1)
+        assert set(np.unique(np.round((grid.epsilon - 1.0) / 11.0 * 16))) <= set(range(17))
+
     def test_json_round_trip(self, tmp_path):
         for grid in (square_grid_2d(21, 4 * LATTICE_2D), cavity3d_grid(n=15, nz=7)):
             back = grid_from_json(grid_to_json(grid, tmp_path / "grid.json"))
@@ -408,3 +431,43 @@ class TestSampler:
             positions[:4] = [lo - 1.0, hi + 1.0, lo, [c[-1] for c in centres]]
             got, want = mine(positions), ref(positions)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_rod_epsilon_matches_loop(lattice, dims, spacing):
+    """Cell centres laid out as synthesize_mode lays them, then the map against the loop."""
+    axes = [-0.5 * n * h + (np.arange(n) + 0.5) * h for n, h in zip(dims, spacing)]
+    x, y = np.meshgrid(*axes, indexing="ij")
+    got = fieldgrid._triangular_rod_epsilon(x, y, lattice, *spacing)
+    want = rod_loop_epsilon(x, y, lattice, *spacing)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def bundled_lattice(name):
+    f = json.loads(example_config_path(name).read_text())["field"]
+    return f["lattice_const"], f["dims"][:2], f["spacing"][:2]
+
+
+class TestRodEpsilon:
+    """The four-nearest-rods map against the rod-by-rod loop, byte for byte."""
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: bundled_lattice("field2d_stats"), id="field2d_stats"),
+        pytest.param(lambda: bundled_lattice("field3d_stats"), id="field3d_stats"),
+        pytest.param(lambda: (LATTICE_2D, (81, 81), (12.6 * LATTICE_2D / 81,) * 2), id="trace-cavity2d"),
+        pytest.param(lambda: (LATTICE_3D, (41, 41), (10.5 * LATTICE_3D / 41,) * 2), id="trace-cavity3d"),
+        # subcell points beyond the last row of rods the lattice keeps
+        pytest.param(lambda: (1.0, (3, 2), (9.0, 11.0)), id="cut-lattice-rows"),
+    ])
+    def test_explicit_grids(self, case):
+        assert_rod_epsilon_matches_loop(*case())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        lattice=st.floats(1e-4, 10.0),
+        ratios=st.tuples(st.floats(0.05, 1.5), st.floats(0.05, 1.5)),
+        dims=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    )
+    def test_matches_rod_loop(self, lattice, ratios, dims):
+        assume(ratios[0] != ratios[1])
+        assert_rod_epsilon_matches_loop(lattice, dims, tuple(r * lattice for r in ratios))
