@@ -40,6 +40,18 @@ __all__ = [
 # Samples per coupling trace, unless the caller asks for another count.
 DEFAULT_SAMPLES = 2001
 
+# The synthetic modes' triangular rod lattice, lengths in lattice constants l:
+# rods of relative permittivity ROD_EPS and radius ROD_RADIUS_FRAC, in air,
+# with a defect rod of radius DEFECT_RADIUS_FRAC replacing the rod at the origin.
+ROD_EPS = 12.0
+ROD_RADIUS_FRAC = 0.175
+DEFECT_RADIUS_FRAC = 0.15
+
+
+def _cell_centers(origin: float, spacing: float, n: int) -> np.ndarray:
+    """Cell-center coordinates of one axis: origin + (index + 1/2) * spacing."""
+    return origin + (np.arange(n) + 0.5) * spacing
+
 
 @dataclass(frozen=True)
 class FieldGrid:
@@ -96,8 +108,7 @@ class FieldGrid:
         return self.dims[2] == 1
 
     def axis_centers(self, axis: int) -> np.ndarray:
-        n = self.dims[axis]
-        return self.origin[axis] + (np.arange(n) + 0.5) * self.spacing[axis]
+        return _cell_centers(self.origin[axis], self.spacing[axis], self.dims[axis])
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -154,9 +165,7 @@ def peak_energy_point(grid: FieldGrid) -> tuple[np.ndarray, float]:
     density = _energy_density(grid)[1]
     flat_idx = int(np.argmax(density))
     idx = np.unravel_index(flat_idx, grid.dims)
-    r_m = np.array(
-        [grid.origin[k] + (idx[k] + 0.5) * grid.spacing[k] for k in range(3)]
-    )
+    r_m = np.array([grid.axis_centers(k)[i] for k, i in enumerate(idx)])
     return r_m, float(grid.epsilon[idx])
 
 
@@ -307,14 +316,7 @@ def coupling_trace_from_field(
 
 
 def _triangular_rod_epsilon(
-    x: np.ndarray,
-    y: np.ndarray,
-    lattice_const: float,
-    hx: float,
-    hy: float,
-    rod_eps: float = 12.0,
-    rod_radius_frac: float = 0.175,
-    defect_radius_frac: float = 0.15,
+    x: np.ndarray, y: np.ndarray, lattice_const: float, hx: float, hy: float
 ) -> np.ndarray:
     """Dielectric map: triangular lattice of rods with a reduced rod at the origin.
 
@@ -323,24 +325,24 @@ def _triangular_rod_epsilon(
     16 (anti-aliasing the rod edges keeps grid sums convergent as the
     spacing shrinks).  The maximum over rods, not the sum, keeps cells wider
     than the gap between rods exact where they touch two.  The lattice is
-    a1 = (l, 0), a2 = (l/2, l sqrt(3)/2), cut to |i| <= reach_i and
-    |j| <= reach_j; the rod at the origin is replaced by the defect rod.
+    a1 = (l, 0), a2 = (l/2, l sqrt(3)/2), unbounded, so rods fill the whole
+    box whatever its width; the rod at the origin is replaced by the defect
+    rod, tested at every point.
 
     A point needs testing against four rods only.  In lattice coordinates
     (u, v) it lies in the parallelogram with corners (floor u, floor v) +
-    {0, 1}^2.  The rod radius 0.175 l is below the parallelogram's height
-    0.866 l, so a point inside a rod lies in one of the four parallelograms
-    that have that rod as a corner, and is found there.  The rod radius is
-    also below l/2, so the rods are disjoint and a point lies in one rod at
-    most.  The work is thus set by the grid size alone, whatever the ratio
-    of the box to the lattice constant.
+    {0, 1}^2.  The four parallelograms that have a rod as a corner cover
+    the disk of radius sqrt(3) l / 2 (their height) about it, and
+    ROD_RADIUS_FRAC = 0.175 is below sqrt(3)/2, so a point inside a rod is
+    found there.  ROD_RADIUS_FRAC is also below 1/2, so the rods are
+    disjoint and a point lies in one rod at most.  The work is thus set by
+    the grid size alone, whatever the ratio of the box to the lattice
+    constant.
     """
     l = lattice_const
     a2x, a2y = 0.5 * l, 0.5 * math.sqrt(3.0) * l
-    reach_i = np.ceil((np.max(np.abs(x)) + l) / l) + 1
-    reach_j = np.ceil((np.max(np.abs(y)) + l) / a2y) + 1
-    rod_r2 = (rod_radius_frac * l) ** 2
-    defect_r2 = (defect_radius_frac * l) ** 2
+    rod_r2 = (ROD_RADIUS_FRAC * l) ** 2
+    defect_r2 = (DEFECT_RADIUS_FRAC * l) ** 2
     sub = 4  # subcell points per axis
     offsets = (np.arange(sub) + 0.5) / sub - 0.5
     shape = x.shape
@@ -356,13 +358,13 @@ def _triangular_rod_epsilon(
         i0 = np.floor((px - a2x * v) / l)
         for i, j in ((i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1)):
             inside = (px - (i * l + j * a2x)) ** 2 + (py - j * a2y) ** 2 <= rod_r2
-            inside &= (np.abs(i) <= reach_i) & (np.abs(j) <= reach_j) & ((i != 0) | (j != 0))
+            inside &= (i != 0) | (j != 0)
             rod.real[inside] = i[inside]
             rod.imag[inside] = j[inside]
         defect_hits += px**2 + py**2 <= defect_r2
     hits = functools.reduce(np.maximum, (np.count_nonzero(rods == rod, axis=0) for rod in rods))
     cover = np.maximum(hits / sub**2, defect_hits / sub**2)
-    return (1.0 + (rod_eps - 1.0) * cover).reshape(shape)
+    return (1.0 + (ROD_EPS - 1.0) * cover).reshape(shape)
 
 
 def synthesize_mode(
@@ -381,7 +383,9 @@ def synthesize_mode(
     there) and decay radially while oscillating at the lattice period.
     The work is set by dims alone, whatever the spacing.  Raises ValueError
     naming the argument for an unknown kind, a lattice_const, decay_radius
-    or spacing that is not positive and finite, or a dims axis below 1.
+    or spacing that is not positive and finite, or a dims axis below 1, and
+    naming spacing and lattice_const for a box, or a box in lattice
+    constants, that is not finite.
     """
     if kind not in ("cavity2d", "cavity3d"):
         raise ValueError(f"unknown synthetic mode kind {kind!r}")
@@ -392,6 +396,9 @@ def synthesize_mode(
         raise ValueError(f"dims must be three axis lengths of at least 1, got {dims!r}")
     if len(spacing) != 3 or not all(0 < h < math.inf for h in spacing):
         raise ValueError(f"spacing must be three positive finite lengths, got {spacing!r}")
+    if not all(math.isfinite(n * h / lattice_const) for n, h in zip(dims, spacing)):
+        raise ValueError(f"spacing {spacing!r} and lattice_const {lattice_const!r} give a box of "
+                         f"{dims!r} cells that is not a finite number of lattice constants")
     nx, ny, nz = dims
     if kind == "cavity2d" and nz != 1:
         raise ValueError("cavity2d grids must have nz = 1")
@@ -399,9 +406,7 @@ def synthesize_mode(
         raise ValueError("cavity3d grids need nz >= 3")
     box = np.asarray(dims) * np.asarray(spacing)
     origin = tuple(-0.5 * box)
-    xs = origin[0] + (np.arange(nx) + 0.5) * spacing[0]
-    ys = origin[1] + (np.arange(ny) + 0.5) * spacing[1]
-    zs = origin[2] + (np.arange(nz) + 0.5) * spacing[2]
+    xs, ys, zs = (_cell_centers(o, h, n) for o, h, n in zip(origin, spacing, dims))
     x, y = np.meshgrid(xs, ys, indexing="ij")
     rho = np.hypot(x, y)
     radial = np.exp(-rho / decay_radius) * np.cos(np.pi * rho / lattice_const)
@@ -410,35 +415,23 @@ def synthesize_mode(
     if kind == "cavity2d":
         field = radial.astype(complex)[:, :, None]
         epsilon = eps2d[:, :, None]
-        return FieldGrid(
-            spacing=tuple(spacing),
-            origin=origin,
-            epsilon=epsilon,
-            field=field,
-            lattice_const=lattice_const,
+    else:
+        # cavity3d: extrude rods, modulate axially, add a weak in-plane
+        # admixture and a slowly varying phase so the field is genuinely
+        # complex (also in the central plane, hence the x term).
+        axial = np.cos(np.pi * zs / box[2])
+        phase = np.exp(
+            1j * np.pi * (0.35 * zs[None, None, :] / box[2] + 0.2 * x[:, :, None] / box[0])
         )
-
-    # cavity3d: extrude rods, modulate axially, add a weak in-plane admixture
-    # and a slowly varying phase so the field is genuinely complex (also in
-    # the central plane, hence the x term).
-    axial = np.cos(np.pi * zs / box[2])
-    phase = np.exp(
-        1j * np.pi * (0.35 * zs[None, None, :] / box[2] + 0.2 * x[:, :, None] / box[0])
-    )
-    ez = radial[:, :, None] * axial[None, None, :] * phase
-    admix = 0.07
-    field = np.zeros((nx, ny, nz, 3), dtype=complex)
-    field[..., 0] = admix * ez
-    field[..., 1] = 0.5 * admix * ez
-    field[..., 2] = ez
-    epsilon = np.repeat(eps2d[:, :, None], nz, axis=2)
-    return FieldGrid(
-        spacing=tuple(spacing),
-        origin=origin,
-        epsilon=epsilon,
-        field=field,
-        lattice_const=lattice_const,
-    )
+        ez = radial[:, :, None] * axial[None, None, :] * phase
+        admix = 0.07
+        field = np.zeros((nx, ny, nz, 3), dtype=complex)
+        field[..., 0] = admix * ez
+        field[..., 1] = 0.5 * admix * ez
+        field[..., 2] = ez
+        epsilon = np.repeat(eps2d[:, :, None], nz, axis=2)
+    return FieldGrid(spacing=tuple(spacing), origin=origin, epsilon=epsilon, field=field,
+                     lattice_const=lattice_const)
 
 
 def grid_to_json(grid: FieldGrid, path) -> Path:

@@ -139,11 +139,15 @@ def calibrate_velocity(
     family: GenericProfileParams or GenericProfile (its velocity is the
     reference), or a CouplingTrace sampled at a known velocity.  The total
     pulse area scales exactly as 1/V, so the condition
-    Lambda_total = (2k+1) pi solves algebraically; the largest in-bounds
-    solution (fastest transit) is returned with residual
-    |Lambda_total - (2k+1) pi| <= 1e-8.  Raises
-    CalibrationError listing the nearest candidates when no odd multiple
-    falls inside the bounds, and ValueError when p does not match the gate.
+    Lambda_total = (2k+1) pi solves algebraically: the smallest k whose
+    velocity is not above the upper bound is computed in one step, so the
+    work does not depend on the pulse area, and its velocity (the fastest
+    transit) is returned when it is in bounds, with residual
+    |Lambda_total - (2k+1) pi| <= 1e-8.  Raises CalibrationError for a zero
+    or non-finite pulse area, for odd multiples too large to tell apart in
+    floating point, and, listing the nearest candidates, when no odd
+    multiple falls inside the bounds; ValueError when p does not match the
+    gate.
     """
     label = target.label if isinstance(target, GateTarget) else str(target)
     if label not in _REQUIRED_P:
@@ -162,23 +166,45 @@ def calibrate_velocity(
     lam_at_v = abs(area_ref) * math.hypot(1.0, p) * v_ref  # Lambda(V) * V
     if lam_at_v == 0.0:
         raise CalibrationError("profile has zero pulse area; nothing to calibrate")
+    if not math.isfinite(lam_at_v):
+        raise CalibrationError(
+            f"profile has a non-finite pulse area ({area_ref:g} rad at {v_ref:g} m/s); "
+            "nothing to calibrate"
+        )
+    return _fastest_odd_multiple(lam_at_v, v_lo, v_hi)
 
-    candidates = []
-    k = 0
-    while True:
-        v_k = lam_at_v / ((2 * k + 1) * math.pi)
-        candidates.append(v_k)
-        if v_lo <= v_k <= v_hi:
-            residual = abs(lam_at_v / v_k - (2 * k + 1) * math.pi)
-            if residual > 1e-8:
-                raise CalibrationError(
-                    f"calibration residual {residual:g} exceeds 1e-8"
-                )
-            return v_k
-        if v_k < v_lo:
-            break
+
+def _fastest_odd_multiple(lam_at_v: float, v_lo: float, v_hi: float) -> float:
+    """The largest v_k = lam_at_v / ((2k+1) pi), k >= 0, inside [v_lo, v_hi].
+
+    v_k falls with k, so the answer is v_k for the smallest k with
+    v_k <= v_hi, when v_k >= v_lo.  That k is ceil((Lambda(v_hi)/pi - 1)/2),
+    moved while rounding leaves it off by one; below 2^52 odd multiples the
+    v_k are distinct, so the moves end at once.  Otherwise v_(k-1) and v_k
+    are the nearest candidates.
+    """
+    def v_at(k: int) -> float:
+        return lam_at_v / ((2 * k + 1) * math.pi)
+
+    odd = lam_at_v / (math.pi * v_hi)  # Lambda(v_hi) / pi
+    if not odd < 2.0**52:
+        raise CalibrationError(
+            f"pulse area at {v_hi:g} m/s is {odd:g} pi; odd multiples of pi that "
+            "large are not distinct in floating point"
+        )
+    k = max(0, math.ceil((odd - 1) / 2))
+    while k > 0 and v_at(k - 1) <= v_hi:
+        k -= 1
+    while v_at(k) > v_hi:
         k += 1
-    nearest = sorted(candidates, key=lambda v: min(abs(v - v_lo), abs(v - v_hi)))[:2]
+    v_k = v_at(k)
+    if v_k >= v_lo:
+        residual = abs(lam_at_v / v_k - (2 * k + 1) * math.pi)
+        if residual > 1e-8:
+            raise CalibrationError(f"calibration residual {residual:g} exceeds 1e-8")
+        return v_k
+    candidates = [v_at(j) for j in range(max(k - 1, 0), k + 1)]
+    nearest = sorted(candidates, key=lambda v: min(abs(v - v_lo), abs(v - v_hi)))
     raise CalibrationError(
         f"no odd-multiple solution in [{v_lo:g}, {v_hi:g}] m/s; nearest "
         f"candidates: {', '.join(f'{v:.4g}' for v in nearest)}",

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from pcqed import PulseAreas
+from pcqed import CalibrationError, PulseAreas
+from pcqed.fieldgrid import DEFECT_RADIUS_FRAC, ROD_EPS, ROD_RADIUS_FRAC
 
 
 def series_amplitudes(areas: PulseAreas, n_terms: int) -> tuple[complex, complex, complex]:
@@ -44,36 +45,60 @@ def _rod_coverage(x, y, cx, cy, radius, hx, hy, sub=4):
     return cover / sub**2
 
 
-def rod_loop_epsilon(
-    x,
-    y,
-    lattice_const,
-    hx,
-    hy,
-    rod_eps=12.0,
-    rod_radius_frac=0.175,
-    defect_radius_frac=0.15,
-):
+def rod_loop_epsilon(x, y, lattice_const, hx, hy):
     """Dielectric map of :func:`pcqed.fieldgrid._triangular_rod_epsilon`, rod by rod.
 
-    Every rod of the lattice cut to |i| <= reach_i, |j| <= reach_j makes
-    its own subcell passes over the whole grid, and each cell keeps the
-    largest coverage of any rod; the work grows with (box / lattice
-    constant)^2.  An oracle for the four-nearest-rods version.
+    Every rod that can reach a cell makes its own subcell passes over the
+    whole grid, and each cell keeps the largest coverage of any rod; the
+    work grows with (box / lattice constant)^2.  Row j of the lattice is
+    shifted by j l/2 in x, so each row gets its own range of i, wide enough
+    for the cells' subcell points.  An oracle for the four-nearest-rods
+    version, with the same geometry constants.
     """
     l = lattice_const
     cover = np.zeros(np.broadcast(x, y).shape)
     a1 = np.array([l, 0.0])
     a2 = np.array([0.5 * l, 0.5 * math.sqrt(3.0) * l])
-    reach_i = int(np.ceil((np.max(np.abs(x)) + l) / l)) + 1
-    reach_j = int(np.ceil((np.max(np.abs(y)) + l) / a2[1])) + 1
-    rod_r = rod_radius_frac * l
-    for j in range(-reach_j, reach_j + 1):
-        for i in range(-reach_i, reach_i + 1):
+    x_min, x_max = np.min(x) - hx, np.max(x) + hx
+    j_lo = math.floor((np.min(y) - hy) / a2[1]) - 1
+    j_hi = math.ceil((np.max(y) + hy) / a2[1]) + 1
+    rod_r = ROD_RADIUS_FRAC * l
+    for j in range(j_lo, j_hi + 1):
+        shift = j * a2[0]
+        for i in range(math.floor((x_min - shift) / l) - 1, math.ceil((x_max - shift) / l) + 2):
             if i == 0 and j == 0:
                 continue
             cx, cy = i * a1 + j * a2
             cover = np.maximum(cover, _rod_coverage(x, y, cx, cy, rod_r, hx, hy))
-    defect_r = defect_radius_frac * l
+    defect_r = DEFECT_RADIUS_FRAC * l
     cover = np.maximum(cover, _rod_coverage(x, y, 0.0, 0.0, defect_r, hx, hy))
-    return 1.0 + (rod_eps - 1.0) * cover
+    return 1.0 + (ROD_EPS - 1.0) * cover
+
+
+def odd_multiple_walk(lam_at_v, v_lo, v_hi):
+    """The velocity of :func:`pcqed.gates._fastest_odd_multiple`, found by walking k.
+
+    Tries v_k = lam_at_v / ((2k+1) pi) for k = 0, 1, 2, ... until one falls
+    inside [v_lo, v_hi] or below v_lo, keeping every v_k; the work grows
+    with the pulse area.  Raises CalibrationError with the two kept
+    velocities nearest the bounds when none is inside.
+    """
+    candidates = []
+    k = 0
+    while True:
+        v_k = lam_at_v / ((2 * k + 1) * math.pi)
+        candidates.append(v_k)
+        if v_lo <= v_k <= v_hi:
+            residual = abs(lam_at_v / v_k - (2 * k + 1) * math.pi)
+            if residual > 1e-8:
+                raise CalibrationError(f"calibration residual {residual:g} exceeds 1e-8")
+            return v_k
+        if v_k < v_lo:
+            break
+        k += 1
+    nearest = sorted(candidates, key=lambda v: min(abs(v - v_lo), abs(v - v_hi)))[:2]
+    raise CalibrationError(
+        f"no odd-multiple solution in [{v_lo:g}, {v_hi:g}] m/s; nearest "
+        f"candidates: {', '.join(f'{v:.4g}' for v in nearest)}",
+        candidates=tuple(nearest),
+    )

@@ -139,6 +139,16 @@ class TestCalibrate:
         path = write_config(tmp_path, "cfg", config)
         assert run(["calibrate", "--config", path, "--out", tmp_path]) == 4
 
+    @pytest.mark.parametrize("key, value, codes", [
+        ("velocity", 1e-300, {4}),  # an unbounded pulse area
+        ("omega0", 1.1e20, {0, 4}),  # some 10^10 odd multiples of pi above the bounds
+    ])
+    def test_pulse_area_sets_no_work(self, tmp_path, key, value, codes):
+        config = json.loads(example_config_path("calibrate_not_generic").read_text())
+        config["profile"][key] = value
+        path = write_config(tmp_path, "cfg", config)
+        assert run(["calibrate", "--config", path, "--out", tmp_path]) in codes
+
 
 class TestFieldStats:
     def test_bundled_3d_stats(self, tmp_path):

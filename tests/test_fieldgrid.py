@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
@@ -261,6 +261,16 @@ class TestSynthesizeMode:
         with pytest.raises(ValueError, match=named):
             synthesize_mode("cavity2d", lattice_const, decay_radius, dims, spacing)
 
+    @pytest.mark.parametrize("lattice_const, spacing", [
+        (1e-300, (1e300, 1e300, 1.0)),  # the box in lattice constants overflows
+        (1.0, (1e308, 1.0, 1.0)),       # the box itself overflows
+    ])
+    def test_non_finite_box_refused_naming_both(self, lattice_const, spacing):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spacing.*lattice_const"):
+                synthesize_mode("cavity2d", lattice_const, 1.0, (3, 3, 1), spacing)
+
     def test_work_does_not_grow_with_the_spacing(self):
         # Cells 125 lattice periods wide: the box spans ~1400 periods, about
         # two million rods, of which each subcell point still tests four.
@@ -456,8 +466,9 @@ class TestRodEpsilon:
         pytest.param(lambda: bundled_lattice("field3d_stats"), id="field3d_stats"),
         pytest.param(lambda: (LATTICE_2D, (81, 81), (12.6 * LATTICE_2D / 81,) * 2), id="trace-cavity2d"),
         pytest.param(lambda: (LATTICE_3D, (41, 41), (10.5 * LATTICE_3D / 41,) * 2), id="trace-cavity3d"),
-        # subcell points beyond the last row of rods the lattice keeps
-        pytest.param(lambda: (1.0, (3, 2), (9.0, 11.0)), id="cut-lattice-rows"),
+        # cells 9 and 11 periods wide, whose subcell points fall far out in
+        # rows of rods that only the x shift j l/2 brings into the box
+        pytest.param(lambda: (1.0, (3, 2), (9.0, 11.0)), id="wide-cells"),
     ])
     def test_explicit_grids(self, case):
         assert_rod_epsilon_matches_loop(*case())
@@ -471,3 +482,20 @@ class TestRodEpsilon:
     def test_matches_rod_loop(self, lattice, ratios, dims):
         assume(ratios[0] != ratios[1])
         assert_rod_epsilon_matches_loop(lattice, dims, tuple(r * lattice for r in ratios))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        lattice=st.floats(1e-4, 10.0),
+        ratios=st.tuples(st.floats(0.05, 1.5), st.floats(0.05, 1.5)),
+        half_dims=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    )
+    # the 121 x 121 box 30 periods wide whose corners a lattice cut by |i| lost
+    @example(lattice=1.0, ratios=(0.25, 0.25), half_dims=(60, 60))
+    def test_mirror_symmetric(self, lattice, ratios, half_dims):
+        # The lattice and the defect rod are symmetric under x -> -x and
+        # y -> -y, and so is a box of odd dims centred at the origin.
+        dims = (2 * half_dims[0] + 1, 2 * half_dims[1] + 1, 1)
+        grid = synthesize_mode("cavity2d", lattice, lattice, dims, (*(r * lattice for r in ratios), lattice))
+        eps = grid.epsilon[:, :, 0]
+        np.testing.assert_array_equal(eps, eps[::-1, :])
+        np.testing.assert_array_equal(eps, eps[:, ::-1])

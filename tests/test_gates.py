@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pcqed
 from pcqed import (
@@ -37,6 +38,7 @@ from conftest import (
     OMEGA_MM,
     generic_family,
 )
+from oracles import odd_multiple_walk
 
 P_STAR = math.sqrt(2.0) - 1.0
 RATIO_NOT_TO_HADAMARD = math.sqrt(2.0) / math.hypot(1.0, 0.414)
@@ -158,6 +160,50 @@ class TestCalibrateVelocity:
     def test_other_family_rejected(self, fig_family):
         with pytest.raises(TypeError):
             calibrate_velocity(fig_family.velocity, 1.0, "NOT")
+
+    def test_non_finite_area_refused(self, fig_family):
+        # an atom this slow spends an unbounded time in the mode
+        with pytest.raises(CalibrationError, match="non-finite pulse area"):
+            calibrate_velocity(fig_family.replace_velocity(1e-300), 1.0, "NOT")
+
+
+def solve_both_ways(lam_at_v, v_lo, v_hi):
+    """The closed form's and the walk's outcome: a velocity, or the refusal and its candidates."""
+    outcomes = []
+    for solve in (pcqed.gates._fastest_odd_multiple, odd_multiple_walk):
+        try:
+            outcomes.append(solve(lam_at_v, v_lo, v_hi))
+        except CalibrationError as exc:
+            outcomes.append((str(exc), exc.candidates))
+    return outcomes
+
+
+class TestFastestOddMultiple:
+    """The one-step odd multiple against the walk over k = 0, 1, 2, ..., bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        v_hi=st.floats(1e-3, 1e4),
+        ratio=st.floats(1e-3, 1.0, exclude_max=True),
+        k=st.integers(0, 3000),
+        hit=st.sampled_from(["v_lo", "v_hi", None]),
+        frac=st.floats(0.0, 2.0),
+    )
+    @example(v_hi=650.0, ratio=150.0 / 650.0, k=0, hit="v_hi", frac=0.0)
+    @example(v_hi=650.0, ratio=150.0 / 650.0, k=7, hit="v_lo", frac=0.0)
+    def test_matches_walk(self, v_hi, ratio, k, hit, frac):
+        v_lo = ratio * v_hi
+        # (2k + 1) pi exactly on a bound, up to the rounding of the product,
+        # or anywhere from 2k pi to (2k + 2) pi at v_hi
+        on = {"v_lo": v_lo, "v_hi": v_hi}
+        lam_at_v = (2 * k + 1) * math.pi * on[hit] if hit else (2 * k + frac) * math.pi * v_hi
+        assume(lam_at_v > 0)
+        got, want = solve_both_ways(lam_at_v, v_lo, v_hi)
+        assert got == want
+
+    def test_too_many_odd_multiples_refused(self):
+        with pytest.raises(CalibrationError, match="not distinct"):
+            pcqed.gates._fastest_odd_multiple(2.0**53 * math.pi * 650.0, 150.0, 650.0)
 
 
 def settings_for(target, p, fig_velocity, engine_q=1e8):
