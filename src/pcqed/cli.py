@@ -48,6 +48,8 @@ from .ode import (
     DEFAULT_ATOL,
     DEFAULT_POINTS,
     DEFAULT_RTOL,
+    MIN_ATOL,
+    MIN_RTOL,
     Trajectory,
     build_subspace,
     evolve,
@@ -126,7 +128,8 @@ _PATH_SCHEMA = {
 
 _ODE_SCHEMA = {
     "type": "object",
-    "properties": {"rtol": _NUM_POS, "atol": _NUM_POS},
+    "properties": {"rtol": {"type": "number", "minimum": MIN_RTOL},
+                   "atol": {"type": "number", "minimum": MIN_ATOL}},
     "additionalProperties": False,
 }
 

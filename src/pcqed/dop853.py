@@ -8,7 +8,11 @@ below keep).  Each stage is one list comprehension over the components,
 with the tableau's zero coefficients left out, as ``dop853.f`` writes it.
 The state is a list of Python complex numbers and the right-hand side maps
 (t, list) to a list: for the few components pcqed integrates, scalar
-arithmetic costs less than array calls do.
+arithmetic costs less than array calls do.  The dense output is the
+exception: it is evaluated for many steps at once, on numpy arrays of
+steps x components, with the same operations in the same order, and
+numpy's product of a real and a complex number rounds as Python's does, so
+its values are those of the scalar arithmetic.
 
 The step control is that of ``scipy.integrate.DOP853``, so on the same
 problem both take the same steps, up to the rounding of sums that numpy
@@ -23,7 +27,11 @@ orders otherwise (beyond three components it sums in BLAS order):
   ``select_initial_step`` takes it;
 - the right-hand side at the step's end is evaluated before the error
   test, and the three extra stages of the dense output run only for steps
-  whose interpolant is asked for.
+  that hold an output time: such a step is kept, and every BATCH kept
+  steps, and the one that reaches the last output time, run their extra
+  stages together through an array form of the right-hand side, build
+  their interpolants' coefficients F0..F6 as arrays and evaluate them at
+  every output time they hold.
 
 The components may be split into blocks, (start, stop) ranges of
 independent subsystems.  Every norm is then the largest of the blocks'
@@ -33,8 +41,11 @@ another block's; with one block it is scipy's norm.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import ConvergenceError
 
@@ -44,6 +55,10 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 8  # -1 / (order of the error estimator + 1)
+# Steps whose interpolants are evaluated together, and output rows per
+# evaluation: it bounds the memory of dense output whatever the number of
+# output times.
+BATCH = 256
 
 C2 = 0.526001519587677318785587544488e-01
 C3 = 0.789002279381515978178381316732e-01
@@ -227,8 +242,16 @@ class DOP853:
     and a caller may move it further once ``t`` has reached it, which
     continues the run with the step size it proposes there.  ``blocks``
     partitions the components into (start, stop) ranges whose norms are
-    taken apart; None is one block of all.  ``nfev`` counts the calls of
-    fun, the initial step's two included.
+    taken apart; None is one block of all.
+
+    ``times``, increasing and past t0, are output times: row j of ``dense``
+    becomes the state at times[j], read from the interpolant of the first
+    step whose end is at or past it.  The steps that hold output times are
+    kept and their interpolants evaluated together, every BATCH of them and
+    at the step that reaches the last time, on arrays through
+    ``fun_rows(t, y)``: fun on an array of times and an array of states,
+    one row each.  ``nfev`` counts the states fun and fun_rows are called
+    on, the initial step's two included.
     """
 
     def __init__(
@@ -240,10 +263,15 @@ class DOP853:
         rtol: float,
         atol: float,
         blocks: Sequence[tuple[int, int]] | None = None,
+        times: Sequence[float] = (),
+        fun_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     ) -> None:
         if not t0 < t_bound:
             raise ValueError(f"need t0 < t_bound, got [{t0!r}, {t_bound!r}]")
-        self.fun = fun
+        self._times = np.asarray(times, dtype=float)
+        if self._times.size and not (t0 < self._times[0] and fun_rows is not None):
+            raise ValueError("output times need fun_rows and must come after t0")
+        self.fun, self.fun_rows = fun, fun_rows
         self.t = t0
         self.y = list(y0)
         self.t_bound = t_bound
@@ -252,9 +280,10 @@ class DOP853:
         self.f = fun(t0, self.y)
         self.nfev = 1
         self.h_abs = self._initial_step()
-        self.t_old = self.y_old = self.h_previous = None  # the last step's start and size
-        self._stages = None  # k1..k13 of the last step
-        self._interpolant = None  # its dense-output coefficients, once asked for
+        self.dense = np.empty((self._times.size, len(self.y)), dtype=complex)
+        self._time_list = self._times.tolist()  # as Python floats, for bisection
+        self._kept = []  # the steps that hold output times, not yet evaluated
+        self._filled = self._flushed = 0  # output rows held by kept steps / written
 
     def _norm(self, v: list) -> float:
         """Largest root-mean-square norm over the blocks."""
@@ -366,58 +395,60 @@ class DOP853:
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
 
-        self.t_old, self.y_old, self.h_previous = t, y, h
         self.t, self.y, self.f, self.h_abs = t_new, y_new, k13, h_abs
-        self._stages = (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
-        self._interpolant = None
+        filled = bisect.bisect_right(self._time_list, t_new, self._filled)
+        if filled > self._filled:
+            self._kept.append((filled, t, t_new, y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13))
+            self._filled = filled
+            if len(self._kept) == BATCH or filled == len(self._time_list):
+                self._flush()
 
-    def _dense_coefficients(self) -> tuple[list, ...]:
-        """The last step's interpolant, F0..F6; runs the three extra stages."""
-        fun, t, y, h = self.fun, self.t_old, self.y_old, self.h_previous
-        k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12, k13 = self._stages
-        k14 = fun(t + C14 * h, [a + (A141 * b1 + A147 * b7 + A148 * b8 + A149 * b9 + A1410 * b10
-                                     + A1411 * b11 + A1412 * b12 + A1413 * b13) * h
-                                for a, b1, b7, b8, b9, b10, b11, b12, b13
-                                in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
-        k15 = fun(t + C15 * h, [a + (A151 * b1 + A156 * b6 + A157 * b7 + A158 * b8 + A1511 * b11
-                                     + A1512 * b12 + A1513 * b13 + A1514 * b14) * h
-                                for a, b1, b6, b7, b8, b11, b12, b13, b14
-                                in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
-        k16 = fun(t + C16 * h, [a + (A161 * b1 + A166 * b6 + A167 * b7 + A168 * b8 + A169 * b9
-                                     + A1613 * b13 + A1614 * b14 + A1615 * b15) * h
-                                for a, b1, b6, b7, b8, b9, b13, b14, b15
-                                in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)])
-        self.nfev += 3
+    def _flush(self) -> None:
+        """Fill ``dense`` for the output times of the kept steps, and forget them.
 
-        stages = (k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16)
-        f0 = [b - a for a, b in zip(y, self.y)]
-        f1 = [h * b1 - d for d, b1 in zip(f0, k1)]
-        f2 = [2 * d - h * (b13 + b1) for d, b1, b13 in zip(f0, k1, k13)]
-        f3 = [h * (D41 * b1 + D46 * b6 + D47 * b7 + D48 * b8 + D49 * b9 + D410 * b10 + D411 * b11
-                   + D412 * b12 + D413 * b13 + D414 * b14 + D415 * b15 + D416 * b16)
-              for b1, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15, b16 in zip(*stages)]
-        f4 = [h * (D51 * b1 + D56 * b6 + D57 * b7 + D58 * b8 + D59 * b9 + D510 * b10 + D511 * b11
-                   + D512 * b12 + D513 * b13 + D514 * b14 + D515 * b15 + D516 * b16)
-              for b1, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15, b16 in zip(*stages)]
-        f5 = [h * (D61 * b1 + D66 * b6 + D67 * b7 + D68 * b8 + D69 * b9 + D610 * b10 + D611 * b11
-                   + D612 * b12 + D613 * b13 + D614 * b14 + D615 * b15 + D616 * b16)
-              for b1, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15, b16 in zip(*stages)]
-        f6 = [h * (D71 * b1 + D76 * b6 + D77 * b7 + D78 * b8 + D79 * b9 + D710 * b10 + D711 * b11
-                   + D712 * b12 + D713 * b13 + D714 * b14 + D715 * b15 + D716 * b16)
-              for b1, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15, b16 in zip(*stages)]
-        return f0, f1, f2, f3, f4, f5, f6
+        Runs the three extra stages of every kept step at once, through
+        ``fun_rows``, builds the coefficients F0..F6 of each step's
+        interpolant as (steps x components) arrays and evaluates the
+        interpolants by Horner's rule, BATCH output rows at a time.
+        """
+        stops, t, t_new, *arrays = zip(*self._kept)
+        self._kept = []
+        y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13 = np.array(arrays, dtype=complex)
+        t = np.array(t)
+        h = np.array(t_new) - t
+        hh = h[:, None]
+        k14 = self.fun_rows(t + C14 * h, y + (A141 * k1 + A147 * k7 + A148 * k8 + A149 * k9
+                                              + A1410 * k10 + A1411 * k11 + A1412 * k12
+                                              + A1413 * k13) * hh)
+        k15 = self.fun_rows(t + C15 * h, y + (A151 * k1 + A156 * k6 + A157 * k7 + A158 * k8
+                                              + A1511 * k11 + A1512 * k12 + A1513 * k13
+                                              + A1514 * k14) * hh)
+        k16 = self.fun_rows(t + C16 * h, y + (A161 * k1 + A166 * k6 + A167 * k7 + A168 * k8
+                                              + A169 * k9 + A1613 * k13 + A1614 * k14
+                                              + A1615 * k15) * hh)
+        self.nfev += 3 * len(t)
 
-    def dense_output(self, times: Sequence[float]) -> list[list[complex]]:
-        """The state at each of ``times``, inside the last step, from its
-        order-7 interpolant; one list of components per time."""
-        if self._interpolant is None:
-            self._interpolant = self._dense_coefficients()
-        f0, f1, f2, f3, f4, f5, f6 = self._interpolant
-        t_old, span = self.t_old, self.t - self.t_old
-        rows = []
-        for t in times:
-            x = (t - t_old) / span
+        f0 = y_new - y
+        f1 = hh * k1 - f0
+        f2 = 2 * f0 - hh * (k13 + k1)
+        f3 = hh * (D41 * k1 + D46 * k6 + D47 * k7 + D48 * k8 + D49 * k9 + D410 * k10 + D411 * k11
+                   + D412 * k12 + D413 * k13 + D414 * k14 + D415 * k15 + D416 * k16)
+        f4 = hh * (D51 * k1 + D56 * k6 + D57 * k7 + D58 * k8 + D59 * k9 + D510 * k10 + D511 * k11
+                   + D512 * k12 + D513 * k13 + D514 * k14 + D515 * k15 + D516 * k16)
+        f5 = hh * (D61 * k1 + D66 * k6 + D67 * k7 + D68 * k8 + D69 * k9 + D610 * k10 + D611 * k11
+                   + D612 * k12 + D613 * k13 + D614 * k14 + D615 * k15 + D616 * k16)
+        f6 = hh * (D71 * k1 + D76 * k6 + D77 * k7 + D78 * k8 + D79 * k9 + D710 * k10 + D711 * k11
+                   + D712 * k12 + D713 * k13 + D714 * k14 + D715 * k15 + D716 * k16)
+
+        # Rows up to stops[j] belong to kept step j: the first whose end is at
+        # or past their time.
+        start = self._flushed
+        step_of = np.repeat(np.arange(len(stops)), np.diff(stops, prepend=start))
+        for lo in range(start, stops[-1], BATCH):
+            hi = min(lo + BATCH, stops[-1])
+            i = step_of[lo - start:hi - start]
+            x = ((self._times[lo:hi] - t[i]) / h[i])[:, None]
             x1 = 1 - x
-            rows.append([((((((g6 * x + g5) * x1 + g4) * x + g3) * x1 + g2) * x + g1) * x1 + g0) * x + a
-                         for a, g0, g1, g2, g3, g4, g5, g6 in zip(self.y_old, f0, f1, f2, f3, f4, f5, f6)])
-        return rows
+            self.dense[lo:hi] = ((((((f6[i] * x + f5[i]) * x1 + f4[i]) * x + f3[i]) * x1 + f2[i])
+                                   * x + f1[i]) * x1 + f0[i]) * x + y[i]
+        self._flushed = stops[-1]

@@ -8,8 +8,9 @@ total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 
 The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
-complex scalars.  DOP853 assumes a smooth right-hand side; a step across a
-jump in a derivative of the drive loses its order and its error estimate.
+complex scalars, with its dense output evaluated on arrays.  DOP853
+assumes a smooth right-hand side; a step across a jump in a derivative of
+the drive loses its order and its error estimate.
 The drives of :mod:`pcqed.coupling` report such breakpoints, and
 :func:`evolve` and :func:`final_states` step span by span between them
 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
@@ -20,6 +21,7 @@ integrates as one span.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -32,6 +34,8 @@ from .coupling import drive_from_profile, drive_pair
 from .dop853 import DOP853
 
 __all__ = [
+    "MIN_ATOL",
+    "MIN_RTOL",
     "SubspaceHamiltonian",
     "Trajectory",
     "build_subspace",
@@ -44,6 +48,13 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
+# The tolerance floors.  Below 100 machine epsilons, scipy's floor for rtol,
+# rounding alone exceeds the error bound and the run crawls.  The norms
+# square f / atol, which overflows once |f| / atol passes 1.3e154: the
+# bundled ODE configs run as at the default atol down to 1e-140 and fail
+# at 1e-150.  At the atol floor, |f| may reach 1e54 rad/s.
+MIN_RTOL = 100 * sys.float_info.epsilon
+MIN_ATOL = 1e-100
 DEFAULT_POINTS = 2000
 _METHOD = "DOP853"
 
@@ -112,10 +123,15 @@ def evolve(
     breakpoint of either drive and resumes from there, so no step straddles
     a kink.  Any other callable is called as it is and, reporting no
     breakpoints, integrates as one span.  Output is sampled on a fixed
-    stride of n_points times, filled from each step's dense output,
-    independent of the internal adaptive steps.  Raises ConvergenceError when
-    the integrator cannot proceed (step underflow / non-finite couplings),
-    carrying the failure time.
+    stride of n_points times, independent of the internal adaptive steps:
+    each time is read from the order-7 interpolant of the first step whose
+    end is at or past it.  The solver evaluates those interpolants for many
+    steps at once, running their three extra stages through an array form
+    of the right-hand side that reads the drives through the same scalar
+    evaluators; ``nfev`` counts three calls per step that holds an output
+    time.  rtol must be at least MIN_RTOL and atol at least MIN_ATOL.
+    Raises ConvergenceError when the integrator cannot proceed (step
+    underflow / non-finite couplings), carrying the failure time.
     """
     if psi0.n_excitations != h.n_excitations:
         raise ValueError("initial state and Hamiltonian subspaces differ")
@@ -124,20 +140,10 @@ def evolve(
         raise ValueError("n_points must be >= 2")
 
     times = np.linspace(t0, t1, n_points)
-    amplitudes = np.empty((n_points, h.dim), dtype=complex)
-    amplitudes[0] = psi0.amplitudes
-    filled = 1
-
-    def sample(solver: DOP853) -> None:
-        nonlocal filled
-        done = int(np.searchsorted(times, solver.t, side="right"))
-        if done > filled:
-            amplitudes[filled:done] = solver.dense_output(times[filled:done].tolist())
-            filled = done
-
     solver, n_steps, n_spans = _integrate(
-        h.couplings, g_a, g_b, psi0.amplitudes, t0, t1, rtol, atol, on_step=sample
+        h.couplings, g_a, g_b, psi0.amplitudes, t0, t1, rtol, atol, times=times[1:]
     )
+    amplitudes = np.concatenate([[psi0.amplitudes], solver.dense])
     diagnostics = {
         "nfev": solver.nfev,
         "n_steps": n_steps,
@@ -206,18 +212,22 @@ def _stack(states: list[AmplitudeVector]) -> tuple[list, dict[int, tuple[int, in
 def _check_window(t0: float, t1: float, rtol: float, atol: float) -> None:
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got [{t0!r}, {t1!r}]")
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("tolerances must be positive")
+    if not rtol >= MIN_RTOL:
+        raise ValueError(f"rtol must be at least {MIN_RTOL:.3g} (100 machine epsilons), "
+                         f"got {rtol!r}")
+    if not atol >= MIN_ATOL:
+        raise ValueError(f"atol must be at least {MIN_ATOL:g}, got {atol!r}")
 
 
-def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, on_step=None):
+def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(), on_step=None):
     """Run one DOP853 from y0 at t0 to t1, span by span between breakpoints.
 
     The right-hand side is -i H(t) y with H read from ``couplings``, entries
     (row, col, atom, factor) over the components of y; ``blocks`` are the
-    (start, stop) ranges the solver takes its norms over apart.  on_step, if
-    given, is called with the solver after every accepted step.  Returns the
-    solver, the number of accepted steps and the number of spans.
+    (start, stop) ranges the solver takes its norms over apart, and the
+    solver's ``dense`` holds the state at each of ``times`` in (t0, t1].
+    on_step, if given, is called with the solver after every accepted step.
+    Returns the solver, the number of accepted steps and the number of spans.
     """
     drives = (getattr(g_a, "at", g_a), getattr(g_b, "at", g_b))
     table = [(row, col, atom, -1j * factor) for row, col, atom, factor in couplings]
@@ -235,9 +245,24 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, on_step
             out[col] -= c.conjugate() * psi[row]
         return out
 
+    def rhs_rows(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """rhs on each row of psi at its time in t, to the last bit."""
+        t = t.tolist()
+        g = np.array([[drive(s) for s in t] for drive in drives])
+        bad = ~np.isfinite(g).all(axis=0)
+        if bad.any():
+            when = t[np.argmax(bad)]
+            raise ConvergenceError(f"non-finite coupling at t={when:g}", t=when)
+        out = np.zeros(psi.shape, dtype=complex)
+        for row, col, atom, c in table:
+            c = _product(c, g[atom])
+            out[:, row] += _product(c, psi[:, col])
+            out[:, col] -= _product(c.conjugate(), psi[:, row])
+        return out
+
     bounds = [*_breakpoints((g_a, g_b), t0, t1), float(t1)]
     solver = DOP853(rhs, float(t0), np.asarray(y0, dtype=complex).tolist(), bounds[0],
-                    rtol, atol, blocks)
+                    rtol, atol, blocks, times, rhs_rows)
     n_steps = 0
     # DOP853 is a one-step method whose first stage reuses f at the step's
     # end.  The state and f are continuous across a kink of the drive, so
@@ -251,6 +276,16 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, on_step
             if on_step is not None:
                 on_step(solver)
     return solver, n_steps, len(bounds)
+
+
+def _product(a, b):
+    """a * b elementwise as Python multiplies complex numbers, each part a
+    sum of two rounded products; numpy's complex product may fuse one of
+    them into the sum, which moves the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _breakpoints(drives, t0: float, t1: float) -> list[float]:

@@ -446,6 +446,43 @@ def test_oversize_config_rejected_by_schema(command, stem, key, bound, tmp_path,
     assert "greater than the maximum" in err
 
 
+# Each ODE tolerance's floor, and a bundled config of each command that reads it.
+TOLERANCE_FLOORS = [pytest.param("rtol", pcqed.ode.MIN_RTOL, id="rtol"),
+                    pytest.param("atol", pcqed.ode.MIN_ATOL, id="atol")]
+ODE_COMMANDS = [pytest.param("evolve", "entangler_generic", id="evolve"),
+                pytest.param("gate-report", "gate_report_swap_generic", id="gate-report")]
+
+
+@pytest.mark.parametrize("command, stem", ODE_COMMANDS)
+@pytest.mark.parametrize("key, floor", TOLERANCE_FLOORS)
+def test_tolerance_minimum_is_exact(command, stem, key, floor):
+    config = json.loads(example_config_path(stem).read_text())
+    config["ode"] = {key: floor}
+    jsonschema.validate(config, cli.SCHEMAS[command])
+    config["ode"] = {key: math.nextafter(floor, 0.0)}
+    with pytest.raises(jsonschema.ValidationError, match="minimum"):
+        jsonschema.validate(config, cli.SCHEMAS[command])
+
+
+@pytest.mark.parametrize("command, stem", ODE_COMMANDS)
+@pytest.mark.parametrize("key, value", [("rtol", 1e-30), ("atol", 1e-300)])
+def test_tolerance_below_its_floor_exits_2(command, stem, key, value, tmp_path, monkeypatch,
+                                           capsys):
+    # rtol 1e-30 crawled for minutes and atol 1e-300 divided by zero in the
+    # solver's first step; both are refused before anything runs.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a tolerance below its floor passed validation")
+
+    monkeypatch.setattr(cli, "_profile_from_config", unreachable)
+    config = json.loads(example_config_path(stem).read_text())
+    config.setdefault("engine", "ode")
+    config["ode"] = {key: value}
+    assert run([command, "--config", write_config(tmp_path, stem, config), "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid at ode/{key}" in err
+    assert "less than the minimum" in err
+
+
 def _cross_engine_cases():
     """Every bundled evolve config that runs both engines, and the field3d transit at p < 0."""
     configs = {c.stem: json.loads(c.read_text()) for c in BUNDLED}

@@ -6,6 +6,7 @@ take the same steps, call the right-hand side as often, and end in the same
 state to rounding.
 """
 
+import math
 import re
 
 import numpy as np
@@ -77,26 +78,29 @@ class TestTableau:
         assert dop853.E312 == dop853.B12 - dop853.BHH3
 
 
-def run_both(couplings, g_a, g_b, y0, t0, t1, sample_at=()):
+def run_both(couplings, g_a, g_b, y0, t0, t1, sample=False):
     """pcqed's integration loop and scipy's DOP853 on the same right-hand side
     and spans.
 
     Returns, for each, the times of the accepted steps, nfev, the final state
-    and the dense output at ``sample_at`` (each time read from the step that
-    first reaches it).
+    and, if ``sample``, the dense output at one time inside every accepted
+    step, its midpoint.  pcqed takes those times in a second run, whose
+    steps must be the first run's.
     """
-    mine_t, mine_dense = [], []
+    def run(times=()):
+        steps = []
+        solver, n_steps, _ = ode._integrate(couplings, g_a, g_b, y0, t0, t1, ode.DEFAULT_RTOL,
+                                            ode.DEFAULT_ATOL, times=times,
+                                            on_step=lambda solver: steps.append(solver.t))
+        assert n_steps == len(steps)
+        return solver, steps
 
-    def record(solver):
-        mine_t.append(solver.t)
-        for s in sample_at:
-            if solver.t_old < s <= solver.t:
-                mine_dense.append(solver.dense_output([s])[0])
-
-    solver, n_steps, _ = ode._integrate(couplings, g_a, g_b, y0, t0, t1, ode.DEFAULT_RTOL,
-                                        ode.DEFAULT_ATOL, on_step=record)
-    assert n_steps == len(mine_t)
-    mine = (mine_t, solver.nfev, np.array(solver.y), np.array(mine_dense))
+    solver, mine_t = run()
+    sample_at = (np.array(mine_t) + [t0, *mine_t[:-1]]) / 2 if sample else np.empty(0)
+    if sample:
+        solver, steps = run(sample_at)
+        assert steps == mine_t  # output times do not move the steps
+    mine = (mine_t, solver.nfev, np.array(solver.y), solver.dense)
 
     fun = solver.fun  # the same right-hand side, on arrays
     bounds = [*ode._breakpoints((g_a, g_b), t0, t1), t1]
@@ -109,11 +113,11 @@ def run_both(couplings, g_a, g_b, y0, t0, t1, sample_at=()):
             theirs.step()
             assert theirs.status != "failed"
             their_t.append(float(theirs.t))
-            for s in sample_at:
-                if theirs.t_old < s <= theirs.t:
-                    their_dense.append(theirs.dense_output()(s))
+            lo, hi = np.searchsorted(sample_at, [theirs.t_old, theirs.t], side="right")
+            their_dense += [theirs.dense_output()(s) for s in sample_at[lo:hi]]
     # scipy runs the three extra stages on every dense_output() call, pcqed
-    # once per step: nfev agrees while the sampled points sit in distinct steps.
+    # once per step that holds an output time: with one time in every step,
+    # nfev agrees.
     return mine, (their_t, theirs.nfev, theirs.y, np.array(their_dense))
 
 
@@ -123,15 +127,15 @@ class TestScipyParity:
         g_a, g_b, _ = drive_pair(profile, 0.414)
         t0, t1 = profile.window
         y0 = AmplitudeVector.basis_state("100").amplitudes
-        check_same_steps(build_subspace(1).couplings, g_a, g_b, y0, t0, t1,
-                         sample_at=np.linspace(t0, t1, 7)[1:])
+        check_same_steps(build_subspace(1).couplings, g_a, g_b, y0, t0, t1)
 
     def test_bundled_field3d_trace(self, field3d_trace, field3d_config):
         g_a, g_b, _ = drive_pair(field3d_trace, field3d_config["p"])
         t0, t1 = field3d_trace.window
         y0 = AmplitudeVector.basis_state("010").amplitudes
+        # about 2000 steps: the run crosses many batches of dense output
         check_same_steps(build_subspace(1).couplings, g_a, g_b, y0, t0, t1,
-                         sample_at=np.linspace(t0, t1, 5)[1:])
+                         min_steps=4 * dop853.BATCH)
 
     def test_four_state_stack(self):
         # One block over the stack, so the norms are scipy's (final_states
@@ -153,13 +157,14 @@ class TestScipyParity:
         assert np.max(np.abs(mine_y - their_y)) <= 1e-12
 
 
-def check_same_steps(couplings, g_a, g_b, y0, t0, t1, sample_at=()):
+def check_same_steps(couplings, g_a, g_b, y0, t0, t1, min_steps=1):
     """On up to three components the arithmetic is scipy's to the last bit
     but for the summation order of the norms: the same steps, nfev and, to
-    rounding, states."""
+    rounding, states, the dense output inside every step included."""
     (mine_t, mine_nfev, mine_y, mine_d), (their_t, their_nfev, their_y, their_d) = run_both(
-        couplings, g_a, g_b, y0, t0, t1, sample_at)
-    assert len(mine_t) == len(their_t)
+        couplings, g_a, g_b, y0, t0, t1, sample=True)
+    assert len(mine_t) == len(their_t) >= min_steps
+    assert mine_d.shape == their_d.shape == (len(mine_t), len(y0))
     np.testing.assert_allclose(mine_t, their_t, rtol=1e-13, atol=0)
     assert mine_nfev == their_nfev
     assert np.max(np.abs(mine_y - their_y)) <= 1e-13
@@ -168,19 +173,55 @@ def check_same_steps(couplings, g_a, g_b, y0, t0, t1, sample_at=()):
 
 class TestSolver:
     def test_nfev_counts_every_call(self):
-        calls = []
+        # The steps that hold output times span several batches of dense output.
+        calls, row_calls = [], []
 
         def fun(t, y):
             calls.append(t)
             return [-1j * v for v in y]
 
-        solver = dop853.DOP853(fun, 0.0, [1 + 0j], 10.0, 1e-9, 1e-11)
-        while solver.t < 10.0:
+        def fun_rows(t, y):
+            calls.extend(t)
+            row_calls.append(len(t))
+            return -1j * y
+
+        times = np.linspace(0.0, 1000.0, 20001)[1:]
+        solver = dop853.DOP853(fun, 0.0, [1 + 0j], 1000.0, 1e-9, 1e-11, times=times,
+                               fun_rows=fun_rows)
+        ends = []
+        while solver.t < 1000.0:
             solver.step()
-        solver.dense_output([9.9, 10.0])
-        solver.dense_output([9.95])  # the interpolant is built once per step
+            ends.append(solver.t)
+        held = len(np.unique(np.searchsorted(ends, times)))  # steps that hold output times
+        assert held > 2 * dop853.BATCH
         assert solver.nfev == len(calls)
-        assert abs(solver.y[0] - np.exp(-10j)) <= 1e-8
+        assert sum(row_calls) == 3 * held  # the three extra stages of each
+        assert len(row_calls) == 3 * math.ceil(held / dop853.BATCH)  # once per stage and batch
+        np.testing.assert_allclose(solver.dense[:, 0], np.exp(-1j * times), rtol=0, atol=1e-6)
+
+    def test_time_at_a_step_end_is_read_from_that_step(self):
+        # The span's last step holds the output time at its end, x = 1, where
+        # the interpolant is y_old + (y - y_old).  That step runs the three
+        # extra stages; the next one, which holds the time at x = 0, does not.
+        solver = dop853.DOP853(lambda t, y: [-1j * v for v in y], 0.0, [1 + 0j], 1.0, 1e-9,
+                               1e-11, times=[1.0], fun_rows=lambda t, y: -1j * y)
+        while solver.t < 1.0:
+            y_old, nfev = solver.y, solver.nfev
+            solver.step()
+        assert (solver.nfev - nfev) % 12 == 3  # 12 per attempt, 3 for the dense output
+        assert solver.dense[0].tolist() == [a + (b - a) for a, b in zip(y_old, solver.y)]
+        solver.t_bound, nfev = 2.0, solver.nfev
+        while solver.t < 2.0:
+            solver.step()
+        assert (solver.nfev - nfev) % 12 == 0
+
+    def test_output_times_need_fun_rows_and_must_follow_t0(self):
+        fun = lambda t, y: y  # noqa: E731
+        with pytest.raises(ValueError, match="fun_rows"):
+            dop853.DOP853(fun, 0.0, [1 + 0j], 1.0, 1e-9, 1e-11, times=[0.5])
+        with pytest.raises(ValueError, match="after t0"):
+            dop853.DOP853(fun, 0.0, [1 + 0j], 1.0, 1e-9, 1e-11, times=[0.0, 0.5],
+                          fun_rows=lambda t, y: y)
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError, match="t0 < t_bound"):

@@ -22,6 +22,7 @@ from pcqed import (
     two_excitation_return,
     two_excitation_unitary,
 )
+from pcqed import ode
 from pcqed.gates import calibrate_velocity
 
 from conftest import csv_rows, generic_family
@@ -284,6 +285,27 @@ class TestEvolve:
             )
         assert err.value.t is not None
 
+    @pytest.mark.parametrize("key, value", [
+        ("rtol", 1e-30), ("rtol", math.nextafter(ode.MIN_RTOL, 0.0)), ("rtol", math.nan),
+        ("atol", 1e-300), ("atol", math.nextafter(ode.MIN_ATOL, 0.0)), ("atol", 0.0),
+    ])
+    def test_tolerance_below_its_floor_is_refused(self, key, value):
+        psi0 = AmplitudeVector.basis_state("100")
+        with pytest.raises(ValueError, match=f"{key} must be at least"):
+            evolve(build_subspace(1), constant(1e9), constant(0.0), psi0, 0.0, 1e-9,
+                   **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be at least"):
+            final_states(constant(1e9), constant(0.0), [psi0], 0.0, 1e-9, **{key: value})
+
+    def test_tolerances_at_their_floors_run(self):
+        g_a, g_b, duration = 0.9e9, -0.5e9, 2.3e-9
+        h = build_subspace(1)
+        psi0 = AmplitudeVector.basis_state("100")
+        traj = evolve(h, constant(g_a), constant(g_b), psi0, 0.0, duration,
+                      rtol=ode.MIN_RTOL, atol=ode.MIN_ATOL, n_points=3)
+        want = expm_unitary(h.matrix(g_a, g_b), duration) @ psi0.amplitudes
+        np.testing.assert_allclose(traj.amplitudes[-1], want, rtol=0, atol=1e-12)
+
     def test_subspace_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evolve(
@@ -326,6 +348,35 @@ class TestBareCallables:
             evolve(build_subspace(2), drive_a, lambda t: math.nan if t > 1.5e-9 else 0.0,
                    AmplitudeVector.basis_state("110"), 0.0, 2e-9)
         assert 1.5e-9 < err.value.t <= 2e-9
+
+
+class TestArrayRightHandSide:
+    """The right-hand side the dense output runs on arrays is the scalar one,
+    row by row, to the last bit."""
+
+    @staticmethod
+    def solver(g_a, g_b, n=1):
+        h = build_subspace(n)
+        return ode._integrate(h.couplings, g_a, g_b, np.eye(h.dim)[0], 0.0, 1e-9,
+                              ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_are_the_scalar_values(self, n):
+        # Complex drives make every product a complex one, which numpy's own
+        # product may round otherwise.
+        solver = self.solver(lambda t: complex(0.6e9 * math.cos(1e9 * t), 0.7e9),
+                             lambda t: complex(-0.2e9, 0.4e9 * math.sin(1e9 * t)), n)
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, 1e-9, 64)
+        psi = rng.normal(size=(64, len(solver.y))) + 1j * rng.normal(size=(64, len(solver.y)))
+        rows = solver.fun_rows(t, psi).tolist()
+        assert rows == [solver.fun(s, y) for s, y in zip(t.tolist(), psi.tolist())]
+
+    def test_rows_fail_at_the_first_non_finite_coupling(self):
+        solver = self.solver(lambda t: math.nan if t > 2e-9 else 1e9, constant(0.0))
+        with pytest.raises(ConvergenceError) as err:
+            solver.fun_rows(np.array([1e-9, 3e-9, 4e-9]), np.ones((3, 3), dtype=complex))
+        assert err.value.t == 3e-9
 
 
 def kinked_trace(n: int, delta: float, g0: float = 4e9, duration: float = 1e-9) -> CouplingTrace:
