@@ -272,8 +272,12 @@ def _load_config(path: str, command: str) -> dict:
         raw = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def refuse(literal: str):  # Python's json reads NaN and infinities; JSON Schema lets them by
+        raise ConfigError(f"config {path} is not valid JSON: {literal} is not a number")
+
     try:
-        config = json.loads(raw)
+        config = json.loads(raw, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:

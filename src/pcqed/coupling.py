@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FLOAT_FORMAT, write_csv
+from .core import FLOAT_FORMAT, _require_positive, write_csv
 
 __all__ = [
     "GenericProfileParams",
@@ -66,10 +66,8 @@ class GenericProfileParams:
     zeta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "path_half_length", "defect_radius", "lattice_const", "velocity"):
-            value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _require_positive(**{name: getattr(self, name) for name in (
+            "omega0", "path_half_length", "defect_radius", "lattice_const", "velocity")})
         if not math.isfinite(self.zeta):
             raise ValueError("zeta must be finite")
 

@@ -9,10 +9,10 @@ with the tableau's zero coefficients left out, as ``dop853.f`` writes it.
 The state is a list of Python complex numbers and the right-hand side maps
 (t, list) to a list: for the few components pcqed integrates, scalar
 arithmetic costs less than array calls do.  The dense output is the
-exception: it is evaluated for many steps at once, on numpy arrays of
-steps x components, with the same operations in the same order, and
-numpy's product of a real and a complex number rounds as Python's does, so
-its values are those of the scalar arithmetic.
+exception: its interpolants are built and evaluated for many steps at
+once, on numpy arrays of steps x components, with the same operations in
+the same order, and numpy's product of a real and a complex number rounds
+as Python's does, so its values are those of the scalar arithmetic.
 
 The step control is that of ``scipy.integrate.DOP853``, so on the same
 problem both take the same steps, up to the rounding of sums that numpy
@@ -29,7 +29,7 @@ orders otherwise (beyond three components it sums in BLAS order):
   test, and the three extra stages of the dense output run only for steps
   that hold an output time: such a step is kept, and every BATCH kept
   steps, and the one that reaches the last output time, run their extra
-  stages together through an array form of the right-hand side, build
+  stages through the right-hand side, one call per stage and step, build
   their interpolants' coefficients F0..F6 as arrays and evaluate them at
   every output time they hold.
 
@@ -248,10 +248,8 @@ class DOP853:
     becomes the state at times[j], read from the interpolant of the first
     step whose end is at or past it.  The steps that hold output times are
     kept and their interpolants evaluated together, every BATCH of them and
-    at the step that reaches the last time, on arrays through
-    ``fun_rows(t, y)``: fun on an array of times and an array of states,
-    one row each.  ``nfev`` counts the states fun and fun_rows are called
-    on, the initial step's two included.
+    at the step that reaches the last time.  ``nfev`` counts the calls of
+    fun, the initial step's two included.
     """
 
     def __init__(
@@ -264,14 +262,13 @@ class DOP853:
         atol: float,
         blocks: Sequence[tuple[int, int]] | None = None,
         times: Sequence[float] = (),
-        fun_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     ) -> None:
         if not t0 < t_bound:
             raise ValueError(f"need t0 < t_bound, got [{t0!r}, {t_bound!r}]")
         self._times = np.asarray(times, dtype=float)
-        if self._times.size and not (t0 < self._times[0] and fun_rows is not None):
-            raise ValueError("output times need fun_rows and must come after t0")
-        self.fun, self.fun_rows = fun, fun_rows
+        if self._times.size and not t0 < self._times[0]:
+            raise ValueError("output times must come after t0")
+        self.fun = fun
         self.t = t0
         self.y = list(y0)
         self.t_bound = t_bound
@@ -296,6 +293,10 @@ class DOP853:
         scale = [self.atol + abs(a) * self.rtol for a in y0]
         d0 = self._norm([a / s for a, s in zip(y0, scale)])
         d1 = self._norm([a / s for a, s in zip(f0, scale)])
+        if not math.isfinite(d1):
+            raise ConvergenceError(
+                f"integration failed at t={t0:g}: the norm of the right-hand side over "
+                "the error scale is not finite", t=t0)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
         f1 = self.fun(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
@@ -406,10 +407,10 @@ class DOP853:
     def _flush(self) -> None:
         """Fill ``dense`` for the output times of the kept steps, and forget them.
 
-        Runs the three extra stages of every kept step at once, through
-        ``fun_rows``, builds the coefficients F0..F6 of each step's
-        interpolant as (steps x components) arrays and evaluates the
-        interpolants by Horner's rule, BATCH output rows at a time.
+        Runs the three extra stages of every kept step, builds the
+        coefficients F0..F6 of each step's interpolant as (steps x
+        components) arrays and evaluates the interpolants by Horner's rule,
+        BATCH output rows at a time.
         """
         stops, t, t_new, *arrays = zip(*self._kept)
         self._kept = []
@@ -417,16 +418,15 @@ class DOP853:
         t = np.array(t)
         h = np.array(t_new) - t
         hh = h[:, None]
-        k14 = self.fun_rows(t + C14 * h, y + (A141 * k1 + A147 * k7 + A148 * k8 + A149 * k9
-                                              + A1410 * k10 + A1411 * k11 + A1412 * k12
-                                              + A1413 * k13) * hh)
-        k15 = self.fun_rows(t + C15 * h, y + (A151 * k1 + A156 * k6 + A157 * k7 + A158 * k8
-                                              + A1511 * k11 + A1512 * k12 + A1513 * k13
-                                              + A1514 * k14) * hh)
-        k16 = self.fun_rows(t + C16 * h, y + (A161 * k1 + A166 * k6 + A167 * k7 + A168 * k8
-                                              + A169 * k9 + A1613 * k13 + A1614 * k14
-                                              + A1615 * k15) * hh)
-        self.nfev += 3 * len(t)
+        k14 = self._rows(t + C14 * h, y + (A141 * k1 + A147 * k7 + A148 * k8 + A149 * k9
+                                           + A1410 * k10 + A1411 * k11 + A1412 * k12
+                                           + A1413 * k13) * hh)
+        k15 = self._rows(t + C15 * h, y + (A151 * k1 + A156 * k6 + A157 * k7 + A158 * k8
+                                           + A1511 * k11 + A1512 * k12 + A1513 * k13
+                                           + A1514 * k14) * hh)
+        k16 = self._rows(t + C16 * h, y + (A161 * k1 + A166 * k6 + A167 * k7 + A168 * k8
+                                           + A169 * k9 + A1613 * k13 + A1614 * k14
+                                           + A1615 * k15) * hh)
 
         f0 = y_new - y
         f1 = hh * k1 - f0
@@ -452,3 +452,12 @@ class DOP853:
             self.dense[lo:hi] = ((((((f6[i] * x + f5[i]) * x1 + f4[i]) * x + f3[i]) * x1 + f2[i])
                                    * x + f1[i]) * x1 + f0[i]) * x + y[i]
         self._flushed = stops[-1]
+
+    def _rows(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """fun on each row of y at its time in t, one call per row."""
+        out = np.empty_like(y)
+        # One row is a list at a time, so few Python objects live whatever BATCH is.
+        for i, s in enumerate(t.tolist()):
+            out[i] = self.fun(s, y[i].tolist())
+        self.nfev += len(out)
+        return out

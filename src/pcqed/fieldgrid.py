@@ -22,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CavityParams
+from .core import CavityParams, _require_positive
 from .coupling import CouplingTrace
 
 __all__ = [
+    "MAX_CELLS",
     "FieldGrid",
     "PathSpec",
     "peak_energy_point",
@@ -46,6 +47,11 @@ DEFAULT_SAMPLES = 2001
 ROD_EPS = 12.0
 ROD_RADIUS_FRAC = 0.175
 DEFECT_RADIUS_FRAC = 0.15
+
+# The most cells a synthesized grid may have.  Synthesis holds about 105
+# bytes per cavity3d cell (measured at 101^3 to 161^3), so the budget bounds
+# it to about 0.2 GiB; the largest bundled grid has 60 025 cells.
+MAX_CELLS = 2_000_000
 
 
 def _cell_centers(origin: float, spacing: float, n: int) -> np.ndarray:
@@ -383,17 +389,18 @@ def synthesize_mode(
     there) and decay radially while oscillating at the lattice period.
     The work is set by dims alone, whatever the spacing.  Raises ValueError
     naming the argument for an unknown kind, a lattice_const, decay_radius
-    or spacing that is not positive and finite, or a dims axis below 1, and
-    naming spacing and lattice_const for a box, or a box in lattice
-    constants, that is not finite.
+    or spacing that is not positive and finite, a dims axis below 1 or more
+    than MAX_CELLS cells, and naming spacing and lattice_const for a box,
+    or a box in lattice constants, that is not finite.
     """
     if kind not in ("cavity2d", "cavity3d"):
         raise ValueError(f"unknown synthetic mode kind {kind!r}")
-    for name, length in (("lattice_const", lattice_const), ("decay_radius", decay_radius)):
-        if not 0 < length < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {length!r}")
+    _require_positive(lattice_const=lattice_const, decay_radius=decay_radius)
     if len(dims) != 3 or any(n < 1 for n in dims):
         raise ValueError(f"dims must be three axis lengths of at least 1, got {dims!r}")
+    if math.prod(dims) > MAX_CELLS:
+        raise ValueError(f"dims {dims!r} give {math.prod(dims)} cells, more than the "
+                         f"{MAX_CELLS} a synthesized grid may have")
     if len(spacing) != 3 or not all(0 < h < math.inf for h in spacing):
         raise ValueError(f"spacing must be three positive finite lengths, got {spacing!r}")
     if not all(math.isfinite(n * h / lattice_const) for n, h in zip(dims, spacing)):

@@ -153,7 +153,7 @@ def calibrate_velocity(
     if label not in _REQUIRED_P:
         raise ValueError(f"no calibration condition for target {label!r}")
     p_req = _REQUIRED_P[label]
-    if abs(p - p_req) > _P_TOL:
+    if not abs(p - p_req) <= _P_TOL:  # NaN fails too
         raise ValueError(
             f"target {label} needs coupling ratio p = {p_req:.5f} "
             f"(+/- {_P_TOL}), got {p}"

@@ -8,7 +8,7 @@ total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 
 The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
-complex scalars, with its dense output evaluated on arrays.  DOP853
+complex scalars, with its interpolants evaluated on arrays.  DOP853
 assumes a smooth right-hand side; a step across a jump in a derivative of
 the drive loses its order and its error estimate.
 The drives of :mod:`pcqed.coupling` report such breakpoints, and
@@ -126,10 +126,9 @@ def evolve(
     stride of n_points times, independent of the internal adaptive steps:
     each time is read from the order-7 interpolant of the first step whose
     end is at or past it.  The solver evaluates those interpolants for many
-    steps at once, running their three extra stages through an array form
-    of the right-hand side that reads the drives through the same scalar
-    evaluators; ``nfev`` counts three calls per step that holds an output
-    time.  rtol must be at least MIN_RTOL and atol at least MIN_ATOL.
+    steps at once; their three extra stages are three more calls of the
+    right-hand side per step that holds an output time, which ``nfev``
+    counts.  rtol must be at least MIN_RTOL and atol at least MIN_ATOL.
     Raises ConvergenceError when the integrator cannot proceed (step
     underflow / non-finite couplings), carrying the failure time.
     """
@@ -245,24 +244,9 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
             out[col] -= c.conjugate() * psi[row]
         return out
 
-    def rhs_rows(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """rhs on each row of psi at its time in t, to the last bit."""
-        t = t.tolist()
-        g = np.array([[drive(s) for s in t] for drive in drives])
-        bad = ~np.isfinite(g).all(axis=0)
-        if bad.any():
-            when = t[np.argmax(bad)]
-            raise ConvergenceError(f"non-finite coupling at t={when:g}", t=when)
-        out = np.zeros(psi.shape, dtype=complex)
-        for row, col, atom, c in table:
-            c = _product(c, g[atom])
-            out[:, row] += _product(c, psi[:, col])
-            out[:, col] -= _product(c.conjugate(), psi[:, row])
-        return out
-
     bounds = [*_breakpoints((g_a, g_b), t0, t1), float(t1)]
     solver = DOP853(rhs, float(t0), np.asarray(y0, dtype=complex).tolist(), bounds[0],
-                    rtol, atol, blocks, times, rhs_rows)
+                    rtol, atol, blocks, times)
     n_steps = 0
     # DOP853 is a one-step method whose first stage reuses f at the step's
     # end.  The state and f are continuous across a kink of the drive, so
@@ -276,16 +260,6 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
             if on_step is not None:
                 on_step(solver)
     return solver, n_steps, len(bounds)
-
-
-def _product(a, b):
-    """a * b elementwise as Python multiplies complex numbers, each part a
-    sum of two rounded products; numpy's complex product may fuse one of
-    them into the sum, which moves the last bit."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _breakpoints(drives, t0: float, t1: float) -> list[float]:
@@ -305,8 +279,9 @@ def two_excitation_return(
 
     Integrates |110> in the two-excitation subspace with
     :func:`final_states`, under the same drives as the single-excitation
-    gate (:func:`pcqed.coupling.drive_pair`), and returns |<110|psi(t1)>|^2.  The value is reported as measured; it is not
-    forced to match any idealized truth table.
+    gate (:func:`pcqed.coupling.drive_pair`), and returns
+    |<110|psi(t1)>|^2.  The value is reported as measured; it is not forced
+    to match any idealized truth table.
     """
     drive_a, drive_b, _ = drive_pair(profile_a, p)
     (final,) = final_states(drive_a, drive_b, [AmplitudeVector.basis_state("110")],

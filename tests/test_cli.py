@@ -580,3 +580,48 @@ def test_ode_block_resolves_key_by_key(tmp_path):
     config = {**_GENERIC, "initial": "100", "ode": {"rtol": 1e-10}}
     resolved = cli._load_config(str(write_config(tmp_path, "cfg", config)), "evolve")
     assert resolved["ode"] == {"rtol": 1e-10, "atol": _default(pcqed.evolve, "atol")}
+
+
+@pytest.mark.parametrize("value, literal", [(math.nan, "NaN"), (math.inf, "Infinity"),
+                                            (-math.inf, "-Infinity")])
+def test_non_finite_literal_exits_2(value, literal, tmp_path, monkeypatch, capsys):
+    # Python's json reads these, and JSON Schema takes them for numbers: a NaN
+    # ratio passed calibration's tolerance test and blamed a finite pulse area.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a non-finite literal passed validation")
+
+    monkeypatch.setattr(cli, "_profile_from_config", unreachable)
+    config = json.loads(example_config_path("calibrate_not_generic").read_text())
+    config["p"] = value
+    path = write_config(tmp_path, "cfg", config)
+    assert literal in path.read_text()
+    assert run(["calibrate", "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{literal} is not a number" in err
+
+
+def test_overflowing_drive_exits_3(tmp_path, capsys):
+    # f at t0 over the error scale overflows the first step's norm, which then
+    # divided by zero.
+    config = generic_config(engine="ode")
+    config["profile"]["omega0"] = 1e160
+    path = write_config(tmp_path, "cfg", config)
+    assert run(["evolve", "--config", path, "--out", tmp_path]) == 3
+    assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, stem", [("field-stats", "field3d_stats"),
+                                           ("evolve", "evolve_field3d")])
+def test_grid_over_the_cell_budget_exits_2(command, stem, tmp_path, monkeypatch, capsys):
+    # Every axis within the schema's 401, together ~6.4 GiB of synthesis.
+    # Nothing past the check may run, so a missing budget fails here instead
+    # of allocating.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a grid over the cell budget passed the check")
+
+    monkeypatch.setattr(pcqed.fieldgrid, "_triangular_rod_epsilon", unreachable)
+    path = write_config(tmp_path, stem, bundled_with(stem, ("field", "dims"), 401))
+    assert run([command, "--config", path, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dims (401, 401, 401)")
+    assert f"more than the {pcqed.fieldgrid.MAX_CELLS}" in err

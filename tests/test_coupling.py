@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def simpson_oracle(f, a, b, n_start=4096, max_doublings=8, tol=1e-12):
         prev = val
         n *= 2
     return prev
+
+
+class TestGenericProfileParams:
+    @pytest.mark.parametrize("name", ["omega0", "path_half_length", "defect_radius",
+                                      "lattice_const", "velocity"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_size_not_positive_and_finite_refused_by_name(self, fig_family, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            replace(fig_family, **{name: bad})
 
 
 class TestGenericCoupling:

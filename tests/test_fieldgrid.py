@@ -271,6 +271,18 @@ class TestSynthesizeMode:
             with pytest.raises(ValueError, match="spacing.*lattice_const"):
                 synthesize_mode("cavity2d", lattice_const, 1.0, (3, 3, 1), spacing)
 
+    def test_cell_budget_refused_by_name(self, monkeypatch):
+        # (401, 401, 401) passes the schema's per-axis bound and would take
+        # ~6.4 GiB.  Nothing past the check may run, so a missing budget fails
+        # here instead of allocating.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid over the cell budget passed the check")
+
+        monkeypatch.setattr(fieldgrid, "_triangular_rod_epsilon", unreachable)
+        for dims in [(401, 401, 401), (fieldgrid.MAX_CELLS + 1, 1, 1)]:
+            with pytest.raises(ValueError, match=f"dims .* more than the {fieldgrid.MAX_CELLS}"):
+                synthesize_mode("cavity2d", 1.0, 1.0, dims, (0.1, 0.1, 1.0))
+
     def test_work_does_not_grow_with_the_spacing(self):
         # Cells 125 lattice periods wide: the box spans ~1400 periods, about
         # two million rods, of which each subcell point still tests four.

@@ -132,6 +132,11 @@ class TestCalibrateVelocity:
         with pytest.raises(ValueError):
             calibrate_velocity(fig_family, 0.9, "NOT")
 
+    def test_nan_ratio_rejected_by_name(self, fig_family):
+        # abs(nan - 1) > tol is False: the ratio must pass the test, not fail it.
+        with pytest.raises(ValueError, match="needs coupling ratio p = 1.00000.*got nan"):
+            calibrate_velocity(fig_family, math.nan, "NOT")
+
     def test_no_solution_reports_candidates(self, fig_family):
         with pytest.raises(CalibrationError) as err:
             calibrate_velocity(fig_family, 0.414, "ENTANGLER_HADAMARD", v_bounds=(150.0, 160.0))

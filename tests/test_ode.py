@@ -350,35 +350,6 @@ class TestBareCallables:
         assert 1.5e-9 < err.value.t <= 2e-9
 
 
-class TestArrayRightHandSide:
-    """The right-hand side the dense output runs on arrays is the scalar one,
-    row by row, to the last bit."""
-
-    @staticmethod
-    def solver(g_a, g_b, n=1):
-        h = build_subspace(n)
-        return ode._integrate(h.couplings, g_a, g_b, np.eye(h.dim)[0], 0.0, 1e-9,
-                              ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)[0]
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_rows_are_the_scalar_values(self, n):
-        # Complex drives make every product a complex one, which numpy's own
-        # product may round otherwise.
-        solver = self.solver(lambda t: complex(0.6e9 * math.cos(1e9 * t), 0.7e9),
-                             lambda t: complex(-0.2e9, 0.4e9 * math.sin(1e9 * t)), n)
-        rng = np.random.default_rng(5)
-        t = rng.uniform(0.0, 1e-9, 64)
-        psi = rng.normal(size=(64, len(solver.y))) + 1j * rng.normal(size=(64, len(solver.y)))
-        rows = solver.fun_rows(t, psi).tolist()
-        assert rows == [solver.fun(s, y) for s, y in zip(t.tolist(), psi.tolist())]
-
-    def test_rows_fail_at_the_first_non_finite_coupling(self):
-        solver = self.solver(lambda t: math.nan if t > 2e-9 else 1e9, constant(0.0))
-        with pytest.raises(ConvergenceError) as err:
-            solver.fun_rows(np.array([1e-9, 3e-9, 4e-9]), np.ones((3, 3), dtype=complex))
-        assert err.value.t == 3e-9
-
-
 def kinked_trace(n: int, delta: float, g0: float = 4e9, duration: float = 1e-9) -> CouplingTrace:
     """A complex trace whose middle segment passes delta * g0 from zero, with
     |g| curving sharply there and bending at every sample."""
