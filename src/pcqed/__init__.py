@@ -27,7 +27,6 @@ from .coupling import (
     GenericProfileParams,
     drive_from_profile,
     drive_pair,
-    generic_coupling,
     pulse_area,
     scaled_pair,
     trace_from_csv,
@@ -36,7 +35,6 @@ from .coupling import (
 from .analytic import (
     PulseAreas,
     analytic_trajectory,
-    closed_form_amplitudes,
     logical_unitary,
     two_excitation_unitary,
 )
@@ -45,7 +43,6 @@ from .ode import (
     evolve,
     final_states,
     trajectory_to_csv,
-    two_excitation_return,
 )
 from .fieldgrid import (
     FieldGrid,
@@ -71,7 +68,6 @@ from .gates import (
     calibrate_velocity,
     effective_interaction_time,
     fidelity,
-    operation_time,
     truth_table,
 )
 from .sweep import SweepGrid, surface, surfaces_to_csv

@@ -29,7 +29,6 @@ from .coupling import exact_area
 __all__ = [
     "PulseAreas",
     "amplitudes",
-    "closed_form_amplitudes",
     "logical_unitary",
     "two_excitation_unitary",
     "analytic_trajectory",
@@ -84,9 +83,8 @@ def amplitudes(g_a, g_b, initial: str = "100"):
     """Closed-form amplitudes on (|100>, |010>, |001>) after pulse areas g_a, g_b.
 
     The system starts in the basis state ``initial``.  Broadcasts over array
-    areas; returns three arrays.  closed_form_amplitudes, analytic_trajectory
-    and sweep.surface evaluate through here; logical_unitary shares its
-    per-column formulas.
+    areas; returns three arrays.  analytic_trajectory and sweep.surface
+    evaluate through here; logical_unitary shares its per-column formulas.
     """
     g_a = np.asarray(g_a, dtype=float)
     g_b = np.asarray(g_b, dtype=float)
@@ -94,18 +92,12 @@ def amplitudes(g_a, g_b, initial: str = "100"):
     return _column(g_a, g_b, *_trig_factors(np.hypot(g_a, g_b)), initial)
 
 
-def closed_form_amplitudes(areas: PulseAreas) -> tuple[complex, complex, complex]:
-    """Final (a, b, gamma) for the initial state |100> after the full pulse."""
-    return tuple(complex(x) for x in amplitudes(areas.g_a, areas.g_b))
-
-
 def logical_unitary(areas: PulseAreas) -> np.ndarray:
     """3x3 propagator over {|100>, |010>, |001>} for the given pulse areas.
 
     U = I + (cos(Lambda) - 1)/Lambda^2 * M^2 - i sin(Lambda)/Lambda * M with
     M the symmetric matrix coupling each atom slot to the photon slot.
-    Column j holds :func:`amplitudes` from the j-th basis state, so the
-    first column reproduces :func:`closed_form_amplitudes`; the trig
+    Column j holds :func:`amplitudes` from the j-th basis state; the trig
     factors are evaluated once for all three.
     """
     g_a = np.asarray(areas.g_a, dtype=float)

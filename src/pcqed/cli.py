@@ -489,12 +489,7 @@ def _cmd_field_stats(config: dict, out: Path, stem: str, args) -> list[Path]:
     grid = _build_grid(config)
     r_m, eps_m = peak_energy_point(grid)
     v_mode = mode_volume(grid, config.get("effective_height"))
-    if grid.components == 3:
-        plane = config.get("plane_index", grid.dims[2] // 2)
-        pol = polarization_fraction(grid, plane)
-    else:
-        # Scalar grids model a pure-TM mode; the full energy is in E_z.
-        pol = 1.0
+    pol = polarization_fraction(grid, config.get("plane_index", grid.dims[2] // 2))
     g0 = None
     if "dipole_moment" in config and "omega_cav" in config:
         g0 = g0_from_params(config["dipole_moment"], config["omega_cav"], eps_m, v_mode)

@@ -39,7 +39,6 @@ __all__ = [
     "TraceMagnitude",
     "drive_from_profile",
     "drive_pair",
-    "generic_coupling",
     "exact_area",
     "pulse_area",
     "scaled_pair",
@@ -71,26 +70,6 @@ class GenericProfileParams:
         if not math.isfinite(self.zeta):
             raise ValueError("zeta must be finite")
 
-    def replace_velocity(self, velocity: float) -> "GenericProfileParams":
-        return replace(self, velocity=velocity)
-
-
-def generic_coupling(t, params: GenericProfileParams):
-    """Coupling strength (rad/s) at time t (s) for the generic profile.
-
-    Omega0 * cos(zeta) * exp(-|V t - L| / R_def) * cos[(pi / l)(V t - L)],
-    vectorized over t.
-    """
-    t = np.asarray(t, dtype=float)
-    x = params.velocity * t - params.path_half_length
-    value = (
-        params.omega0
-        * math.cos(params.zeta)
-        * np.exp(-np.abs(x) / params.defect_radius)
-        * np.cos(np.pi * x / params.lattice_const)
-    )
-    return value if value.ndim else float(value)
-
 
 @dataclass(frozen=True)
 class GenericProfile:
@@ -99,11 +78,24 @@ class GenericProfile:
     params: GenericProfileParams
 
     def __call__(self, t):
-        return generic_coupling(t, self.params)
+        """Coupling strength (rad/s) at time t (s), vectorized over t:
+
+            Omega0 cos(zeta) exp(-|V t - L| / R_def) cos[(pi / l)(V t - L)]
+        """
+        params = self.params
+        t = np.asarray(t, dtype=float)
+        x = params.velocity * t - params.path_half_length
+        value = (
+            params.omega0
+            * math.cos(params.zeta)
+            * np.exp(-np.abs(x) / params.defect_radius)
+            * np.cos(np.pi * x / params.lattice_const)
+        )
+        return value if value.ndim else float(value)
 
     def at(self, t: float) -> float:
-        """The coupling at one time t, as a Python float: :func:`generic_coupling`
-        term by term on scalars."""
+        """The coupling at one time t, as a Python float: the call's formula
+        term by term on scalars, for the ODE's right-hand side."""
         params = self.params
         x = params.velocity * t - params.path_half_length
         return (
@@ -133,7 +125,7 @@ class GenericProfile:
 
     def at_velocity(self, velocity: float) -> "GenericProfile":
         """The same profile crossed at ``velocity`` (m/s)."""
-        return GenericProfile(self.params.replace_velocity(velocity))
+        return GenericProfile(replace(self.params, velocity=velocity))
 
 
 @dataclass(frozen=True)
@@ -212,9 +204,6 @@ class CouplingTrace:
     @property
     def is_complex(self) -> bool:
         return bool(np.iscomplexobj(self.values))
-
-    def scaled(self, factor: float) -> "CouplingTrace":
-        return CouplingTrace(self.times, factor * self.values, velocity=self.velocity)
 
     def at_velocity(self, velocity: float) -> "CouplingTrace":
         """The same path crossed at ``velocity`` (m/s): the times scale by the
@@ -438,7 +427,7 @@ def scaled_pair(profile, p: float):
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     if isinstance(profile, CouplingTrace):
-        return profile.scaled(p)
+        return CouplingTrace(profile.times, p * profile.values, velocity=profile.velocity)
     if p == 0.0:
         # exact zero; acos(0) would leave a cos(pi/2) rounding residue
         return ScaledProfile(profile, 0.0)

@@ -53,6 +53,13 @@ DEFECT_RADIUS_FRAC = 0.15
 # it to about 0.2 GiB; the largest bundled grid has 60 025 cells.
 MAX_CELLS = 2_000_000
 
+# The widest box a synthesized grid may span, in lattice constants per axis.
+# Rods are found from coordinates in lattice constants, whose rounding grows
+# with the box: against a 60-digit recomputation, a 5x5 cavity2d grid's
+# permittivity is exact up to a box of 1e15 lattice constants, and wrong in
+# 6 of its 25 cells, with no warning, at 1e16.
+MAX_BOX_LATTICE_CONSTANTS = 1e12
+
 
 def _cell_centers(origin: float, spacing: float, n: int) -> np.ndarray:
     """Cell-center coordinates of one axis: origin + (index + 1/2) * spacing."""
@@ -199,17 +206,18 @@ def mode_volume(grid: FieldGrid, effective_height: float | None = None) -> float
 
 
 def polarization_fraction(grid: FieldGrid, plane_index: int) -> float:
-    """Share of |E_z|^2 in the total field energy of one z-plane, in [0, 1]."""
-    if grid.components != 3:
-        raise ValueError("polarization fraction needs a 3-component field")
+    """Share of |E_z|^2 in the total field energy of one z-plane, in [0, 1];
+    1.0 on a scalar grid, a pure-TM mode whose field is all E_z."""
     if not 0 <= plane_index < grid.dims[2]:
         raise ValueError(
             f"plane index {plane_index} outside 0..{grid.dims[2] - 1}"
         )
-    plane = grid.field[:, :, plane_index, :]
+    plane = grid.field[:, :, plane_index]
     total = float(np.sum(np.abs(plane) ** 2))
     if total == 0.0:
         raise ValueError("field vanishes in the requested plane")
+    if grid.components == 1:
+        return 1.0
     ez = float(np.sum(np.abs(plane[..., 2]) ** 2))
     return ez / total
 
@@ -390,8 +398,9 @@ def synthesize_mode(
     The work is set by dims alone, whatever the spacing.  Raises ValueError
     naming the argument for an unknown kind, a lattice_const, decay_radius
     or spacing that is not positive and finite, a dims axis below 1 or more
-    than MAX_CELLS cells, and naming spacing and lattice_const for a box,
-    or a box in lattice constants, that is not finite.
+    than MAX_CELLS cells, and naming spacing and lattice_const for a box
+    wider than MAX_BOX_LATTICE_CONSTANTS lattice constants on any axis (a
+    box that overflows included).
     """
     if kind not in ("cavity2d", "cavity3d"):
         raise ValueError(f"unknown synthetic mode kind {kind!r}")
@@ -403,9 +412,10 @@ def synthesize_mode(
                          f"{MAX_CELLS} a synthesized grid may have")
     if len(spacing) != 3 or not all(0 < h < math.inf for h in spacing):
         raise ValueError(f"spacing must be three positive finite lengths, got {spacing!r}")
-    if not all(math.isfinite(n * h / lattice_const) for n, h in zip(dims, spacing)):
+    if not all(n * h / lattice_const <= MAX_BOX_LATTICE_CONSTANTS for n, h in zip(dims, spacing)):
         raise ValueError(f"spacing {spacing!r} and lattice_const {lattice_const!r} give a box of "
-                         f"{dims!r} cells that is not a finite number of lattice constants")
+                         f"{dims!r} cells wider than {MAX_BOX_LATTICE_CONSTANTS:g} lattice "
+                         "constants on an axis")
     nx, ny, nz = dims
     if kind == "cavity2d" and nz != 1:
         raise ValueError("cavity2d grids must have nz = 1")

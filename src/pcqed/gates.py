@@ -34,7 +34,6 @@ from .coupling import (
     drive_pair,
     pulse_area,
 )
-from .fieldgrid import PathSpec
 from .ode import DEFAULT_ATOL, DEFAULT_RTOL, final_states
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "fidelity",
     "calibrate_velocity",
     "truth_table",
-    "operation_time",
     "effective_interaction_time",
 ]
 
@@ -68,12 +66,15 @@ class GateTarget:
     Rail amplitudes are (amplitude on |10>, amplitude on |01>) for the inputs
     "10" and "01", once each; the dual-rail block must be unitary.  SWAP
     additionally maps the no-excitation and double-excitation inputs to
-    themselves (checked outside the rail block).
+    themselves; the truth table measures them in the same loop as the rails.
+    p is the coupling ratio the gate's calibration condition needs, None
+    for a target that has none.
     """
 
     label: str
     rail_map: tuple[tuple[str, tuple[complex, complex]], ...]
     includes_outer: bool = False  # also check |00> and |11>
+    p: float | None = None
 
     def __post_init__(self) -> None:
         block = np.array([amps for _, amps in self.rail_map], dtype=complex).T
@@ -91,24 +92,19 @@ ENTANGLER_HADAMARD = GateTarget(
         ("10", (_INV_SQRT2, _INV_SQRT2)),
         ("01", (_INV_SQRT2, -_INV_SQRT2)),
     ),
+    p=math.sqrt(2.0) - 1.0,
 )
-NOT = GateTarget("NOT", (("10", (0.0, 1.0)), ("01", (1.0, 0.0))))
-Z = GateTarget("Z", (("10", (-1.0, 0.0)), ("01", (0.0, 1.0))))
+NOT = GateTarget("NOT", (("10", (0.0, 1.0)), ("01", (1.0, 0.0))), p=1.0)
+Z = GateTarget("Z", (("10", (-1.0, 0.0)), ("01", (0.0, 1.0))), p=0.0)
 SWAP = GateTarget(
-    "SWAP", (("10", (0.0, 1.0)), ("01", (1.0, 0.0))), includes_outer=True
+    "SWAP", (("10", (0.0, 1.0)), ("01", (1.0, 0.0))), includes_outer=True, p=1.0
 )
 IDENTITY = GateTarget("IDENTITY", (("10", (1.0, 0.0)), ("01", (0.0, 1.0))))
 
 TARGETS = {t.label: t for t in (ENTANGLER_HADAMARD, NOT, Z, SWAP, IDENTITY)}
 
-# Coupling ratio each calibrated gate needs, and the tolerance on it (the
-# entangler ratio is quoted to three figures in practice).
-_REQUIRED_P = {
-    "ENTANGLER_HADAMARD": math.sqrt(2.0) - 1.0,
-    "NOT": 1.0,
-    "SWAP": 1.0,
-    "Z": 0.0,
-}
+# The tolerance on a target's coupling ratio (the entangler ratio is quoted
+# to three figures in practice).
 _P_TOL = 0.005
 
 
@@ -147,15 +143,16 @@ def calibrate_velocity(
     or non-finite pulse area, for odd multiples too large to tell apart in
     floating point, and, listing the nearest candidates, when no odd
     multiple falls inside the bounds; ValueError when p does not match the
-    gate.
+    target's own ratio ``GateTarget.p`` (a label names one of TARGETS) or
+    the target has none.
     """
-    label = target.label if isinstance(target, GateTarget) else str(target)
-    if label not in _REQUIRED_P:
+    gate = target if isinstance(target, GateTarget) else TARGETS.get(str(target))
+    label = str(target) if gate is None else gate.label
+    if gate is None or gate.p is None:
         raise ValueError(f"no calibration condition for target {label!r}")
-    p_req = _REQUIRED_P[label]
-    if not abs(p - p_req) <= _P_TOL:  # NaN fails too
+    if not abs(p - gate.p) <= _P_TOL:  # NaN fails too
         raise ValueError(
-            f"target {label} needs coupling ratio p = {p_req:.5f} "
+            f"target {label} needs coupling ratio p = {gate.p:.5f} "
             f"(+/- {_P_TOL}), got {p}"
         )
     v_lo, v_hi = v_bounds
@@ -210,15 +207,6 @@ def _fastest_odd_multiple(lam_at_v: float, v_lo: float, v_hi: float) -> float:
         f"candidates: {', '.join(f'{v:.4g}' for v in nearest)}",
         candidates=tuple(nearest),
     )
-
-
-def operation_time(params) -> float:
-    """Transit duration in s: 2L/V for a generic profile, length/velocity for a path."""
-    if isinstance(params, GenericProfileParams):
-        return 2.0 * params.path_half_length / params.velocity
-    if isinstance(params, PathSpec):
-        return params.length / params.velocity
-    raise TypeError(f"cannot compute a transit time for {type(params).__name__}")
 
 
 def effective_interaction_time(

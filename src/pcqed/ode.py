@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (AmplitudeVector, ConvergenceError, SubspaceHamiltonian, basis_labels,
                    build_subspace, write_csv)
-from .coupling import drive_from_profile, drive_pair
+from .coupling import drive_from_profile
 from .dop853 import DOP853
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "evolve",
     "final_states",
     "drive_from_profile",
-    "two_excitation_return",
     "trajectory_to_csv",
 ]
 
@@ -267,26 +266,6 @@ def _breakpoints(drives, t0: float, t1: float) -> list[float]:
     reports none adds none."""
     cuts = [g.breakpoints(t0, t1) for g in drives if hasattr(g, "breakpoints")]
     return np.unique(np.concatenate([np.empty(0), *cuts])).tolist()
-
-
-def two_excitation_return(
-    profile_a,
-    p: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> float:
-    """Probability that both-atoms-excited returns to itself after transit.
-
-    Integrates |110> in the two-excitation subspace with
-    :func:`final_states`, under the same drives as the single-excitation
-    gate (:func:`pcqed.coupling.drive_pair`), and returns
-    |<110|psi(t1)>|^2.  The value is reported as measured; it is not forced
-    to match any idealized truth table.
-    """
-    drive_a, drive_b, _ = drive_pair(profile_a, p)
-    (final,) = final_states(drive_a, drive_b, [AmplitudeVector.basis_state("110")],
-                            *profile_a.window, rtol=rtol, atol=atol)
-    return float(abs(final.amplitude("110")) ** 2)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:

@@ -77,7 +77,7 @@ def surface(
     v_values = np.linspace(v_range[0], v_range[1], n_v)
     p_values = np.linspace(p_range[0], p_range[1], n_p)
 
-    g_a = pulse_area(GenericProfile(family.replace_velocity(1.0))) / v_values[:, None]
+    g_a = pulse_area(GenericProfile(family).at_velocity(1.0)) / v_values[:, None]
     a_surf, b_surf, _ = amplitudes(g_a, p_values * g_a, initial)
     return SweepGrid(v_values, p_values, initial, a_surf, b_surf)
 

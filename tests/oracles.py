@@ -1,7 +1,9 @@
 """Independent reference implementations that only the tests use."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from pcqed import CalibrationError, PulseAreas
@@ -73,6 +75,35 @@ def rod_loop_epsilon(x, y, lattice_const, hx, hy):
     defect_r = DEFECT_RADIUS_FRAC * l
     cover = np.maximum(cover, _rod_coverage(x, y, 0.0, 0.0, defect_r, hx, hy))
     return 1.0 + (ROD_EPS - 1.0) * cover
+
+
+def mp_rod_epsilon(xs, ys, lattice_const, hx, hy, dps=60):
+    """Dielectric map of :func:`pcqed.fieldgrid._triangular_rod_epsilon` in mpmath.
+
+    The cell centres xs x ys are taken as the floats they are; each of the
+    16 subcell points, its lattice coordinates and its distance to the rods
+    of the 4 x 4 block around it are computed with ``dps`` digits, so the
+    map holds for any box that the centres themselves resolve.
+    """
+    with mpmath.workdps(dps):
+        l = mpmath.mpf(lattice_const)
+        a2x, a2y = l / 2, mpmath.sqrt(3) * l / 2
+        rod_r2 = (mpmath.mpf(ROD_RADIUS_FRAC) * l) ** 2
+        defect_r2 = (mpmath.mpf(DEFECT_RADIUS_FRAC) * l) ** 2
+        offsets = [mpmath.mpf(2 * k + 1) / 8 - mpmath.mpf(1) / 2 for k in range(4)]
+        eps = np.empty((len(xs), len(ys)))
+        for (a, x), (b, y) in itertools.product(enumerate(xs), enumerate(ys)):
+            hits, defect = {}, 0
+            for ox, oy in itertools.product(offsets, offsets):
+                px, py = mpmath.mpf(x) + ox * mpmath.mpf(hx), mpmath.mpf(y) + oy * mpmath.mpf(hy)
+                v = py / a2y
+                j0, i0 = int(mpmath.floor(v)), int(mpmath.floor((px - a2x * v) / l))
+                for i, j in itertools.product(range(i0 - 1, i0 + 3), range(j0 - 1, j0 + 3)):
+                    if (i, j) != (0, 0) and (px - i * l - j * a2x) ** 2 + (py - j * a2y) ** 2 <= rod_r2:
+                        hits[i, j] = hits.get((i, j), 0) + 1
+                defect += px**2 + py**2 <= defect_r2
+            eps[a, b] = 1.0 + (ROD_EPS - 1.0) * max([defect, *hits.values()]) / 16
+        return eps
 
 
 def odd_multiple_walk(lam_at_v, v_lo, v_hi):

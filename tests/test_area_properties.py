@@ -67,7 +67,7 @@ def test_sub_window_area_matches_quadrature(family, u, w):
 def test_area_times_velocity_is_constant(family, factor):
     reference = pulse_area(GenericProfile(family)) * family.velocity
     v = family.velocity * factor
-    area = pulse_area(GenericProfile(family.replace_velocity(v)))
+    area = pulse_area(GenericProfile(family).at_velocity(v))
     assert math.isclose(area * v, reference, rel_tol=1e-14)
 
 

@@ -168,6 +168,22 @@ class TestFieldStats:
         assert doc["polarization_fraction"] == 1.0
         assert doc["eps_m"] == 12.0
 
+    def test_plane_outside_a_2d_grid_exits_2(self, tmp_path, capsys):
+        # a scalar grid's plane is checked as a 3D grid's is
+        path = write_config(tmp_path, "stats", bundled_with("field2d_stats", ("plane_index",), 7))
+        assert run(["field-stats", "--config", path, "--out", tmp_path]) == 2
+        assert "plane index 7 outside 0..0" in capsys.readouterr().err
+        assert not (tmp_path / "stats_stats.json").exists()
+
+    def test_box_over_the_lattice_bound_exits_2(self, tmp_path, capsys):
+        # x and y spacing typed 1e12x too large: a box of ~1.3e13 lattice constants
+        config = json.loads(example_config_path("field2d_stats").read_text())
+        config["field"]["spacing"][:2] = [h * 1e12 for h in config["field"]["spacing"][:2]]
+        path = write_config(tmp_path, "stats", config)
+        assert run(["field-stats", "--config", path, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: spacing") and "lattice_const" in err
+
     @pytest.mark.parametrize("damage, message", [
         (None, "cannot load field grid"),
         ("components", "lacks key 'components'"),

@@ -9,7 +9,6 @@ from pcqed import (
     GenericProfile,
     calibrate_velocity,
     drive_from_profile,
-    generic_coupling,
     pulse_area,
     scaled_pair,
     trace_from_csv,
@@ -48,17 +47,17 @@ class TestGenericProfileParams:
 class TestGenericCoupling:
     def test_peak_at_cavity_center(self, fig_family):
         t_peak = fig_family.path_half_length / fig_family.velocity
-        assert generic_coupling(t_peak, fig_family) == pytest.approx(
+        assert GenericProfile(fig_family)(t_peak) == pytest.approx(
             fig_family.omega0, rel=1e-12
         )
 
     def test_zero_at_half_lattice_offset(self, fig_family):
         t = (fig_family.path_half_length + fig_family.lattice_const / 2) / fig_family.velocity
-        assert abs(generic_coupling(t, fig_family)) < 1e-6 * fig_family.omega0
+        assert abs(GenericProfile(fig_family)(t)) < 1e-6 * fig_family.omega0
 
     def test_entry_value(self, fig_family):
         # ten periods before the center: envelope e^-10, oscillation cos(10 pi) = 1
-        assert generic_coupling(0.0, fig_family) == pytest.approx(
+        assert GenericProfile(fig_family)(0.0) == pytest.approx(
             fig_family.omega0 * math.exp(-10), rel=1e-9
         )
 
@@ -66,8 +65,8 @@ class TestGenericCoupling:
         t_peak = fig_family.path_half_length / fig_family.velocity
         offsets = np.linspace(0, t_peak, 17)
         np.testing.assert_allclose(
-            generic_coupling(t_peak + offsets, fig_family),
-            generic_coupling(t_peak - offsets, fig_family),
+            GenericProfile(fig_family)(t_peak + offsets),
+            GenericProfile(fig_family)(t_peak - offsets),
             rtol=1e-12,
         )
 
@@ -75,8 +74,8 @@ class TestGenericCoupling:
         tilted = generic_family(zeta=math.pi / 3)
         t = np.linspace(0, 2e-8, 50)
         np.testing.assert_allclose(
-            generic_coupling(t, tilted),
-            0.5 * generic_coupling(t, fig_family),
+            GenericProfile(tilted)(t),
+            0.5 * GenericProfile(fig_family)(t),
             rtol=1e-12,
         )
 
@@ -167,9 +166,11 @@ class TestScaledPair:
         np.testing.assert_allclose(stretched(t), 1.5 * base(t), rtol=1e-12)
 
     def test_trace_scaling(self):
-        trace = CouplingTrace([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        trace = CouplingTrace([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], velocity=433.0)
         scaled = scaled_pair(trace, -0.5)
         np.testing.assert_allclose(scaled.values, [-0.5, -1.0, -1.5])
+        np.testing.assert_array_equal(scaled.times, trace.times)
+        assert scaled.velocity == 433.0
 
 
 class TestCouplingTrace:
@@ -243,7 +244,7 @@ class TestAtVelocity:
         profile = GenericProfile(fig_family)
         assert profile.velocity == fig_family.velocity
         moved = profile.at_velocity(866.0)
-        assert moved == GenericProfile(fig_family.replace_velocity(866.0))
+        assert moved == GenericProfile(replace(fig_family, velocity=866.0))
         assert moved.velocity == 866.0
 
     @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["real", "complex"])

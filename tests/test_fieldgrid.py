@@ -26,7 +26,7 @@ from pcqed import fieldgrid
 from pcqed.cli import example_config_path
 
 from conftest import LATTICE_2D, LATTICE_3D, OMEGA_MM
-from oracles import rod_loop_epsilon
+from oracles import mp_rod_epsilon, rod_loop_epsilon
 
 G0_2D = 2.765e6  # rad/s, calibration input for the 2D scenario
 
@@ -216,10 +216,15 @@ class TestPolarizationFraction:
         with pytest.raises(ValueError):
             polarization_fraction(dead_grid, 0)
 
-    def test_scalar_grid_rejected(self):
+    def test_scalar_grid_is_all_ez(self):
+        # a scalar grid models a pure-TM mode; its plane is checked as a vector grid's
         grid = square_grid_2d(11, 2 * LATTICE_2D)
-        with pytest.raises(ValueError):
-            polarization_fraction(grid, 0)
+        assert polarization_fraction(grid, 0) == 1.0
+        with pytest.raises(ValueError, match="plane index 7 outside 0..0"):
+            polarization_fraction(grid, 7)
+        dead = make_grid(np.ones((2, 2, 1)), np.zeros((2, 2, 1)), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="field vanishes"):
+            polarization_fraction(dead, 0)
 
 
 class TestSynthesizeMode:
@@ -264,12 +269,24 @@ class TestSynthesizeMode:
     @pytest.mark.parametrize("lattice_const, spacing", [
         (1e-300, (1e300, 1e300, 1.0)),  # the box in lattice constants overflows
         (1.0, (1e308, 1.0, 1.0)),       # the box itself overflows
+        (1.0, (1e16 / 3, 1e16 / 3, 1.0)),  # finite, but rounding misplaces rods
     ])
     def test_non_finite_box_refused_naming_both(self, lattice_const, spacing):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="spacing.*lattice_const"):
                 synthesize_mode("cavity2d", lattice_const, 1.0, (3, 3, 1), spacing)
+
+    @pytest.mark.parametrize("box", [12.625, fieldgrid.MAX_BOX_LATTICE_CONSTANTS])
+    def test_box_up_to_the_bound_matches_mpmath(self, box):
+        # the widest box synthesis accepts gives, with no warning, every cell's
+        # permittivity as a 60-digit recomputation does
+        h = box / 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = synthesize_mode("cavity2d", 1.0, 1.0, (5, 5, 1), (h, h, 1.0))
+        want = mp_rod_epsilon(grid.axis_centers(0), grid.axis_centers(1), 1.0, h, h)
+        np.testing.assert_array_equal(grid.epsilon[:, :, 0], want)
 
     def test_cell_budget_refused_by_name(self, monkeypatch):
         # (401, 401, 401) passes the schema's per-axis bound and would take

@@ -10,25 +10,29 @@ import pcqed
 from pcqed import (
     AmplitudeVector,
     CalibrationError,
+    CavityParams,
     CouplingTrace,
     ENTANGLER_HADAMARD,
     GateSettings,
     GateTarget,
     GenericProfile,
+    IDENTITY,
     NOT,
     PathSpec,
     PulseAreas,
     SWAP,
     Z,
     calibrate_velocity,
-    closed_form_amplitudes,
+    coupling_trace_from_field,
     effective_interaction_time,
     fidelity,
     logical_unitary,
-    operation_time,
     photon_lifetime,
+    pulse_area,
+    synthesize_mode,
     truth_table,
 )
+from pcqed.analytic import amplitudes
 
 from pcqed.cli import example_config_path, main
 
@@ -62,11 +66,11 @@ class TestFidelity:
         target = AmplitudeVector(1, np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
         # exact ratio: the overlap is 1 up to rounding
         g_a = math.pi / math.hypot(1.0, P_STAR)
-        state = AmplitudeVector(1, closed_form_amplitudes(PulseAreas(g_a, P_STAR * g_a)))
+        state = AmplitudeVector(1, amplitudes(g_a, P_STAR * g_a))
         assert fidelity(state, target) == pytest.approx(1.0, abs=1e-10)
         # quoted three-digit ratio: still essentially perfect
         g_a = math.pi / math.hypot(1.0, 0.414)
-        state = AmplitudeVector(1, closed_form_amplitudes(PulseAreas(g_a, 0.414 * g_a)))
+        state = AmplitudeVector(1, amplitudes(g_a, 0.414 * g_a))
         assert fidelity(state, target) >= 0.9999
 
 
@@ -137,6 +141,24 @@ class TestCalibrateVelocity:
         with pytest.raises(ValueError, match="needs coupling ratio p = 1.00000.*got nan"):
             calibrate_velocity(fig_family, math.nan, "NOT")
 
+    def test_custom_target_uses_its_own_ratio(self, fig_family):
+        # labelled NOT, but its condition is the one at p = 0.5, not NOT's p = 1
+        half = GateTarget("NOT", NOT.rail_map, p=0.5)
+        v = calibrate_velocity(fig_family, 0.5, half)
+        odd = pulse_area(GenericProfile(fig_family).at_velocity(v)) * math.hypot(1.0, 0.5) / math.pi
+        assert abs(math.remainder(odd - 1.0, 2.0)) <= 1e-8
+        with pytest.raises(ValueError, match=r"target NOT needs coupling ratio p = 0\.50000"):
+            calibrate_velocity(fig_family, 1.0, half)
+        with pytest.raises(ValueError, match="no calibration condition for target 'NOT'"):
+            calibrate_velocity(fig_family, 1.0, GateTarget("NOT", NOT.rail_map))
+
+    @pytest.mark.parametrize("target", ["IDENTITY", IDENTITY, "CNOT"],
+                             ids=["identity-label", "identity-target", "unknown-label"])
+    def test_target_without_condition_rejected_by_name(self, fig_family, target):
+        label = getattr(target, "label", target)
+        with pytest.raises(ValueError, match=f"no calibration condition for target '{label}'"):
+            calibrate_velocity(fig_family, 1.0, target)
+
     def test_no_solution_reports_candidates(self, fig_family):
         with pytest.raises(CalibrationError) as err:
             calibrate_velocity(fig_family, 0.414, "ENTANGLER_HADAMARD", v_bounds=(150.0, 160.0))
@@ -169,7 +191,7 @@ class TestCalibrateVelocity:
     def test_non_finite_area_refused(self, fig_family):
         # an atom this slow spends an unbounded time in the mode
         with pytest.raises(CalibrationError, match="non-finite pulse area"):
-            calibrate_velocity(fig_family.replace_velocity(1e-300), 1.0, "NOT")
+            calibrate_velocity(dataclasses.replace(fig_family, velocity=1e-300), 1.0, "NOT")
 
 
 def solve_both_ways(lam_at_v, v_lo, v_hi):
@@ -214,7 +236,7 @@ class TestFastestOddMultiple:
 def settings_for(target, p, fig_velocity, engine_q=1e8):
     family = generic_family(velocity=fig_velocity)
     v = calibrate_velocity(family, p, target)
-    profile = GenericProfile(family.replace_velocity(v))
+    profile = GenericProfile(family).at_velocity(v)
     return GateSettings(
         target=target,
         profile_a=profile,
@@ -299,7 +321,7 @@ class TestTruthTable:
         assert report.relative_phases["00"] == -report.global_phase
         g_a, g_b = report.pulse_area_a, report.pulse_area_b
         for label, areas in (("10", PulseAreas(g_a, g_b)), ("01", PulseAreas(g_b, g_a))):
-            gamma = closed_form_amplitudes(areas)[2]
+            gamma = amplitudes(areas.g_a, areas.g_b)[2]
             assert report.residual_cavity[label] == pytest.approx(abs(gamma) ** 2, rel=0, abs=tol)
             assert detuning == 1.0 or abs(gamma) ** 2 > 0.1
 
@@ -340,7 +362,7 @@ class TestTruthTable:
 
     def test_misratioed_gate_declassified(self, fig_family):
         v = calibrate_velocity(fig_family, 1.0, "NOT")
-        profile = GenericProfile(fig_family.replace_velocity(v))
+        profile = GenericProfile(fig_family).at_velocity(v)
         report = truth_table(
             GateSettings(
                 target=ENTANGLER_HADAMARD,
@@ -389,10 +411,10 @@ class TestTruthTable:
         ps = np.linspace(0.3, 0.5, 401)
         def min_fid(p):
             g_a = math.pi / math.hypot(1.0, p)
-            u_col0 = closed_form_amplitudes(PulseAreas(g_a, p * g_a))
+            u_col0 = amplitudes(g_a, p * g_a)
             out0 = AmplitudeVector(1, u_col0)
             t0 = AmplitudeVector(1, np.array([1, 1, 0]) / math.sqrt(2))
-            u_col1 = closed_form_amplitudes(PulseAreas(p * g_a, g_a))  # exchange symmetry
+            u_col1 = amplitudes(p * g_a, g_a)  # exchange symmetry
             out1 = AmplitudeVector(1, [u_col1[1], u_col1[0], u_col1[2]])
             t1 = AmplitudeVector(1, np.array([1, -1, 0]) / math.sqrt(2))
             return min(fidelity(out0, t0), fidelity(out1, t1))
@@ -415,28 +437,40 @@ class TestTruthTable:
             assert min(abs(lam - math.pi), abs(lam - 3 * math.pi)) <= 0.1
 
 
+def transit_time(profile):
+    """Length of a profile's window, which GateReport.operation_time reports."""
+    t0, t1 = profile.window
+    return t1 - t0
+
+
 class TestTimes:
     def test_generic_transit(self, fig_family):
-        t = operation_time(fig_family)
+        t = transit_time(GenericProfile(fig_family))
         assert t == pytest.approx(2 * 10 * fig_family.lattice_const / 433.0, rel=1e-12)
         assert t == pytest.approx(29e-9, rel=0.02)
 
     def test_velocity_halves_time(self, fig_family):
-        fast = fig_family.replace_velocity(866.0)
-        assert operation_time(fast) == pytest.approx(operation_time(fig_family) / 2, rel=1e-12)
+        profile = GenericProfile(fig_family)
+        fast = profile.at_velocity(866.0)
+        assert transit_time(fast) == pytest.approx(transit_time(profile) / 2, rel=1e-12)
 
     def test_effective_interaction_under_20ns(self, fig_family):
         assert effective_interaction_time(fig_family) < 20e-9
 
     def test_millimeter_wave_transit(self):
-        # ten lattice periods of a 2.202 mm crystal at 374 m/s
+        # ten lattice periods of a 2.202 mm crystal at 374 m/s, sampled from
+        # a synthesized mode whose box holds the whole path
+        h = 0.5 * LATTICE_2D
+        grid = synthesize_mode("cavity2d", LATTICE_2D, LATTICE_2D, (25, 25, 1), (h, h, LATTICE_2D))
         path = PathSpec(
-            entry=(0.0, 0.0, 0.0),
+            entry=(-5 * LATTICE_2D, 0.0, 0.0),
             direction=(1.0, 0.0, 0.0),
             length=10 * LATTICE_2D,
             velocity=374.0,
         )
-        t = operation_time(path)
+        cavity = CavityParams(omega_cav=OMEGA_MM, eps_m=12.0, mode_volume=1e-9, g0=2.765e6)
+        t = transit_time(coupling_trace_from_field(grid, path, cavity))
+        assert t == pytest.approx(path.length / path.velocity, rel=1e-12)
         assert 50e-6 <= t <= 60e-6
 
     def test_lifetime_margin_at_quality_1e8(self):
@@ -447,7 +481,8 @@ class TestTimes:
     def test_report_takes_the_transit_time(self):
         settings = settings_for(NOT, 1.0, 433.0)
         report = truth_table(settings, "analytic")
-        assert report.operation_time == operation_time(settings.profile_a.params)
+        params = settings.profile_a.params
+        assert report.operation_time == 2.0 * params.path_half_length / params.velocity
 
     def test_trace_report_takes_its_window(self, fig_family):
         profile = GenericProfile(fig_family)
@@ -457,10 +492,6 @@ class TestTimes:
                                 omega_cav=OMEGA_GENERIC)
         report = truth_table(settings, "analytic")
         assert report.operation_time == trace.window[1] - trace.window[0]
-
-    def test_operation_time_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            operation_time(3.0)
 
 
 class TestFieldTraceGate:

@@ -11,7 +11,6 @@ from pcqed import (
     PulseAreas,
     analytic_trajectory,
     build_subspace,
-    closed_form_amplitudes,
     drive_pair,
     evolve,
     final_states,
@@ -19,9 +18,9 @@ from pcqed import (
     pulse_area,
     scaled_pair,
     trajectory_to_csv,
-    two_excitation_return,
     two_excitation_unitary,
 )
+from pcqed.analytic import amplitudes
 from pcqed import ode
 from pcqed.gates import calibrate_velocity
 
@@ -185,7 +184,7 @@ class TestEvolve:
                 n_points=2,
             )
             g_a = pulse_area(profile)
-            want = closed_form_amplitudes(PulseAreas(g_a, p * g_a))
+            want = amplitudes(g_a, p * g_a)
             err = np.max(np.abs(traj.amplitudes[-1] - np.array(want)))
             assert err < 1e-6
 
@@ -442,7 +441,7 @@ class TestFinalStates:
         # control takes the largest block norm, so stacking it changes no step
         # and |100> comes out bit for bit as when integrated alone.
         family = generic_family()
-        profile = GenericProfile(family.replace_velocity(calibrate_velocity(family, 0.0, "Z")))
+        profile = GenericProfile(family).at_velocity(calibrate_velocity(family, 0.0, "Z"))
         drive_a, drive_b, _ = drive_pair(profile, 0.0)
         rail_a, rail_b = (AmplitudeVector.basis_state(label) for label in ("100", "010"))
         (alone,) = final_states(drive_a, drive_b, [rail_a], *profile.window)
@@ -468,25 +467,23 @@ class TestFinalStates:
 # two-excitation return
 # ---------------------------------------------------------------------------
 
+def return_110(g_a, g_b, t0, t1, **tolerances):
+    """|<110|psi(t1)>|^2 for |110> under the drives, through final_states."""
+    (final,) = final_states(g_a, g_b, [AmplitudeVector.basis_state("110")], t0, t1, **tolerances)
+    return float(abs(final.amplitude("110")) ** 2)
+
+
 class TestTwoExcitationReturn:
     def test_zero_couplings(self):
-        from pcqed import CouplingTrace
-
         silent = CouplingTrace([0.0, 1e-8], [0.0, 0.0])
-        assert two_excitation_return(silent, 1.0) == pytest.approx(1.0, abs=1e-12)
+        drive_a, drive_b, _ = drive_pair(silent, 1.0)
+        assert return_110(drive_a, drive_b, *silent.window) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_equal_couplings_against_oracles(self):
         # rail condition: sqrt(2) g T = pi at one excitation
         g = 1.0e9
         duration = math.pi / (math.sqrt(2) * g)
-
-        class Flat:
-            def __call__(self, t):
-                return g * np.ones_like(np.asarray(t, dtype=float))
-
-            window = (0.0, duration)
-
-        got = two_excitation_return(Flat(), 1.0)
+        got = return_110(constant(g), constant(g), 0.0, duration)
         # eigendecomposition oracle on the 4x4 generator
         h2 = build_subspace(2).matrix(g, g)
         amp = expm_unitary(h2, duration)[0, 0]
@@ -507,7 +504,8 @@ class TestTwoExcitationReturn:
         # function of the areas, so the matrix exponential of the area-built
         # generator is an exact oracle for the shaped pulse as well
         profile = GenericProfile(generic_family(velocity=572.0))
-        got = two_excitation_return(profile, 1.0, rtol=1e-11, atol=1e-13)
+        drive_a, drive_b, _ = drive_pair(profile, 1.0)
+        got = return_110(drive_a, drive_b, *profile.window, rtol=1e-11, atol=1e-13)
         area = pulse_area(profile)
         h2 = build_subspace(2).matrix(area, area)
         amp = expm_unitary(h2, 1.0)[0, 0]

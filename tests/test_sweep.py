@@ -7,12 +7,12 @@ from scipy import integrate
 from pcqed import (
     GenericProfile,
     PulseAreas,
-    closed_form_amplitudes,
     logical_unitary,
     pulse_area,
     surface,
     surfaces_to_csv,
 )
+from pcqed.analytic import amplitudes
 
 from conftest import csv_rows, generic_family
 
@@ -71,7 +71,7 @@ class TestSurface:
             v = float(small_grid.v_values[i])
             p = float(small_grid.p_values[j])
             area = pulse_area(GenericProfile(generic_family(velocity=v)))
-            a, b, _ = closed_form_amplitudes(PulseAreas(area, p * area))
+            a, b, _ = amplitudes(area, p * area)
             assert small_grid.a_surface[i, j] == pytest.approx(float(a.real), abs=1e-12)
             assert small_grid.b_surface[i, j] == pytest.approx(float(b.real), abs=1e-12)
 
