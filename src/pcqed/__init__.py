@@ -33,7 +33,6 @@ from .coupling import (
     trace_to_csv,
 )
 from .analytic import (
-    PulseAreas,
     analytic_trajectory,
     logical_unitary,
     two_excitation_unitary,

@@ -11,15 +11,13 @@ Lambda = sqrt(g_a^2 + g_b^2) the amplitudes over {|100>, |010>, |001>} are
     b     = g_a g_b (cos Lambda - 1) / Lambda^2
     gamma = -i g_a sin(Lambda) / Lambda
 
-for the initial state |100>.  The two-excitation block over {|110>, |101>,
-|011>, |002>} is exponentiated by :func:`two_excitation_unitary`, so no
-logical input needs the ODE.
+for the initial state |100>.  Every kernel here takes the two areas as
+plain numbers, (g_a, g_b), with g_b = c g_a.  The two-excitation block over
+{|110>, |101>, |011>, |002>} is exponentiated by
+:func:`two_excitation_unitary`, so no logical input needs the ODE.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,6 @@ from .core import build_subspace
 from .coupling import exact_area
 
 __all__ = [
-    "PulseAreas",
     "amplitudes",
     "logical_unitary",
     "two_excitation_unitary",
@@ -37,18 +34,6 @@ __all__ = [
 # Below this total area the trig prefactors switch to their Taylor forms
 # (removable singularity at Lambda = 0).
 _SMALL_LAMBDA = 1e-6
-
-
-@dataclass(frozen=True)
-class PulseAreas:
-    """Integrated couplings (rad) of atoms A and B over a common window."""
-
-    g_a: float
-    g_b: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.g_a) and math.isfinite(self.g_b)):
-            raise ValueError("pulse areas must be finite")
 
 
 def _trig_factors(lam):
@@ -92,16 +77,16 @@ def amplitudes(g_a, g_b, initial: str = "100"):
     return _column(g_a, g_b, *_trig_factors(np.hypot(g_a, g_b)), initial)
 
 
-def logical_unitary(areas: PulseAreas) -> np.ndarray:
-    """3x3 propagator over {|100>, |010>, |001>} for the given pulse areas.
+def logical_unitary(g_a: float, g_b: float) -> np.ndarray:
+    """3x3 propagator over {|100>, |010>, |001>} after pulse areas g_a, g_b.
 
     U = I + (cos(Lambda) - 1)/Lambda^2 * M^2 - i sin(Lambda)/Lambda * M with
     M the symmetric matrix coupling each atom slot to the photon slot.
     Column j holds :func:`amplitudes` from the j-th basis state; the trig
     factors are evaluated once for all three.
     """
-    g_a = np.asarray(areas.g_a, dtype=float)
-    g_b = np.asarray(areas.g_b, dtype=float)
+    g_a = np.asarray(g_a, dtype=float)
+    g_b = np.asarray(g_b, dtype=float)
     factors = _trig_factors(np.hypot(g_a, g_b))
     return np.array(
         [_column(g_a, g_b, *factors, initial) for initial in ("100", "010", "001")],
@@ -109,8 +94,8 @@ def logical_unitary(areas: PulseAreas) -> np.ndarray:
     ).T
 
 
-def two_excitation_unitary(areas: PulseAreas) -> np.ndarray:
-    """4x4 propagator over {|110>, |101>, |011>, |002>} for the given pulse areas.
+def two_excitation_unitary(g_a: float, g_b: float) -> np.ndarray:
+    """4x4 propagator over {|110>, |101>, |011>, |002>} after pulse areas g_a, g_b.
 
     The Tavis-Cummings block of the two-excitation subspace is
     H_2(t) = g_a(t) M_2(c) for drives in a constant ratio c, so it commutes
@@ -118,7 +103,7 @@ def two_excitation_unitary(areas: PulseAreas) -> np.ndarray:
     H_2 the Hamiltonian of :func:`pcqed.core.build_subspace` evaluated at the
     pulse areas.  The exponential goes through its eigendecomposition.
     """
-    w, v = np.linalg.eigh(build_subspace(2).matrix(areas.g_a, areas.g_b))
+    w, v = np.linalg.eigh(build_subspace(2).matrix(g_a, g_b))
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 

@@ -481,7 +481,7 @@ def _cmd_gate_report(config: dict, out: Path, stem: str, args) -> list[Path]:
     report = truth_table(settings, config["engine"])
     print(report.table())
     path = out / f"{stem}_report.json"
-    path.write_text(report.to_json(indent=2))
+    path.write_text(json.dumps(report.to_dict(), indent=2))
     return [path]
 
 

@@ -238,17 +238,6 @@ class AmplitudeVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def index(self, label: str) -> int:
-        try:
-            return self.basis_labels.index(label)
-        except ValueError:
-            raise ValueError(
-                f"label {label!r} not in the n={self.n_excitations} basis {self.basis_labels}"
-            ) from None
-
-    def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes[self.index(label)])
-
     def overlap(self, other: "AmplitudeVector") -> complex:
         """<self|other>; the two states must share an excitation number."""
         if self.n_excitations != other.n_excitations:

@@ -399,21 +399,15 @@ def _trace_magnitude_area(trace: CouplingTrace, t0: float, t):
     return running(np.asarray(t, dtype=float)) - running(t0)
 
 
-def pulse_area(profile, t0: float | None = None, t1: float | None = None) -> float:
-    """Exact integrated coupling (rad) of a drive over [t0, t1].
+def pulse_area(profile) -> float:
+    """Exact integrated coupling (rad) of a drive over its own window.
 
-    Defaults to the drive's own window.  Takes what :func:`exact_area` takes,
-    a generic profile, a trace magnitude or a constant multiple of either,
-    and raises TypeError for anything else: pass a trace through
-    :func:`drive_from_profile` first.
+    Takes what :func:`exact_area` takes, a generic profile, a trace
+    magnitude or a constant multiple of either, and raises TypeError for
+    anything else: pass a trace through :func:`drive_from_profile` first.
+    Any other window goes through :func:`exact_area`.
     """
-    base, _ = _exact_parts(profile)
-    w0, w1 = base.window
-    t0 = w0 if t0 is None else t0
-    t1 = w1 if t1 is None else t1
-    if not (t0 < t1):
-        raise ValueError(f"need t0 < t1, got [{t0!r}, {t1!r}]")
-    return float(exact_area(profile, t0, t1))
+    return float(exact_area(profile, *_exact_parts(profile)[0].window))
 
 
 def scaled_pair(profile, p: float):

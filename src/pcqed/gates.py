@@ -12,14 +12,13 @@ reported up to a common global phase, printed separately.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .analytic import PulseAreas, logical_unitary, two_excitation_unitary
+from .analytic import logical_unitary, two_excitation_unitary
 from .core import (
     VELOCITY_WINDOW,
     AmplitudeVector,
@@ -225,7 +224,9 @@ class GateSettings:
     profile_a: atom A's coupling profile at the operating velocity
     (GenericProfile or CouplingTrace); both engines drive with
     :func:`pcqed.coupling.drive_pair` of it and p, so a trace drives
-    through |g|.  omega_cav feeds the photon-lifetime margin.
+    through |g|.  velocity is the one the report states; a profile that
+    records its own velocity must record this one, or ValueError names
+    both.  omega_cav feeds the photon-lifetime margin.
     """
 
     target: GateTarget
@@ -236,6 +237,12 @@ class GateSettings:
     q_factor: float = 1e8
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
+
+    def __post_init__(self) -> None:
+        recorded = getattr(self.profile_a, "velocity", None)
+        if recorded is not None and recorded != self.velocity:
+            raise ValueError(f"velocity {self.velocity!r} m/s does not match the "
+                             f"profile's own velocity {recorded!r} m/s")
 
 
 @dataclass(frozen=True)
@@ -261,9 +268,6 @@ class GateReport:
         out = dict(self.__dict__)
         out["notes"] = list(self.notes)
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def table(self) -> str:
         """Human-readable summary."""
@@ -292,13 +296,12 @@ _INPUTS = {label: AmplitudeVector.basis_state(label + "0") for label in ("10", "
 _PROPAGATORS = {1: logical_unitary, 2: two_excitation_unitary}
 
 
-def _final_states(
-    settings: GateSettings, drives, areas: PulseAreas, labels, engine: str
-) -> list[AmplitudeVector]:
-    """Final state of each logical input |label> after the transit, in order."""
+def _final_states(settings, drives, areas, labels, engine: str) -> list[AmplitudeVector]:
+    """Final state of each logical input |label> after the transit, in order,
+    from the drives (ode) or the pulse areas (g_a, g_b) (analytic)."""
     initials = [_INPUTS[label] for label in labels]
     if engine == "analytic":  # |000> carries no excitation and is returned as it is
-        unitaries = {n: _PROPAGATORS[n](areas) for n in {psi.n_excitations for psi in initials} if n}
+        unitaries = {n: _PROPAGATORS[n](*areas) for n in {psi.n_excitations for psi in initials} if n}
         return [AmplitudeVector(psi.n_excitations, unitaries[psi.n_excitations] @ psi.amplitudes)
                 if psi.n_excitations else psi for psi in initials]
     if engine == "ode":
@@ -314,23 +317,27 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     the analytic engine applies :func:`logical_unitary` or, for SWAP's |11>,
     :func:`two_excitation_unitary`, and runs no ODE; the ode engine runs
     them all in one DOP853 run of :func:`pcqed.ode.final_states`.  Both
-    return SWAP's |00> as it is.  Each input's fidelity and phase come from
-    its overlap with its target state, the phase relative to the first
-    rail's (the global phase); its residual is the probability on basis
-    states that hold a photon.  The label is assigned only if every rail
-    fidelity reaches 0.99 and the rail phases agree to MAX_RELATIVE_PHASE.
+    return SWAP's |00> as it is.  Atom A's area is the pulse_area of its
+    drive, atom B's c times it with the c of drive_pair (only the ode engine
+    reads B's drive); a non-finite area raises ValueError before either
+    engine runs.  Each input's fidelity and phase come from its overlap with
+    its target state, the phase relative to the first rail's (the global
+    phase); its residual is the probability on basis states that hold a
+    photon.  The label is assigned only if every rail fidelity reaches 0.99
+    and the rail phases agree to MAX_RELATIVE_PHASE.
     """
     target = settings.target
-    drive_a, drive_b, _ = drive_pair(settings.profile_a, settings.p)
+    drive_a, drive_b, c = drive_pair(settings.profile_a, settings.p)
     g_a = pulse_area(drive_a)
-    g_b = pulse_area(drive_b)
-    areas = PulseAreas(g_a, g_b)
+    g_b = c * g_a
+    if not (math.isfinite(g_a) and math.isfinite(g_b)):
+        raise ValueError("pulse areas must be finite")
 
     # The rails' target states, then SWAP's |00> and |11>, which it keeps as they are.
     targets = {label: AmplitudeVector(1, [*amps, 0.0]) for label, amps in target.rail_map}
     if target.includes_outer:
         targets.update((label, _INPUTS[label]) for label in ("00", "11"))
-    finals = _final_states(settings, (drive_a, drive_b), areas, targets, engine)
+    finals = _final_states(settings, (drive_a, drive_b), (g_a, g_b), targets, engine)
     rail_labels = [label for label, _ in target.rail_map]
     z0 = targets[rail_labels[0]].overlap(finals[0])
     global_phase = float(np.angle(z0)) if abs(z0) > 0 else 0.0

@@ -84,13 +84,6 @@ class Trajectory:
     def basis_labels(self) -> tuple[str, ...]:
         return basis_labels(self.n_excitations)
 
-    def state_at(self, i: int) -> AmplitudeVector:
-        return AmplitudeVector(self.n_excitations, self.amplitudes[i])
-
-    @property
-    def final_state(self) -> AmplitudeVector:
-        return self.state_at(-1)
-
     def probabilities(self) -> np.ndarray:
         """|amplitude|^2, one row per output time."""
         return np.abs(self.amplitudes) ** 2
@@ -217,14 +210,13 @@ def _check_window(t0: float, t1: float, rtol: float, atol: float) -> None:
         raise ValueError(f"atol must be at least {MIN_ATOL:g}, got {atol!r}")
 
 
-def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(), on_step=None):
+def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=()):
     """Run one DOP853 from y0 at t0 to t1, span by span between breakpoints.
 
     The right-hand side is -i H(t) y with H read from ``couplings``, entries
     (row, col, atom, factor) over the components of y; ``blocks`` are the
     (start, stop) ranges the solver takes its norms over apart, and the
     solver's ``dense`` holds the state at each of ``times`` in (t0, t1].
-    on_step, if given, is called with the solver after every accepted step.
     Returns the solver, the number of accepted steps and the number of spans.
     """
     drives = (getattr(g_a, "at", g_a), getattr(g_b, "at", g_b))
@@ -256,8 +248,6 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
         while solver.t < bound:
             solver.step()
             n_steps += 1
-            if on_step is not None:
-                on_step(solver)
     return solver, n_steps, len(bounds)
 
 

@@ -6,12 +6,13 @@ import math
 import mpmath
 import numpy as np
 
-from pcqed import CalibrationError, PulseAreas
+from pcqed import CalibrationError
 from pcqed.fieldgrid import DEFECT_RADIUS_FRAC, ROD_EPS, ROD_RADIUS_FRAC
 
 
-def series_amplitudes(areas: PulseAreas, n_terms: int) -> tuple[complex, complex, complex]:
-    """(a, b, gamma) from |100> as partial sums of the power series through order n_terms.
+def series_amplitudes(g_a: float, g_b: float, n_terms: int) -> tuple[complex, complex, complex]:
+    """(a, b, gamma) from |100> after pulse areas g_a, g_b, as partial sums
+    of the power series through order n_terms.
 
     The single-excitation propagator exp(-i M) summed term by term, an
     oracle for the closed form of :func:`pcqed.analytic.amplitudes`.  The
@@ -20,7 +21,7 @@ def series_amplitudes(areas: PulseAreas, n_terms: int) -> tuple[complex, complex
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    lam_sq = areas.g_a**2 + areas.g_b**2
+    lam_sq = g_a**2 + g_b**2
     even_sum = 0.0  # sum of (-1)^n lam^(2n-2) / (2n)!
     odd_sum = 0.0   # sum of (-1)^n lam^(2n-2) / (2n-1)!
     even_term = -0.5
@@ -30,9 +31,9 @@ def series_amplitudes(areas: PulseAreas, n_terms: int) -> tuple[complex, complex
         odd_sum += odd_term
         even_term *= -lam_sq / ((2 * n + 1) * (2 * n + 2))
         odd_term *= -lam_sq / ((2 * n) * (2 * n + 1))
-    a = 1.0 + areas.g_a**2 * even_sum
-    b = areas.g_a * areas.g_b * even_sum
-    gamma = 1j * areas.g_a * odd_sum
+    a = 1.0 + g_a**2 * even_sum
+    b = g_a * g_b * even_sum
+    gamma = 1j * g_a * odd_sum
     return (complex(a), complex(b), complex(gamma))
 
 

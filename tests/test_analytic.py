@@ -6,7 +6,6 @@ import pytest
 from pcqed import (
     CouplingTrace,
     GenericProfile,
-    PulseAreas,
     analytic_trajectory,
     AmplitudeVector,
     build_subspace,
@@ -56,9 +55,8 @@ class TestClosedForm:
     def test_small_area_branches_agree_with_series(self):
         # both sides of the series/trig switchover match the power series
         for g in (0.5e-6, 0.9999e-6, 1.0001e-6, 2e-6):
-            areas = PulseAreas(g, 0.3 * g)
-            got = amplitudes(areas.g_a, areas.g_b)
-            want = series_amplitudes(areas, 10)
+            got = amplitudes(g, 0.3 * g)
+            want = series_amplitudes(g, 0.3 * g, 10)
             assert max(abs(x - y) for x, y in zip(got, want)) < 1e-15
 
     def test_normalization_random(self):
@@ -81,25 +79,24 @@ class TestClosedForm:
 
 class TestSeries:
     def test_empty_sum(self):
-        assert series_amplitudes(PulseAreas(1.0, 2.0), 0) == (1.0, 0.0, 0.0)
+        assert series_amplitudes(1.0, 2.0, 0) == (1.0, 0.0, 0.0)
 
     def test_first_term(self):
-        a, b, gamma = series_amplitudes(PulseAreas(0.7, 0.0), 1)
+        a, b, gamma = series_amplitudes(0.7, 0.0, 1)
         assert a == pytest.approx(1 - 0.7**2 / 2, rel=1e-15)
         assert b == 0.0
 
     def test_converges_to_closed_form(self):
-        areas = PulseAreas(1.0, 0.5)
-        got = series_amplitudes(areas, 20)
-        want = amplitudes(areas.g_a, areas.g_b)
+        got = series_amplitudes(1.0, 0.5, 20)
+        want = amplitudes(1.0, 0.5)
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
 
     def test_error_monotone_beyond_turning_point(self):
-        areas = PulseAreas(2.0, 1.5)  # Lambda = 2.5
-        want = np.array(amplitudes(areas.g_a, areas.g_b))
+        areas = (2.0, 1.5)  # Lambda = 2.5
+        want = np.array(amplitudes(*areas))
         errors = []
         for n in range(3, 15):  # beyond the turning point n ~ Lambda / 2
-            got = np.array(series_amplitudes(areas, n))
+            got = np.array(series_amplitudes(*areas, n))
             errors.append(float(np.max(np.abs(got - want))))
         for prev, nxt in zip(errors, errors[1:]):
             if prev < 1e-15:
@@ -110,43 +107,37 @@ class TestSeries:
         rng = np.random.default_rng(23)
         for _ in range(100):
             g_a, g_b = rng.uniform(0, 2 * math.pi, size=2)
-            areas = PulseAreas(g_a, g_b)
-            got = series_amplitudes(areas, 25)
-            want = amplitudes(areas.g_a, areas.g_b)
+            got = series_amplitudes(g_a, g_b, 25)
+            want = amplitudes(g_a, g_b)
             assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
 
 
 class TestLogicalUnitary:
     def test_identity_at_zero(self):
-        np.testing.assert_allclose(logical_unitary(PulseAreas(0.0, 0.0)), np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(logical_unitary(0.0, 0.0), np.eye(3), atol=1e-15)
 
     def test_first_column_matches_closed_form(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            areas = PulseAreas(*rng.uniform(-6, 6, size=2))
-            u = logical_unitary(areas)
-            np.testing.assert_allclose(
-                u[:, 0], amplitudes(areas.g_a, areas.g_b), atol=1e-14
-            )
+            areas = rng.uniform(-6, 6, size=2)
+            np.testing.assert_allclose(logical_unitary(*areas)[:, 0], amplitudes(*areas), atol=1e-14)
 
     def test_cross_elements_equal(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            u = logical_unitary(PulseAreas(*rng.uniform(-6, 6, size=2)))
+            u = logical_unitary(*rng.uniform(-6, 6, size=2))
             assert u[0, 1] == pytest.approx(u[1, 0], abs=1e-15)
 
     def test_unitary_random(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
-            areas = PulseAreas(*rng.uniform(0, 4 * math.pi, size=2))
-            u = logical_unitary(areas)
+            u = logical_unitary(*rng.uniform(0, 4 * math.pi, size=2))
             dev = np.max(np.abs(u.conj().T @ u - np.eye(3)))
             assert dev <= 1e-12
 
     def test_exchange_symmetry(self):
-        areas = PulseAreas(1.3, 0.4)
-        u = logical_unitary(areas)
-        swapped = logical_unitary(PulseAreas(0.4, 1.3))
+        u = logical_unitary(1.3, 0.4)
+        swapped = logical_unitary(0.4, 1.3)
         perm = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
         np.testing.assert_allclose(perm @ u @ perm, swapped, atol=1e-14)
 
@@ -156,7 +147,7 @@ class TestLogicalUnitary:
         for g_a, g_b in [(0.0, 0.0), (1e-7, 0.0), *pairs]:
             columns = [analytic.amplitudes(g_a, g_b, initial) for initial in ("100", "010", "001")]
             want = np.array(columns, dtype=complex).T
-            assert logical_unitary(PulseAreas(g_a, g_b)).tobytes() == want.tobytes()
+            assert logical_unitary(g_a, g_b).tobytes() == want.tobytes()
 
     def test_trig_factors_evaluated_once(self, monkeypatch):
         calls = []
@@ -167,7 +158,7 @@ class TestLogicalUnitary:
             return trig_factors(lam)
 
         monkeypatch.setattr(analytic, "_trig_factors", counted)
-        logical_unitary(PulseAreas(1.3, 0.4))
+        logical_unitary(1.3, 0.4)
         assert len(calls) == 1
 
 

@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from pcqed import CouplingTrace, GenericProfile, GenericProfileParams, drive_from_profile, pulse_area
@@ -59,7 +59,7 @@ def test_sub_window_area_matches_quadrature(family, u, w):
     t0, t1 = sorted((w0 + u * (w1 - w0), w0 + w * (w1 - w0)))
     if not t0 < t1:
         return
-    assert abs(pulse_area(profile, t0, t1) - quad_area(profile, t0, t1)) <= 1e-12
+    assert abs(float(exact_area(profile, t0, t1)) - quad_area(profile, t0, t1)) <= 1e-12
 
 
 @PROPERTIES
@@ -114,6 +114,9 @@ def mp_segment_area(z0, z1, width, u):
 
 @PROPERTIES
 @given(segments(), st.floats(1e-12, 1.0), st.floats(0.0, 1.0))
+# the smallest subnormal u: a partial area of about 5e-324, and at width 1e-12 an end at 0
+@example((1e-6 + 0j, 1e6 + 0j), 1.0, 5e-324)
+@example((1 + 1j, -3 - 3j), 1e-12, 5e-324)
 def test_trace_magnitude_area_matches_mpmath(segment, width, u):
     z0, z1 = segment
     drive = drive_from_profile(CouplingTrace([0.0, width], [z0, z1]))

@@ -318,6 +318,19 @@ class TestGateReport:
         )
         assert doc["lifetime_margin"] > 1.0
 
+    @pytest.mark.parametrize("engine", ["analytic", "ode"])
+    def test_non_finite_pulse_area_exits_2(self, tmp_path, capsys, monkeypatch, engine):
+        # at 1e-300 m/s the area overflows; without the refusal the ODE would
+        # crawl, so the test refuses to integrate
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ODE ran")
+
+        monkeypatch.setattr(pcqed.gates, "final_states", refuse)
+        config = json.loads(example_config_path("gate_report_swap_generic").read_text())
+        path = write_config(tmp_path, "crawl", {**config, "velocity": 1e-300, "engine": engine})
+        assert run(["gate-report", "--config", path, "--out", tmp_path]) == 2
+        assert "pulse areas must be finite" in capsys.readouterr().err
+
     def test_bundled_entangler_report(self, tmp_path):
         code = run(["gate-report", "--config", example_config_path("gate_report_entangler_generic"), "--out", tmp_path])
         assert code == 0

@@ -110,12 +110,6 @@ class TestAmplitudeVector:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
-    def test_index_names_the_basis(self):
-        psi = AmplitudeVector.basis_state("110")
-        assert psi.index("002") == 3
-        with pytest.raises(ValueError, match=r"'100' not in the n=2 basis"):
-            psi.index("100")
-
 
 class TestStateModel:
     """A state's basis follows from its excitation number; none stores one."""
@@ -136,6 +130,6 @@ class TestStateModel:
         assert psi.basis_labels == ("110", "101", "011", "002")
         traj = Trajectory(1, [0.0, 1.0], np.eye(3)[:2])
         assert traj.basis_labels == ("100", "010", "001")
-        assert traj.state_at(1).amplitude("010") == 1.0
+        assert traj.amplitudes[1, traj.basis_labels.index("010")] == 1.0
         with pytest.raises(ValueError):
             AmplitudeVector(2, [1.0, 0.0, 0.0])

@@ -112,11 +112,6 @@ class TestPulseArea:
         area_2v = pulse_area(GenericProfile(generic_family(velocity=866.0)))
         assert area_v == pytest.approx(2 * area_2v, rel=1e-9)
 
-    def test_bad_window_rejected(self, fig_family):
-        profile = GenericProfile(fig_family)
-        with pytest.raises(ValueError):
-            pulse_area(profile, profile.peak_time, profile.peak_time)
-
     @pytest.mark.parametrize(
         "drive",
         [
@@ -128,8 +123,6 @@ class TestPulseArea:
     )
     def test_drive_without_exact_area_is_refused(self, drive):
         # a raw trace integrates only through drive_from_profile, as |g|
-        with pytest.raises(TypeError):
-            pulse_area(drive, 0.0, 2.0)
         with pytest.raises(TypeError):
             pulse_area(drive)
         with pytest.raises(TypeError):

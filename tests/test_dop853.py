@@ -7,6 +7,7 @@ state to rounding.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,13 +86,20 @@ def run_both(couplings, g_a, g_b, y0, t0, t1, sample=False):
     Returns, for each, the times of the accepted steps, nfev, the final state
     and, if ``sample``, the dense output at one time inside every accepted
     step, its midpoint.  pcqed takes those times in a second run, whose
-    steps must be the first run's.
+    steps must be the first run's.  The accepted steps are recorded by
+    wrapping ``DOP853.step``.
     """
     def run(times=()):
         steps = []
-        solver, n_steps, _ = ode._integrate(couplings, g_a, g_b, y0, t0, t1, ode.DEFAULT_RTOL,
-                                            ode.DEFAULT_ATOL, times=times,
-                                            on_step=lambda solver: steps.append(solver.t))
+        step = dop853.DOP853.step
+
+        def recording(solver):
+            step(solver)
+            steps.append(solver.t)
+
+        with mock.patch.object(dop853.DOP853, "step", recording):
+            solver, n_steps, _ = ode._integrate(couplings, g_a, g_b, y0, t0, t1, ode.DEFAULT_RTOL,
+                                                ode.DEFAULT_ATOL, times=times)
         assert n_steps == len(steps)
         return solver, steps
 

@@ -19,7 +19,6 @@ from pcqed import (
     IDENTITY,
     NOT,
     PathSpec,
-    PulseAreas,
     SWAP,
     Z,
     calibrate_velocity,
@@ -251,9 +250,9 @@ class TestTruthTable:
     def test_analytic_rails_share_one_propagator(self, monkeypatch):
         built = []
 
-        def counting(areas):
-            built.append(areas)
-            return logical_unitary(areas)
+        def counting(g_a, g_b):
+            built.append((g_a, g_b))
+            return logical_unitary(g_a, g_b)
 
         monkeypatch.setitem(pcqed.gates._PROPAGATORS, 1, counting)
         report = truth_table(settings_for(NOT, 1.0, 433.0), "analytic")
@@ -320,8 +319,8 @@ class TestTruthTable:
         assert report.residual_cavity["00"] == 0.0
         assert report.relative_phases["00"] == -report.global_phase
         g_a, g_b = report.pulse_area_a, report.pulse_area_b
-        for label, areas in (("10", PulseAreas(g_a, g_b)), ("01", PulseAreas(g_b, g_a))):
-            gamma = amplitudes(areas.g_a, areas.g_b)[2]
+        for label, areas in (("10", (g_a, g_b)), ("01", (g_b, g_a))):
+            gamma = amplitudes(*areas)[2]
             assert report.residual_cavity[label] == pytest.approx(abs(gamma) ** 2, rel=0, abs=tol)
             assert detuning == 1.0 or abs(gamma) ** 2 > 0.1
 
@@ -509,6 +508,64 @@ class TestFieldTraceGate:
         assert analytic.pulse_area_a == ode.pulse_area_a
         for label in ("10", "01"):
             assert abs(analytic.fidelities[label] - ode.fidelities[label]) <= 1e-6
+
+
+class TestAtomBArea:
+    """Atom B's area is c times atom A's, c the ratio drive_pair returns."""
+
+    @pytest.mark.parametrize("engine", ["analytic", "ode"])
+    @pytest.mark.parametrize("scenario", ["generic", "trace"])
+    def test_area_b_is_c_times_area_a(self, monkeypatch, field3d_trace, scenario, engine):
+        # generic: B's dipole-angle drive integrates 5.6e-16 short of c g_a;
+        # trace: B drives through |p g|, so c = |p|
+        if scenario == "generic":
+            profile, p, c = GenericProfile(generic_family(zeta=0.4)), 0.3, 0.3
+        else:
+            profile, p, c = field3d_trace, -0.7, 0.7
+        areas = []
+        real = pcqed.gates.pulse_area
+
+        def counting(drive):
+            areas.append(real(drive))
+            return areas[-1]
+
+        monkeypatch.setattr(pcqed.gates, "pulse_area", counting)
+        settings = GateSettings(target=ENTANGLER_HADAMARD, profile_a=profile, p=p,
+                                velocity=profile.velocity, omega_cav=OMEGA_GENERIC)
+        report = truth_table(settings, engine)
+        assert areas == [report.pulse_area_a]
+        assert report.pulse_area_b == c * report.pulse_area_a
+
+    @pytest.mark.parametrize("engine", ["analytic", "ode"])
+    def test_non_finite_area_refused_before_the_engine_runs(self, monkeypatch, engine):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(pcqed.gates, "final_states", refuse)
+        monkeypatch.setitem(pcqed.gates._PROPAGATORS, 1, refuse)
+        profile = GenericProfile(generic_family(velocity=1e-300))  # Omega0 / V overflows
+        settings = GateSettings(target=NOT, profile_a=profile, p=1.0, velocity=1e-300,
+                                omega_cav=OMEGA_GENERIC)
+        with pytest.raises(ValueError, match="pulse areas must be finite"):
+            truth_table(settings, engine)
+
+
+class TestGateSettings:
+    def test_velocity_must_be_the_profile_velocity(self, fig_family):
+        profile = GenericProfile(fig_family)  # crossed at 433 m/s
+        with pytest.raises(ValueError, match=r"velocity 500\.0 m/s .* own velocity 433\.0 m/s"):
+            GateSettings(target=NOT, profile_a=profile, p=1.0, velocity=500.0,
+                         omega_cav=OMEGA_GENERIC)
+        trace = CouplingTrace([0.0, 1e-9], [1e9, 1e9], velocity=433.0)
+        with pytest.raises(ValueError, match="own velocity 433"):
+            GateSettings(target=NOT, profile_a=trace, p=1.0, velocity=500.0,
+                         omega_cav=OMEGA_GENERIC)
+
+    def test_profile_without_a_velocity_takes_the_given_one(self):
+        trace = CouplingTrace([0.0, 1e-9], [1e9, 1e9])
+        settings = GateSettings(target=NOT, profile_a=trace, p=1.0, velocity=500.0,
+                                omega_cav=OMEGA_GENERIC)
+        assert truth_table(settings, "analytic").velocity == 500.0
 
 
 def test_analytic_engine_runs_no_ode(monkeypatch, tmp_path):

@@ -6,7 +6,6 @@ from scipy import integrate
 
 from pcqed import (
     GenericProfile,
-    PulseAreas,
     logical_unitary,
     pulse_area,
     surface,
@@ -88,7 +87,7 @@ class TestSurface:
         for column, initial in enumerate(("100", "010")):
             grid = surface(generic_family(), **kwargs, initial=initial)
             for i, area in enumerate(areas):
-                u = [logical_unitary(PulseAreas(area, p * area)) for p in grid.p_values]
+                u = [logical_unitary(area, p * area) for p in grid.p_values]
                 want_a = [m[0, column].real for m in u]
                 want_b = [m[1, column].real for m in u]
                 np.testing.assert_allclose(grid.a_surface[i], want_a, rtol=0, atol=1e-12)
