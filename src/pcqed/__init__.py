@@ -18,7 +18,6 @@ from .core import (
     basis_labels,
     build_subspace,
     g0_from_params,
-    mode_volume_from_g0,
     photon_lifetime,
 )
 from .coupling import (
@@ -29,8 +28,6 @@ from .coupling import (
     drive_pair,
     pulse_area,
     scaled_pair,
-    trace_from_csv,
-    trace_to_csv,
 )
 from .analytic import (
     analytic_trajectory,
@@ -65,7 +62,6 @@ from .gates import (
     GateSettings,
     GateTarget,
     calibrate_velocity,
-    effective_interaction_time,
     fidelity,
     truth_table,
 )

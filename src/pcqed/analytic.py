@@ -1,8 +1,8 @@
 """Closed-form dynamics for proportional coupling pulses.
 
 Every drive pair the system builds (:func:`pcqed.coupling.drive_pair`) gives
-atom B a constant multiple c of atom A's drive.  The interaction Hamiltonian
-of each excitation subspace is then g_a(t) times a constant matrix, so it
+atom B exactly c times atom A's drive.  The interaction Hamiltonian of
+each excitation subspace is then g_a(t) times a constant matrix, so it
 commutes with itself at all times, the propagator is the exponential of the
 integrated Hamiltonian, and everything reduces to the two pulse areas.  With
 Lambda = sqrt(g_a^2 + g_b^2) the amplitudes over {|100>, |010>, |001>} are

@@ -27,7 +27,6 @@ __all__ = [
     "basis_labels",
     "build_subspace",
     "g0_from_params",
-    "mode_volume_from_g0",
     "photon_lifetime",
     "VELOCITY_WINDOW",
     "FLOAT_FORMAT",
@@ -81,12 +80,6 @@ def g0_from_params(mu_eg: float, omega: float, eps_m: float, v_mode: float) -> f
     """
     _require_positive(mu_eg=mu_eg, omega=omega, eps_m=eps_m, v_mode=v_mode)
     return (mu_eg / HBAR) * math.sqrt(HBAR * omega / (2.0 * EPS0 * eps_m * v_mode))
-
-
-def mode_volume_from_g0(mu_eg: float, omega: float, eps_m: float, g0: float) -> float:
-    """Invert the peak-coupling relation for the mode volume (m^3)."""
-    _require_positive(mu_eg=mu_eg, omega=omega, eps_m=eps_m, g0=g0)
-    return mu_eg**2 * omega / (2.0 * HBAR * EPS0 * eps_m * g0**2)
 
 
 def photon_lifetime(q_factor: float, omega: float) -> float:
@@ -249,17 +242,17 @@ class AmplitudeVector:
 FLOAT_FORMAT = "%.17g"
 
 
-def write_csv(path, header, columns, preamble=()) -> Path:
+def write_csv(path, header, columns) -> Path:
     """Write a table as CSV and return its path.
 
-    Writes the ``preamble`` lines, then the ``header`` cells, then one row
-    per index of the equal-length ``columns`` (1-D, or 2-D blocks of
-    columns), every cell a float in FLOAT_FORMAT.  Lines end in CRLF.
+    Writes the ``header`` cells, then one row per index of the equal-length
+    ``columns`` (1-D, or 2-D blocks of columns), every cell a float in
+    FLOAT_FORMAT.  Lines end in CRLF.
     """
     path = Path(path)
     table = np.column_stack(columns)
     row_format = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\r\n"
     with path.open("w", newline="") as fh:
-        fh.writelines(f"{line}\r\n" for line in (*preamble, ",".join(header)))
+        fh.write(",".join(header) + "\r\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in table)
     return path

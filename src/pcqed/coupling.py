@@ -12,24 +12,21 @@ analytic generic profiles are real and signed and drive the interaction as
 they are; traces sampled from mode fields may be complex and drive it
 through their magnitude |g|, whose area is the exact area of the magnitude
 of the linear interpolant.  :func:`drive_pair` adds atom B, whose drive is
-a constant multiple c of atom A's.  :func:`pulse_area` is exact or refuses:
-it integrates what :func:`exact_area` integrates and raises TypeError for
-anything else, a raw trace or a bare callable included.
+exactly c times atom A's, the same drive scaled.  :func:`pulse_area` is
+exact or refuses: it integrates what :func:`exact_area` integrates and
+raises TypeError for anything else, a raw trace or a bare callable included.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .core import FLOAT_FORMAT, _require_positive, write_csv
+from .core import _require_positive
 
 __all__ = [
     "GenericProfileParams",
@@ -42,8 +39,6 @@ __all__ = [
     "exact_area",
     "pulse_area",
     "scaled_pair",
-    "trace_to_csv",
-    "trace_from_csv",
 ]
 
 
@@ -130,8 +125,9 @@ class GenericProfile:
 
 @dataclass(frozen=True)
 class ScaledProfile:
-    """A profile multiplied by a constant factor (used when the factor is not
-    representable as a dipole-orientation angle)."""
+    """A profile or drive multiplied by a constant factor: atom B's drive, c
+    times atom A's (:func:`drive_pair`), and atom B's analytic profile
+    (:func:`scaled_pair`)."""
 
     base: object
     factor: float
@@ -290,13 +286,17 @@ def drive_from_profile(profile):
 def drive_pair(profile, p: float):
     """Drives of atoms A and B, and their exact constant ratio c = drive_b / drive_a.
 
-    Atom A's profile is ``profile``; atom B's is :func:`scaled_pair` of it
-    with factor p; both drive through :func:`drive_from_profile`.  A trace
-    drives through |g|, so c = |p|; every other profile drives signed, so
-    c = p.  Every engine reads atom B from here.
+    Atom A drives through :func:`drive_from_profile` of ``profile``; atom B's
+    drive is that same drive times c, a :class:`ScaledProfile`, so every
+    engine reads B as exactly c times A and both report A's breakpoints.  A
+    trace drives through |g|, so c = |p|; every other profile drives signed,
+    so c = p.  Every engine reads atom B from here.
     """
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
+    drive = drive_from_profile(profile)
     c = abs(p) if isinstance(profile, CouplingTrace) else p
-    return drive_from_profile(profile), drive_from_profile(scaled_pair(profile, p)), c
+    return drive, ScaledProfile(drive, c), c
 
 
 def _exact_parts(profile):
@@ -413,70 +413,9 @@ def pulse_area(profile) -> float:
 def scaled_pair(profile, p: float):
     """Profile of the companion atom: p times the given profile at every t.
 
-    For generic profiles the factor is realized physically through the dipole
-    orientation, cos(zeta_B) = p * cos(zeta_A); when |p cos(zeta_A)| > 1 no
-    orientation exists, a non-physical warning is emitted, and a plainly
-    scaled profile is returned instead.
+    A trace stays a trace, of p times its samples; any other profile is
+    wrapped in a :class:`ScaledProfile`.
     """
-    if not math.isfinite(p):
-        raise ValueError("p must be finite")
     if isinstance(profile, CouplingTrace):
         return CouplingTrace(profile.times, p * profile.values, velocity=profile.velocity)
-    if p == 0.0:
-        # exact zero; acos(0) would leave a cos(pi/2) rounding residue
-        return ScaledProfile(profile, 0.0)
-    if isinstance(profile, GenericProfile):
-        target = p * math.cos(profile.params.zeta)
-        if abs(target) <= 1.0:
-            return GenericProfile(replace(profile.params, zeta=math.acos(target)))
-        warnings.warn(
-            f"ratio p={p:g} with cos(zeta_A)={math.cos(profile.params.zeta):g} "
-            "is not realizable as a dipole orientation; returning a scaled "
-            "profile anyway",
-            stacklevel=2,
-        )
-    if isinstance(profile, ScaledProfile):
-        return ScaledProfile(profile.base, p * profile.factor)
     return ScaledProfile(profile, p)
-
-
-_VELOCITY_PREFIX = "# velocity_m_per_s="
-
-
-def trace_to_csv(trace: CouplingTrace, path) -> Path:
-    """Write a trace as CSV: time_s, coupling_rad_per_s.
-
-    Complex traces get three columns (time_s, coupling_re_rad_per_s,
-    coupling_im_rad_per_s).  A trace that records its velocity gets a first
-    line ``# velocity_m_per_s=<V>`` before the header.  Floats are written
-    with 17 significant digits, so a read-back trace is bit-identical.
-    """
-    preamble = []
-    if trace.velocity is not None:
-        preamble.append(_VELOCITY_PREFIX + FLOAT_FORMAT % trace.velocity)
-    if trace.is_complex:
-        header = ("time_s", "coupling_re_rad_per_s", "coupling_im_rad_per_s")
-        columns = (trace.times, trace.values.real, trace.values.imag)
-    else:
-        header, columns = ("time_s", "coupling_rad_per_s"), (trace.times, trace.values)
-    return write_csv(path, header, columns, preamble)
-
-
-def trace_from_csv(path) -> CouplingTrace:
-    """Read a trace written by :func:`trace_to_csv`, with its velocity if recorded."""
-    path = Path(path)
-    velocity = None
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) == 1 and header[0].startswith(_VELOCITY_PREFIX):
-            velocity = float(header[0][len(_VELOCITY_PREFIX):])
-            header = next(reader)
-        if header[:1] != ["time_s"] or len(header) not in (2, 3):
-            raise ValueError(f"unrecognized trace header {header!r} in {path}")
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    # A header-only file gives no samples, which CouplingTrace refuses.
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    if len(header) == 3:
-        return CouplingTrace(data[:, 0], data[:, 1] + 1j * data[:, 2], velocity=velocity)
-    return CouplingTrace(data[:, 0], data[:, 1], velocity=velocity)

@@ -48,7 +48,6 @@ __all__ = [
     "fidelity",
     "calibrate_velocity",
     "truth_table",
-    "effective_interaction_time",
 ]
 
 # Classification thresholds: minimum per-input fidelity, and how far the
@@ -206,15 +205,6 @@ def _fastest_odd_multiple(lam_at_v: float, v_lo: float, v_hi: float) -> float:
         f"candidates: {', '.join(f'{v:.4g}' for v in nearest)}",
         candidates=tuple(nearest),
     )
-
-
-def effective_interaction_time(
-    params: GenericProfileParams, envelope_cut: float = 0.01
-) -> float:
-    """Window (s) outside which the coupling envelope is below envelope_cut of peak."""
-    if not 0 < envelope_cut < 1:
-        raise ValueError("envelope_cut must be in (0, 1)")
-    return 2.0 * params.defect_radius * math.log(1.0 / envelope_cut) / params.velocity
 
 
 @dataclass(frozen=True)

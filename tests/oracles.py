@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 
-from pcqed import CalibrationError
+from pcqed import EPS0, HBAR, CalibrationError
 from pcqed.fieldgrid import DEFECT_RADIUS_FRAC, ROD_EPS, ROD_RADIUS_FRAC
 
 
@@ -35,6 +35,18 @@ def series_amplitudes(g_a: float, g_b: float, n_terms: int) -> tuple[complex, co
     b = g_a * g_b * even_sum
     gamma = 1j * g_a * odd_sum
     return (complex(a), complex(b), complex(gamma))
+
+
+def mode_volume_from_g0(mu_eg: float, omega: float, eps_m: float, g0: float) -> float:
+    """Mode volume (m^3) at which a dipole mu_eg sees peak coupling g0: the
+    inverse of :func:`pcqed.g0_from_params`."""
+    return mu_eg**2 * omega / (2.0 * HBAR * EPS0 * eps_m * g0**2)
+
+
+def effective_interaction_time(params, envelope_cut: float = 0.01) -> float:
+    """Window (s) outside which the generic profile's envelope, of family
+    ``params``, is below ``envelope_cut`` of its peak."""
+    return 2.0 * params.defect_radius * math.log(1.0 / envelope_cut) / params.velocity
 
 
 def _rod_coverage(x, y, cx, cy, radius, hx, hy, sub=4):

@@ -19,12 +19,10 @@ from pcqed import (
     SWAP,
     build_subspace,
     calibrate_velocity,
-    effective_interaction_time,
     evolve,
     g0_from_params,
     logical_unitary,
     mode_volume,
-    mode_volume_from_g0,
     photon_lifetime,
     polarization_fraction,
     pulse_area,
@@ -35,7 +33,7 @@ from pcqed import (
 from pcqed.analytic import amplitudes
 
 from conftest import LATTICE_2D, OMEGA_GENERIC, OMEGA_MM, generic_family
-from oracles import series_amplitudes
+from oracles import effective_interaction_time, mode_volume_from_g0, series_amplitudes
 
 RATIO = math.sqrt(2.0) / math.hypot(1.0, 0.414)
 

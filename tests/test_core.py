@@ -13,9 +13,10 @@ from pcqed import (
     basis_labels,
     build_subspace,
     g0_from_params,
-    mode_volume_from_g0,
     photon_lifetime,
 )
+
+from oracles import mode_volume_from_g0
 
 OMEGA_MM = 2 * math.pi * C_LIGHT / 5.9e-3
 MU_RB = 2e-26  # C*m

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,16 +8,14 @@ import pytest
 from pcqed import (
     CouplingTrace,
     GenericProfile,
-    calibrate_velocity,
     drive_from_profile,
+    drive_pair,
     pulse_area,
     scaled_pair,
-    trace_from_csv,
-    trace_to_csv,
 )
 from pcqed.coupling import ScaledProfile, TraceMagnitude, exact_area
 
-from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, csv_rows, generic_family
+from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, generic_family
 
 
 def simpson_oracle(f, a, b, n_start=4096, max_doublings=8, tol=1e-12):
@@ -146,17 +145,14 @@ class TestScaledPair:
         companion = scaled_pair(base, 0.414)
         assert pulse_area(companion) / pulse_area(base) == pytest.approx(0.414, rel=1e-9)
 
-    def test_dipole_angle_realization(self, fig_family):
-        companion = scaled_pair(GenericProfile(fig_family), 0.414)
-        assert isinstance(companion, GenericProfile)
-        assert math.cos(companion.params.zeta) == pytest.approx(0.414, rel=1e-12)
-
-    def test_unphysical_ratio_warns_but_computes(self, fig_family):
+    def test_ratio_above_one_scales_without_warning(self, fig_family):
+        # |p cos(zeta_A)| > 1 has no dipole orientation, but the drive is
+        # plain arithmetic: p times atom A's
         base = GenericProfile(fig_family)
-        with pytest.warns(UserWarning):
-            stretched = scaled_pair(base, 1.5)
         t = np.linspace(0, 2e-8, 7)
-        np.testing.assert_allclose(stretched(t), 1.5 * base(t), rtol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(scaled_pair(base, 1.5)(t), 1.5 * base(t))
 
     def test_trace_scaling(self):
         trace = CouplingTrace([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], velocity=433.0)
@@ -166,57 +162,40 @@ class TestScaledPair:
         assert scaled.velocity == 433.0
 
 
+class TestDrivePair:
+    """Atom B's drive is exactly c times atom A's, on both kinds of profile."""
+
+    @pytest.fixture(params=[0.414, 1e-9, 1e-15, -0.7, 2.5, "field3d"])
+    def pair(self, request, fig_family):
+        if request.param == "field3d":
+            config = request.getfixturevalue("field3d_config")
+            return request.getfixturevalue("field3d_trace"), config["p"]
+        return GenericProfile(fig_family), request.param
+
+    def test_atom_b_is_c_times_atom_a(self, pair):
+        profile, p = pair
+        drive_a, drive_b, c = drive_pair(profile, p)
+        times = np.linspace(*drive_a.window, 2001).tolist()
+        assert [drive_b.at(t) for t in times] == [c * drive_a.at(t) for t in times]
+        assert pulse_area(drive_b) == pytest.approx(c * pulse_area(drive_a), rel=1e-15)
+        np.testing.assert_array_equal(drive_b.breakpoints(*drive_a.window),
+                                      drive_a.breakpoints(*drive_a.window))
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_ratio_must_be_finite(self, fig_family, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            drive_pair(GenericProfile(fig_family), p)
+
+
 class TestCouplingTrace:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
             CouplingTrace([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
-    def test_csv_round_trip_real(self, tmp_path):
-        for velocity in (None, 433.1):
-            trace = CouplingTrace([0.0, 1e-9, 2e-9], [1.0e6, -2.0e6, 0.5e6], velocity=velocity)
-            path = trace_to_csv(trace, tmp_path / "t.csv")
-            assert len(csv_rows(path)) == 4 + (velocity is not None)
-            back = trace_from_csv(path)
-            assert back.velocity == velocity
-            np.testing.assert_array_equal(back.times, trace.times)
-            np.testing.assert_array_equal(back.values, trace.values)
-
-    def test_csv_without_velocity_keeps_its_format(self, tmp_path):
-        trace = CouplingTrace([0.0, 1e-9, 2e-9], [1.0e6, -2.0e6, 0.5e6])
-        path = trace_to_csv(trace, tmp_path / "t.csv")
-        assert path.read_bytes() == (
-            b"time_s,coupling_rad_per_s\r\n0,1000000\r\n"
-            b"1.0000000000000001e-09,-2000000\r\n2.0000000000000001e-09,500000\r\n"
-        )
-        assert trace_from_csv(path).velocity is None
-
-    def test_csv_round_trip_keeps_velocity_for_calibration(self, tmp_path, fig_family):
-        profile = GenericProfile(fig_family)
-        times = np.linspace(*profile.window, 2001)
-        trace = CouplingTrace(times, profile(times) * np.exp(0.3j), velocity=433.0)
-        path = trace_to_csv(trace, tmp_path / "t.csv")
-        assert csv_rows(path)[0] == ["# velocity_m_per_s=433"]
-        back = trace_from_csv(path)
-        assert back.velocity == 433.0
-        np.testing.assert_array_equal(back.values, trace.values)
-        assert calibrate_velocity(back, 1.0, "NOT") == calibrate_velocity(trace, 1.0, "NOT")
-
-    def test_csv_round_trip_complex(self, tmp_path):
-        for velocity in (None, 433.1):
-            trace = CouplingTrace([0.0, 1e-9], [1e6 + 2e6j, -3e6 + 0.5e6j / 3], velocity=velocity)
-            path = trace_to_csv(trace, tmp_path / "t.csv")
-            assert len(csv_rows(path)) == 3 + (velocity is not None)
-            back = trace_from_csv(path)
-            assert back.velocity == velocity
-            np.testing.assert_array_equal(back.times, trace.times)
-            np.testing.assert_array_equal(back.values, trace.values)
-
-    def test_csv_without_samples_rejected(self, tmp_path):
-        for header in ("time_s,coupling_rad_per_s", "# velocity_m_per_s=433\r\ntime_s,re,im"):
-            path = tmp_path / "t.csv"
-            path.write_text(header + "\r\n")
-            with pytest.raises(ValueError, match="at least two samples"):
-                trace_from_csv(path)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_requires_two_samples(self, n):
+        with pytest.raises(ValueError, match="at least two samples"):
+            CouplingTrace(np.arange(n, dtype=float), np.ones(n))
 
     def test_interpolation_outside_is_zero(self):
         trace = CouplingTrace([1.0, 2.0], [5.0, 5.0])

@@ -23,7 +23,6 @@ from pcqed import (
     Z,
     calibrate_velocity,
     coupling_trace_from_field,
-    effective_interaction_time,
     fidelity,
     logical_unitary,
     photon_lifetime,
@@ -41,7 +40,7 @@ from conftest import (
     OMEGA_MM,
     generic_family,
 )
-from oracles import odd_multiple_walk
+from oracles import effective_interaction_time, odd_multiple_walk
 
 P_STAR = math.sqrt(2.0) - 1.0
 RATIO_NOT_TO_HADAMARD = math.sqrt(2.0) / math.hypot(1.0, 0.414)
