@@ -2,7 +2,9 @@
 
 Science parameters come from JSON config files (schema-validated, unknown
 keys rejected, optional keys resolved to the defaults of the library code
-that reads them); flags handle only I/O.  Outputs are deterministic for a
+that reads them); flags handle only I/O.  A number literal that is not a
+finite double (``NaN``, ``Infinity``, ``1e400``, a 401-digit integer) exits 2;
+an underflowing ``1e-400`` reads as 0.0.  Outputs are deterministic for a
 fixed config; every table is written by :func:`pcqed.core.write_csv`.
 Every command runs under one protocol, in :func:`main`: load the config,
 create the output directory, run, print each path written, and map
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -28,6 +31,7 @@ from .core import (
     CavityParams,
     ConvergenceError,
     AmplitudeVector,
+    build_subspace,
     g0_from_params,
     write_csv,
 )
@@ -51,7 +55,6 @@ from .ode import (
     MIN_ATOL,
     MIN_RTOL,
     Trajectory,
-    build_subspace,
     evolve,
     trajectory_to_csv,
 )
@@ -276,8 +279,17 @@ def _load_config(path: str, command: str) -> dict:
     def refuse(literal: str):  # Python's json reads NaN and infinities; JSON Schema lets them by
         raise ConfigError(f"config {path} is not valid JSON: {literal} is not a number")
 
+    def finite(parse):  # it reads 1e400 as inf, and a 401-digit integer past every double
+        def read(literal: str):
+            if not math.isfinite(float(literal)):
+                shown = literal if len(literal) <= 24 else f"{literal[:24]}..."
+                raise ConfigError(f"config {path} is not valid JSON: {shown} is not a finite double")
+            return parse(literal)
+        return read
+
     try:
-        config = json.loads(raw, parse_constant=refuse)
+        config = json.loads(raw, parse_constant=refuse,
+                            parse_float=finite(float), parse_int=finite(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:
@@ -416,7 +428,7 @@ def _cmd_profile(config: dict, out: Path, stem: str, args) -> list[Path]:
     times = np.linspace(t0, t1, config["n_samples"])
     va = np.asarray(profile_a(times))
     vb = np.asarray(scaled_pair(profile_a, p)(times))
-    is_complex = np.iscomplexobj(va) or np.iscomplexobj(vb)
+    is_complex = np.iscomplexobj(va)  # atom B's samples are p times A's
     if is_complex:
         names = ("coupling_a_re", "coupling_a_im", "coupling_b_re", "coupling_b_im")
         columns = (va.real, va.imag, vb.real, vb.imag)

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "HBAR",
     "EPS0",
-    "C_LIGHT",
     "ConvergenceError",
     "CalibrationError",
     "CavityParams",
@@ -36,7 +35,6 @@ __all__ = [
 # CODATA 2018
 HBAR = 1.054571817e-34    # J*s
 EPS0 = 8.8541878128e-12   # F/m
-C_LIGHT = 299792458.0     # m/s
 
 # Experimentally sensible transit velocities (m/s): the default calibration
 # bounds and sweep range.

@@ -136,14 +136,12 @@ class ScaledProfile:
         return self.factor * self.base(t)
 
     def at(self, t: float) -> float:
-        """The value at one time t: factor times the base's own scalar value,
-        or its call where it has none."""
-        return self.factor * getattr(self.base, "at", self.base)(t)
+        """The value at one time t: factor times the base's own scalar value."""
+        return self.factor * self.base.at(t)
 
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
-        """The base's breakpoints in (t0, t1); none for a base that reports none."""
-        base = getattr(self.base, "breakpoints", None)
-        return np.empty(0) if base is None else base(t0, t1)
+        """The base's breakpoints in (t0, t1)."""
+        return self.base.breakpoints(t0, t1)
 
     @property
     def window(self) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Gate targets, fidelity metrics, velocity calibration, and truth tables.
+"""Gate targets, velocity calibration, and truth tables with per-input fidelity.
 
 A logical qubit lives in which atom carries the single excitation (|10> vs
 |01>, cavity empty).  Calibration exploits the exact 1/V scaling of pulse
@@ -45,7 +45,6 @@ __all__ = [
     "SWAP",
     "IDENTITY",
     "TARGETS",
-    "fidelity",
     "calibrate_velocity",
     "truth_table",
 ]
@@ -104,11 +103,6 @@ TARGETS = {t.label: t for t in (ENTANGLER_HADAMARD, NOT, Z, SWAP, IDENTITY)}
 # The tolerance on a target's coupling ratio (the entangler ratio is quoted
 # to three figures in practice).
 _P_TOL = 0.005
-
-
-def fidelity(state: AmplitudeVector, target: AmplitudeVector) -> float:
-    """|<target|state>|^2; global-phase invariant.  Bases must match."""
-    return float(abs(state.overlap(target)) ** 2)
 
 
 def _reference_area(family) -> tuple[float, float]:

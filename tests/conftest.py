@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from pcqed import (
-    C_LIGHT,
-    CavityParams,
-    GenericProfileParams,
+from pcqed.core import CavityParams
+from pcqed.coupling import GenericProfileParams
+from pcqed.fieldgrid import (
     PathSpec,
     coupling_trace_from_field,
     mode_volume,
@@ -15,6 +14,8 @@ from pcqed import (
     synthesize_mode,
 )
 from pcqed.cli import example_config_path
+
+from oracles import C_LIGHT
 
 # Reference generic scenario used throughout: optical transition at
 # 2.4e15 rad/s, lattice period 1.6*pi*c/omega, half-path of ten periods,

@@ -6,8 +6,10 @@ import math
 import mpmath
 import numpy as np
 
-from pcqed import EPS0, HBAR, CalibrationError
+from pcqed.core import EPS0, HBAR, CalibrationError
 from pcqed.fieldgrid import DEFECT_RADIUS_FRAC, ROD_EPS, ROD_RADIUS_FRAC
+
+C_LIGHT = 299792458.0  # m/s, CODATA 2018
 
 
 def series_amplitudes(g_a: float, g_b: float, n_terms: int) -> tuple[complex, complex, complex]:
@@ -39,7 +41,7 @@ def series_amplitudes(g_a: float, g_b: float, n_terms: int) -> tuple[complex, co
 
 def mode_volume_from_g0(mu_eg: float, omega: float, eps_m: float, g0: float) -> float:
     """Mode volume (m^3) at which a dipole mu_eg sees peak coupling g0: the
-    inverse of :func:`pcqed.g0_from_params`."""
+    inverse of :func:`pcqed.core.g0_from_params`."""
     return mu_eg**2 * omega / (2.0 * HBAR * EPS0 * eps_m * g0**2)
 
 

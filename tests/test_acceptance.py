@@ -10,27 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from pcqed import (
-    AmplitudeVector,
-    FieldGrid,
-    GateSettings,
-    GenericProfile,
-    GenericProfileParams,
-    SWAP,
-    build_subspace,
-    calibrate_velocity,
-    evolve,
-    g0_from_params,
-    logical_unitary,
-    mode_volume,
-    photon_lifetime,
-    polarization_fraction,
-    pulse_area,
-    scaled_pair,
-    surface,
-    truth_table,
-)
-from pcqed.analytic import amplitudes
+from pcqed.core import AmplitudeVector, build_subspace, g0_from_params, photon_lifetime
+from pcqed.coupling import GenericProfile, GenericProfileParams, pulse_area, scaled_pair
+from pcqed.analytic import amplitudes, logical_unitary
+from pcqed.ode import evolve
+from pcqed.fieldgrid import FieldGrid, mode_volume, polarization_fraction
+from pcqed.gates import GateSettings, SWAP, calibrate_velocity, truth_table
+from pcqed.sweep import surface
 
 from conftest import LATTICE_2D, OMEGA_GENERIC, OMEGA_MM, generic_family
 from oracles import effective_interaction_time, mode_volume_from_g0, series_amplitudes

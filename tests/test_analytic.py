@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pcqed import (
+from pcqed.core import AmplitudeVector, build_subspace
+from pcqed.coupling import (
     CouplingTrace,
     GenericProfile,
-    analytic_trajectory,
-    AmplitudeVector,
-    build_subspace,
     drive_from_profile,
-    evolve,
-    logical_unitary,
     pulse_area,
     scaled_pair,
 )
-from pcqed.analytic import amplitudes
+from pcqed.analytic import amplitudes, analytic_trajectory, logical_unitary
+from pcqed.ode import evolve
 from pcqed import analytic
 
 from oracles import series_amplitudes

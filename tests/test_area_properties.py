@@ -10,8 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from pcqed import CouplingTrace, GenericProfile, GenericProfileParams, drive_from_profile, pulse_area
-from pcqed.coupling import ScaledProfile, exact_area
+from pcqed.coupling import (
+    CouplingTrace,
+    GenericProfile,
+    GenericProfileParams,
+    ScaledProfile,
+    drive_from_profile,
+    exact_area,
+    pulse_area,
+)
 
 from conftest import LATTICE_GENERIC
 

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcqed import (
-    AmplitudeVector,
-    basis_labels,
-    build_subspace,
-    evolve,
-    logical_unitary,
-    two_excitation_unitary,
-)
-from pcqed.analytic import _SMALL_LAMBDA
+from pcqed.core import AmplitudeVector, basis_labels, build_subspace
+from pcqed.analytic import _SMALL_LAMBDA, logical_unitary, two_excitation_unitary
+from pcqed.ode import evolve
 
 PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # each example of the ODE comparison runs DOP853 at rtol 1e-12

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import pcqed
-from pcqed import ConvergenceError, cli
+from pcqed import cli
+from pcqed.core import ConvergenceError
 from pcqed.cli import example_config_path, main
 
 from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, csv_rows
@@ -192,8 +193,8 @@ class TestFieldStats:
     def test_bad_field_file_exits_2(self, tmp_path, capsys, damage, message):
         grid_path = tmp_path / "grid.json"
         if damage is not None:
-            grid = pcqed.synthesize_mode("cavity2d", 1e-3, 1e-3, (5, 5, 1), (2e-4, 2e-4, 1e-3))
-            doc = json.loads(pcqed.grid_to_json(grid, grid_path).read_text())
+            grid = pcqed.fieldgrid.synthesize_mode("cavity2d", 1e-3, 1e-3, (5, 5, 1), (2e-4, 2e-4, 1e-3))
+            doc = json.loads(pcqed.fieldgrid.grid_to_json(grid, grid_path).read_text())
             if damage == "nan":
                 doc["epsilon"][0] = math.nan
             else:
@@ -546,33 +547,33 @@ _RESOLVED_DEFAULTS = [
         {**_GENERIC, "initial": "100"},
         {
             "engine": "both",
-            "ode": {"rtol": _default(pcqed.evolve, "rtol"), "atol": _default(pcqed.evolve, "atol")},
-            "n_points": _default(pcqed.evolve, "n_points"),
-            "n_samples": _default(pcqed.coupling_trace_from_field, "n_samples"),
+            "ode": {"rtol": _default(pcqed.ode.evolve, "rtol"), "atol": _default(pcqed.ode.evolve, "atol")},
+            "n_points": _default(pcqed.ode.evolve, "n_points"),
+            "n_samples": _default(pcqed.fieldgrid.coupling_trace_from_field, "n_samples"),
         },
         id="evolve",
     ),
     pytest.param(
         "profile",
         _GENERIC,
-        {"n_samples": _default(pcqed.coupling_trace_from_field, "n_samples")},
+        {"n_samples": _default(pcqed.fieldgrid.coupling_trace_from_field, "n_samples")},
         id="profile",
     ),
     pytest.param(
         "calibrate",
         {**_GENERIC, "target": "ENTANGLER_HADAMARD"},
-        {"v_bounds": _default(pcqed.calibrate_velocity, "v_bounds")},
+        {"v_bounds": _default(pcqed.gates.calibrate_velocity, "v_bounds")},
         id="calibrate",
     ),
     pytest.param(
         "gate-report",
         {**_GENERIC, "target": "ENTANGLER_HADAMARD", "omega_cav": 2.4e15},
         {
-            "v_bounds": _default(pcqed.calibrate_velocity, "v_bounds"),
-            "q_factor": _default(pcqed.GateSettings, "q_factor"),
+            "v_bounds": _default(pcqed.gates.calibrate_velocity, "v_bounds"),
+            "q_factor": _default(pcqed.gates.GateSettings, "q_factor"),
             "engine": "ode",
-            "ode": {"rtol": _default(pcqed.GateSettings, "rtol"),
-                    "atol": _default(pcqed.GateSettings, "atol")},
+            "ode": {"rtol": _default(pcqed.gates.GateSettings, "rtol"),
+                    "atol": _default(pcqed.gates.GateSettings, "atol")},
         },
         id="gate-report",
     ),
@@ -585,7 +586,7 @@ _RESOLVED_DEFAULTS = [
     pytest.param(
         "sweep",
         {"family": _FAMILY},
-        {name: _default(pcqed.surface, name) for name in ("v_range", "p_range", "initial", "resolution")},
+        {name: _default(pcqed.sweep.surface, name) for name in ("v_range", "p_range", "initial", "resolution")},
         id="sweep",
     ),
 ]
@@ -609,25 +610,58 @@ def test_load_config_resolves_library_defaults(command, minimal, defaults, tmp_p
 def test_ode_block_resolves_key_by_key(tmp_path):
     config = {**_GENERIC, "initial": "100", "ode": {"rtol": 1e-10}}
     resolved = cli._load_config(str(write_config(tmp_path, "cfg", config)), "evolve")
-    assert resolved["ode"] == {"rtol": 1e-10, "atol": _default(pcqed.evolve, "atol")}
+    assert resolved["ode"] == {"rtol": 1e-10, "atol": _default(pcqed.ode.evolve, "atol")}
 
 
-@pytest.mark.parametrize("value, literal", [(math.nan, "NaN"), (math.inf, "Infinity"),
-                                            (-math.inf, "-Infinity")])
-def test_non_finite_literal_exits_2(value, literal, tmp_path, monkeypatch, capsys):
+def literal_config(tmp_path, stem, key, literal):
+    """The bundled config ``stem`` written with the raw text ``literal`` as
+    the number at ``key``, a literal json.dump may not write."""
+    config = json.loads(example_config_path(stem).read_text())
+    *parents, leaf = key
+    block = config
+    for name in parents:
+        block = block.setdefault(name, {})
+    marker = 271828.125
+    block[leaf] = marker
+    text = json.dumps(config)
+    assert text.count(repr(marker)) == 1
+    path = tmp_path / f"{stem}.json"
+    path.write_text(text.replace(repr(marker), literal))
+    return path
+
+
+_LONG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command, stem, key, literal, message", [
+    ("calibrate", "calibrate_not_generic", ("p",), "NaN", "NaN is not a number"),
+    ("calibrate", "calibrate_not_generic", ("p",), "Infinity", "Infinity is not a number"),
+    ("calibrate", "calibrate_not_generic", ("p",), "-Infinity", "-Infinity is not a number"),
+    ("evolve", "entangler_generic", ("ode", "atol"), "1e400", "1e400 is not a finite double"),
+    ("evolve", "entangler_generic", ("ode", "rtol"), "1e400", "1e400 is not a finite double"),
+    ("calibrate", "calibrate_not_generic", ("profile", "omega0"), _LONG,
+     f"{_LONG[:24]}... is not a finite double"),
+], ids=["NaN", "Infinity", "-Infinity", "atol-1e400", "rtol-1e400", "omega0-401-digits"])
+def test_non_finite_literal_exits_2(command, stem, key, literal, message, tmp_path, monkeypatch,
+                                    capsys):
     # Python's json reads these, and JSON Schema takes them for numbers: a NaN
-    # ratio passed calibration's tolerance test and blamed a finite pulse area.
+    # ratio passed calibration's tolerance test and blamed a finite pulse
+    # area; an ODE atol of 1e400 (inf) wrote probabilities summing to 1.45e18
+    # (exit 0), an rtol of 1e400 failed as a convergence failure (exit 3), and
+    # a 401-digit integer omega0 raised an uncaught OverflowError (exit 1).
     def unreachable(*args, **kwargs):
         raise AssertionError("a non-finite literal passed validation")
 
     monkeypatch.setattr(cli, "_profile_from_config", unreachable)
-    config = json.loads(example_config_path("calibrate_not_generic").read_text())
-    config["p"] = value
-    path = write_config(tmp_path, "cfg", config)
-    assert literal in path.read_text()
-    assert run(["calibrate", "--config", path, "--out", tmp_path]) == 2
+    path = literal_config(tmp_path, stem, key, literal)
+    assert run([command, "--config", path, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and f"{literal} is not a number" in err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_underflowing_literal_reads_as_zero(tmp_path):
+    path = literal_config(tmp_path, "calibrate_not_generic", ("profile", "zeta"), "1e-400")
+    assert cli._load_config(str(path), "calibrate")["profile"]["zeta"] == 0.0
 
 
 def test_overflowing_drive_exits_3(tmp_path, capsys):

@@ -4,19 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from pcqed import (
+from pcqed.core import (
     AmplitudeVector,
-    C_LIGHT,
     CavityParams,
     SubspaceHamiltonian,
-    Trajectory,
     basis_labels,
     build_subspace,
     g0_from_params,
     photon_lifetime,
 )
+from pcqed.ode import Trajectory
 
-from oracles import mode_volume_from_g0
+from oracles import C_LIGHT, mode_volume_from_g0
 
 OMEGA_MM = 2 * math.pi * C_LIGHT / 5.9e-3
 MU_RB = 2e-26  # C*m

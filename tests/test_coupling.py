@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pcqed import (
+from pcqed.coupling import (
     CouplingTrace,
     GenericProfile,
+    ScaledProfile,
+    TraceMagnitude,
     drive_from_profile,
     drive_pair,
+    exact_area,
     pulse_area,
     scaled_pair,
 )
-from pcqed.coupling import ScaledProfile, TraceMagnitude, exact_area
 
 from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, generic_family
 
@@ -311,11 +313,6 @@ class TestScalarDrives:
         assert drive.at(t0) > 0 and drive.at(t1) > 0
         assert drive.at(np.nextafter(t0, -np.inf)) == 0.0
         assert drive.at(np.nextafter(t1, np.inf)) == 0.0
-
-    def test_scaled_profile_over_a_bare_callable(self):
-        drive = ScaledProfile(lambda t: 2.0 * t, 3.0)
-        assert drive.at(0.5) == 3.0
-        assert drive.breakpoints(0.0, 1.0).size == 0
 
 
 class TestBreakpoints:

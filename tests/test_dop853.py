@@ -14,8 +14,9 @@ import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate._ivp import dop853_coefficients as ref
 
-from pcqed import (AmplitudeVector, ConvergenceError, GenericProfile, build_subspace, drive_pair,
-                   dop853, ode)
+from pcqed import dop853, ode
+from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
+from pcqed.coupling import GenericProfile, drive_pair
 
 from conftest import generic_family
 

@@ -8,18 +8,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
-from pcqed import (
-    CavityParams,
+from pcqed.core import CavityParams
+from pcqed.coupling import drive_from_profile, pulse_area
+from pcqed.fieldgrid import (
     FieldGrid,
     PathSpec,
     coupling_trace_from_field,
-    drive_from_profile,
     grid_from_json,
     grid_to_json,
     mode_volume,
     peak_energy_point,
     polarization_fraction,
-    pulse_area,
     synthesize_mode,
 )
 from pcqed import fieldgrid

@@ -7,30 +7,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pcqed
-from pcqed import (
-    AmplitudeVector,
-    CalibrationError,
-    CavityParams,
-    CouplingTrace,
+from pcqed.core import AmplitudeVector, CalibrationError, CavityParams, photon_lifetime
+from pcqed.coupling import CouplingTrace, GenericProfile, pulse_area
+from pcqed.analytic import amplitudes, logical_unitary
+from pcqed.fieldgrid import PathSpec, coupling_trace_from_field, synthesize_mode
+from pcqed.gates import (
     ENTANGLER_HADAMARD,
     GateSettings,
     GateTarget,
-    GenericProfile,
     IDENTITY,
     NOT,
-    PathSpec,
     SWAP,
     Z,
     calibrate_velocity,
-    coupling_trace_from_field,
-    fidelity,
-    logical_unitary,
-    photon_lifetime,
-    pulse_area,
-    synthesize_mode,
     truth_table,
 )
-from pcqed.analytic import amplitudes
 
 from pcqed.cli import example_config_path, main
 
@@ -47,29 +38,31 @@ RATIO_NOT_TO_HADAMARD = math.sqrt(2.0) / math.hypot(1.0, 0.414)
 
 
 class TestFidelity:
+    """|<target|state>|^2, as truth_table takes it from the overlap."""
+
     def test_identical_states(self):
         psi = AmplitudeVector(1, np.array([0.6, 0.8j, 0.0]))
-        assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-15)
+        assert abs(psi.overlap(psi)) ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_kets(self):
         a = AmplitudeVector.basis_state("100")
         b = AmplitudeVector.basis_state("010")
-        assert fidelity(a, b) == 0.0
+        assert abs(a.overlap(b)) ** 2 == 0.0
 
     def test_basis_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity(AmplitudeVector.basis_state("100"), AmplitudeVector.basis_state("110"))
+        with pytest.raises(ValueError, match="basis mismatch"):
+            AmplitudeVector.basis_state("100").overlap(AmplitudeVector.basis_state("110"))
 
     def test_entangler_output_against_bell_target(self):
         target = AmplitudeVector(1, np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
         # exact ratio: the overlap is 1 up to rounding
         g_a = math.pi / math.hypot(1.0, P_STAR)
         state = AmplitudeVector(1, amplitudes(g_a, P_STAR * g_a))
-        assert fidelity(state, target) == pytest.approx(1.0, abs=1e-10)
+        assert abs(state.overlap(target)) ** 2 == pytest.approx(1.0, abs=1e-10)
         # quoted three-digit ratio: still essentially perfect
         g_a = math.pi / math.hypot(1.0, 0.414)
         state = AmplitudeVector(1, amplitudes(g_a, 0.414 * g_a))
-        assert fidelity(state, target) >= 0.9999
+        assert abs(state.overlap(target)) ** 2 >= 0.9999
 
 
 class TestGateTarget:
@@ -415,7 +408,7 @@ class TestTruthTable:
             u_col1 = amplitudes(p * g_a, g_a)  # exchange symmetry
             out1 = AmplitudeVector(1, [u_col1[1], u_col1[0], u_col1[2]])
             t1 = AmplitudeVector(1, np.array([1, -1, 0]) / math.sqrt(2))
-            return min(fidelity(out0, t0), fidelity(out1, t1))
+            return min(abs(out0.overlap(t0)) ** 2, abs(out1.overlap(t1)) ** 2)
 
         fids = [min_fid(p) for p in ps]
         best = ps[int(np.argmax(fids))]

@@ -89,7 +89,10 @@ def test_cli_import_loads_what_the_benchmark_probes(tmp_path):
     ``pcqed.fieldgrid``; ``perfbench/spans.py`` (``instrument``) skips any
     module not yet in ``sys.modules`` when it patches, and the metric then
     goes missing.  So ``import pcqed.cli`` must load jsonschema and every
-    pcqed submodule eagerly.
+    pcqed submodule eagerly.  ``cli.py``'s own imports do: jsonschema,
+    ``analytic``, ``core``, ``coupling``, ``fieldgrid``, ``gates``, ``ode``
+    (which imports ``dop853``), ``sweep`` and ``svg``.  The package
+    ``__init__`` imports only ``core``.
     """
     modules = loaded_modules("import pcqed.cli", tmp_path)
     submodules = {f"pcqed.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__"}

@@ -3,23 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pcqed import (
-    AmplitudeVector,
-    ConvergenceError,
-    CouplingTrace,
-    GenericProfile,
-    analytic_trajectory,
-    build_subspace,
-    drive_pair,
-    evolve,
-    final_states,
-    logical_unitary,
-    pulse_area,
-    scaled_pair,
-    trajectory_to_csv,
-    two_excitation_unitary,
-)
-from pcqed.analytic import amplitudes
+from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
+from pcqed.coupling import CouplingTrace, GenericProfile, drive_pair, pulse_area, scaled_pair
+from pcqed.analytic import amplitudes, analytic_trajectory, logical_unitary, two_excitation_unitary
+from pcqed.ode import evolve, final_states, trajectory_to_csv
 from pcqed import ode
 from pcqed.gates import calibrate_velocity
 

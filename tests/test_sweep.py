@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pcqed import (
-    GenericProfile,
-    logical_unitary,
-    pulse_area,
-    surface,
-    surfaces_to_csv,
-)
-from pcqed.analytic import amplitudes
+from pcqed.coupling import GenericProfile, pulse_area
+from pcqed.analytic import amplitudes, logical_unitary
+from pcqed.sweep import surface, surfaces_to_csv
 
 from conftest import csv_rows, generic_family
 
