@@ -1,15 +1,16 @@
 """Command-line front end: evolve, sweep, calibrate, field-stats, gate-report, profile.
 
 Science parameters come from JSON config files (schema-validated, unknown
-keys rejected, optional keys resolved to the defaults of the library code
-that reads them); flags handle only I/O.  A number literal that is not a
-finite double (``NaN``, ``Infinity``, ``1e400``, a 401-digit integer) exits 2;
-an underflowing ``1e-400`` reads as 0.0.  Outputs are deterministic for a
-fixed config; every table is written by :func:`pcqed.core.write_csv`.
-Every command runs under one protocol, in :func:`main`: load the config,
-create the output directory, run, print each path written, and map
-exceptions to exit codes: 0 ok, 2 config error, 3 integrator convergence
-failure, 4 calibration not found.
+keys rejected, each scenario's needed keys checked, optional keys resolved to
+the defaults of the library code that reads them); flags handle only I/O.
+Every :class:`ConfigError` is raised while the config loads, before any work.
+A number literal that is not a finite double (``NaN``, ``Infinity``,
+``1e400``, a 401-digit integer) exits 2; an underflowing ``1e-400`` reads as
+0.0.  Outputs are deterministic for a fixed config; every table is written by
+:func:`pcqed.core.write_csv`.  Every command runs under one protocol, in
+:func:`main`: load the config, create the output directory, run, print each
+path written, and map exceptions to exit codes: 0 ok, 2 config error, 3
+integrator convergence failure, 4 calibration not found.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import inspect
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -35,7 +35,7 @@ from .core import (
     g0_from_params,
     write_csv,
 )
-from .coupling import GenericProfile, GenericProfileParams, drive_pair, scaled_pair
+from .coupling import GenericProfile, GenericProfileParams, drive_pair
 from .fieldgrid import (
     DEFAULT_SAMPLES,
     FieldGrid,
@@ -61,7 +61,7 @@ from .ode import (
 from .sweep import surface, surfaces_to_csv
 from . import svg as svgmod
 
-__all__ = ["main", "example_config_path"]
+__all__ = ["main"]
 
 _NUM_POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM = {"type": "number"}
@@ -137,6 +137,9 @@ _ODE_SCHEMA = {
 }
 
 _SCENARIO = {"enum": ["generic", "field2d", "field3d"]}
+# Keys each scenario needs that its command's schema cannot require; one of each tuple.
+_FIELD_NEEDS = (("field",), ("path",), ("omega_cav",), ("g0", "dipole_moment"))
+_SCENARIO_NEEDS = {"generic": (("profile",),), "field2d": _FIELD_NEEDS, "field3d": _FIELD_NEEDS}
 _TARGET = {"enum": sorted(TARGETS)}
 
 _V_BOUNDS = {"type": "array", "items": _NUM_POS, "minItems": 2, "maxItems": 2}
@@ -262,13 +265,6 @@ class ConfigError(ValueError):
     pass
 
 
-def example_config_path(name: str) -> Path:
-    """Path to a bundled example config (name without the .json suffix)."""
-    ref = resources.files("pcqed") / "configs" / f"{name}.json"
-    with resources.as_file(ref) as path:
-        return Path(path)
-
-
 def _load_config(path: str, command: str) -> dict:
     """The config at ``path``, validated for ``command`` and resolved over its DEFAULTS."""
     try:
@@ -297,6 +293,11 @@ def _load_config(path: str, command: str) -> dict:
     except jsonschema.ValidationError as exc:
         location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config {path} invalid at {location}: {exc.message}") from exc
+    scenario = config.get("scenario")  # sweep and field-stats configs have none
+    missing = [" or ".join(map(repr, keys)) for keys in _SCENARIO_NEEDS.get(scenario, ())
+               if not any(key in config for key in keys)]
+    if missing:
+        raise ConfigError(f"config {path}: {scenario} scenarios need {', '.join(missing)}")
     defaults = DEFAULTS[command]
     resolved = {**defaults, **config}
     for key, value in defaults.items():
@@ -318,26 +319,6 @@ def _build_grid(config: dict) -> FieldGrid:
     return grid_from_json(block["path"])
 
 
-def _build_field_scenario(config: dict):
-    """The coupling trace sampled along the configured path through the configured field."""
-    if "field" not in config or "path" not in config:
-        raise ConfigError("field scenarios need both 'field' and 'path' sections")
-    grid = _build_grid(config)
-    path = PathSpec(**config["path"])
-    omega_cav = config.get("omega_cav")
-    if omega_cav is None:
-        raise ConfigError("field scenarios need 'omega_cav'")
-    _, eps_m = peak_energy_point(grid)
-    v_mode = mode_volume(grid, config.get("effective_height"))
-    if "g0" in config:
-        cavity = CavityParams(omega_cav=omega_cav, eps_m=eps_m, mode_volume=v_mode, g0=config["g0"])
-    elif "dipole_moment" in config:
-        cavity = CavityParams.from_dipole(config["dipole_moment"], omega_cav, eps_m, v_mode)
-    else:
-        raise ConfigError("field scenarios need 'g0' or 'dipole_moment'")
-    return coupling_trace_from_field(grid, path, cavity, config["n_samples"])
-
-
 def _generic_params(block: dict) -> GenericProfileParams:
     """Generic-profile parameters from a validated 'profile' or 'family' block.
 
@@ -350,13 +331,20 @@ def _profile_from_config(config: dict):
     """Atom A's coupling profile for the configured scenario.
 
     A GenericProfile for the generic scenario, else the CouplingTrace
-    sampled along the configured path; both carry their reference velocity.
+    sampled along the configured path, which is checked before the field is
+    built; both carry their reference velocity.
     """
     if config["scenario"] == "generic":
-        if "profile" not in config:
-            raise ConfigError("generic scenarios need a 'profile' section")
         return GenericProfile(_generic_params(config["profile"]))
-    return _build_field_scenario(config)
+    path = PathSpec(**config["path"])
+    grid = _build_grid(config)
+    _, eps_m = peak_energy_point(grid)
+    v_mode = mode_volume(grid, config.get("effective_height"))
+    if "g0" in config:
+        cavity = CavityParams(config["omega_cav"], eps_m, v_mode, g0=config["g0"])
+    else:
+        cavity = CavityParams.from_dipole(config["dipole_moment"], config["omega_cav"], eps_m, v_mode)
+    return coupling_trace_from_field(grid, path, cavity, config["n_samples"])
 
 
 def _write_trajectory(traj: Trajectory, path: Path, fmt: str) -> Path:
@@ -427,8 +415,8 @@ def _cmd_profile(config: dict, out: Path, stem: str, args) -> list[Path]:
     t0, t1 = profile_a.window
     times = np.linspace(t0, t1, config["n_samples"])
     va = np.asarray(profile_a(times))
-    vb = np.asarray(scaled_pair(profile_a, p)(times))
-    is_complex = np.iscomplexobj(va)  # atom B's samples are p times A's
+    vb = p * va
+    is_complex = np.iscomplexobj(va)
     if is_complex:
         names = ("coupling_a_re", "coupling_a_im", "coupling_b_re", "coupling_b_im")
         columns = (va.real, va.imag, vb.real, vb.imag)

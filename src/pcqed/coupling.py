@@ -408,6 +408,7 @@ def pulse_area(profile) -> float:
     return float(exact_area(profile, *_exact_parts(profile)[0].window))
 
 
+# No command reads this (every engine takes atom B from drive_pair); perfbench/workloads.py does.
 def scaled_pair(profile, p: float):
     """Profile of the companion atom: p times the given profile at every t.
 

@@ -105,6 +105,7 @@ def heatmap_svg(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = 
     """Write a heatmap of z[i, j] over (x[i], y[j]) with a diverging scale.
 
     The color scale is symmetric about zero (positive red, negative blue).
+    A grid finer than the plot's pixels is drawn at evenly spaced cells.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -114,10 +115,14 @@ def heatmap_svg(path, x, y, z, title: str = "", xlabel: str = "", ylabel: str = 
     vmax = float(np.max(np.abs(z))) or 1.0
 
     plot_w, plot_h = _W - _ML - _MR, _H - _MT - _MB
-    cw, ch = plot_w / x.size, plot_h / y.size
+    # at most one cell per pixel: evenly spaced cells on each axis, both ends included
+    picks = (np.unique(np.linspace(0, n - 1, min(n, px)).round().astype(int))
+             for n, px in zip(z.shape, (plot_w, plot_h)))
+    z = z[np.ix_(*picks)]
+    cw, ch = plot_w / z.shape[0], plot_h / z.shape[1]
     parts = _frame(title, xlabel, ylabel)
-    for i in range(x.size):
-        for j in range(y.size):
+    for i in range(z.shape[0]):
+        for j in range(z.shape[1]):
             px = _ML + i * cw
             py = _H - _MB - (j + 1) * ch
             color = _diverging_color(z[i, j] / vmax)

@@ -13,9 +13,8 @@ from pcqed.fieldgrid import (
     peak_energy_point,
     synthesize_mode,
 )
-from pcqed.cli import example_config_path
 
-from oracles import C_LIGHT
+from oracles import C_LIGHT, example_config_path
 
 # Reference generic scenario used throughout: optical transition at
 # 2.4e15 rad/s, lattice period 1.6*pi*c/omega, half-path of ten periods,

@@ -2,14 +2,21 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
+import pcqed
 from pcqed.core import EPS0, HBAR, CalibrationError
 from pcqed.fieldgrid import DEFECT_RADIUS_FRAC, ROD_EPS, ROD_RADIUS_FRAC
 
 C_LIGHT = 299792458.0  # m/s, CODATA 2018
+
+
+def example_config_path(name: str) -> Path:
+    """Path to a bundled example config (name without the .json suffix)."""
+    return Path(pcqed.__file__).parent / "configs" / f"{name}.json"
 
 
 def series_amplitudes(g_a: float, g_b: float, n_terms: int) -> tuple[complex, complex, complex]:

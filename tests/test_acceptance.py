@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcqed.core import AmplitudeVector, build_subspace, g0_from_params, photon_lifetime
-from pcqed.coupling import GenericProfile, GenericProfileParams, pulse_area, scaled_pair
+from pcqed.coupling import GenericProfile, GenericProfileParams, drive_pair, pulse_area
 from pcqed.analytic import amplitudes, logical_unitary
 from pcqed.ode import evolve
 from pcqed.fieldgrid import FieldGrid, mode_volume, polarization_fraction
@@ -39,7 +39,7 @@ def test_criterion_1_entangler_reproduction():
     traj = evolve(
         build_subspace(1),
         profile,
-        scaled_pair(profile, 0.414),
+        drive_pair(profile, 0.414)[1],
         AmplitudeVector.basis_state("100"),
         t0,
         t1,
@@ -115,7 +115,7 @@ def test_criterion_4_oracle_equivalence():
         traj = evolve(
             build_subspace(1),
             profile,
-            scaled_pair(profile, p),
+            drive_pair(profile, p)[1],
             AmplitudeVector.basis_state("100"),
             t0,
             t1,
@@ -155,7 +155,7 @@ def test_criterion_5_unitarity_and_normalization():
     traj = evolve(
         build_subspace(1),
         profile,
-        scaled_pair(profile, 0.414),
+        drive_pair(profile, 0.414)[1],
         AmplitudeVector.basis_state("100"),
         t0,
         t1,

@@ -11,9 +11,10 @@ import pytest
 import pcqed
 from pcqed import cli
 from pcqed.core import ConvergenceError
-from pcqed.cli import example_config_path, main
+from pcqed.cli import main
 
 from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, csv_rows
+from oracles import example_config_path
 
 
 def run(args):
@@ -230,11 +231,15 @@ class TestProfile:
 
 
     def test_complex_trace_bytes(self, tmp_path, field3d_config):
-        # header and rows recorded from the two-writer version of the command
+        # header and atom A's columns recorded from the two-writer version of
+        # the command; atom B's columns are p times atom A's, bit for bit
         config = {k: v for k, v in field3d_config.items() if k not in ("initial", "engine", "svg")}
         path = write_config(tmp_path, "f3", config)
         assert run(["profile", "--config", path, "--out", tmp_path]) == 0
-        lines = [",".join(row) for row in csv_rows(tmp_path / "f3_profile.csv")]
+        rows = csv_rows(tmp_path / "f3_profile.csv")
+        data = np.array(rows[1:], dtype=float)
+        np.testing.assert_array_equal(data[:, 3:], config["p"] * data[:, 1:3])
+        lines = [",".join(row) for row in rows]
         assert len(lines) == 1 + config["n_samples"]
         assert lines[0] == (
             "time_s,coupling_a_re_rad_per_s,coupling_a_im_rad_per_s,"
@@ -243,7 +248,7 @@ class TestProfile:
         assert lines[1] == "0,-14495.017433131514,4607.1840440526548,-6000.9372173164465,1907.374194237799"
         assert lines[1000] == (
             "4.7247322946175644e-05,2864032.3319641049,-572.94148251914555,"
-            "1185709.3854331395,-237.19777376292623"
+            "1185709.3854331393,-237.19777376292626"
         )
 
     def test_field_scenario_writes_one_row_per_trace_sample(self, tmp_path, field3d_config, monkeypatch):
@@ -263,23 +268,58 @@ class TestProfile:
         assert len(lines) - 1 == traces[0].times.size
 
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid was built for a config that must be refused")
+
+
 class TestScenarioRules:
-    """Rules on a config's scenario that its schema does not express."""
+    """Keys a scenario needs that its command's schema cannot require.
+
+    They are checked while the config loads, so each test runs with grid
+    building patched to raise: a refused config builds nothing.
+    """
 
     @pytest.mark.parametrize(
-        "scenario, drop, message",
+        "scenario, drop, missing",
         [
-            ("generic", "profile", "generic scenarios need a 'profile' section"),
-            ("field3d", "path", "field scenarios need both 'field' and 'path' sections"),
-            ("field3d", "omega_cav", "field scenarios need 'omega_cav'"),
-            ("field3d", "g0", "field scenarios need 'g0' or 'dipole_moment'"),
+            ("generic", ("profile",), "'profile'"),
+            ("field3d", ("field",), "'field'"),
+            ("field3d", ("path",), "'path'"),
+            ("field3d", ("omega_cav",), "'omega_cav'"),
+            ("field3d", ("g0",), "'g0' or 'dipole_moment'"),
+            ("field3d", ("path", "omega_cav"), "'path', 'omega_cav'"),
+            ("field2d", ("field", "path", "omega_cav", "g0"),
+             "'field', 'path', 'omega_cav', 'g0' or 'dipole_moment'"),
         ],
+        ids=["generic-profile", "field3d-field", "field3d-path", "field3d-omega_cav", "field3d-g0",
+             "field3d-path-omega_cav", "field2d-all"],
     )
-    def test_missing_section_exits_2(self, tmp_path, capsys, field3d_config, scenario, drop, message):
-        base = generic_config() if scenario == "generic" else field3d_config
-        config = {k: v for k, v in base.items() if k != drop}
+    def test_missing_keys_exit_2(self, tmp_path, capsys, monkeypatch, field3d_config, scenario, drop,
+                                 missing):
+        monkeypatch.setattr(cli, "_build_grid", _no_grid)
+        base = generic_config() if scenario == "generic" else {**field3d_config, "scenario": scenario}
+        path = write_config(tmp_path, "cfg", {k: v for k, v in base.items() if k not in drop})
+        assert run(["evolve", "--config", path, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == f"config error: config {path}: {scenario} scenarios need {missing}\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "profile", "calibrate", "gate-report"])
+    def test_every_scenario_command_checks(self, tmp_path, capsys, monkeypatch, field3d_config, command):
+        monkeypatch.setattr(cli, "_build_grid", _no_grid)
+        keys = cli.SCHEMAS[command]["properties"]
+        config = {k: v for k, v in field3d_config.items() if k in keys and k != "g0"}
+        if "target" in keys:
+            config["target"] = "NOT"
+        path = write_config(tmp_path, "cfg", config)
+        assert run([command, "--config", path, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config {path}: field3d scenarios need 'g0' or 'dipole_moment'\n"
+        )
+
+    def test_zero_direction_exits_2_before_the_grid(self, tmp_path, capsys, monkeypatch, field3d_config):
+        monkeypatch.setattr(cli, "_build_grid", _no_grid)
+        config = {**field3d_config, "path": {**field3d_config["path"], "direction": [0.0, 0.0, 0.0]}}
         assert run(["evolve", "--config", write_config(tmp_path, "cfg", config), "--out", tmp_path]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == "config error: direction must be a nonzero finite vector\n"
 
 
 class TestSweepCommand:

@@ -22,10 +22,9 @@ from pcqed.fieldgrid import (
     synthesize_mode,
 )
 from pcqed import fieldgrid
-from pcqed.cli import example_config_path
 
 from conftest import LATTICE_2D, LATTICE_3D, OMEGA_MM
-from oracles import mp_rod_epsilon, rod_loop_epsilon
+from oracles import example_config_path, mp_rod_epsilon, rod_loop_epsilon
 
 G0_2D = 2.765e6  # rad/s, calibration input for the 2D scenario
 

@@ -23,7 +23,7 @@ from pcqed.gates import (
     truth_table,
 )
 
-from pcqed.cli import example_config_path, main
+from pcqed.cli import main
 
 from conftest import (
     LATTICE_2D,
@@ -31,7 +31,7 @@ from conftest import (
     OMEGA_MM,
     generic_family,
 )
-from oracles import effective_interaction_time, odd_multiple_walk
+from oracles import effective_interaction_time, example_config_path, odd_multiple_walk
 
 P_STAR = math.sqrt(2.0) - 1.0
 RATIO_NOT_TO_HADAMARD = math.sqrt(2.0) / math.hypot(1.0, 0.414)

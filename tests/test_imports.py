@@ -18,6 +18,7 @@ import pytest
 
 import pcqed
 from pcqed import cli
+from oracles import example_config_path
 from test_cli import BUNDLED, command_of
 
 PACKAGE = Path(pcqed.__file__).parent
@@ -51,7 +52,7 @@ def scipy_modules(modules: set[str]) -> list[str]:
 
 def run_main(command: str, config: str, tmp_path: Path) -> str:
     """Code that runs ``pcqed <command>`` on a bundled config and checks its exit code."""
-    argv = [command, "--config", str(cli.example_config_path(config)), "--out", str(tmp_path)]
+    argv = [command, "--config", str(example_config_path(config)), "--out", str(tmp_path)]
     return f"from pcqed.cli import main; assert main({argv!r}) == 0"
 
 
@@ -110,6 +111,6 @@ def test_load_config_validates_through_jsonschema_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(jsonschema, "validate", counting)
-    config = cli._load_config(str(cli.example_config_path("sweep_default")), "sweep")
+    config = cli._load_config(str(example_config_path("sweep_default")), "sweep")
     assert len(calls) == 1
     assert calls[0] == (config, cli.SCHEMAS["sweep"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
-from pcqed.coupling import CouplingTrace, GenericProfile, drive_pair, pulse_area, scaled_pair
+from pcqed.coupling import CouplingTrace, GenericProfile, drive_pair, pulse_area
 from pcqed.analytic import amplitudes, analytic_trajectory, logical_unitary, two_excitation_unitary
 from pcqed.ode import evolve, final_states, trajectory_to_csv
 from pcqed import ode
@@ -130,7 +130,7 @@ class TestEvolve:
 
     def test_entangler_transit(self, fig_family):
         profile = GenericProfile(fig_family)
-        companion = scaled_pair(profile, 0.414)
+        companion = drive_pair(profile, 0.414)[1]
         t0, t1 = profile.window
         traj = evolve(
             build_subspace(1),
@@ -163,7 +163,7 @@ class TestEvolve:
             traj = evolve(
                 build_subspace(1),
                 profile,
-                scaled_pair(profile, p),
+                drive_pair(profile, p)[1],
                 AmplitudeVector.basis_state("100"),
                 t0,
                 t1,
@@ -180,7 +180,7 @@ class TestEvolve:
         traj = evolve(
             build_subspace(1),
             profile,
-            scaled_pair(profile, 0.414),
+            drive_pair(profile, 0.414)[1],
             AmplitudeVector.basis_state("100"),
             t0,
             t1,
@@ -200,7 +200,7 @@ class TestEvolve:
         traj = evolve(
             build_subspace(1),
             profile,
-            scaled_pair(profile, 0.414),
+            drive_pair(profile, 0.414)[1],
             AmplitudeVector.basis_state("100"),
             t0,
             t1,
@@ -213,7 +213,7 @@ class TestEvolve:
         forward = evolve(
             build_subspace(1),
             profile,
-            scaled_pair(profile, 0.7),
+            drive_pair(profile, 0.7)[1],
             AmplitudeVector.basis_state("100"),
             t0,
             t1,
@@ -505,7 +505,7 @@ class TestTrajectoryExport:
         traj = evolve(
             build_subspace(1),
             profile,
-            scaled_pair(profile, 0.414),
+            drive_pair(profile, 0.414)[1],
             AmplitudeVector.basis_state("100"),
             t0,
             t1,

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from pcqed.coupling import GenericProfile, pulse_area
 from pcqed.analytic import amplitudes, logical_unitary
+from pcqed.svg import heatmap_svg
 from pcqed.sweep import surface, surfaces_to_csv
 
 from conftest import csv_rows, generic_family
@@ -140,3 +141,15 @@ class TestExport:
             data = np.array(rows, dtype=float)
             np.testing.assert_array_equal(data[:, 0], small_grid.v_values)
             np.testing.assert_array_equal(data[:, 1:], surf)
+
+
+class TestHeatmap:
+    @pytest.mark.parametrize("shape", [(2000, 3), (3, 1000)])
+    def test_at_most_one_cell_per_pixel(self, tmp_path, shape):
+        # the plot is 630 x 400 pixels; the corner cells are drawn, once each
+        z = np.zeros(shape)
+        z[0, 0], z[-1, -1] = -1.0, 1.0
+        svg = heatmap_svg(tmp_path / "h.svg", np.arange(shape[0]), np.arange(shape[1]), z).read_text()
+        cells = svg.count("<rect") - 1  # the background
+        assert cells == min(shape[0], 630) * min(shape[1], 400)
+        assert svg.count('fill="#0000ff"') == svg.count('fill="#ff0000"') == 1
