@@ -47,7 +47,7 @@ from .fieldgrid import (
     polarization_fraction,
     synthesize_mode,
 )
-from .gates import GateSettings, TARGETS, calibrate_velocity, truth_table
+from .gates import GateSettings, TARGETS, calibrate_velocity, check_calibration, truth_table
 from .ode import (
     DEFAULT_ATOL,
     DEFAULT_POINTS,
@@ -303,6 +303,12 @@ def _load_config(path: str, command: str) -> dict:
     for key, value in defaults.items():
         if isinstance(value, dict):
             resolved[key] = {**value, **config.get(key, {})}
+    # the ratio and bounds calibration will need: checked before any trace is built
+    if command == "calibrate" or (command == "gate-report" and "velocity" not in config):
+        try:
+            check_calibration(resolved["target"], resolved["p"], tuple(resolved["v_bounds"]))
+        except ValueError as exc:
+            raise ConfigError(f"config {path}: {exc}") from exc
     return resolved
 
 

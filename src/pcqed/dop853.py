@@ -4,11 +4,13 @@ The Dormand-Prince pair of order 8 with error estimators of orders 5 and 3
 and a dense output of order 7, transcribed stage by stage from Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I, sec. II.5
 (their Fortran code ``dop853.f``, whose coefficient names the constants
-below keep).  Each stage is one list comprehension over the components,
-with the tableau's zero coefficients left out, as ``dop853.f`` writes it.
-The state is a list of Python complex numbers and the right-hand side maps
-(t, list) to a list: for the few components pcqed integrates, scalar
-arithmetic costs less than array calls do.  The dense output is the
+below keep).  The state is a list of Python complex numbers and the
+right-hand side maps (t, list) to a list: for the few components pcqed
+integrates, scalar arithmetic costs less than array calls do.  A step's
+twelve stages and its new state are straight-line code, one function per
+number of components, generated from the tableau's constant names on first
+use and kept; each component's sums leave out the tableau's zero
+coefficients, as ``dop853.f`` writes them.  The dense output is the
 exception: its interpolants are built and evaluated for many steps at
 once, on numpy arrays of steps x components, with the same operations in
 the same order, and numpy's product of a real and a complex number rounds
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -229,6 +232,51 @@ D715 = -0.39177261675615439165231486172e+2
 D716 = -0.14972683625798562581422125276e+3
 
 
+# The terms of stages 2..12 and of the new state: stage j reads k_i where
+# the tableau names a coefficient A<j><i>, the weights B<i> where it names
+# one; its zeros have no constant, as in dop853.f.
+_STAGES = [(j, [i for i in range(1, j) if f"A{j}{i}" in globals()]) for j in range(2, 13)]
+_WEIGHTS = [i for i in range(1, 13) if f"B{i}" in globals()]
+_KEPT = range(6, 13)  # the stages the error estimate and the dense output read
+
+
+@lru_cache(maxsize=16)
+def _stage_kernel(n: int) -> Callable:
+    """stages(fun, t, h, y, k1) -> (y_new, k6, ..., k12) of one step on n
+    components, as straight-line code, generated on first use and kept for
+    the last 16 values of n.
+
+    Per component c it evaluates y_c + (A<j>1 * k1_c + ...) * h for the
+    argument of stage j at t + C<j> * h, and y_c + h * (B1 * k1_c + ...)
+    for the new state: the operations of one list comprehension per stage,
+    in the same order, so the results are the same to the bit.  The
+    source is built from the integers n, j and i and the names of this
+    module's constants alone; no value of a run enters it.
+    """
+    def names(prefix):  # the n components unpacked, "k2_0, k2_1, ..."
+        return ", ".join(f"{prefix}_{c}" for c in range(n)) + ","
+
+    def args(terms):  # a list of n sums of terms, one per component
+        return ", ".join(terms(c) for c in range(n))
+
+    lines = ["def stages(fun, t, h, y, k1):",
+             f"    {names('y')} = y",
+             f"    {names('k1')} = k1"]
+    for j, terms in _STAGES:
+        arg = args(lambda c: f"y_{c} + ({' + '.join(f'A{j}{i} * k{i}_{c}' for i in terms)}) * h")
+        call = f"fun(t + C{j} * h, [{arg}])"
+        if j in _KEPT:
+            lines += [f"    k{j} = {call}", f"    {names(f'k{j}')} = k{j}"]
+        else:
+            lines.append(f"    {names(f'k{j}')} = {call}")
+    y_new = args(lambda c: f"y_{c} + h * ({' + '.join(f'B{i} * k{i}_{c}' for i in _WEIGHTS)})")
+    lines.append(f"    return [{y_new}], {', '.join(f'k{j}' for j in _KEPT)}")
+    constants = [f"C{j}" for j, _ in _STAGES] + [f"A{j}{i}" for j, terms in _STAGES for i in terms]
+    namespace = {name: globals()[name] for name in constants + [f"B{i}" for i in _WEIGHTS]}
+    exec(compile("\n".join(lines), f"<DOP853 stages on {n} components>", "exec"), namespace)
+    return namespace["stages"]
+
+
 def _norm2(v: list) -> float:
     """Euclidean norm of a list of complex numbers."""
     return math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in v]))
@@ -274,6 +322,7 @@ class DOP853:
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
         self.blocks = [(0, len(self.y))] if blocks is None else list(blocks)
+        self._stages = _stage_kernel(len(self.y))
         self.f = fun(t0, self.y)
         self.nfev = 1
         self.h_abs = self._initial_step()
@@ -338,38 +387,7 @@ class DOP853:
             h = t_new - t
             h_abs = abs(h)
 
-            k2 = fun(t + C2 * h, [a + A21 * b1 * h for a, b1 in zip(y, k1)])
-            k3 = fun(t + C3 * h, [a + (A31 * b1 + A32 * b2) * h
-                                  for a, b1, b2 in zip(y, k1, k2)])
-            k4 = fun(t + C4 * h, [a + (A41 * b1 + A43 * b3) * h
-                                  for a, b1, b3 in zip(y, k1, k3)])
-            k5 = fun(t + C5 * h, [a + (A51 * b1 + A53 * b3 + A54 * b4) * h
-                                  for a, b1, b3, b4 in zip(y, k1, k3, k4)])
-            k6 = fun(t + C6 * h, [a + (A61 * b1 + A64 * b4 + A65 * b5) * h
-                                  for a, b1, b4, b5 in zip(y, k1, k4, k5)])
-            k7 = fun(t + C7 * h, [a + (A71 * b1 + A74 * b4 + A75 * b5 + A76 * b6) * h
-                                  for a, b1, b4, b5, b6 in zip(y, k1, k4, k5, k6)])
-            k8 = fun(t + C8 * h, [a + (A81 * b1 + A84 * b4 + A85 * b5 + A86 * b6 + A87 * b7) * h
-                                  for a, b1, b4, b5, b6, b7 in zip(y, k1, k4, k5, k6, k7)])
-            k9 = fun(t + C9 * h, [a + (A91 * b1 + A94 * b4 + A95 * b5 + A96 * b6 + A97 * b7
-                                       + A98 * b8) * h
-                                  for a, b1, b4, b5, b6, b7, b8 in zip(y, k1, k4, k5, k6, k7, k8)])
-            k10 = fun(t + C10 * h, [a + (A101 * b1 + A104 * b4 + A105 * b5 + A106 * b6 + A107 * b7
-                                         + A108 * b8 + A109 * b9) * h
-                                    for a, b1, b4, b5, b6, b7, b8, b9
-                                    in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-            k11 = fun(t + C11 * h, [a + (A111 * b1 + A114 * b4 + A115 * b5 + A116 * b6 + A117 * b7
-                                         + A118 * b8 + A119 * b9 + A1110 * b10) * h
-                                    for a, b1, b4, b5, b6, b7, b8, b9, b10
-                                    in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-            k12 = fun(t + C12 * h, [a + (A121 * b1 + A124 * b4 + A125 * b5 + A126 * b6 + A127 * b7
-                                         + A128 * b8 + A129 * b9 + A1210 * b10 + A1211 * b11) * h
-                                    for a, b1, b4, b5, b6, b7, b8, b9, b10, b11
-                                    in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-            y_new = [a + h * (B1 * b1 + B6 * b6 + B7 * b7 + B8 * b8 + B9 * b9 + B10 * b10
-                              + B11 * b11 + B12 * b12)
-                     for a, b1, b6, b7, b8, b9, b10, b11, b12
-                     in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+            y_new, k6, k7, k8, k9, k10, k11, k12 = self._stages(fun, t, h, y, k1)
             k13 = fun(t + h, y_new)
             self.nfev += 12
 

@@ -46,6 +46,7 @@ __all__ = [
     "IDENTITY",
     "TARGETS",
     "calibrate_velocity",
+    "check_calibration",
     "truth_table",
 ]
 
@@ -116,6 +117,29 @@ def _reference_area(family) -> tuple[float, float]:
     return pulse_area(drive_from_profile(family)), family.velocity
 
 
+def check_calibration(target: GateTarget | str, p: float, v_bounds: tuple[float, float]) -> None:
+    """Refuse a calibration that cannot run, before any profile is built.
+
+    Raises ValueError when the target has no calibration condition (a
+    label names one of TARGETS), when p misses the target's own ratio
+    ``GateTarget.p`` by more than _P_TOL, and when ``v_bounds`` are not
+    0 < v_lo < v_hi < inf.  :func:`calibrate_velocity` and the CLI's config
+    loader both apply it.
+    """
+    gate = target if isinstance(target, GateTarget) else TARGETS.get(str(target))
+    label = str(target) if gate is None else gate.label
+    if gate is None or gate.p is None:
+        raise ValueError(f"no calibration condition for target {label!r}")
+    if not abs(p - gate.p) <= _P_TOL:  # NaN fails too
+        raise ValueError(
+            f"target {label} needs coupling ratio p = {gate.p:.5f} "
+            f"(+/- {_P_TOL}), got {p}"
+        )
+    v_lo, v_hi = v_bounds
+    if not (0 < v_lo < v_hi) or not math.isfinite(v_hi):
+        raise ValueError(f"invalid velocity bounds {v_bounds!r}")
+
+
 def calibrate_velocity(
     family,
     p: float,
@@ -134,23 +158,11 @@ def calibrate_velocity(
     |Lambda_total - (2k+1) pi| <= 1e-8.  Raises CalibrationError for a zero
     or non-finite pulse area, for odd multiples too large to tell apart in
     floating point, and, listing the nearest candidates, when no odd
-    multiple falls inside the bounds; ValueError when p does not match the
-    target's own ratio ``GateTarget.p`` (a label names one of TARGETS) or
-    the target has none.
+    multiple falls inside the bounds; ValueError as :func:`check_calibration`
+    does.
     """
-    gate = target if isinstance(target, GateTarget) else TARGETS.get(str(target))
-    label = str(target) if gate is None else gate.label
-    if gate is None or gate.p is None:
-        raise ValueError(f"no calibration condition for target {label!r}")
-    if not abs(p - gate.p) <= _P_TOL:  # NaN fails too
-        raise ValueError(
-            f"target {label} needs coupling ratio p = {gate.p:.5f} "
-            f"(+/- {_P_TOL}), got {p}"
-        )
+    check_calibration(target, p, v_bounds)
     v_lo, v_hi = v_bounds
-    if not (0 < v_lo < v_hi) or not math.isfinite(v_hi):
-        raise ValueError(f"invalid velocity bounds {v_bounds!r}")
-
     area_ref, v_ref = _reference_area(family)
     lam_at_v = abs(area_ref) * math.hypot(1.0, p) * v_ref  # Lambda(V) * V
     if lam_at_v == 0.0:

@@ -8,10 +8,11 @@ total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 
 The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
-complex scalars, with its interpolants evaluated on arrays.  DOP853
-assumes a smooth right-hand side; a step across a jump in a derivative of
-the drive loses its order and its error estimate.
-The drives of :mod:`pcqed.coupling` report such breakpoints, and
+complex scalars, with its interpolants evaluated on arrays; the
+right-hand side is straight-line code generated from the coupling table
+(:func:`_rhs_kernel`).  DOP853 assumes a smooth right-hand side; a step
+across a jump in a derivative of the drive loses its order and its error
+estimate.  The drives of :mod:`pcqed.coupling` report such breakpoints, and
 :func:`evolve` and :func:`final_states` step span by span between them
 (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
 sec. II.6) through one private integration loop.  Any other callable
@@ -23,6 +24,7 @@ from __future__ import annotations
 import cmath
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from .core import (AmplitudeVector, ConvergenceError, SubspaceHamiltonian, basis_labels,
                    build_subspace, write_csv)
+from .coupling import ScaledProfile
 # perfbench reads build_subspace and drive_from_profile from this module.
 from .coupling import drive_from_profile  # noqa: F401
 from .dop853 import DOP853
@@ -217,22 +220,7 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
     solver's ``dense`` holds the state at each of ``times`` in (t0, t1].
     Returns the solver, the number of accepted steps and the number of spans.
     """
-    drives = (getattr(g_a, "at", g_a), getattr(g_b, "at", g_b))
-    table = [(row, col, atom, -1j * factor) for row, col, atom, factor in couplings]
-    dim = len(y0)
-
-    def rhs(t: float, psi: list) -> list:
-        g = (drives[0](t), drives[1](t))
-        if not (cmath.isfinite(g[0]) and cmath.isfinite(g[1])):
-            # The step control would shrink the step to nothing on NaN; fail fast.
-            raise ConvergenceError(f"non-finite coupling at t={t:g}", t=t)
-        out = [0j] * dim
-        for row, col, atom, c in table:
-            c *= g[atom]  # -i H[row, col]; -i H[col, row] = -conj(c)
-            out[row] += c * psi[col]
-            out[col] -= c.conjugate() * psi[row]
-        return out
-
+    rhs = _rhs(couplings, g_a, g_b, len(y0))
     bounds = [*_breakpoints((g_a, g_b), t0, t1), float(t1)]
     solver = DOP853(rhs, float(t0), np.asarray(y0, dtype=complex).tolist(), bounds[0],
                     rtol, atol, blocks, times)
@@ -247,6 +235,68 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
             solver.step()
             n_steps += 1
     return solver, n_steps, len(bounds)
+
+
+def _rhs(couplings, g_a, g_b, dim: int) -> Callable[[float, list], list]:
+    """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components.
+
+    Reads each drive once per call, through its scalar evaluator ``at`` if
+    it has one; atom B's drive ``ScaledProfile(g_a, c)``, as
+    :func:`pcqed.coupling.drive_pair` builds it, is read as c times atom A's
+    value, the number its own ``at`` returns.  Raises ConvergenceError on a
+    non-finite coupling: the step control would shrink the step to nothing
+    on NaN.
+    """
+    drive_a = getattr(g_a, "at", g_a)
+    scaled = isinstance(g_b, ScaledProfile) and g_b.base is g_a
+    drive_b = g_b.factor if scaled else getattr(g_b, "at", g_b)
+    table = tuple((row, col, atom) for row, col, atom, _ in couplings)
+    # -i H[row, col] is (-i factor) g_atom; -i H[col, row] is minus its conjugate
+    factors = [-1j * factor for *_, factor in couplings]
+    return _rhs_kernel(dim, table, scaled)(drive_a, drive_b, *factors)
+
+
+def _non_finite(t: float):
+    raise ConvergenceError(f"non-finite coupling at t={t:g}", t=t)
+
+
+@lru_cache(maxsize=16)
+def _rhs_kernel(dim: int, table: tuple, scaled: bool) -> Callable:
+    """A builder of the right-hand side of one coupling table, as straight-line code.
+
+    ``table`` holds (row, col, atom) for each entry of the coupling table;
+    the builder takes atom A's drive, atom B's drive or, if ``scaled``, its
+    ratio to A's, and the entries' factors -i * factor, and returns
+    rhs(t, psi).  Entry e
+    makes c_e = (-i factor_e) g_atom once per call, and component i sums,
+    from 0j and in the order of the table, + c_e psi[col] over the entries
+    whose row is i and - c_e.conjugate() psi[row] over those whose column
+    is i: the operations of accumulating the table entry by entry, in the
+    same order, so the results are the same to the bit.  The source is
+    built from the integers dim, row, col and atom alone; no value of a run
+    enters it.  Generated on first use and kept, for the last 16 tables.
+    """
+    terms = [[] for _ in range(dim)]
+    for e, (row, col, atom) in enumerate(table):
+        terms[row].append(f" + c{e} * psi{col}")
+        terms[col].append(f" - c{e}.conjugate() * psi{row}")
+    factors = "".join(f", f{e}" for e in range(len(table)))
+    lines = [
+        f"def build(drive_a, drive_b{factors}):",
+        "    def rhs(t, psi):",
+        "        g0 = drive_a(t)",
+        f"        g1 = {'drive_b * g0' if scaled else 'drive_b(t)'}",
+        "        if not (isfinite(g0) and isfinite(g1)):",
+        "            non_finite(t)",
+        f"        {''.join(f'psi{i}, ' for i in range(dim))}= psi",
+        *(f"        c{e} = f{e} * g{atom}" for e, (_, _, atom) in enumerate(table)),
+        f"        return [{', '.join('0j' + ''.join(parts) for parts in terms)}]",
+        "    return rhs",
+    ]
+    namespace = {"isfinite": cmath.isfinite, "non_finite": _non_finite}
+    exec(compile("\n".join(lines), f"<right-hand side of {len(table)} couplings>", "exec"),
+         namespace)
+    return namespace["build"]
 
 
 def _breakpoints(drives, t0: float, t1: float) -> list[float]:

@@ -55,8 +55,24 @@ def _write(path, parts: list[str]) -> Path:
     return path
 
 
+def _column_extremes(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the first, lowest, highest and last sample of
+    each run of samples that fall in one pixel column: the vertices that
+    draw the same column as every sample does."""
+    starts = np.flatnonzero(np.diff(columns, prepend=columns[0] - 1))
+    ends = np.append(starts[1:], columns.size)
+    keep = [(lo, lo + np.argmin(y[lo:hi]), lo + np.argmax(y[lo:hi]), hi - 1)
+            for lo, hi in zip(starts.tolist(), ends.tolist())]
+    return np.unique(keep)
+
+
 def line_plot_svg(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> Path:
-    """Write a line plot; ``series`` maps legend labels to y arrays."""
+    """Write a line plot; ``series`` maps legend labels to y arrays.
+
+    A series of more than four samples per pixel column of the plot, x
+    increasing, is drawn through the first, lowest, highest and last sample
+    of each column; up to four per column, every sample is a vertex.
+    """
     x = np.asarray(x, dtype=float)
     ys = {k: np.asarray(v, dtype=float) for k, v in series.items()}
     y_all = np.concatenate(list(ys.values()))
@@ -78,11 +94,13 @@ def line_plot_svg(path, x, series: dict, title: str = "", xlabel: str = "", ylab
             zip(_scale(y_ticks, y_lo, y_hi, _H - _MB, _MT), y_ticks),
         ),
     ]
+    px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
+    columns = np.minimum((px - _ML).astype(int), _W - _ML - _MR - 1)  # pixel column of each sample
     for i, (label, y) in enumerate(ys.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        px = _scale(x, x_lo, x_hi, _ML, _W - _MR)
+        keep = _column_extremes(columns, y) if x.size > 4 * (_W - _ML - _MR) else slice(None)
         py = _scale(y, y_lo, y_hi, _H - _MB, _MT)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px[keep], py[keep]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 14 * i}" text-anchor="end" '

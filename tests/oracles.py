@@ -1,5 +1,6 @@
 """Independent reference implementations that only the tests use."""
 
+import cmath
 import itertools
 import math
 from pathlib import Path
@@ -8,7 +9,16 @@ import mpmath
 import numpy as np
 
 import pcqed
-from pcqed.core import EPS0, HBAR, CalibrationError
+from pcqed.core import EPS0, HBAR, CalibrationError, ConvergenceError
+from pcqed.dop853 import (
+    A21, A31, A32, A41, A43, A51, A53, A54, A61, A64, A65, A71, A74, A75, A76,
+    A81, A84, A85, A86, A87, A91, A94, A95, A96, A97, A98,
+    A101, A104, A105, A106, A107, A108, A109,
+    A111, A114, A115, A116, A117, A118, A119, A1110,
+    A121, A124, A125, A126, A127, A128, A129, A1210, A1211,
+    B1, B6, B7, B8, B9, B10, B11, B12,
+    C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12,
+)
 from pcqed.fieldgrid import DEFECT_RADIUS_FRAC, ROD_EPS, ROD_RADIUS_FRAC
 
 C_LIGHT = 299792458.0  # m/s, CODATA 2018
@@ -155,3 +165,67 @@ def odd_multiple_walk(lam_at_v, v_lo, v_hi):
         f"candidates: {', '.join(f'{v:.4g}' for v in nearest)}",
         candidates=tuple(nearest),
     )
+
+
+def comprehension_stages(fun, t, h, y, k1):
+    """Stages 2..12 and the new state of one DOP853 step, one list
+    comprehension over the components each: the arithmetic that
+    :func:`pcqed.dop853._stage_kernel` generates as straight-line code.
+
+    Same signature and result, (y_new, k6, ..., k12), so it can stand in
+    for the generated kernel of any number of components.
+    """
+    k2 = fun(t + C2 * h, [a + A21 * b1 * h for a, b1 in zip(y, k1)])
+    k3 = fun(t + C3 * h, [a + (A31 * b1 + A32 * b2) * h
+                          for a, b1, b2 in zip(y, k1, k2)])
+    k4 = fun(t + C4 * h, [a + (A41 * b1 + A43 * b3) * h
+                          for a, b1, b3 in zip(y, k1, k3)])
+    k5 = fun(t + C5 * h, [a + (A51 * b1 + A53 * b3 + A54 * b4) * h
+                          for a, b1, b3, b4 in zip(y, k1, k3, k4)])
+    k6 = fun(t + C6 * h, [a + (A61 * b1 + A64 * b4 + A65 * b5) * h
+                          for a, b1, b4, b5 in zip(y, k1, k4, k5)])
+    k7 = fun(t + C7 * h, [a + (A71 * b1 + A74 * b4 + A75 * b5 + A76 * b6) * h
+                          for a, b1, b4, b5, b6 in zip(y, k1, k4, k5, k6)])
+    k8 = fun(t + C8 * h, [a + (A81 * b1 + A84 * b4 + A85 * b5 + A86 * b6 + A87 * b7) * h
+                          for a, b1, b4, b5, b6, b7 in zip(y, k1, k4, k5, k6, k7)])
+    k9 = fun(t + C9 * h, [a + (A91 * b1 + A94 * b4 + A95 * b5 + A96 * b6 + A97 * b7
+                               + A98 * b8) * h
+                          for a, b1, b4, b5, b6, b7, b8 in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = fun(t + C10 * h, [a + (A101 * b1 + A104 * b4 + A105 * b5 + A106 * b6 + A107 * b7
+                                 + A108 * b8 + A109 * b9) * h
+                            for a, b1, b4, b5, b6, b7, b8, b9
+                            in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = fun(t + C11 * h, [a + (A111 * b1 + A114 * b4 + A115 * b5 + A116 * b6 + A117 * b7
+                                 + A118 * b8 + A119 * b9 + A1110 * b10) * h
+                            for a, b1, b4, b5, b6, b7, b8, b9, b10
+                            in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = fun(t + C12 * h, [a + (A121 * b1 + A124 * b4 + A125 * b5 + A126 * b6 + A127 * b7
+                                 + A128 * b8 + A129 * b9 + A1210 * b10 + A1211 * b11) * h
+                            for a, b1, b4, b5, b6, b7, b8, b9, b10, b11
+                            in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    y_new = [a + h * (B1 * b1 + B6 * b6 + B7 * b7 + B8 * b8 + B9 * b9 + B10 * b10
+                      + B11 * b11 + B12 * b12)
+             for a, b1, b6, b7, b8, b9, b10, b11, b12
+             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+    return y_new, k6, k7, k8, k9, k10, k11, k12
+
+
+def table_rhs(couplings, g_a, g_b, dim):
+    """The right-hand side of :func:`pcqed.ode._rhs`, walking the coupling
+    table entry by entry and reading both drives, atom B's through its own
+    ``at``: -i H(t) psi with H from ``couplings`` over ``dim`` components."""
+    drives = (getattr(g_a, "at", g_a), getattr(g_b, "at", g_b))
+    table = [(row, col, atom, -1j * factor) for row, col, atom, factor in couplings]
+
+    def rhs(t: float, psi: list) -> list:
+        g = (drives[0](t), drives[1](t))
+        if not (cmath.isfinite(g[0]) and cmath.isfinite(g[1])):
+            raise ConvergenceError(f"non-finite coupling at t={t:g}", t=t)
+        out = [0j] * dim
+        for row, col, atom, c in table:
+            c *= g[atom]  # -i H[row, col]; -i H[col, row] = -conj(c)
+            out[row] += c * psi[col]
+            out[col] -= c.conjugate() * psi[row]
+        return out
+
+    return rhs

@@ -322,6 +322,35 @@ class TestScenarioRules:
         assert capsys.readouterr().err == "config error: direction must be a nonzero finite vector\n"
 
 
+    @pytest.mark.parametrize("command", ["calibrate", "gate-report"])
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            ({"target": "NOT"}, "target NOT needs coupling ratio p = 1.00000 (+/- 0.005), got 0.414"),
+            ({"target": "IDENTITY"}, "no calibration condition for target 'IDENTITY'"),
+            ({"target": "ENTANGLER_HADAMARD", "v_bounds": [650.0, 150.0]},
+             "invalid velocity bounds (650.0, 150.0)"),
+        ],
+        ids=["ratio", "no-condition", "unordered-bounds"],
+    )
+    def test_calibration_refusals_exit_2_before_the_grid(self, tmp_path, capsys, monkeypatch,
+                                                         field3d_config, command, edit, refusal):
+        monkeypatch.setattr(cli, "_build_grid", _no_grid)
+        keys = cli.SCHEMAS[command]["properties"]
+        config = {**{k: v for k, v in field3d_config.items() if k in keys}, **edit}
+        path = write_config(tmp_path, "cfg", config)
+        assert run([command, "--config", path, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == f"config error: config {path}: {refusal}\n"
+
+    def test_gate_report_at_a_given_velocity_calibrates_nothing(self, tmp_path):
+        # the ratio and bounds are calibration's; a report at a stated velocity needs neither
+        config = generic_config(target="NOT", v_bounds=[650.0, 150.0], velocity=433.0,
+                                omega_cav=2.4e15, engine="analytic")
+        del config["initial"]
+        path = write_config(tmp_path, "cfg", config)
+        assert run(["gate-report", "--config", path, "--out", tmp_path]) == 0
+
+
 class TestSweepCommand:
     def test_small_sweep_with_svg(self, tmp_path):
         config = {

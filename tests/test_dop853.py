@@ -6,6 +6,8 @@ take the same steps, call the right-hand side as often, and end in the same
 state to rounding.
 """
 
+import cmath
+import json
 import re
 from unittest import mock
 
@@ -16,9 +18,10 @@ from scipy.integrate._ivp import dop853_coefficients as ref
 
 from pcqed import dop853, ode
 from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
-from pcqed.coupling import GenericProfile, drive_pair
+from pcqed.coupling import GenericProfile, GenericProfileParams, ScaledProfile, drive_pair
 
 from conftest import generic_family
+from oracles import comprehension_stages, example_config_path, table_rhs
 
 
 def coefficient(prefix: str, row: int, col: int) -> float:
@@ -80,6 +83,23 @@ class TestTableau:
         assert dop853.E312 == dop853.B12 - dop853.BHH3
 
 
+def integrate(couplings, g_a, g_b, y0, t0, t1, blocks=None, times=()):
+    """``ode._integrate``'s solver and the times of its accepted steps,
+    recorded by wrapping ``DOP853.step``."""
+    steps = []
+    step = dop853.DOP853.step
+
+    def recording(solver):
+        step(solver)
+        steps.append(solver.t)
+
+    with mock.patch.object(dop853.DOP853, "step", recording):
+        solver, n_steps, _ = ode._integrate(couplings, g_a, g_b, y0, t0, t1, ode.DEFAULT_RTOL,
+                                            ode.DEFAULT_ATOL, blocks=blocks, times=times)
+    assert n_steps == len(steps)
+    return solver, steps
+
+
 def run_both(couplings, g_a, g_b, y0, t0, t1, sample=False):
     """pcqed's integration loop and scipy's DOP853 on the same right-hand side
     and spans.
@@ -87,27 +107,12 @@ def run_both(couplings, g_a, g_b, y0, t0, t1, sample=False):
     Returns, for each, the times of the accepted steps, nfev, the final state
     and, if ``sample``, the dense output at one time inside every accepted
     step, its midpoint.  pcqed takes those times in a second run, whose
-    steps must be the first run's.  The accepted steps are recorded by
-    wrapping ``DOP853.step``.
+    steps must be the first run's.
     """
-    def run(times=()):
-        steps = []
-        step = dop853.DOP853.step
-
-        def recording(solver):
-            step(solver)
-            steps.append(solver.t)
-
-        with mock.patch.object(dop853.DOP853, "step", recording):
-            solver, n_steps, _ = ode._integrate(couplings, g_a, g_b, y0, t0, t1, ode.DEFAULT_RTOL,
-                                                ode.DEFAULT_ATOL, times=times)
-        assert n_steps == len(steps)
-        return solver, steps
-
-    solver, mine_t = run()
+    solver, mine_t = integrate(couplings, g_a, g_b, y0, t0, t1)
     sample_at = (np.array(mine_t) + [t0, *mine_t[:-1]]) / 2 if sample else np.empty(0)
     if sample:
-        solver, steps = run(sample_at)
+        solver, steps = integrate(couplings, g_a, g_b, y0, t0, t1, times=sample_at)
         assert steps == mine_t  # output times do not move the steps
     mine = (mine_t, solver.nfev, np.array(solver.y), solver.dense)
 
@@ -238,3 +243,90 @@ class TestSolver:
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError, match="t0 < t_bound"):
             dop853.DOP853(lambda t, y: y, 1.0, [1 + 0j], 1.0, 1e-9, 1e-11)
+
+
+def check_matches_oracles(couplings, g_a, g_b, y0, t0, t1, blocks=None, n_times=2000,
+                          min_steps=1):
+    """The generated stages and right-hand side against the list
+    comprehensions and the table walk they replace, bit for bit, with
+    output times across the window."""
+    times = np.linspace(t0, t1, n_times)[1:]
+
+    def run():  # the states as bytes, so that equal means equal to the bit
+        solver, steps = integrate(couplings, g_a, g_b, y0, t0, t1, blocks, times)
+        return steps, solver.nfev, np.array(solver.y).tobytes(), solver.dense.tobytes()
+
+    mine = run()
+    with mock.patch.object(dop853, "_stage_kernel", lambda n: comprehension_stages), \
+            mock.patch.object(ode, "_rhs", table_rhs):
+        theirs = run()
+    assert len(mine[0]) >= min_steps
+    assert mine == theirs
+
+
+class TestStraightLineKernels:
+    """``ode._integrate`` on generated code against ``tests/oracles.py``."""
+
+    def test_bundled_generic_family(self):
+        config = json.loads(example_config_path("entangler_generic").read_text())
+        profile = GenericProfile(GenericProfileParams(**config["profile"]))
+        g_a, g_b, _ = drive_pair(profile, config["p"])
+        for label in ("100", "010"):
+            y0 = AmplitudeVector.basis_state(label).amplitudes
+            check_matches_oracles(build_subspace(1).couplings, g_a, g_b, y0, *profile.window)
+
+    def test_bundled_field3d_trace(self, field3d_trace, field3d_config):
+        g_a, g_b, _ = drive_pair(field3d_trace, field3d_config["p"])
+        y0 = AmplitudeVector.basis_state("100").amplitudes
+        check_matches_oracles(build_subspace(1).couplings, g_a, g_b, y0, *field3d_trace.window,
+                              min_steps=4 * dop853.BATCH)
+
+    def test_ten_component_stack(self):
+        states = [AmplitudeVector.basis_state(label) for label in ("100", "010", "110", "000")]
+        couplings, blocks = ode._stack(states)
+        profile = GenericProfile(generic_family(velocity=433.0))
+        g_a, g_b, _ = drive_pair(profile, 0.414)
+        y0 = np.concatenate([states[i].amplitudes for i in blocks])
+        assert len(y0) == 10
+        check_matches_oracles(couplings, g_a, g_b, y0, *profile.window, blocks=blocks.values())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_complex_callables(self, n):
+        def g_a(t):
+            return 0.9e9 * cmath.exp(2.1e9j * t)
+
+        def g_b(t):
+            return (-0.2 + 0.4j) * 1e9 * cmath.exp(-0.7e9 * t)
+
+        h = build_subspace(n)
+        check_matches_oracles(h.couplings, g_a, g_b, np.eye(h.dim)[-1], 0.0, 2.3e-9, n_times=50)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_drives_not_proportional(self, n):
+        g_a = GenericProfile(generic_family(velocity=433.0))
+        g_b = GenericProfile(GenericProfileParams(**{**vars(g_a.params), "defect_radius": 2e-7}))
+        assert not isinstance(g_b, ScaledProfile)
+        h = build_subspace(n)
+        check_matches_oracles(h.couplings, g_a, g_b, np.eye(h.dim)[0], *g_a.window)
+
+    def test_scaled_atom_b_reads_atom_a_once(self):
+        # B = ScaledProfile(A, c) is read as c times A's value, never through B's own ``at``
+        reads = []
+
+        class Drive(GenericProfile):
+            def at(self, t):
+                reads.append(t)
+                return super().at(t)
+
+        g_a, g_b, _ = drive_pair(Drive(generic_family(velocity=433.0)), 0.414)
+        couplings, psi = build_subspace(1).couplings, [0.6 + 0j, 0.8j, 0j]
+        with mock.patch.object(ScaledProfile, "at", side_effect=AssertionError):
+            out = ode._rhs(couplings, g_a, g_b, 3)(1e-9, psi)
+        assert reads == [1e-9]
+        assert out == table_rhs(couplings, g_a, g_b, 3)(1e-9, psi)
+
+    def test_non_finite_coupling_raises_with_time(self):
+        rhs = ode._rhs(build_subspace(1).couplings, lambda t: 1.0, lambda t: float("nan"), 3)
+        with pytest.raises(ConvergenceError, match="non-finite coupling") as err:
+            rhs(2.5, [1 + 0j, 0j, 0j])
+        assert err.value.t == 2.5

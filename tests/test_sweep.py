@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import integrate
 
 from pcqed.coupling import GenericProfile, pulse_area
 from pcqed.analytic import amplitudes, logical_unitary
-from pcqed.svg import heatmap_svg
+from pcqed.svg import heatmap_svg, line_plot_svg
 from pcqed.sweep import surface, surfaces_to_csv
 
 from conftest import csv_rows, generic_family
@@ -153,3 +154,39 @@ class TestHeatmap:
         cells = svg.count("<rect") - 1  # the background
         assert cells == min(shape[0], 630) * min(shape[1], 400)
         assert svg.count('fill="#0000ff"') == svg.count('fill="#ff0000"') == 1
+
+
+def polylines(svg: str) -> list[list[tuple[float, float]]]:
+    """The vertices of each polyline of an SVG, as (x, y) pixels."""
+    return [[tuple(map(float, point.split(","))) for point in points.split()]
+            for points in re.findall(r'<polyline points="([^"]*)"', svg)]
+
+
+class TestLinePlot:
+    # the plot is 630 pixels wide: up to 4 samples per pixel column, 2520, all are drawn
+    @pytest.mark.parametrize("n", [2, 2001, 2520])
+    def test_every_sample_drawn_up_to_four_per_column(self, tmp_path, n):
+        x = np.linspace(0.0, 1.0, n)
+        svg = line_plot_svg(tmp_path / "l.svg", x, {"sin": np.sin(40 * x), "x": x}).read_text()
+        for line in polylines(svg):
+            assert len(line) == n
+            assert [a for a, _ in line] == [float(f"{v:.2f}") for v in 70 + 630 * x]
+
+    @pytest.mark.parametrize("shape", [lambda x: np.sin(4e3 * x) * np.exp(-x), lambda x: np.floor(7 * x)],
+                             ids=["oscillating", "steps"])
+    def test_bounded_vertices_keep_each_columns_extremes(self, tmp_path, shape):
+        # 50 samples per pixel column, none within 0.01 pixel of a column's edge, and both ends
+        x = np.concatenate([[0.0], (np.arange(630 * 50) + 0.5) / (630 * 50), [1.0]])
+        y = shape(x)
+        (line,) = polylines(line_plot_svg(tmp_path / "l.svg", x, {"y": y}).read_text())
+        assert len(line) <= 4 * 630
+        px, py = np.array(line).T
+        assert np.all(np.diff(px) >= 0)  # in sample order
+        assert line[0][0] == 70.0 and line[-1][0] == 700.0  # the first and last samples
+        # every pixel column spans the y extent of its samples
+        pad = 0.05 * np.ptp(y)
+        scaled = 430 - (y - y.min() + pad) * 400 / (np.ptp(y) + 2 * pad)
+        column, drawn = np.minimum((630 * x).astype(int), 629), np.minimum((px - 70).astype(int), 629)
+        for c in range(630):
+            assert py[drawn == c].min() == pytest.approx(scaled[column == c].min(), abs=0.006)
+            assert py[drawn == c].max() == pytest.approx(scaled[column == c].max(), abs=0.006)
