@@ -10,7 +10,8 @@ A number literal that is not a finite double (``NaN``, ``Infinity``,
 :func:`pcqed.core.write_csv`.  Every command runs under one protocol, in
 :func:`main`: load the config, create the output directory, run, print each
 path written, and map exceptions to exit codes: 0 ok, 2 config error, 3
-integrator convergence failure, 4 calibration not found.
+integrator convergence failure, 4 calibration not found.  Any other
+exception is a pcqed bug and propagates: exit 1, with a traceback.
 """
 
 from __future__ import annotations
@@ -573,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for path in _COMMANDS[args.command](config, out, Path(args.config).stem, args):
             print(path)
-    except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -90,8 +90,8 @@ def photon_lifetime(q_factor: float, omega: float) -> float:
 class CavityParams:
     """Single-mode cavity: frequency, permittivity at the peak, volume, coupling.
 
-    ``g0`` must be consistent with the other fields; build instances through
-    :meth:`from_dipole` to guarantee that.
+    ``g0`` is taken as given, as the CLI's ``g0`` key sets it;
+    :meth:`from_dipole` derives it from a dipole moment and the other fields.
     """
 
     omega_cav: float      # rad/s

@@ -10,11 +10,12 @@ such area has a closed form.
 Drive convention, decided in one place, :func:`drive_from_profile`:
 analytic generic profiles are real and signed and drive the interaction as
 they are; traces sampled from mode fields may be complex and drive it
-through their magnitude |g|, whose area is the exact area of the magnitude
-of the linear interpolant.  :func:`drive_pair` adds atom B, whose drive is
-exactly c times atom A's, the same drive scaled.  :func:`pulse_area` is
-exact or refuses: it integrates what :func:`exact_area` integrates and
-raises TypeError for anything else, a raw trace or a bare callable included.
+through their magnitude |g|, one drive per trace, whose area is the exact
+area of the magnitude of the linear interpolant.  :func:`drive_pair` adds
+atom B, whose drive is exactly c times atom A's, the same drive scaled.
+:func:`pulse_area` is exact or refuses: it integrates what
+:func:`exact_area` integrates and raises TypeError for anything else, a raw
+trace or a bare callable included.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "drive_pair",
     "exact_area",
     "pulse_area",
-    "scaled_pair",
 ]
 
 
@@ -125,9 +125,7 @@ class GenericProfile:
 
 @dataclass(frozen=True)
 class ScaledProfile:
-    """A profile or drive multiplied by a constant factor: atom B's drive, c
-    times atom A's (:func:`drive_pair`), and atom B's analytic profile
-    (:func:`scaled_pair`)."""
+    """A drive times a constant factor: atom B's drive, as :func:`drive_pair` builds it."""
 
     base: object
     factor: float
@@ -206,6 +204,11 @@ class CouplingTrace:
             raise ValueError("trace carries no velocity; cannot rescale to calibrate")
         return CouplingTrace(self.times * (self.velocity / velocity), self.values, velocity=velocity)
 
+    @cached_property
+    def _drive(self) -> "TraceMagnitude":
+        """The trace's one drive; read only by :func:`drive_from_profile`."""
+        return TraceMagnitude(self)
+
 
 @dataclass(frozen=True)
 class TraceMagnitude:
@@ -273,11 +276,11 @@ def drive_from_profile(profile):
     """The drive a coupling profile puts into the interaction Hamiltonian.
 
     Sampled traces, possibly complex, drive through their magnitude
-    (:class:`TraceMagnitude`); every other profile is real and signed and is
-    its own drive.
+    (:class:`TraceMagnitude`), the same object on every call; every other
+    profile is real and signed and is its own drive.
     """
     if isinstance(profile, CouplingTrace):
-        return TraceMagnitude(profile)
+        return profile._drive
     return profile
 
 
@@ -410,11 +413,5 @@ def pulse_area(profile) -> float:
 
 # No command reads this (every engine takes atom B from drive_pair); perfbench/workloads.py does.
 def scaled_pair(profile, p: float):
-    """Profile of the companion atom: p times the given profile at every t.
-
-    A trace stays a trace, of p times its samples; any other profile is
-    wrapped in a :class:`ScaledProfile`.
-    """
-    if isinstance(profile, CouplingTrace):
-        return CouplingTrace(profile.times, p * profile.values, velocity=profile.velocity)
-    return ScaledProfile(profile, p)
+    """Atom B's drive, as :func:`drive_pair` builds it."""
+    return drive_pair(profile, p)[1]

@@ -243,9 +243,10 @@ def _rhs(couplings, g_a, g_b, dim: int) -> Callable[[float, list], list]:
     Reads each drive once per call, through its scalar evaluator ``at`` if
     it has one; atom B's drive ``ScaledProfile(g_a, c)``, as
     :func:`pcqed.coupling.drive_pair` builds it, is read as c times atom A's
-    value, the number its own ``at`` returns.  Raises ConvergenceError on a
-    non-finite coupling: the step control would shrink the step to nothing
-    on NaN.
+    value, the number its own ``at`` returns.  A profile has one drive, so
+    every pair built from one profile reads atom A once per call.  Raises
+    ConvergenceError on a non-finite coupling: the step control would shrink
+    the step to nothing on NaN.
     """
     drive_a = getattr(g_a, "at", g_a)
     scaled = isinstance(g_b, ScaledProfile) and g_b.base is g_a

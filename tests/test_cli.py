@@ -88,6 +88,17 @@ class TestEvolve:
         path = write_config(tmp_path, "cfg", generic_config(engine="ode"))
         assert run(["evolve", "--config", path, "--out", tmp_path]) == 3
 
+    def test_type_error_is_a_bug_not_a_config_error(self, tmp_path, monkeypatch):
+        # every drive a command builds has an exact area, so a TypeError is
+        # pcqed's own bug: main lets it through (exit 1) instead of exit 2
+        def boom(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(cli, "evolve", boom)
+        path = write_config(tmp_path, "cfg", generic_config(engine="ode"))
+        with pytest.raises(TypeError, match="bug"):
+            run(["evolve", "--config", path, "--out", tmp_path])
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, "cfg", generic_config(engine="ode"))
         out1 = tmp_path / "a"

@@ -18,7 +18,14 @@ from scipy.integrate._ivp import dop853_coefficients as ref
 
 from pcqed import dop853, ode
 from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
-from pcqed.coupling import GenericProfile, GenericProfileParams, ScaledProfile, drive_pair
+from pcqed.coupling import (
+    GenericProfile,
+    GenericProfileParams,
+    ScaledProfile,
+    drive_from_profile,
+    drive_pair,
+    scaled_pair,
+)
 
 from conftest import generic_family
 from oracles import comprehension_stages, example_config_path, table_rhs
@@ -324,6 +331,19 @@ class TestStraightLineKernels:
             out = ode._rhs(couplings, g_a, g_b, 3)(1e-9, psi)
         assert reads == [1e-9]
         assert out == table_rhs(couplings, g_a, g_b, 3)(1e-9, psi)
+
+    def test_separately_built_trace_pair_is_drive_pair(self, field3d_trace, field3d_config):
+        # A and B built apart from one trace share its one drive, so the run
+        # reads B as c times A, never through B's own ``at``: drive_pair's run
+        p = field3d_config["p"]
+        t0, t1 = field3d_trace.window
+        psi0 = AmplitudeVector.basis_state("010")
+        with mock.patch.object(ScaledProfile, "at", side_effect=AssertionError):
+            apart = ode.evolve(build_subspace(1), drive_from_profile(field3d_trace),
+                               drive_from_profile(scaled_pair(field3d_trace, p)), psi0, t0, t1)
+            paired = ode.evolve(build_subspace(1), *drive_pair(field3d_trace, p)[:2], psi0, t0, t1)
+        assert apart.amplitudes.tobytes() == paired.amplitudes.tobytes()
+        assert apart.diagnostics["nfev"] == paired.diagnostics["nfev"]
 
     def test_non_finite_coupling_raises_with_time(self):
         rhs = ode._rhs(build_subspace(1).couplings, lambda t: 1.0, lambda t: float("nan"), 3)
