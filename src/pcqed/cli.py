@@ -56,6 +56,7 @@ from .ode import (
     MIN_ATOL,
     MIN_RTOL,
     Trajectory,
+    check_area,
     evolve,
     trajectory_to_csv,
 )
@@ -304,6 +305,19 @@ def _load_config(path: str, command: str) -> dict:
     for key, value in defaults.items():
         if isinstance(value, dict):
             resolved[key] = {**value, **config.get(key, {})}
+    # the ODE's work, bounded by the absolute pulse area of a generic drive at
+    # the velocity it runs at: a trace's is checked once it is built, and a
+    # calibrated velocity's by truth_table
+    if scenario == "generic" and resolved.get("engine") in ("ode", "both") and (
+            command == "evolve" or "velocity" in config):
+        velocity = config.get("velocity", config["profile"]["velocity"])
+        profile = GenericProfile(GenericProfileParams(**{**config["profile"],
+                                                         "velocity": velocity}))
+        try:
+            check_area(profile, resolved["p"])
+        except ValueError as exc:
+            raise ConfigError(f"config {path}: {exc}, from omega0, velocity, defect_radius, "
+                              "path_half_length and p") from exc
     # the ratio and bounds calibration will need: checked before any trace is built
     if command == "calibrate" or (command == "gate-report" and "velocity" not in config):
         try:
@@ -384,6 +398,8 @@ def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
     written: list[Path] = []
 
     drive_a, drive_b, c = drive_pair(profile_a, p)
+    if engine in ("ode", "both"):
+        check_area(drive_a, c)
     if engine in ("analytic", "both"):
         amps = analytic_trajectory(drive_a, c, times, initial=initial)
         traj = Trajectory(1, times, amps, {"engine": "analytic"})

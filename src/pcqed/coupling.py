@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -35,6 +36,7 @@ __all__ = [
     "ScaledProfile",
     "CouplingTrace",
     "TraceMagnitude",
+    "absolute_area_bound",
     "drive_from_profile",
     "drive_pair",
     "exact_area",
@@ -60,10 +62,17 @@ class GenericProfileParams:
     zeta: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_positive(**{name: getattr(self, name) for name in (
-            "omega0", "path_half_length", "defect_radius", "lattice_const", "velocity")})
+        _require_positive(**{name: getattr(self, name) for name in _POSITIVE})
         if not math.isfinite(self.zeta):
             raise ValueError("zeta must be finite")
+        # Python floats, whatever number type the caller passed: the drive
+        # then runs on float arithmetic, not on numpy scalars.
+        for name in _FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+
+_POSITIVE = ("omega0", "path_half_length", "defect_radius", "lattice_const", "velocity")
+_FIELDS = (*_POSITIVE, "zeta")
 
 
 @dataclass(frozen=True)
@@ -204,10 +213,16 @@ class CouplingTrace:
             raise ValueError("trace carries no velocity; cannot rescale to calibrate")
         return CouplingTrace(self.times * (self.velocity / velocity), self.values, velocity=velocity)
 
-    @cached_property
     def _drive(self) -> "TraceMagnitude":
-        """The trace's one drive; read only by :func:`drive_from_profile`."""
-        return TraceMagnitude(self)
+        """The trace's one drive while anything holds it; read only by
+        :func:`drive_from_profile`.  The trace keeps it by weak reference, so
+        a trace and its drive form no reference cycle."""
+        held = vars(self).get("_held")
+        drive = held() if held else None
+        if drive is None:
+            drive = TraceMagnitude(self)
+            object.__setattr__(self, "_held", weakref.ref(drive))
+        return drive
 
 
 @dataclass(frozen=True)
@@ -276,11 +291,12 @@ def drive_from_profile(profile):
     """The drive a coupling profile puts into the interaction Hamiltonian.
 
     Sampled traces, possibly complex, drive through their magnitude
-    (:class:`TraceMagnitude`), the same object on every call; every other
-    profile is real and signed and is its own drive.
+    (:class:`TraceMagnitude`), the same object on every call while any
+    holder keeps it alive; every other profile is real and signed and is its
+    own drive.
     """
     if isinstance(profile, CouplingTrace):
-        return profile._drive
+        return profile._drive()
     return profile
 
 
@@ -291,12 +307,13 @@ def drive_pair(profile, p: float):
     drive is that same drive times c, a :class:`ScaledProfile`, so every
     engine reads B as exactly c times A and both report A's breakpoints.  A
     trace drives through |g|, so c = |p|; every other profile drives signed,
-    so c = p.  Every engine reads atom B from here.
+    so c = p.  c is a Python float whatever number type p is.  Every engine
+    reads atom B from here.
     """
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     drive = drive_from_profile(profile)
-    c = abs(p) if isinstance(profile, CouplingTrace) else p
+    c = float(abs(p) if isinstance(profile, CouplingTrace) else p)
     return drive, ScaledProfile(drive, c), c
 
 
@@ -409,6 +426,29 @@ def pulse_area(profile) -> float:
     Any other window goes through :func:`exact_area`.
     """
     return float(exact_area(profile, *_exact_parts(profile)[0].window))
+
+
+def absolute_area_bound(drive) -> float:
+    """An upper bound (rad) on the integral of |drive| over its window.
+
+    Takes what :func:`pulse_area` takes.  The magnitude of a trace is its
+    own drive, so its bound is its exact area.  The generic profile's
+    oscillation cancels in the signed area but not in the absolute one; with
+    |cos| <= 1 under its envelope the bound is
+
+        Omega0 |cos(zeta)| 2 R_def / V (1 - exp(-L / R_def)),
+
+    in closed form, within a factor pi/2 of the absolute area once the
+    path spans many lattice periods.  A constant multiple scales it by the
+    factor's magnitude.
+    """
+    profile, factor = _exact_parts(drive)
+    if isinstance(profile, TraceMagnitude):
+        return abs(factor) * pulse_area(profile)
+    params = profile.params
+    radius = params.defect_radius
+    envelope = 2.0 * radius * -math.expm1(-params.path_half_length / radius)
+    return abs(factor) * params.omega0 * abs(math.cos(params.zeta)) * envelope / params.velocity
 
 
 # No command reads this (every engine takes atom B from drive_pair); perfbench/workloads.py does.

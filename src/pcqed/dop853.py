@@ -4,14 +4,19 @@ The Dormand-Prince pair of order 8 with error estimators of orders 5 and 3
 and a dense output of order 7, transcribed stage by stage from Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I, sec. II.5
 (their Fortran code ``dop853.f``, whose coefficient names the constants
-below keep).  The state is a list of Python complex numbers and the
-right-hand side maps (t, list) to a list: for the few components pcqed
-integrates, scalar arithmetic costs less than array calls do.  A step's
-twelve stages and its new state are straight-line code, one function per
-number of components, generated from the tableau's constant names on first
-use and kept; each component's sums leave out the tableau's zero
-coefficients, as ``dop853.f`` writes them.  The dense output is the
-exception: its interpolants are built and evaluated for many steps at
+below keep).  The state is a list of Python complex numbers: for the few
+components pcqed integrates, scalar arithmetic costs less than array calls
+do.  The right-hand side is a callable fun(t, list) -> list or, so that the
+solver can inline it, a :class:`Source`: lines of code that compute the
+derivative's components from the time and the state's.  A callable is the
+source of one call of it.  One attempted step, its twelve stages, its new
+state, f at its end and its error norm, is one straight-line function
+generated from that source, the number of components, the blocks and the
+tableau's constant names, on first use, and kept; each component's sums
+leave out the tableau's zero coefficients, as ``dop853.f`` writes them.
+The same source, alone, is the right-hand side that the initial step and
+the dense output call.  The dense output is the exception to scalar
+arithmetic: its interpolants are built and evaluated for many steps at
 once, on numpy arrays of steps x components, with the same operations in
 the same order, and numpy's product of a real and a complex number rounds
 as Python's does, so its values are those of the scalar arithmetic.
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -234,47 +240,101 @@ D716 = -0.14972683625798562581422125276e+3
 
 # The terms of stages 2..12 and of the new state: stage j reads k_i where
 # the tableau names a coefficient A<j><i>, the weights B<i> where it names
-# one; its zeros have no constant, as in dop853.f.
+# one; its zeros have no constant, as in dop853.f.  The error estimates read
+# k1 and k6..k12: E5 through ER<i>, E3 through E3<i> where the order-3
+# weight differs from B<i> and through B<i> elsewhere.
 _STAGES = [(j, [i for i in range(1, j) if f"A{j}{i}" in globals()]) for j in range(2, 13)]
 _WEIGHTS = [i for i in range(1, 13) if f"B{i}" in globals()]
-_KEPT = range(6, 13)  # the stages the error estimate and the dense output read
+_ERRORS = [(i, f"ER{i}", f"E3{i}" if f"E3{i}" in globals() else f"B{i}")
+           for i in (1, *range(6, 13))]
+_KEPT = range(6, 14)  # the stages a step returns, for the next step and the dense output
+
+
+class Source:
+    """A right-hand side as source code, for the solver to inline.
+
+    ``lines`` set f_0, ..., f_(n-1) from the time T and the state a_0, ...,
+    a_(n-1); they read the names ``names``, which a run binds to
+    ``values``.  Any other name they set is a temporary of their own and
+    must not be one of the step's: t, h, y, k1, rtol, atol, s, s3, s5, err,
+    sqrt, the tableau's constant names, or a name that ends in an
+    underscore and digits.
+    """
+
+    __slots__ = ("lines", "names", "values")
+
+    def __init__(self, lines: tuple[str, ...], names: tuple[str, ...], values: tuple) -> None:
+        self.lines, self.names, self.values = lines, names, values
+
+
+def _call_source(fun: Callable, n: int) -> Source:
+    """The source of calling ``fun(T, [a_0, ...])`` on n components."""
+    outs = "".join(f"f_{c}, " for c in range(n))
+    return Source((f"{outs}= fun(T, [{', '.join(f'a_{c}' for c in range(n))}])",), ("fun",), (fun,))
 
 
 @lru_cache(maxsize=16)
-def _stage_kernel(n: int) -> Callable:
-    """stages(fun, t, h, y, k1) -> (y_new, k6, ..., k12) of one step on n
+def _kernel(n: int, blocks: tuple, lines: tuple, names: tuple) -> Callable:
+    """build(*values) -> (step, rhs) of one right-hand side source on n
     components, as straight-line code, generated on first use and kept for
-    the last 16 values of n.
+    the last 16 keys.
 
-    Per component c it evaluates y_c + (A<j>1 * k1_c + ...) * h for the
-    argument of stage j at t + C<j> * h, and y_c + h * (B1 * k1_c + ...)
-    for the new state: the operations of one list comprehension per stage,
-    in the same order, so the results are the same to the bit.  The
-    source is built from the integers n, j and i and the names of this
-    module's constants alone; no value of a run enters it.
+    step(t, h, y, k1, rtol, atol) -> (error_norm, y_new, k6, ..., k13) is
+    one attempted step: per component c it evaluates y_c + (A<j>1 * k1_c +
+    ...) * h as the state a_c of stage j at T = t + C<j> * h and runs the
+    source there, writing k<j>_c; then y_c + h * (B1 * k1_c + ...) for the
+    new state, the source at t + h for stage 13, and the combined E3/E5
+    norm of dop853.f over atol + rtol * max(|y|, |y_new|), the largest over
+    ``blocks``, each block's sums of squares summed with ``sum`` from its
+    first component to its last.  rhs(T, a) -> list is the source alone.
+    These are the operations of one list comprehension per stage, of the
+    right-hand side the source states and of the norms over list slices,
+    in the same order, so the results are the same to the bit.  The code
+    is built from the integers n and ``blocks``, the source and the names
+    of this module's constants alone; no value of a run enters it.
     """
-    def names(prefix):  # the n components unpacked, "k2_0, k2_1, ..."
-        return ", ".join(f"{prefix}_{c}" for c in range(n)) + ","
+    def source(out: str) -> list:  # the right-hand side, writing <out>_<c>
+        return ["        " + re.sub(r"\bf_(\d+)\b", rf"{out}_\1", line) for line in lines]
 
-    def args(terms):  # a list of n sums of terms, one per component
-        return ", ".join(terms(c) for c in range(n))
+    def unpack(name: str) -> str:
+        return f"        {''.join(f'{name}_{c}, ' for c in range(n))}= {name}"
 
-    lines = ["def stages(fun, t, h, y, k1):",
-             f"    {names('y')} = y",
-             f"    {names('k1')} = k1"]
+    def listed(name: str) -> str:
+        return f"[{', '.join(f'{name}_{c}' for c in range(n))}]"
+
+    body = [f"def build({', '.join(names)}):",
+            "    def step(t, h, y, k1, rtol, atol):", unpack("y"), unpack("k1")]
     for j, terms in _STAGES:
-        arg = args(lambda c: f"y_{c} + ({' + '.join(f'A{j}{i} * k{i}_{c}' for i in terms)}) * h")
-        call = f"fun(t + C{j} * h, [{arg}])"
-        if j in _KEPT:
-            lines += [f"    k{j} = {call}", f"    {names(f'k{j}')} = k{j}"]
-        else:
-            lines.append(f"    {names(f'k{j}')} = {call}")
-    y_new = args(lambda c: f"y_{c} + h * ({' + '.join(f'B{i} * k{i}_{c}' for i in _WEIGHTS)})")
-    lines.append(f"    return [{y_new}], {', '.join(f'k{j}' for j in _KEPT)}")
-    constants = [f"C{j}" for j, _ in _STAGES] + [f"A{j}{i}" for j, terms in _STAGES for i in terms]
-    namespace = {name: globals()[name] for name in constants + [f"B{i}" for i in _WEIGHTS]}
-    exec(compile("\n".join(lines), f"<DOP853 stages on {n} components>", "exec"), namespace)
-    return namespace["stages"]
+        body.append(f"        T = t + C{j} * h")
+        body += [f"        a_{c} = y_{c} + ({' + '.join(f'A{j}{i} * k{i}_{c}' for i in terms)}) * h"
+                 for c in range(n)]
+        body += source(f"k{j}")
+    # the new state is the state of stage 13, at t + h
+    body += [f"        a_{c} = y_{c} + h * ({' + '.join(f'B{i} * k{i}_{c}' for i in _WEIGHTS)})"
+             for c in range(n)]
+    body.append("        T = t + h")
+    body += source("k13")
+    for c in range(n):
+        body += [f"        s = atol + max(abs(y_{c}), abs(a_{c})) * rtol",
+                 f"        e5_{c} = ({' + '.join(f'{e5} * k{i}_{c}' for i, e5, _ in _ERRORS)}) / s",
+                 f"        e3_{c} = ({' + '.join(f'{e3} * k{i}_{c}' for i, _, e3 in _ERRORS)}) / s"]
+    body.append("        err = 0.0")
+    for lo, hi in blocks:
+        for e in ("e5", "e3"):
+            squares = ", ".join(f"{e}_{c}.real * {e}_{c}.real + {e}_{c}.imag * {e}_{c}.imag"
+                                for c in range(lo, hi))
+            body.append(f"        s{e[1]} = sqrt(sum([{squares}])) ** 2")
+        body += ["        if s5 or s3:",
+                 f"            err = max(err, abs(h) * s5 / sqrt((s5 + 0.01 * s3) * {hi - lo}))"]
+    body.append(f"        return err, {listed('a')}, {', '.join(listed(f'k{j}') for j in _KEPT)}")
+    body += ["    def rhs(T, a):", unpack("a"), *source("f"), f"        return {listed('f')}",
+             "    return step, rhs"]
+    constants = ([f"C{j}" for j, _ in _STAGES] + [f"A{j}{i}" for j, terms in _STAGES for i in terms]
+                 + [f"B{i}" for i in _WEIGHTS] + [name for _, *pair in _ERRORS for name in pair])
+    namespace = {name: globals()[name] for name in constants}
+    namespace["sqrt"] = math.sqrt
+    exec(compile("\n".join(body), f"<DOP853 step on {n} components>", "exec"), namespace)
+    return namespace["build"]
 
 
 def _norm2(v: list) -> float:
@@ -286,7 +346,8 @@ class DOP853:
     """One DOP853 run of y' = fun(t, y) forward from t0.
 
     fun(t, y) takes a float and a list of complex and returns a list of
-    complex.  ``t_bound`` is the end of the current span: no step passes it,
+    complex; a :class:`Source` of it is inlined into the step, and the
+    solver's ``fun`` is then the function generated from it.  ``t_bound`` is the end of the current span: no step passes it,
     and a caller may move it further once ``t`` has reached it, which
     continues the run with the step size it proposes there.  ``blocks``
     partitions the components into (start, stop) ranges whose norms are
@@ -296,13 +357,13 @@ class DOP853:
     becomes the state at times[j], read from the interpolant of the first
     step whose end is at or past it.  The steps that hold output times are
     kept and their interpolants evaluated together, every BATCH of them and
-    at the step that reaches the last time.  ``nfev`` counts the calls of
-    fun, the initial step's two included.
+    at the step that reaches the last time.  ``nfev`` counts the
+    evaluations of fun, the initial step's two included.
     """
 
     def __init__(
         self,
-        fun: Callable[[float, list], list],
+        fun: Callable[[float, list], list] | Source,
         t0: float,
         y0: Sequence[complex],
         t_bound: float,
@@ -316,14 +377,15 @@ class DOP853:
         self._times = np.asarray(times, dtype=float)
         if self._times.size and not t0 < self._times[0]:
             raise ValueError("output times must come after t0")
-        self.fun = fun
         self.t = t0
         self.y = list(y0)
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
-        self.blocks = [(0, len(self.y))] if blocks is None else list(blocks)
-        self._stages = _stage_kernel(len(self.y))
-        self.f = fun(t0, self.y)
+        self.blocks = [(0, len(self.y))] if blocks is None else [tuple(b) for b in blocks]
+        source = fun if isinstance(fun, Source) else _call_source(fun, len(self.y))
+        build = _kernel(len(self.y), tuple(self.blocks), source.lines, source.names)
+        self._step, self.fun = build(*source.values)
+        self.f = self.fun(t0, self.y)
         self.nfev = 1
         self.h_abs = self._initial_step()
         self.dense = np.empty((self._times.size, len(self.y)), dtype=complex)
@@ -357,23 +419,13 @@ class DOP853:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval)
 
-    def _error_norm(self, e5: list, e3: list, h: float) -> float:
-        """The combined E3/E5 norm of dop853.f, the largest over the blocks."""
-        err = 0.0
-        for lo, hi in self.blocks:
-            s5 = _norm2(e5[lo:hi]) ** 2
-            s3 = _norm2(e3[lo:hi]) ** 2
-            if s5 or s3:
-                err = max(err, abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * (hi - lo)))
-        return err
-
     def step(self) -> None:
         """Take one accepted step towards ``t_bound``.
 
         Raises ConvergenceError, carrying the time, when the step size
         falls below the smallest step.
         """
-        fun, t, y, k1 = self.fun, self.t, self.y, self.f
+        t, y, k1 = self.t, self.y, self.f
         rtol, atol = self.rtol, self.atol
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -387,20 +439,9 @@ class DOP853:
             h = t_new - t
             h_abs = abs(h)
 
-            y_new, k6, k7, k8, k9, k10, k11, k12 = self._stages(fun, t, h, y, k1)
-            k13 = fun(t + h, y_new)
+            error_norm, y_new, k6, k7, k8, k9, k10, k11, k12, k13 = self._step(
+                t, h, y, k1, rtol, atol)
             self.nfev += 12
-
-            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-            e5 = [(ER1 * b1 + ER6 * b6 + ER7 * b7 + ER8 * b8 + ER9 * b9 + ER10 * b10
-                   + ER11 * b11 + ER12 * b12) / s
-                  for s, b1, b6, b7, b8, b9, b10, b11, b12
-                  in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12)]
-            e3 = [(E31 * b1 + B6 * b6 + B7 * b7 + B8 * b8 + E39 * b9 + B10 * b10
-                   + B11 * b11 + E312 * b12) / s
-                  for s, b1, b6, b7, b8, b9, b10, b11, b12
-                  in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12)]
-            error_norm = self._error_norm(e5, e3, h)
 
             if error_norm < 1:
                 if error_norm == 0:

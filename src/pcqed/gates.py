@@ -33,7 +33,7 @@ from .coupling import (
     drive_pair,
     pulse_area,
 )
-from .ode import DEFAULT_ATOL, DEFAULT_RTOL, final_states
+from .ode import DEFAULT_ATOL, DEFAULT_RTOL, check_area, final_states
 
 __all__ = [
     "GateTarget",
@@ -316,11 +316,13 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     return SWAP's |00> as it is.  Atom A's area is the pulse_area of its
     drive, atom B's c times it with the c of drive_pair (only the ode engine
     reads B's drive); a non-finite area raises ValueError before either
-    engine runs.  Each input's fidelity and phase come from its overlap with
-    its target state, the phase relative to the first rail's (the global
-    phase); its residual is the probability on basis states that hold a
-    photon.  The label is assigned only if every rail fidelity reaches 0.99
-    and the rail phases agree to MAX_RELATIVE_PHASE.
+    engine runs, and on the ode engine so does an absolute area that may
+    pass :data:`pcqed.ode.MAX_AREA` (:func:`pcqed.ode.check_area`).  Each
+    input's fidelity and phase come from its overlap with its target state,
+    the phase relative to the first rail's (the global phase); its residual
+    is the probability on basis states that hold a photon.  The label is
+    assigned only if every rail fidelity reaches 0.99 and the rail phases
+    agree to MAX_RELATIVE_PHASE.
     """
     target = settings.target
     drive_a, drive_b, c = drive_pair(settings.profile_a, settings.p)
@@ -328,6 +330,8 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     g_b = c * g_a
     if not (math.isfinite(g_a) and math.isfinite(g_b)):
         raise ValueError("pulse areas must be finite")
+    if engine == "ode":
+        check_area(drive_a, c)
 
     # The rails' target states, then SWAP's |00> and |11>, which it keeps as they are.
     targets = {label: AmplitudeVector(1, [*amps, 0.0]) for label, amps in target.rail_map}

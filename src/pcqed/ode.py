@@ -8,23 +8,26 @@ total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 
 The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
-complex scalars, with its interpolants evaluated on arrays; the
-right-hand side is straight-line code generated from the coupling table
-(:func:`_rhs_kernel`).  DOP853 assumes a smooth right-hand side; a step
-across a jump in a derivative of the drive loses its order and its error
-estimate.  The drives of :mod:`pcqed.coupling` report such breakpoints, and
-:func:`evolve` and :func:`final_states` step span by span between them
-(Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I,
-sec. II.6) through one private integration loop.  Any other callable
-integrates as one span.
+complex scalars, with its interpolants evaluated on arrays.  The
+right-hand side is handed to it as source code stated from the coupling
+table (:func:`_source`), which the solver inlines at every stage of one
+generated step function per table.  DOP853 assumes a smooth right-hand
+side; a step across a jump in a derivative of the drive loses its order and
+its error estimate.  The drives of :mod:`pcqed.coupling` report such
+breakpoints, and :func:`evolve` and :func:`final_states` step span by span
+between them (Hairer, Norsett & Wanner, Solving Ordinary Differential
+Equations I, sec. II.6) through one private integration loop.  Any other
+callable integrates as one span.  The work grows with the drives' absolute
+pulse area: a gate report and every CLI run refuse, before any step, an
+area that may pass :data:`MAX_AREA` (:func:`check_area`).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -32,15 +35,17 @@ import numpy as np
 
 from .core import (AmplitudeVector, ConvergenceError, SubspaceHamiltonian, basis_labels,
                    build_subspace, write_csv)
-from .coupling import ScaledProfile
+from .coupling import ScaledProfile, absolute_area_bound
 # perfbench reads build_subspace and drive_from_profile from this module.
 from .coupling import drive_from_profile  # noqa: F401
-from .dop853 import DOP853
+from .dop853 import DOP853, Source
 
 __all__ = [
+    "MAX_AREA",
     "MIN_ATOL",
     "MIN_RTOL",
     "Trajectory",
+    "check_area",
     "evolve",
     "final_states",
     "trajectory_to_csv",
@@ -56,6 +61,14 @@ DEFAULT_ATOL = 1e-11
 MIN_RTOL = 100 * sys.float_info.epsilon
 MIN_ATOL = 1e-100
 DEFAULT_POINTS = 2000
+# The largest absolute pulse area, sqrt(1 + c^2) times the integral of
+# |g_a| over the window (rad), that a gate report or a CLI run integrates.
+# DOP853's work and its norm drift grow with that area, not with the signed
+# one.  The bundled generic family takes up to 7.7 steps per radian: 171 at
+# 22.3 rad (433 m/s) and 16 667 at 2 198 rad with R_def and L widened 100x;
+# at 0.433 m/s, 22 300 rad, it takes 55 031 steps with a norm drift of
+# 3.9e-7.  So this bound allows at most some 80k steps.
+MAX_AREA = 1e4
 _METHOD = "DOP853"
 
 
@@ -201,6 +214,26 @@ def _stack(states: list[AmplitudeVector]) -> tuple[list, dict[int, tuple[int, in
     return couplings, blocks
 
 
+def check_area(drive, c: float) -> float:
+    """Refuse, before any step, a drive pair that may pass MAX_AREA.
+
+    ``drive`` is atom A's drive, one :func:`pcqed.coupling.pulse_area` takes,
+    and c atom B's ratio to it, as :func:`pcqed.coupling.drive_pair` returns
+    them; the pair's absolute area is at most sqrt(1 + c^2) times
+    :func:`pcqed.coupling.absolute_area_bound` of the drive.  Returns that
+    bound; raises ValueError when it passes MAX_AREA or is not finite.  A
+    trace's bound is its exact area; its run also stops at every sample and
+    zero crossing of the trace, so a trace of n samples (at most 1e6 in a
+    config) takes one step or more per span, up to 2n - 2 spans, beside
+    the steps its area needs.
+    """
+    area = math.hypot(1.0, c) * absolute_area_bound(drive)
+    if not area <= MAX_AREA:
+        raise ValueError(f"the absolute pulse area may reach {area:.4g} rad, past the ODE "
+                         f"engine's MAX_AREA of {MAX_AREA:g} rad")
+    return area
+
+
 def _check_window(t0: float, t1: float, rtol: float, atol: float) -> None:
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got [{t0!r}, {t1!r}]")
@@ -220,10 +253,10 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
     solver's ``dense`` holds the state at each of ``times`` in (t0, t1].
     Returns the solver, the number of accepted steps and the number of spans.
     """
-    rhs = _rhs(couplings, g_a, g_b, len(y0))
     bounds = [*_breakpoints((g_a, g_b), t0, t1), float(t1)]
-    solver = DOP853(rhs, float(t0), np.asarray(y0, dtype=complex).tolist(), bounds[0],
-                    rtol, atol, blocks, times)
+    y0 = np.asarray(y0, dtype=complex).tolist()
+    solver = DOP853(_source(couplings, g_a, g_b, len(y0)), float(t0), y0, bounds[0], rtol, atol,
+                    blocks, times)
     n_steps = 0
     # DOP853 is a one-step method whose first stage reuses f at the step's
     # end.  The state and f are continuous across a kink of the drive, so
@@ -237,67 +270,46 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
     return solver, n_steps, len(bounds)
 
 
-def _rhs(couplings, g_a, g_b, dim: int) -> Callable[[float, list], list]:
-    """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components.
+def _source(couplings, g_a, g_b, dim: int) -> Source:
+    """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components,
+    as straight-line source.
 
-    Reads each drive once per call, through its scalar evaluator ``at`` if
-    it has one; atom B's drive ``ScaledProfile(g_a, c)``, as
+    Reads each drive once per evaluation, through its scalar evaluator ``at``
+    if it has one; atom B's drive ``ScaledProfile(g_a, c)``, as
     :func:`pcqed.coupling.drive_pair` builds it, is read as c times atom A's
     value, the number its own ``at`` returns.  A profile has one drive, so
-    every pair built from one profile reads atom A once per call.  Raises
-    ConvergenceError on a non-finite coupling: the step control would shrink
-    the step to nothing on NaN.
+    every pair built from one profile reads atom A once per evaluation.
+    Entry e of the table makes c_e = (-i factor_e) g_atom, and component i
+    sums, from 0j and in the order of the table, + c_e psi[col] over the
+    entries whose row is i and - c_e.conjugate() psi[row] over those whose
+    column is i: the operations of accumulating the table entry by entry,
+    in the same order.  Raises ConvergenceError on a non-finite coupling, at
+    the time it was read: the step control would shrink the step to nothing
+    on NaN.  The lines hold the table's integers alone; the drives and the
+    factors are values.
     """
     drive_a = getattr(g_a, "at", g_a)
     scaled = isinstance(g_b, ScaledProfile) and g_b.base is g_a
     drive_b = g_b.factor if scaled else getattr(g_b, "at", g_b)
-    table = tuple((row, col, atom) for row, col, atom, _ in couplings)
+    terms = [[] for _ in range(dim)]
+    for e, (row, col, _, _) in enumerate(couplings):
+        terms[row].append(f" + c{e} * a_{col}")
+        terms[col].append(f" - c{e}.conjugate() * a_{row}")
+    lines = ("g0 = drive_a(T)",
+             f"g1 = {'drive_b * g0' if scaled else 'drive_b(T)'}",
+             "if not (isfinite(g0) and isfinite(g1)):",
+             "    non_finite(T)",
+             *(f"c{e} = m{e} * g{atom}" for e, (_, _, atom, _) in enumerate(couplings)),
+             *(f"f_{i} = 0j{''.join(parts)}" for i, parts in enumerate(terms)))
     # -i H[row, col] is (-i factor) g_atom; -i H[col, row] is minus its conjugate
     factors = [-1j * factor for *_, factor in couplings]
-    return _rhs_kernel(dim, table, scaled)(drive_a, drive_b, *factors)
+    return Source(lines, ("drive_a", "drive_b", "isfinite", "non_finite",
+                          *(f"m{e}" for e in range(len(couplings)))),
+                  (drive_a, drive_b, cmath.isfinite, _non_finite, *factors))
 
 
 def _non_finite(t: float):
     raise ConvergenceError(f"non-finite coupling at t={t:g}", t=t)
-
-
-@lru_cache(maxsize=16)
-def _rhs_kernel(dim: int, table: tuple, scaled: bool) -> Callable:
-    """A builder of the right-hand side of one coupling table, as straight-line code.
-
-    ``table`` holds (row, col, atom) for each entry of the coupling table;
-    the builder takes atom A's drive, atom B's drive or, if ``scaled``, its
-    ratio to A's, and the entries' factors -i * factor, and returns
-    rhs(t, psi).  Entry e
-    makes c_e = (-i factor_e) g_atom once per call, and component i sums,
-    from 0j and in the order of the table, + c_e psi[col] over the entries
-    whose row is i and - c_e.conjugate() psi[row] over those whose column
-    is i: the operations of accumulating the table entry by entry, in the
-    same order, so the results are the same to the bit.  The source is
-    built from the integers dim, row, col and atom alone; no value of a run
-    enters it.  Generated on first use and kept, for the last 16 tables.
-    """
-    terms = [[] for _ in range(dim)]
-    for e, (row, col, atom) in enumerate(table):
-        terms[row].append(f" + c{e} * psi{col}")
-        terms[col].append(f" - c{e}.conjugate() * psi{row}")
-    factors = "".join(f", f{e}" for e in range(len(table)))
-    lines = [
-        f"def build(drive_a, drive_b{factors}):",
-        "    def rhs(t, psi):",
-        "        g0 = drive_a(t)",
-        f"        g1 = {'drive_b * g0' if scaled else 'drive_b(t)'}",
-        "        if not (isfinite(g0) and isfinite(g1)):",
-        "            non_finite(t)",
-        f"        {''.join(f'psi{i}, ' for i in range(dim))}= psi",
-        *(f"        c{e} = f{e} * g{atom}" for e, (_, _, atom) in enumerate(table)),
-        f"        return [{', '.join('0j' + ''.join(parts) for parts in terms)}]",
-        "    return rhs",
-    ]
-    namespace = {"isfinite": cmath.isfinite, "non_finite": _non_finite}
-    exec(compile("\n".join(lines), f"<right-hand side of {len(table)} couplings>", "exec"),
-         namespace)
-    return namespace["build"]
 
 
 def _breakpoints(drives, t0: float, t1: float) -> list[float]:

@@ -18,6 +18,7 @@ from pcqed.dop853 import (
     A121, A124, A125, A126, A127, A128, A129, A1210, A1211,
     B1, B6, B7, B8, B9, B10, B11, B12,
     C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, C12,
+    E31, E39, E312, ER1, ER6, ER7, ER8, ER9, ER10, ER11, ER12,
 )
 from pcqed.fieldgrid import DEFECT_RADIUS_FRAC, ROD_EPS, ROD_RADIUS_FRAC
 
@@ -169,11 +170,10 @@ def odd_multiple_walk(lam_at_v, v_lo, v_hi):
 
 def comprehension_stages(fun, t, h, y, k1):
     """Stages 2..12 and the new state of one DOP853 step, one list
-    comprehension over the components each: the arithmetic that
-    :func:`pcqed.dop853._stage_kernel` generates as straight-line code.
+    comprehension over the components each: the stage arithmetic that
+    :func:`pcqed.dop853._kernel` generates as straight-line code.
 
-    Same signature and result, (y_new, k6, ..., k12), so it can stand in
-    for the generated kernel of any number of components.
+    Returns (y_new, k6, ..., k12).
     """
     k2 = fun(t + C2 * h, [a + A21 * b1 * h for a, b1 in zip(y, k1)])
     k3 = fun(t + C3 * h, [a + (A31 * b1 + A32 * b2) * h
@@ -210,10 +210,47 @@ def comprehension_stages(fun, t, h, y, k1):
     return y_new, k6, k7, k8, k9, k10, k11, k12
 
 
+def comprehension_norm(y, y_new, ks, h, rtol, atol, blocks):
+    """The combined E3/E5 error norm of dop853.f as list comprehensions over
+    the scale, E5 and E3, taken over list slices block by block: the norm
+    that :func:`pcqed.dop853._kernel` generates.  ``ks`` is (k1, k6, ..., k12)."""
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+    e5 = [(ER1 * b1 + ER6 * b6 + ER7 * b7 + ER8 * b8 + ER9 * b9 + ER10 * b10
+           + ER11 * b11 + ER12 * b12) / s
+          for s, b1, b6, b7, b8, b9, b10, b11, b12 in zip(scale, *ks)]
+    e3 = [(E31 * b1 + B6 * b6 + B7 * b7 + B8 * b8 + E39 * b9 + B10 * b10
+           + B11 * b11 + E312 * b12) / s
+          for s, b1, b6, b7, b8, b9, b10, b11, b12 in zip(scale, *ks)]
+
+    def norm2(v):
+        return math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in v]))
+
+    err = 0.0
+    for lo, hi in blocks:
+        s5 = norm2(e5[lo:hi]) ** 2
+        s3 = norm2(e3[lo:hi]) ** 2
+        if s5 or s3:
+            err = max(err, abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * (hi - lo)))
+    return err
+
+
+def comprehension_step(fun, blocks):
+    """step(t, h, y, k1, rtol, atol) -> (error_norm, y_new, k6, ..., k13) of
+    :func:`pcqed.dop853._kernel`, from :func:`comprehension_stages`, one call
+    of ``fun`` at the step's end and :func:`comprehension_norm`."""
+    def step(t, h, y, k1, rtol, atol):
+        y_new, *ks = comprehension_stages(fun, t, h, y, k1)
+        k13 = fun(t + h, y_new)
+        return (comprehension_norm(y, y_new, (k1, *ks), h, rtol, atol, blocks), y_new, *ks, k13)
+
+    return step
+
+
 def table_rhs(couplings, g_a, g_b, dim):
-    """The right-hand side of :func:`pcqed.ode._rhs`, walking the coupling
-    table entry by entry and reading both drives, atom B's through its own
-    ``at``: -i H(t) psi with H from ``couplings`` over ``dim`` components."""
+    """The right-hand side that :func:`pcqed.ode._source` states, walking the
+    coupling table entry by entry and reading both drives, atom B's through
+    its own ``at``: -i H(t) psi with H from ``couplings`` over ``dim``
+    components."""
     drives = (getattr(g_a, "at", g_a), getattr(g_b, "at", g_b))
     table = [(row, col, atom, -1j * factor) for row, col, atom, factor in couplings]
 

@@ -1,14 +1,18 @@
 """Property tests of the exact pulse areas against quadrature."""
 
 import cmath
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
+
+import pcqed
 
 from pcqed.coupling import (
     CouplingTrace,
@@ -25,18 +29,52 @@ from conftest import LATTICE_GENERIC
 PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
+# The bounds of each value families() draws, in the order family_at takes them.
+BOUNDS = ((0.5, 2.0), (2e9, 3e10), (2.0, 16.0), (0.5, 1.5), (150.0, 650.0), (0.0, 1.5))
+
+
+def family_at(lattice_factor, omega0, half_path, radius, velocity, zeta):
+    """The family that families() draws from these values."""
+    lattice = LATTICE_GENERIC * lattice_factor
+    return GenericProfileParams(omega0=omega0, path_half_length=half_path * lattice,
+                                defect_radius=radius * lattice, lattice_const=lattice,
+                                velocity=velocity, zeta=zeta)
+
+
 @st.composite
 def families(draw):
     """Generic families around the optical scenario: a few to ~30 rad per transit."""
-    lattice = LATTICE_GENERIC * draw(st.floats(0.5, 2.0))
-    return GenericProfileParams(
-        omega0=draw(st.floats(2e9, 3e10)),
-        path_half_length=draw(st.floats(2.0, 16.0)) * lattice,
-        defect_radius=draw(st.floats(0.5, 1.5)) * lattice,
-        lattice_const=lattice,
-        velocity=draw(st.floats(150.0, 650.0)),
-        zeta=draw(st.floats(0.0, 1.5)),
-    )
+    return family_at(*(draw(st.floats(low, high)) for low, high in BOUNDS))
+
+
+def bundled_families():
+    """Each distinct generic family of the bundled configs, at its velocity."""
+    profiles = (json.loads(path.read_text()).get("profile", {})
+                for path in sorted((Path(pcqed.__file__).parent / "configs").glob("*.json")))
+    distinct = {json.dumps(block, sort_keys=True): block for block in profiles if "velocity" in block}
+    return [GenericProfileParams(**block) for block in distinct.values()]
+
+
+# Examples every run tries, whatever hypothesis draws besides (it draws
+# from literals in the package source too, so its draws move with any edit
+# there): the bundled families, and the draws at the strategy's bounds, all
+# low, all high, and a short slow and a long fast path at the largest omega0.
+PINNED_FAMILIES = [
+    *bundled_families(),
+    family_at(*(low for low, _ in BOUNDS)),
+    family_at(*(high for _, high in BOUNDS)),
+    family_at(1.0, 3e10, 2.0, 1.5, 150.0, 0.0),
+    family_at(1.0, 3e10, 16.0, 0.5, 650.0, 1.5),
+]
+
+
+def pinned(*others):
+    """One @example per pinned family, with ``others`` for the test's other arguments."""
+    def apply(test):
+        for family in PINNED_FAMILIES:
+            test = example(family, *others)(test)
+        return test
+    return apply
 
 
 def quad_area(profile, t0, t1):
@@ -53,6 +91,7 @@ def quad_area(profile, t0, t1):
 
 @PROPERTIES
 @given(families())
+@pinned()
 def test_full_window_area_matches_quadrature(family):
     profile = GenericProfile(family)
     assert abs(pulse_area(profile) - quad_area(profile, *profile.window)) <= 1e-12
@@ -60,6 +99,8 @@ def test_full_window_area_matches_quadrature(family):
 
 @PROPERTIES
 @given(families(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@pinned(0.0, 1.0)
+@pinned(0.25, 0.5)
 def test_sub_window_area_matches_quadrature(family, u, w):
     profile = GenericProfile(family)
     w0, w1 = profile.window
@@ -71,6 +112,8 @@ def test_sub_window_area_matches_quadrature(family, u, w):
 
 @PROPERTIES
 @given(families(), st.floats(0.2, 5.0))
+@pinned(0.2)
+@pinned(5.0)
 def test_area_times_velocity_is_constant(family, factor):
     reference = pulse_area(GenericProfile(family)) * family.velocity
     v = family.velocity * factor
@@ -80,6 +123,8 @@ def test_area_times_velocity_is_constant(family, factor):
 
 @PROPERTIES
 @given(families(), st.floats(-3.0, 3.0))
+@pinned(-3.0)
+@pinned(0.414)
 def test_scaled_profile_area_is_factor_times_base(family, factor):
     profile = GenericProfile(family)
     scaled = ScaledProfile(profile, factor)

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from pcqed.coupling import (
     GenericProfile,
     ScaledProfile,
     TraceMagnitude,
+    absolute_area_bound,
     drive_from_profile,
     drive_pair,
     exact_area,
@@ -249,6 +252,20 @@ class TestDriveFromProfile:
         trace = CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5])
         assert drive_from_profile(trace) is drive_from_profile(trace)
 
+    def test_trace_and_its_drive_form_no_cycle(self):
+        # the trace holds its drive by weak reference: with the cyclic
+        # collector off, a dropped trace is freed at once
+        gc.disable()
+        try:
+            trace = CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5])
+            drive = drive_from_profile(trace)
+            assert drive_from_profile(trace) is drive and drive.trace is trace
+            freed = weakref.ref(trace)
+            del trace, drive
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_trace_drives_through_its_magnitude(self):
         trace = CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5])
         drive = drive_from_profile(trace)
@@ -282,6 +299,36 @@ def probe_times(window, samples=(), seed: int = 7) -> np.ndarray:
     inside = rng.uniform(t0, t1, 400)
     outside = [t0 - 0.1 * span, t0 - 1e-3 * span, t1 + 1e-3 * span, t1 + 0.1 * span]
     return np.concatenate((inside, [t0, t1], outside, samples))
+
+
+class TestAbsoluteAreaBound:
+    @pytest.mark.parametrize("radius, half_length, zeta", [(1, 10, 0.0), (0.5, 2, 0.4),
+                                                           (30, 300, -1.2)])
+    def test_bounds_the_absolute_area(self, fig_family, radius, half_length, zeta):
+        family = replace(fig_family, defect_radius=radius * LATTICE_GENERIC,
+                         path_half_length=half_length * LATTICE_GENERIC, zeta=zeta)
+        profile = GenericProfile(family)
+        t = np.linspace(*profile.window, 2_000_001)
+        g = np.abs(profile(t))
+        absolute = float(np.sum(g[1:] + g[:-1]) * (t[1] - t[0]) / 2)
+        bound = absolute_area_bound(profile)
+        assert absolute < bound < math.pi / 2 * absolute * 1.02
+        assert absolute_area_bound(ScaledProfile(profile, -0.5)) == 0.5 * bound
+
+    def test_wide_cavity_ratio_tends_to_pi_over_2(self, fig_family):
+        # under the envelope, |cos| averages 2/pi over many lattice periods
+        family = replace(fig_family, defect_radius=30 * LATTICE_GENERIC,
+                         path_half_length=300 * LATTICE_GENERIC)
+        profile = GenericProfile(family)
+        t = np.linspace(*profile.window, 2_000_001)
+        g = np.abs(profile(t))
+        absolute = float(np.sum(g[1:] + g[:-1]) * (t[1] - t[0]) / 2)
+        assert absolute_area_bound(profile) / absolute == pytest.approx(math.pi / 2, rel=1e-3)
+
+    def test_trace_bound_is_its_exact_area(self):
+        drive = drive_from_profile(CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5]))
+        assert absolute_area_bound(drive) == pulse_area(drive)
+        assert absolute_area_bound(ScaledProfile(drive, 0.414)) == 0.414 * pulse_area(drive)
 
 
 class TestScalarDrives:

@@ -28,7 +28,7 @@ from pcqed.coupling import (
 )
 
 from conftest import generic_family
-from oracles import comprehension_stages, example_config_path, table_rhs
+from oracles import comprehension_step, example_config_path, table_rhs
 
 
 def coefficient(prefix: str, row: int, col: int) -> float:
@@ -252,23 +252,58 @@ class TestSolver:
             dop853.DOP853(lambda t, y: y, 1.0, [1 + 0j], 1.0, 1e-9, 1e-11)
 
 
+def oracle_kernel(couplings, g_a, g_b, attempts):
+    """A stand-in for ``dop853._kernel`` built from ``tests/oracles.py``: the
+    table-walk right-hand side and the comprehension step on it, whatever
+    source the solver passes.  Appends the time of every attempted step to
+    ``attempts``."""
+    def kernel(n, blocks, lines, names):
+        rhs = table_rhs(couplings, g_a, g_b, n) if couplings is not None else None
+
+        def build(*values):
+            fun = rhs or dict(zip(names, values))["fun"]  # a callable's own source
+            oracle = comprehension_step(fun, blocks)
+
+            def step(t, *args):
+                attempts.append(t)
+                return oracle(t, *args)
+
+            return step, fun
+
+        return build
+
+    return kernel
+
+
 def check_matches_oracles(couplings, g_a, g_b, y0, t0, t1, blocks=None, n_times=2000,
-                          min_steps=1):
-    """The generated stages and right-hand side against the list
-    comprehensions and the table walk they replace, bit for bit, with
-    output times across the window."""
+                          min_steps=1, min_rejected=0):
+    """The generated step and right-hand side against the list comprehensions
+    and the table walk they replace, bit for bit, with output times across
+    the window; at least ``min_rejected`` attempted steps are rejected."""
     times = np.linspace(t0, t1, n_times)[1:]
 
     def run():  # the states as bytes, so that equal means equal to the bit
         solver, steps = integrate(couplings, g_a, g_b, y0, t0, t1, blocks, times)
         return steps, solver.nfev, np.array(solver.y).tobytes(), solver.dense.tobytes()
 
-    mine = run()
-    with mock.patch.object(dop853, "_stage_kernel", lambda n: comprehension_stages), \
-            mock.patch.object(ode, "_rhs", table_rhs):
+    mine, attempts = run(), []
+    with mock.patch.object(dop853, "_kernel", oracle_kernel(couplings, g_a, g_b, attempts)):
         theirs = run()
     assert len(mine[0]) >= min_steps
+    assert len(attempts) - len(mine[0]) >= min_rejected
     assert mine == theirs
+
+
+def generated_rhs(couplings, g_a, g_b, dim):
+    """The standalone right-hand side generated from ``ode._source``."""
+    source = ode._source(couplings, g_a, g_b, dim)
+    return dop853._kernel(dim, ((0, dim),), source.lines, source.names)(*source.values)[1]
+
+
+def kernel_step(couplings, g_a, g_b, dim):
+    """The generated step of ``ode._source`` on one block."""
+    source = ode._source(couplings, g_a, g_b, dim)
+    return dop853._kernel(dim, ((0, dim),), source.lines, source.names)(*source.values)[0]
 
 
 class TestStraightLineKernels:
@@ -316,8 +351,57 @@ class TestStraightLineKernels:
         h = build_subspace(n)
         check_matches_oracles(h.couplings, g_a, g_b, np.eye(h.dim)[0], *g_a.window)
 
+    def test_rejected_steps(self):
+        # A drive that switches on inside the window, with no breakpoint
+        # reported: the steps across the switch are rejected and retried.
+        def g_a(t):
+            return 2e9 if t > 0.7e-9 else 0.3e9
+
+        def g_b(t):
+            return -0.5 * g_a(t)
+
+        check_matches_oracles(build_subspace(2).couplings, g_a, g_b, np.eye(4)[0], 0.0, 2e-9,
+                              n_times=50, min_rejected=3)
+
+    def test_callable_source(self):
+        # a bare fun(t, y) -> list, inlined as one call per stage, with rejections
+        def fun(t, y):
+            rate = 3.0 if t > 0.4 else 0.5
+            return [-1j * rate * y[1], -1j * rate * y[0] + 0.1 * y[1]]
+
+        def run():
+            solver = dop853.DOP853(fun, 0.0, [1 + 0j, 0j], 5.0, 1e-9, 1e-11,
+                                   times=np.linspace(0.0, 5.0, 101)[1:])
+            ends = []
+            while solver.t < 5.0:
+                solver.step()
+                ends.append(solver.t)
+            return ends, solver.nfev, np.array(solver.y).tobytes(), solver.dense.tobytes()
+
+        mine, attempts = run(), []
+        with mock.patch.object(dop853, "_kernel", oracle_kernel(None, None, None, attempts)):
+            theirs = run()
+        assert len(attempts) > len(mine[0])
+        assert mine == theirs
+
+    def test_numpy_scalar_parameters_run_as_floats(self):
+        # perfbench draws its families and ratios as numpy scalars
+        family = generic_family(velocity=433.0)
+        as_numpy = GenericProfileParams(**{k: np.float64(v) for k, v in vars(family).items()})
+        assert all(type(v) is float for v in vars(as_numpy).values())
+        psi0 = AmplitudeVector.basis_state("100")
+        runs = []
+        for params, p in ((family, 0.414), (as_numpy, np.float64(0.414))):
+            profile = GenericProfile(params)
+            g_a, g_b, c = drive_pair(profile, p)
+            assert type(c) is float
+            runs.append(ode.evolve(build_subspace(1), g_a, g_b, psi0, *profile.window))
+        assert runs[0].amplitudes.tobytes() == runs[1].amplitudes.tobytes()
+        assert runs[0].diagnostics == runs[1].diagnostics
+
     def test_scaled_atom_b_reads_atom_a_once(self):
-        # B = ScaledProfile(A, c) is read as c times A's value, never through B's own ``at``
+        # B = ScaledProfile(A, c) is read as c times A's value, never through
+        # B's own ``at``: once per evaluation, and once per stage of a step
         reads = []
 
         class Drive(GenericProfile):
@@ -327,10 +411,14 @@ class TestStraightLineKernels:
 
         g_a, g_b, _ = drive_pair(Drive(generic_family(velocity=433.0)), 0.414)
         couplings, psi = build_subspace(1).couplings, [0.6 + 0j, 0.8j, 0j]
+        t, h = 1e-9, 2e-11
         with mock.patch.object(ScaledProfile, "at", side_effect=AssertionError):
-            out = ode._rhs(couplings, g_a, g_b, 3)(1e-9, psi)
-        assert reads == [1e-9]
-        assert out == table_rhs(couplings, g_a, g_b, 3)(1e-9, psi)
+            out = generated_rhs(couplings, g_a, g_b, 3)(t, psi)
+            assert reads == [t]
+            reads.clear()
+            kernel_step(couplings, g_a, g_b, 3)(t, h, psi, out, 1e-9, 1e-11)
+        assert reads == [t + getattr(dop853, f"C{j}") * h for j in range(2, 13)] + [t + h]
+        assert out == table_rhs(couplings, g_a, g_b, 3)(t, psi)
 
     def test_separately_built_trace_pair_is_drive_pair(self, field3d_trace, field3d_config):
         # A and B built apart from one trace share its one drive, so the run
@@ -346,7 +434,28 @@ class TestStraightLineKernels:
         assert apart.diagnostics["nfev"] == paired.diagnostics["nfev"]
 
     def test_non_finite_coupling_raises_with_time(self):
-        rhs = ode._rhs(build_subspace(1).couplings, lambda t: 1.0, lambda t: float("nan"), 3)
+        rhs = generated_rhs(build_subspace(1).couplings, lambda t: 1.0, lambda t: float("nan"), 3)
         with pytest.raises(ConvergenceError, match="non-finite coupling") as err:
             rhs(2.5, [1 + 0j, 0j, 0j])
         assert err.value.t == 2.5
+
+    @pytest.mark.parametrize("j", [2, 7, 12, 13])
+    def test_non_finite_coupling_at_an_inner_stage(self, j):
+        # the drive is NaN at stage j's time alone: the step raises there,
+        # with that time, as the comprehension stages do
+        t, h = 1.0, 0.25
+        bad = t + h if j == 13 else t + getattr(dop853, f"C{j}") * h
+
+        class Drive(GenericProfile):
+            def at(self, s):
+                return float("nan") if s == bad else super().at(s)
+
+        g_a, g_b, _ = drive_pair(Drive(generic_family(velocity=433.0)), 0.414)
+        couplings = build_subspace(1).couplings
+        y, k1 = [1 + 0j, 0j, 0j], [0j, -0.5j, 0j]
+        steps = (kernel_step(couplings, g_a, g_b, 3),
+                 comprehension_step(table_rhs(couplings, g_a, g_b, 3), [(0, 3)]))
+        for step in steps:
+            with pytest.raises(ConvergenceError, match="non-finite coupling") as err:
+                step(t, h, y, k1, 1e-9, 1e-11)
+            assert err.value.t == bad

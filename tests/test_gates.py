@@ -351,6 +351,33 @@ class TestTruthTable:
             for label in want:  # phases near +-pi compare modulo 2 pi
                 assert abs(math.remainder(got[label] - want[label], 2 * math.pi)) <= 1e-8
 
+    def test_ode_engine_refuses_an_area_past_its_bound(self, monkeypatch):
+        # a velocity typed 1e4x too small: the ODE would take ~30 s
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ODE ran")
+
+        monkeypatch.setattr(pcqed.gates, "final_states", refuse)
+        profile = GenericProfile(generic_family(velocity=0.0433))
+        settings = GateSettings(target=NOT, profile_a=profile, p=1.0, velocity=0.0433,
+                                omega_cav=OMEGA_GENERIC)
+        with pytest.raises(ValueError, match="MAX_AREA"):
+            truth_table(settings, "ode")
+        assert truth_table(settings, "analytic").pulse_area_a == pulse_area(profile)
+
+    def test_trace_area_is_bounded_exactly(self):
+        # a trace of constant |g| = MAX_AREA rad/s over 1 s has that area exactly
+        for value, ok in ((pcqed.ode.MAX_AREA, True),
+                          (np.nextafter(pcqed.ode.MAX_AREA, np.inf), False)):
+            trace = CouplingTrace([0.0, 1.0], [value, value], velocity=1.0)
+            settings = GateSettings(target=Z, profile_a=trace, p=0.0, velocity=1.0,
+                                    omega_cav=OMEGA_GENERIC)
+            drive = pcqed.coupling.drive_from_profile(trace)
+            if ok:
+                assert pcqed.ode.check_area(drive, 0.0) == value
+            else:
+                with pytest.raises(ValueError, match="MAX_AREA"):
+                    truth_table(settings, "ode")
+
     def test_misratioed_gate_declassified(self, fig_family):
         v = calibrate_velocity(fig_family, 1.0, "NOT")
         profile = GenericProfile(fig_family).at_velocity(v)

@@ -61,11 +61,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_cli_import_generates_no_kernel(tmp_path):
-    """The ODE's straight-line kernels are generated when a solver first
-    needs them, so an analytic-only process never pays for them."""
-    code = ("import pcqed.cli; from pcqed import dop853, ode; "
-            "assert dop853._stage_kernel.cache_info().currsize == 0; "
-            "assert ode._rhs_kernel.cache_info().currsize == 0")
+    """The ODE's straight-line step is generated when a solver first needs
+    it, so an analytic-only process never pays for it."""
+    code = ("import pcqed.cli; from pcqed import dop853; "
+            "assert dop853._kernel.cache_info().currsize == 0")
     loaded_modules(code, tmp_path)
 
 
