@@ -307,7 +307,7 @@ def _load_config(path: str, command: str) -> dict:
             resolved[key] = {**value, **config.get(key, {})}
     # the ODE's work, bounded by the absolute pulse area of a generic drive at
     # the velocity it runs at: a trace's is checked once it is built, and a
-    # calibrated velocity's by truth_table
+    # calibrated velocity's by the ODE run itself
     if scenario == "generic" and resolved.get("engine") in ("ode", "both") and (
             command == "evolve" or "velocity" in config):
         velocity = config.get("velocity", config["profile"]["velocity"])
@@ -398,6 +398,8 @@ def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
     written: list[Path] = []
 
     drive_a, drive_b, c = drive_pair(profile_a, p)
+    # evolve refuses this area too, but only after engine both has written
+    # its analytic file: checked here, a refused run writes no file
     if engine in ("ode", "both"):
         check_area(drive_a, c)
     if engine in ("analytic", "both"):

@@ -10,9 +10,10 @@ such area has a closed form.
 Drive convention, decided in one place, :func:`drive_from_profile`:
 analytic generic profiles are real and signed and drive the interaction as
 they are; traces sampled from mode fields may be complex and drive it
-through their magnitude |g|, one drive per trace, whose area is the exact
-area of the magnitude of the linear interpolant.  :func:`drive_pair` adds
-atom B, whose drive is exactly c times atom A's, the same drive scaled.
+through their magnitude |g|, whose area is the exact area of the magnitude
+of the linear interpolant; the drives of one trace compare equal.
+:func:`drive_pair` adds atom B, whose drive is exactly c times atom A's,
+the same drive scaled.
 :func:`pulse_area` is exact or refuses: it integrates what
 :func:`exact_area` integrates and raises TypeError for anything else, a raw
 trace or a bare callable included.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -155,13 +155,14 @@ class ScaledProfile:
         return self.base.window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingTrace:
     """Sampled coupling strength: strictly increasing times (s), values (rad/s).
 
     Values may be complex for traces taken from complex mode fields.
     ``velocity`` optionally records the atom speed the trace was sampled at,
-    which calibration needs for its exact 1/V rescaling.
+    which calibration needs for its exact 1/V rescaling.  A trace compares
+    and hashes by identity, so the drives of one trace compare equal.
     """
 
     times: np.ndarray
@@ -212,17 +213,6 @@ class CouplingTrace:
         if self.velocity is None:
             raise ValueError("trace carries no velocity; cannot rescale to calibrate")
         return CouplingTrace(self.times * (self.velocity / velocity), self.values, velocity=velocity)
-
-    def _drive(self) -> "TraceMagnitude":
-        """The trace's one drive while anything holds it; read only by
-        :func:`drive_from_profile`.  The trace keeps it by weak reference, so
-        a trace and its drive form no reference cycle."""
-        held = vars(self).get("_held")
-        drive = held() if held else None
-        if drive is None:
-            drive = TraceMagnitude(self)
-            object.__setattr__(self, "_held", weakref.ref(drive))
-        return drive
 
 
 @dataclass(frozen=True)
@@ -291,12 +281,11 @@ def drive_from_profile(profile):
     """The drive a coupling profile puts into the interaction Hamiltonian.
 
     Sampled traces, possibly complex, drive through their magnitude
-    (:class:`TraceMagnitude`), the same object on every call while any
-    holder keeps it alive; every other profile is real and signed and is its
-    own drive.
+    (:class:`TraceMagnitude`), one equal to every other drive of the same
+    trace; every other profile is real and signed and is its own drive.
     """
     if isinstance(profile, CouplingTrace):
-        return profile._drive()
+        return TraceMagnitude(profile)
     return profile
 
 

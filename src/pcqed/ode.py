@@ -18,8 +18,9 @@ breakpoints, and :func:`evolve` and :func:`final_states` step span by span
 between them (Hairer, Norsett & Wanner, Solving Ordinary Differential
 Equations I, sec. II.6) through one private integration loop.  Any other
 callable integrates as one span.  The work grows with the drives' absolute
-pulse area: a gate report and every CLI run refuse, before any step, an
-area that may pass :data:`MAX_AREA` (:func:`check_area`).
+pulse area: a run whose atom B drives as c times atom A, as
+:func:`pcqed.coupling.drive_pair` builds the pair, refuses before any step
+an area that may pass :data:`MAX_AREA` (:func:`check_area`).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ MIN_RTOL = 100 * sys.float_info.epsilon
 MIN_ATOL = 1e-100
 DEFAULT_POINTS = 2000
 # The largest absolute pulse area, sqrt(1 + c^2) times the integral of
-# |g_a| over the window (rad), that a gate report or a CLI run integrates.
+# |g_a| over the window (rad), that a run of a drive pair integrates.
 # DOP853's work and its norm drift grow with that area, not with the signed
 # one.  The bundled generic family takes up to 7.7 steps per radian: 171 at
 # 22.3 rad (433 m/s) and 16 667 at 2 198 rad with R_def and L widened 100x;
@@ -135,6 +136,8 @@ def evolve(
     steps at once; their three extra stages are three more calls of the
     right-hand side per step that holds an output time, which ``nfev``
     counts.  rtol must be at least MIN_RTOL and atol at least MIN_ATOL.
+    A pair of :func:`pcqed.coupling.drive_pair` whose absolute area may pass
+    MAX_AREA raises ValueError before any step (:func:`check_area`).
     Raises ConvergenceError when the integrator cannot proceed (step
     underflow / non-finite couplings), carrying the failure time.
     """
@@ -184,8 +187,9 @@ def final_states(
     the control of the others; a state's result may still differ from its
     own :func:`evolve` run in the last digits the tolerances allow, since
     the blocks stacked with it may force shorter steps.  Returns the
-    final states in the order given.  Raises ValueError on an empty list and
-    ConvergenceError, carrying the failure time, as :func:`evolve` does.
+    final states in the order given.  Raises ValueError on an empty list or
+    an area past MAX_AREA, and ConvergenceError, carrying the failure time,
+    as :func:`evolve` does.
     """
     if not states:
         raise ValueError("need at least one initial state")
@@ -221,9 +225,10 @@ def check_area(drive, c: float) -> float:
     and c atom B's ratio to it, as :func:`pcqed.coupling.drive_pair` returns
     them; the pair's absolute area is at most sqrt(1 + c^2) times
     :func:`pcqed.coupling.absolute_area_bound` of the drive.  Returns that
-    bound; raises ValueError when it passes MAX_AREA or is not finite.  A
-    trace's bound is its exact area; its run also stops at every sample and
-    zero crossing of the trace, so a trace of n samples (at most 1e6 in a
+    bound; raises ValueError when it passes MAX_AREA or is not finite, as
+    every ODE run of such a pair does before its first step.  A trace's
+    bound is its exact area; its run also stops at every sample and zero
+    crossing of the trace, so a trace of n samples (at most 1e6 in a
     config) takes one step or more per span, up to 2n - 2 spans, beside
     the steps its area needs.
     """
@@ -252,11 +257,16 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
     (start, stop) ranges the solver takes its norms over apart, and the
     solver's ``dense`` holds the state at each of ``times`` in (t0, t1].
     Returns the solver, the number of accepted steps and the number of spans.
+    When atom B's drive is a ScaledProfile of one equal to atom A's, as in
+    :func:`pcqed.coupling.drive_pair`, the pair passes :func:`check_area` first.
     """
+    scaled = isinstance(g_b, ScaledProfile) and g_b.base == g_a
+    if scaled:
+        check_area(g_a, g_b.factor)
     bounds = [*_breakpoints((g_a, g_b), t0, t1), float(t1)]
     y0 = np.asarray(y0, dtype=complex).tolist()
-    solver = DOP853(_source(couplings, g_a, g_b, len(y0)), float(t0), y0, bounds[0], rtol, atol,
-                    blocks, times)
+    solver = DOP853(_source(couplings, g_a, g_b, len(y0), scaled), float(t0), y0, bounds[0],
+                    rtol, atol, blocks, times)
     n_steps = 0
     # DOP853 is a one-step method whose first stage reuses f at the step's
     # end.  The state and f are continuous across a kink of the drive, so
@@ -270,26 +280,24 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
     return solver, n_steps, len(bounds)
 
 
-def _source(couplings, g_a, g_b, dim: int) -> Source:
+def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> Source:
     """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components,
     as straight-line source.
 
     Reads each drive once per evaluation, through its scalar evaluator ``at``
-    if it has one; atom B's drive ``ScaledProfile(g_a, c)``, as
-    :func:`pcqed.coupling.drive_pair` builds it, is read as c times atom A's
-    value, the number its own ``at`` returns.  A profile has one drive, so
-    every pair built from one profile reads atom A once per evaluation.
-    Entry e of the table makes c_e = (-i factor_e) g_atom, and component i
-    sums, from 0j and in the order of the table, + c_e psi[col] over the
-    entries whose row is i and - c_e.conjugate() psi[row] over those whose
-    column is i: the operations of accumulating the table entry by entry,
-    in the same order.  Raises ConvergenceError on a non-finite coupling, at
-    the time it was read: the step control would shrink the step to nothing
-    on NaN.  The lines hold the table's integers alone; the drives and the
-    factors are values.
+    if it has one.  When ``scaled``, atom B's drive is a ScaledProfile of
+    atom A's (:func:`_integrate` decides) and is read as its factor c times
+    atom A's value, the number its own ``at`` returns, so atom A is read
+    once.  Entry e of the table makes c_e = (-i factor_e) g_atom, and
+    component i sums, from 0j and in the order of the table, + c_e psi[col]
+    over the entries whose row is i and - c_e.conjugate() psi[row] over
+    those whose column is i: the operations of accumulating the table entry
+    by entry, in the same order.  Raises ConvergenceError on a non-finite
+    coupling, at the time it was read: the step control would shrink the
+    step to nothing on NaN.  The lines hold the table's integers alone; the
+    drives and the factors are values.
     """
     drive_a = getattr(g_a, "at", g_a)
-    scaled = isinstance(g_b, ScaledProfile) and g_b.base is g_a
     drive_b = g_b.factor if scaled else getattr(g_b, "at", g_b)
     terms = [[] for _ in range(dim)]
     for e, (row, col, _, _) in enumerate(couplings):

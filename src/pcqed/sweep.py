@@ -72,7 +72,7 @@ def surface(
         raise ValueError("resolution must be at least 2 per axis")
     if not (0 < v_range[0] < v_range[1] and math.isfinite(v_range[1])):
         raise ValueError(f"invalid velocity range {v_range!r}")
-    if not (0 <= p_range[0] < p_range[1]):
+    if not (0 <= p_range[0] < p_range[1] and math.isfinite(p_range[1])):
         raise ValueError(f"invalid ratio range {p_range!r}")
     v_values = np.linspace(v_range[0], v_range[1], n_v)
     p_values = np.linspace(p_range[0], p_range[1], n_p)

@@ -160,11 +160,11 @@ class TestScaledPair:
             np.testing.assert_array_equal(scaled_pair(base, 1.5)(t), 1.5 * base(t))
 
     def test_trace_companion_is_drive_pairs_atom_b(self):
-        # atom B of a trace scales atom A's one drive, by |p|
+        # atom B of a trace scales atom A's drive, by |p|
         trace = CouplingTrace([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], velocity=433.0)
         scaled = scaled_pair(trace, -0.5)
         assert isinstance(scaled, ScaledProfile)
-        assert scaled.base is drive_from_profile(trace)
+        assert scaled.base == drive_from_profile(trace)
         assert scaled.factor == 0.5
 
 
@@ -250,16 +250,25 @@ class TestAtVelocity:
 class TestDriveFromProfile:
     def test_trace_has_one_drive(self):
         trace = CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5])
-        assert drive_from_profile(trace) is drive_from_profile(trace)
+        assert drive_from_profile(trace) == drive_from_profile(trace)
+        assert hash(drive_from_profile(trace)) == hash(drive_from_profile(trace))
+
+    def test_traces_compare_by_identity(self):
+        # equal samples, two traces: neither == nor hash reads the arrays
+        times, values = [0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5]
+        trace, twin = CouplingTrace(times, values), CouplingTrace(times, values)
+        assert trace == trace and trace != twin
+        assert drive_from_profile(trace) != drive_from_profile(twin)
+        assert hash(trace) == hash(trace)
 
     def test_trace_and_its_drive_form_no_cycle(self):
-        # the trace holds its drive by weak reference: with the cyclic
+        # the trace holds no reference to its drive: with the cyclic
         # collector off, a dropped trace is freed at once
         gc.disable()
         try:
             trace = CouplingTrace([0.0, 1.0, 2.0], [1.0 + 1.0j, -2.0j, 0.5])
             drive = drive_from_profile(trace)
-            assert drive_from_profile(trace) is drive and drive.trace is trace
+            assert drive_from_profile(trace) == drive and drive.trace is trace
             freed = weakref.ref(trace)
             del trace, drive
             assert freed() is None

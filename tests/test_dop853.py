@@ -294,15 +294,15 @@ def check_matches_oracles(couplings, g_a, g_b, y0, t0, t1, blocks=None, n_times=
     assert mine == theirs
 
 
-def generated_rhs(couplings, g_a, g_b, dim):
+def generated_rhs(couplings, g_a, g_b, dim, scaled=False):
     """The standalone right-hand side generated from ``ode._source``."""
-    source = ode._source(couplings, g_a, g_b, dim)
+    source = ode._source(couplings, g_a, g_b, dim, scaled)
     return dop853._kernel(dim, ((0, dim),), source.lines, source.names)(*source.values)[1]
 
 
-def kernel_step(couplings, g_a, g_b, dim):
+def kernel_step(couplings, g_a, g_b, dim, scaled=False):
     """The generated step of ``ode._source`` on one block."""
-    source = ode._source(couplings, g_a, g_b, dim)
+    source = ode._source(couplings, g_a, g_b, dim, scaled)
     return dop853._kernel(dim, ((0, dim),), source.lines, source.names)(*source.values)[0]
 
 
@@ -413,10 +413,10 @@ class TestStraightLineKernels:
         couplings, psi = build_subspace(1).couplings, [0.6 + 0j, 0.8j, 0j]
         t, h = 1e-9, 2e-11
         with mock.patch.object(ScaledProfile, "at", side_effect=AssertionError):
-            out = generated_rhs(couplings, g_a, g_b, 3)(t, psi)
+            out = generated_rhs(couplings, g_a, g_b, 3, scaled=True)(t, psi)
             assert reads == [t]
             reads.clear()
-            kernel_step(couplings, g_a, g_b, 3)(t, h, psi, out, 1e-9, 1e-11)
+            kernel_step(couplings, g_a, g_b, 3, scaled=True)(t, h, psi, out, 1e-9, 1e-11)
         assert reads == [t + getattr(dop853, f"C{j}") * h for j in range(2, 13)] + [t + h]
         assert out == table_rhs(couplings, g_a, g_b, 3)(t, psi)
 
@@ -453,7 +453,7 @@ class TestStraightLineKernels:
         g_a, g_b, _ = drive_pair(Drive(generic_family(velocity=433.0)), 0.414)
         couplings = build_subspace(1).couplings
         y, k1 = [1 + 0j, 0j, 0j], [0j, -0.5j, 0j]
-        steps = (kernel_step(couplings, g_a, g_b, 3),
+        steps = (kernel_step(couplings, g_a, g_b, 3, scaled=True),
                  comprehension_step(table_rhs(couplings, g_a, g_b, 3), [(0, 3)]))
         for step in steps:
             with pytest.raises(ConvergenceError, match="non-finite coupling") as err:

@@ -356,7 +356,7 @@ class TestTruthTable:
         def refuse(*args, **kwargs):
             raise AssertionError("the ODE ran")
 
-        monkeypatch.setattr(pcqed.gates, "final_states", refuse)
+        monkeypatch.setattr(pcqed.dop853.DOP853, "step", refuse)
         profile = GenericProfile(generic_family(velocity=0.0433))
         settings = GateSettings(target=NOT, profile_a=profile, p=1.0, velocity=0.0433,
                                 omega_cav=OMEGA_GENERIC)

@@ -1,16 +1,21 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
-from pcqed.coupling import CouplingTrace, GenericProfile, drive_pair, pulse_area
+from pcqed.coupling import (CouplingTrace, GenericProfile, GenericProfileParams,
+                            drive_from_profile, drive_pair, pulse_area, scaled_pair)
+from pcqed.dop853 import DOP853
 from pcqed.analytic import amplitudes, analytic_trajectory, logical_unitary, two_excitation_unitary
 from pcqed.ode import evolve, final_states, trajectory_to_csv
 from pcqed import ode
 from pcqed.gates import calibrate_velocity
 
 from conftest import csv_rows, generic_family
+from oracles import example_config_path
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +452,36 @@ class TestFinalStates:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             final_states(constant(1e9), constant(1e9), [], 0.0, 1e-9)
+
+
+class TestAreaBound:
+    """Every run of a drive pair refuses an area past MAX_AREA before any step."""
+
+    @pytest.fixture
+    def slow(self):
+        # the bundled entangler at 0.433 m/s: 55k steps, some 3 s, unbounded
+        config = json.loads(example_config_path("entangler_generic").read_text())
+        profile = GenericProfile(GenericProfileParams(**{**config["profile"], "velocity": 0.433}))
+        return profile, config["p"]
+
+    @pytest.fixture(params=["drive_pair", "built_apart"])
+    def drives(self, request, slow):
+        profile, p = slow
+        if request.param == "drive_pair":
+            return drive_pair(profile, p)[:2]
+        return drive_from_profile(profile), drive_from_profile(scaled_pair(profile, p))
+
+    def test_evolve_refuses(self, slow, drives):
+        psi0 = AmplitudeVector.basis_state("100")
+        with mock.patch.object(DOP853, "step", side_effect=AssertionError("the ODE ran")):
+            with pytest.raises(ValueError, match="MAX_AREA"):
+                evolve(build_subspace(1), *drives, psi0, *slow[0].window)
+
+    def test_final_states_refuses(self, slow, drives):
+        initials = [AmplitudeVector.basis_state(label) for label in ("100", "110")]
+        with mock.patch.object(DOP853, "step", side_effect=AssertionError("the ODE ran")):
+            with pytest.raises(ValueError, match="MAX_AREA"):
+                final_states(*drives, initials, *slow[0].window)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,13 @@ class TestSurface:
             surface(generic_family(), resolution=(1, 5))
         with pytest.raises(ValueError):
             surface(generic_family(), initial="001")
+
+    @pytest.mark.parametrize("p_range", [(0.0, math.inf), (0.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_ratio_range_rejected(self, p_range):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="invalid ratio range"):
+                surface(generic_family(), p_range=p_range)
 
 
 class TestSlice:
