@@ -56,7 +56,6 @@ from .ode import (
     MIN_ATOL,
     MIN_RTOL,
     Trajectory,
-    check_area,
     evolve,
     trajectory_to_csv,
 )
@@ -305,19 +304,6 @@ def _load_config(path: str, command: str) -> dict:
     for key, value in defaults.items():
         if isinstance(value, dict):
             resolved[key] = {**value, **config.get(key, {})}
-    # the ODE's work, bounded by the absolute pulse area of a generic drive at
-    # the velocity it runs at: a trace's is checked once it is built, and a
-    # calibrated velocity's by the ODE run itself
-    if scenario == "generic" and resolved.get("engine") in ("ode", "both") and (
-            command == "evolve" or "velocity" in config):
-        velocity = config.get("velocity", config["profile"]["velocity"])
-        profile = GenericProfile(GenericProfileParams(**{**config["profile"],
-                                                         "velocity": velocity}))
-        try:
-            check_area(profile, resolved["p"])
-        except ValueError as exc:
-            raise ConfigError(f"config {path}: {exc}, from omega0, velocity, defect_radius, "
-                              "path_half_length and p") from exc
     # the ratio and bounds calibration will need: checked before any trace is built
     if command == "calibrate" or (command == "gate-report" and "velocity" not in config):
         try:
@@ -390,24 +376,16 @@ def _write_trajectory(traj: Trajectory, path: Path, fmt: str) -> Path:
 def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
     engine = config["engine"]
     profile_a = _profile_from_config(config)
-    p = config["p"]
     initial = config["initial"]
     n_points = config["n_points"]
     t0, t1 = profile_a.window
     times = np.linspace(t0, t1, n_points)
-    written: list[Path] = []
-
-    drive_a, drive_b, c = drive_pair(profile_a, p)
-    # evolve refuses this area too, but only after engine both has written
-    # its analytic file: checked here, a refused run writes no file
+    drive_a, drive_b, c = drive_pair(profile_a, config["p"])
+    # Every trajectory is computed before any file is written, the ODE's
+    # first: a run it refuses (its area bound) or fails writes no file.
+    ode = analytic = None
     if engine in ("ode", "both"):
-        check_area(drive_a, c)
-    if engine in ("analytic", "both"):
-        amps = analytic_trajectory(drive_a, c, times, initial=initial)
-        traj = Trajectory(1, times, amps, {"engine": "analytic"})
-        written.append(_write_trajectory(traj, out / f"{stem}_analytic.csv", args.format))
-    if engine in ("ode", "both"):
-        traj = evolve(
+        ode = evolve(
             build_subspace(1),
             drive_a,
             drive_b,
@@ -418,8 +396,13 @@ def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
             atol=config["ode"]["atol"],
             n_points=n_points,
         )
-        written.append(_write_trajectory(traj, out / f"{stem}_ode.csv", args.format))
-    if config.get("svg"):  # the last trajectory written: ODE if it ran, else analytic
+    if engine in ("analytic", "both"):
+        amps = analytic_trajectory(drive_a, c, times, initial=initial)
+        analytic = Trajectory(1, times, amps, {"engine": "analytic"})
+    written = [_write_trajectory(traj, out / f"{stem}_{name}.csv", args.format)
+               for name, traj in (("analytic", analytic), ("ode", ode)) if traj is not None]
+    if config.get("svg"):  # the ODE trajectory if it ran, else the analytic one
+        traj = ode if ode is not None else analytic
         probs = {f"|{lbl}>": col for lbl, col in zip(traj.basis_labels, traj.probabilities().T)}
         written.append(
             svgmod.line_plot_svg(

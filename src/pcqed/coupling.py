@@ -182,6 +182,8 @@ class CouplingTrace:
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("trace samples must be finite")
+        if self.velocity is not None:
+            _require_positive(velocity=self.velocity)
         times.flags.writeable = False
         values = values.copy()
         values.flags.writeable = False
@@ -210,6 +212,7 @@ class CouplingTrace:
     def at_velocity(self, velocity: float) -> "CouplingTrace":
         """The same path crossed at ``velocity`` (m/s): the times scale by the
         ratio of the recorded velocity to the new one, the values stay."""
+        _require_positive(velocity=velocity)
         if self.velocity is None:
             raise ValueError("trace carries no velocity; cannot rescale to calibrate")
         return CouplingTrace(self.times * (self.velocity / velocity), self.values, velocity=velocity)

@@ -6,16 +6,15 @@ Norsett & Wanner, Solving Ordinary Differential Equations I, sec. II.5
 (their Fortran code ``dop853.f``, whose coefficient names the constants
 below keep).  The state is a list of Python complex numbers: for the few
 components pcqed integrates, scalar arithmetic costs less than array calls
-do.  The right-hand side is a callable fun(t, list) -> list or, so that the
-solver can inline it, a :class:`Source`: lines of code that compute the
-derivative's components from the time and the state's.  A callable is the
-source of one call of it.  One attempted step, its twelve stages, its new
-state, f at its end and its error norm, is one straight-line function
-generated from that source, the number of components, the blocks and the
-tableau's constant names, on first use, and kept; each component's sums
-leave out the tableau's zero coefficients, as ``dop853.f`` writes them.
-The same source, alone, is the right-hand side that the initial step and
-the dense output call.  The dense output is the exception to scalar
+do.  The right-hand side is a :class:`Source`, lines of code that compute
+the derivative's components from the time and the state's, which the
+solver inlines.  One attempted step, its twelve stages, its new state, f at
+its end and its error norm, is one straight-line function generated from
+that source, the number of components, the blocks and the tableau's
+constant names, on first use, and kept; each component's sums leave out
+the tableau's zero coefficients, as ``dop853.f`` writes them.  The same
+source, alone, is the right-hand side that the initial step and the dense
+output call.  The dense output is the exception to scalar
 arithmetic: its interpolants are built and evaluated for many steps at
 once, on numpy arrays of steps x components, with the same operations in
 the same order, and numpy's product of a real and a complex number rounds
@@ -267,12 +266,6 @@ class Source:
         self.lines, self.names, self.values = lines, names, values
 
 
-def _call_source(fun: Callable, n: int) -> Source:
-    """The source of calling ``fun(T, [a_0, ...])`` on n components."""
-    outs = "".join(f"f_{c}, " for c in range(n))
-    return Source((f"{outs}= fun(T, [{', '.join(f'a_{c}' for c in range(n))}])",), ("fun",), (fun,))
-
-
 @lru_cache(maxsize=16)
 def _kernel(n: int, blocks: tuple, lines: tuple, names: tuple) -> Callable:
     """build(*values) -> (step, rhs) of one right-hand side source on n
@@ -343,11 +336,11 @@ def _norm2(v: list) -> float:
 
 
 class DOP853:
-    """One DOP853 run of y' = fun(t, y) forward from t0.
+    """One DOP853 run of y' = f(t, y) forward from t0.
 
-    fun(t, y) takes a float and a list of complex and returns a list of
-    complex; a :class:`Source` of it is inlined into the step, and the
-    solver's ``fun`` is then the function generated from it.  ``t_bound`` is the end of the current span: no step passes it,
+    ``source`` states f and is inlined into the step; the solver's ``fun``,
+    fun(t, y) on a float and a list of complex, is f generated from it
+    alone.  ``t_bound`` is the end of the current span: no step passes it,
     and a caller may move it further once ``t`` has reached it, which
     continues the run with the step size it proposes there.  ``blocks``
     partitions the components into (start, stop) ranges whose norms are
@@ -358,12 +351,12 @@ class DOP853:
     step whose end is at or past it.  The steps that hold output times are
     kept and their interpolants evaluated together, every BATCH of them and
     at the step that reaches the last time.  ``nfev`` counts the
-    evaluations of fun, the initial step's two included.
+    evaluations of f, the initial step's two included.
     """
 
     def __init__(
         self,
-        fun: Callable[[float, list], list] | Source,
+        source: Source,
         t0: float,
         y0: Sequence[complex],
         t_bound: float,
@@ -382,7 +375,6 @@ class DOP853:
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
         self.blocks = [(0, len(self.y))] if blocks is None else [tuple(b) for b in blocks]
-        source = fun if isinstance(fun, Source) else _call_source(fun, len(self.y))
         build = _kernel(len(self.y), tuple(self.blocks), source.lines, source.names)
         self._step, self.fun = build(*source.values)
         self.f = self.fun(t0, self.y)

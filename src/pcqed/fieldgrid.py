@@ -155,8 +155,9 @@ class PathSpec:
         norm = float(np.linalg.norm(d))
         if norm == 0.0 or not np.all(np.isfinite(d)):
             raise ValueError("direction must be a nonzero finite vector")
-        if not (self.length > 0 and self.velocity > 0):
-            raise ValueError("length and velocity must be positive")
+        _require_positive(length=self.length, velocity=self.velocity)
+        if not all(math.isfinite(x) for x in self.entry):
+            raise ValueError("entry must be a finite point")
         object.__setattr__(self, "direction", tuple(d / norm))
         object.__setattr__(self, "entry", tuple(float(x) for x in self.entry))
 

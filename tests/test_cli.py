@@ -403,8 +403,8 @@ class TestGateReport:
     @pytest.mark.parametrize("engine", ["analytic", "ode"])
     def test_non_finite_pulse_area_exits_2(self, tmp_path, capsys, monkeypatch, engine):
         # at 1e-300 m/s the area overflows; without the refusal the ODE would
-        # crawl, so the test refuses to integrate.  The ODE engine's bound on
-        # the absolute area refuses it first, as the config loads.
+        # crawl, so the test refuses to integrate.  truth_table refuses it
+        # before either engine runs.
         def refuse(*args, **kwargs):
             raise AssertionError("the ODE ran")
 
@@ -412,8 +412,7 @@ class TestGateReport:
         config = json.loads(example_config_path("gate_report_swap_generic").read_text())
         path = write_config(tmp_path, "crawl", {**config, "velocity": 1e-300, "engine": engine})
         assert run(["gate-report", "--config", path, "--out", tmp_path]) == 2
-        refusal = "pulse areas must be finite" if engine == "analytic" else "MAX_AREA"
-        assert refusal in capsys.readouterr().err
+        assert "pulse areas must be finite" in capsys.readouterr().err
 
     def test_bundled_entangler_report(self, tmp_path):
         code = run(["gate-report", "--config", example_config_path("gate_report_entangler_generic"), "--out", tmp_path])
@@ -757,6 +756,20 @@ def test_overflowing_drive_exits_3(tmp_path, capsys):
     assert "is not finite" in capsys.readouterr().err
 
 
+def test_failed_ode_run_writes_no_analytic_file(tmp_path):
+    # engine both computes the ODE's trajectory before it writes any file
+    config = generic_config(engine="both")
+    config["profile"]["omega0"] = config["profile"]["velocity"] = 1e160
+    path = write_config(tmp_path, "cfg", config)
+    out = tmp_path / "out"
+    assert run(["evolve", "--config", path, "--out", out]) == 3
+    assert not (out / "cfg_analytic.csv").exists()
+
+
+def no_step(solver):
+    raise AssertionError("the ODE took a step")
+
+
 class TestAreaBound:
     """The ODE engine's work is bounded by the absolute pulse area (ode.MAX_AREA)."""
 
@@ -764,30 +777,27 @@ class TestAreaBound:
         {"velocity": 0.0433},  # 433 m/s typed 1e4x too small: ~30 s of ODE
         {"defect_radius": 1000 * LATTICE_GENERIC, "path_half_length": 1e4 * LATTICE_GENERIC},
     ], ids=["velocity-typo", "wide-cavity"])
-    def test_generic_ode_run_exits_2_at_load(self, edit, tmp_path, monkeypatch, capsys):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a config past the area bound passed validation")
-
-        monkeypatch.setattr(cli, "_profile_from_config", unreachable)
+    def test_generic_ode_run_exits_2_before_any_step(self, edit, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pcqed.dop853.DOP853, "step", no_step)
         config = json.loads(example_config_path("entangler_generic").read_text())
         config["profile"].update(edit)
         for engine in ("ode", "both"):
             path = write_config(tmp_path, "crawl", {**config, "engine": engine})
-            assert run(["evolve", "--config", path, "--out", tmp_path]) == 2
+            out = tmp_path / engine
+            assert run(["evolve", "--config", path, "--out", out]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and "MAX_AREA" in err
-            assert all(name in err for name in ("omega0", "velocity", "defect_radius",
-                                                "path_half_length"))
+            assert list(out.iterdir()) == []
 
-    def test_gate_report_at_a_slow_velocity_exits_2_at_load(self, tmp_path, monkeypatch, capsys):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a config past the area bound passed validation")
-
-        monkeypatch.setattr(cli, "_profile_from_config", unreachable)
+    def test_gate_report_at_a_slow_velocity_exits_2_before_any_step(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        monkeypatch.setattr(pcqed.dop853.DOP853, "step", no_step)
         config = json.loads(example_config_path("gate_report_swap_generic").read_text())
         path = write_config(tmp_path, "crawl", {**config, "velocity": 0.0433, "engine": "ode"})
-        assert run(["gate-report", "--config", path, "--out", tmp_path]) == 2
+        out = tmp_path / "out"
+        assert run(["gate-report", "--config", path, "--out", out]) == 2
         assert "MAX_AREA" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_analytic_engine_and_calibration_are_unbounded(self, tmp_path):
         # the closed form's cost does not grow with the area
@@ -802,15 +812,15 @@ class TestAreaBound:
 
     def test_trace_run_exits_2_before_any_step(self, tmp_path, monkeypatch, capsys):
         # a trace's area is known once it is sampled: 353 m/s typed as 1 m/s
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the ODE ran")
-
-        monkeypatch.setattr(cli, "evolve", unreachable)
+        monkeypatch.setattr(pcqed.dop853.DOP853, "step", no_step)
         config = json.loads(example_config_path("evolve_field3d").read_text())
         config["path"]["velocity"] = 1.0
-        path = write_config(tmp_path, "slow", config)
-        assert run(["evolve", "--config", path, "--out", tmp_path]) == 2
-        assert "MAX_AREA" in capsys.readouterr().err
+        for engine in ("ode", "both"):
+            path = write_config(tmp_path, "slow", {**config, "engine": engine})
+            out = tmp_path / engine
+            assert run(["evolve", "--config", path, "--out", out]) == 2
+            assert "MAX_AREA" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, stem", [("field-stats", "field3d_stats"),

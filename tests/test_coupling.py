@@ -208,6 +208,11 @@ class TestCouplingTrace:
         assert trace(0.0) == 0.0
         assert trace(3.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [0.0, -433.0, math.inf, math.nan])
+    def test_velocity_not_positive_and_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="^velocity must be positive and finite, got"):
+            CouplingTrace([0.0, 1.0], [1.0, 1.0], velocity=bad)
+
 
 def sampled(family, n=801, phase=0.0):
     """The generic profile of ``family`` sampled over its window, times e^(i phase)."""
@@ -245,6 +250,12 @@ class TestAtVelocity:
     def test_trace_without_velocity_is_refused(self):
         with pytest.raises(ValueError, match="no velocity"):
             CouplingTrace([0.0, 1.0], [1.0, 1.0]).at_velocity(433.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -433.0, math.inf, math.nan])
+    def test_trace_refuses_a_velocity_not_positive_and_finite(self, bad):
+        trace = CouplingTrace([0.0, 1.0], [1.0, 1.0], velocity=433.0)
+        with pytest.raises(ValueError, match="^velocity must be positive and finite, got"):
+            trace.at_velocity(bad)
 
 
 class TestDriveFromProfile:

@@ -192,18 +192,19 @@ def check_same_steps(couplings, g_a, g_b, y0, t0, t1, min_steps=1):
     assert np.max(np.abs(mine_d - their_d)) <= 1e-13
 
 
+# y' = -i y and y' = y on one component
+ROTATION = dop853.Source(("f_0 = -1j * a_0",), (), ())
+GROWTH = dop853.Source(("f_0 = a_0",), (), ())
+
+
 class TestSolver:
     def test_nfev_counts_every_call(self):
         # The steps that hold output times span several batches of dense
         # output, and output times do not move the steps.
         def run(times=()):
             calls = []
-
-            def fun(t, y):
-                calls.append(t)
-                return [-1j * v for v in y]
-
-            solver = dop853.DOP853(fun, 0.0, [1 + 0j], 1000.0, 1e-9, 1e-11, times=times)
+            source = dop853.Source(("called(T)", "f_0 = -1j * a_0"), ("called",), (calls.append,))
+            solver = dop853.DOP853(source, 0.0, [1 + 0j], 1000.0, 1e-9, 1e-11, times=times)
             ends = []
             while solver.t < 1000.0:
                 solver.step()
@@ -224,8 +225,7 @@ class TestSolver:
         # The span's last step holds the output time at its end, x = 1, where
         # the interpolant is y_old + (y - y_old).  That step runs the three
         # extra stages; the next one, which holds the time at x = 0, does not.
-        solver = dop853.DOP853(lambda t, y: [-1j * v for v in y], 0.0, [1 + 0j], 1.0, 1e-9,
-                               1e-11, times=[1.0])
+        solver = dop853.DOP853(ROTATION, 0.0, [1 + 0j], 1.0, 1e-9, 1e-11, times=[1.0])
         while solver.t < 1.0:
             y_old, nfev = solver.y, solver.nfev
             solver.step()
@@ -238,30 +238,28 @@ class TestSolver:
 
     def test_output_times_must_follow_t0(self):
         with pytest.raises(ValueError, match="after t0"):
-            dop853.DOP853(lambda t, y: y, 0.0, [1 + 0j], 1.0, 1e-9, 1e-11, times=[0.0, 0.5])
+            dop853.DOP853(GROWTH, 0.0, [1 + 0j], 1.0, 1e-9, 1e-11, times=[0.0, 0.5])
 
     def test_overflowing_first_norm_fails_at_t0(self):
         # |f| over the error scale past 1.3e154 overflows the norm's squares;
         # the first-step guess then divided by zero.
         with pytest.raises(ConvergenceError, match="not finite") as err:
-            dop853.DOP853(lambda t, y: [1e160 * v for v in y], 2.0, [1 + 0j], 3.0, 1e-9, 1e-11)
+            dop853.DOP853(dop853.Source(("f_0 = 1e160 * a_0",), (), ()), 2.0, [1 + 0j], 3.0,
+                          1e-9, 1e-11)
         assert err.value.t == 2.0
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError, match="t0 < t_bound"):
-            dop853.DOP853(lambda t, y: y, 1.0, [1 + 0j], 1.0, 1e-9, 1e-11)
+            dop853.DOP853(GROWTH, 1.0, [1 + 0j], 1.0, 1e-9, 1e-11)
 
 
-def oracle_kernel(couplings, g_a, g_b, attempts):
+def oracle_kernel(fun, attempts):
     """A stand-in for ``dop853._kernel`` built from ``tests/oracles.py``: the
-    table-walk right-hand side and the comprehension step on it, whatever
-    source the solver passes.  Appends the time of every attempted step to
+    comprehension step on the plain right-hand side ``fun``, whatever source
+    the solver passes.  Appends the time of every attempted step to
     ``attempts``."""
     def kernel(n, blocks, lines, names):
-        rhs = table_rhs(couplings, g_a, g_b, n) if couplings is not None else None
-
         def build(*values):
-            fun = rhs or dict(zip(names, values))["fun"]  # a callable's own source
             oracle = comprehension_step(fun, blocks)
 
             def step(t, *args):
@@ -287,7 +285,8 @@ def check_matches_oracles(couplings, g_a, g_b, y0, t0, t1, blocks=None, n_times=
         return steps, solver.nfev, np.array(solver.y).tobytes(), solver.dense.tobytes()
 
     mine, attempts = run(), []
-    with mock.patch.object(dop853, "_kernel", oracle_kernel(couplings, g_a, g_b, attempts)):
+    with mock.patch.object(dop853, "_kernel",
+                           oracle_kernel(table_rhs(couplings, g_a, g_b, len(y0)), attempts)):
         theirs = run()
     assert len(mine[0]) >= min_steps
     assert len(attempts) - len(mine[0]) >= min_rejected
@@ -364,13 +363,18 @@ class TestStraightLineKernels:
                               n_times=50, min_rejected=3)
 
     def test_callable_source(self):
-        # a bare fun(t, y) -> list, inlined as one call per stage, with rejections
+        # a piecewise source with a temporary of its own, with rejections,
+        # against a plain function of the same arithmetic
+        source = dop853.Source(("rate = 3.0 if T > 0.4 else 0.5",
+                                "f_0 = -1j * rate * a_1",
+                                "f_1 = -1j * rate * a_0 + 0.1 * a_1"), (), ())
+
         def fun(t, y):
             rate = 3.0 if t > 0.4 else 0.5
             return [-1j * rate * y[1], -1j * rate * y[0] + 0.1 * y[1]]
 
         def run():
-            solver = dop853.DOP853(fun, 0.0, [1 + 0j, 0j], 5.0, 1e-9, 1e-11,
+            solver = dop853.DOP853(source, 0.0, [1 + 0j, 0j], 5.0, 1e-9, 1e-11,
                                    times=np.linspace(0.0, 5.0, 101)[1:])
             ends = []
             while solver.t < 5.0:
@@ -379,7 +383,7 @@ class TestStraightLineKernels:
             return ends, solver.nfev, np.array(solver.y).tobytes(), solver.dense.tobytes()
 
         mine, attempts = run(), []
-        with mock.patch.object(dop853, "_kernel", oracle_kernel(None, None, None, attempts)):
+        with mock.patch.object(dop853, "_kernel", oracle_kernel(fun, attempts)):
             theirs = run()
         assert len(attempts) > len(mine[0])
         assert mine == theirs

@@ -332,6 +332,20 @@ class TestSynthesizeMode:
             grid_from_json(path)
 
 
+class TestPathSpec:
+    @pytest.mark.parametrize("name", ["length", "velocity"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_size_not_positive_and_finite_refused_by_name(self, name, bad):
+        sizes = {"length": 1e-3, "velocity": 374.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            PathSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), **sizes)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_entry_not_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="entry must be a finite point"):
+            PathSpec((0.0, bad, 0.0), (1.0, 0.0, 0.0), 1e-3, 374.0)
+
+
 class TestCouplingTraceFromField:
     def center_path(self, grid, velocity=374.0, zeta=0.0, frac=0.9):
         lo, hi = grid.bounds
