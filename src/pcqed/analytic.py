@@ -25,6 +25,7 @@ from .core import build_subspace
 from .coupling import exact_area
 
 __all__ = [
+    "MAX_LAMBDA",
     "amplitudes",
     "logical_unitary",
     "two_excitation_unitary",
@@ -35,13 +36,21 @@ __all__ = [
 # (removable singularity at Lambda = 0).
 _SMALL_LAMBDA = 1e-6
 
+# The largest total area the closed form takes: the square root of the
+# largest double, past which Lambda^2 overflows and the amplitudes turn NaN.
+MAX_LAMBDA = float(np.sqrt(np.finfo(float).max))
+
 
 def _trig_factors(lam):
     """(cos Lambda - 1) / Lambda^2 and sin(Lambda) / Lambda, elementwise.
 
     Both switch to their Taylor forms below _SMALL_LAMBDA (removable
-    singularity at Lambda = 0).
+    singularity at Lambda = 0).  Raises ValueError, before any square, when
+    any Lambda is not at most MAX_LAMBDA (NaN included).
     """
+    if not (lam <= MAX_LAMBDA).all():
+        raise ValueError(f"total pulse area {np.max(lam):g} rad is past the closed form's "
+                         f"limit of {MAX_LAMBDA:g} rad, the square root of the largest double")
     small = lam < _SMALL_LAMBDA
     safe = np.where(small, 1.0, lam)
     cosm1_over_sq = (np.cos(safe) - 1.0) / safe**2

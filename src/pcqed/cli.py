@@ -9,9 +9,10 @@ A number literal that is not a finite double (``NaN``, ``Infinity``,
 0.0.  Outputs are deterministic for a fixed config; every table is written by
 :func:`pcqed.core.write_csv`.  Every command runs under one protocol, in
 :func:`main`: load the config, create the output directory, run, print each
-path written, and map exceptions to exit codes: 0 ok, 2 config error, 3
-integrator convergence failure, 4 calibration not found.  Any other
-exception is a pcqed bug and propagates: exit 1, with a traceback.
+path written, and map exceptions to exit codes: 0 ok, 2 config error or an
+``--out`` that cannot be created or written into, 3 integrator convergence
+failure, 4 calibration not found.  Any other exception is a pcqed bug and
+propagates: exit 1, with a traceback.
 """
 
 from __future__ import annotations
@@ -326,6 +327,18 @@ def _build_grid(config: dict) -> FieldGrid:
     return grid_from_json(block["path"])
 
 
+def _mode(config: dict):
+    """The configured grid, its peak position and eps_m, its mode volume, and g0: the
+    'g0' key, else derived from 'dipole_moment' and 'omega_cav' when both are set, else None."""
+    grid = _build_grid(config)
+    r_m, eps_m = peak_energy_point(grid)
+    v_mode = mode_volume(grid, config.get("effective_height"))
+    g0 = config.get("g0")
+    if g0 is None and "dipole_moment" in config and "omega_cav" in config:
+        g0 = g0_from_params(config["dipole_moment"], config["omega_cav"], eps_m, v_mode)
+    return grid, r_m, eps_m, v_mode, g0
+
+
 def _generic_params(block: dict) -> GenericProfileParams:
     """Generic-profile parameters from a validated 'profile' or 'family' block.
 
@@ -344,13 +357,8 @@ def _profile_from_config(config: dict):
     if config["scenario"] == "generic":
         return GenericProfile(_generic_params(config["profile"]))
     path = PathSpec(**config["path"])
-    grid = _build_grid(config)
-    _, eps_m = peak_energy_point(grid)
-    v_mode = mode_volume(grid, config.get("effective_height"))
-    if "g0" in config:
-        cavity = CavityParams(config["omega_cav"], eps_m, v_mode, g0=config["g0"])
-    else:
-        cavity = CavityParams.from_dipole(config["dipole_moment"], config["omega_cav"], eps_m, v_mode)
+    grid, _, eps_m, v_mode, g0 = _mode(config)
+    cavity = CavityParams(config["omega_cav"], eps_m, v_mode, g0=g0)
     return coupling_trace_from_field(grid, path, cavity, config["n_samples"])
 
 
@@ -494,13 +502,8 @@ def _cmd_gate_report(config: dict, out: Path, stem: str, args) -> list[Path]:
 
 
 def _cmd_field_stats(config: dict, out: Path, stem: str, args) -> list[Path]:
-    grid = _build_grid(config)
-    r_m, eps_m = peak_energy_point(grid)
-    v_mode = mode_volume(grid, config.get("effective_height"))
+    grid, r_m, eps_m, v_mode, g0 = _mode(config)
     pol = polarization_fraction(grid, config.get("plane_index", grid.dims[2] // 2))
-    g0 = None
-    if "dipole_moment" in config and "omega_cav" in config:
-        g0 = g0_from_params(config["dipole_moment"], config["omega_cav"], eps_m, v_mode)
     doc = {
         "v_mode_m3": v_mode,
         "r_m": r_m.tolist(),
@@ -577,6 +580,9 @@ def main(argv: list[str] | None = None) -> int:
             print(path)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every input is read while the config loads, so this is --out
+        print(f"output error: cannot write into {args.out}: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

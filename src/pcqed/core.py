@@ -90,8 +90,8 @@ def photon_lifetime(q_factor: float, omega: float) -> float:
 class CavityParams:
     """Single-mode cavity: frequency, permittivity at the peak, volume, coupling.
 
-    ``g0`` is taken as given, as the CLI's ``g0`` key sets it;
-    :meth:`from_dipole` derives it from a dipole moment and the other fields.
+    ``g0`` is taken as given; :func:`g0_from_params` derives it from a dipole
+    moment and the other three fields.
     """
 
     omega_cav: float      # rad/s
@@ -106,13 +106,6 @@ class CavityParams:
             mode_volume=self.mode_volume,
             g0=self.g0,
         )
-
-    @classmethod
-    def from_dipole(
-        cls, mu_eg: float, omega_cav: float, eps_m: float, mode_volume: float
-    ) -> "CavityParams":
-        g0 = g0_from_params(mu_eg, omega_cav, eps_m, mode_volume)
-        return cls(omega_cav=omega_cav, eps_m=eps_m, mode_volume=mode_volume, g0=g0)
 
 
 @cache

@@ -162,13 +162,15 @@ class PathSpec:
         object.__setattr__(self, "entry", tuple(float(x) for x in self.entry))
 
 
-def _energy_density(grid: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
-    """|E|^2 and eps |E|^2 per cell; raises ValueError for a field that is identically zero."""
+def _energy_density(grid: FieldGrid) -> tuple[np.ndarray, np.ndarray, int]:
+    """|E|^2 and eps |E|^2 per cell, and the flat index of the latter's peak (the
+    lowest on a tie); raises ValueError for a field that is identically zero."""
     intensity = grid.field_intensity()
     density = grid.epsilon * intensity
-    if not np.any(density > 0):
+    peak = int(np.argmax(density))
+    if not density.flat[peak] > 0:
         raise ValueError("field is identically zero")
-    return intensity, density
+    return intensity, density, peak
 
 
 def peak_energy_point(grid: FieldGrid) -> tuple[np.ndarray, float]:
@@ -176,9 +178,7 @@ def peak_energy_point(grid: FieldGrid) -> tuple[np.ndarray, float]:
 
     Ties break deterministically to the lowest linear (row-major) index.
     """
-    density = _energy_density(grid)[1]
-    flat_idx = int(np.argmax(density))
-    idx = np.unravel_index(flat_idx, grid.dims)
+    idx = np.unravel_index(_energy_density(grid)[2], grid.dims)
     r_m = np.array([grid.axis_centers(k)[i] for k, i in enumerate(idx)])
     return r_m, float(grid.epsilon[idx])
 
@@ -190,7 +190,7 @@ def mode_volume(grid: FieldGrid, effective_height: float | None = None) -> float
     multiplied by an effective height: the explicit argument if given, else
     the grid's lattice constant.
     """
-    density = _energy_density(grid)[1]
+    _, density, peak = _energy_density(grid)
     hx, hy, hz = grid.spacing
     if grid.is_2d:
         height = effective_height if effective_height is not None else grid.lattice_const
@@ -203,7 +203,7 @@ def mode_volume(grid: FieldGrid, effective_height: float | None = None) -> float
         cell = hx * hy * height
     else:
         cell = hx * hy * hz
-    return float(np.sum(density) * cell / np.max(density))
+    return float(np.sum(density) * cell / density.flat[peak])
 
 
 def polarization_fraction(grid: FieldGrid, plane_index: int) -> float:
@@ -307,10 +307,10 @@ def coupling_trace_from_field(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    intensity, density = _energy_density(grid)
+    intensity, _, peak = _energy_density(grid)
     # Psi normalizes by |E| at the energy-density maximum, not the global
     # |E| maximum (the two coincide only when the peak sits in dielectric).
-    peak_mag = math.sqrt(float(intensity.flat[int(np.argmax(density))]))
+    peak_mag = math.sqrt(float(intensity.flat[peak]))
     sample = _interpolators(grid)
 
     s_lo, s_hi = _clip_to_bounds(path, grid)

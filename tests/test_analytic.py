@@ -159,6 +159,26 @@ class TestLogicalUnitary:
         assert len(calls) == 1
 
 
+class TestAreaLimit:
+    """Past sqrt(largest double) the total area's square overflows; the closed form refuses it."""
+
+    @pytest.mark.parametrize("lam", [2e154, math.nan])
+    def test_refused_before_any_square(self, lam):
+        with np.errstate(all="raise"):  # a square taken first would raise FloatingPointError
+            with pytest.raises(ValueError, match="closed form's limit"):
+                amplitudes(lam, 0.0)
+            with pytest.raises(ValueError, match="closed form's limit"):
+                amplitudes([1.0, lam], [0.0, 0.0], "001")
+            with pytest.raises(ValueError, match="closed form's limit"):
+                logical_unitary(lam / math.sqrt(2), lam / math.sqrt(2))
+
+    def test_finite_just_below_the_limit(self):
+        assert 1.3e154 <= analytic.MAX_LAMBDA
+        for initial in ("100", "010", "001"):
+            assert all(np.all(np.isfinite(x)) for x in amplitudes(1.3e154, 0.0, initial))
+        assert np.all(np.isfinite(logical_unitary(1.2e154, 0.3e154)))
+
+
 class TestAnalyticTrajectory:
     def test_final_point_matches_quadrature_areas(self, fig_family):
         profile = GenericProfile(fig_family)

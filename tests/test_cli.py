@@ -197,6 +197,29 @@ class TestFieldStats:
         err = capsys.readouterr().err
         assert err.startswith("config error: spacing") and "lattice_const" in err
 
+    def test_same_mode_analysis_as_a_field_scenario(self, tmp_path, field3d_config, monkeypatch):
+        # one field block and one dipole moment: field-stats and the trace it
+        # drives see bit-identical eps_m, mode volume and g0
+        scenario = {k: v for k, v in field3d_config.items()
+                    if k not in ("initial", "engine", "svg", "g0")}
+        scenario["dipole_moment"] = 2e-26
+        cavities = []
+        sample = cli.coupling_trace_from_field
+
+        def recording(grid, path, cavity, n_samples):
+            cavities.append(cavity)
+            return sample(grid, path, cavity, n_samples)
+
+        monkeypatch.setattr(cli, "coupling_trace_from_field", recording)
+        assert run(["profile", "--config", write_config(tmp_path, "trace", scenario), "--out", tmp_path]) == 0
+        stats = {k: scenario[k] for k in ("field", "dipole_moment", "omega_cav")}
+        assert run(["field-stats", "--config", write_config(tmp_path, "stats", stats), "--out", tmp_path]) == 0
+        doc = json.loads((tmp_path / "stats_stats.json").read_text())
+        (cavity,) = cavities
+        assert doc["eps_m"] == cavity.eps_m
+        assert doc["v_mode_m3"] == cavity.mode_volume
+        assert doc["g0_rad_s"] == cavity.g0
+
     @pytest.mark.parametrize("damage, message", [
         (None, "cannot load field grid"),
         ("components", "lacks key 'components'"),
@@ -821,6 +844,48 @@ class TestAreaBound:
             assert run(["evolve", "--config", path, "--out", out]) == 2
             assert "MAX_AREA" in capsys.readouterr().err
             assert list(out.iterdir()) == []
+
+
+class TestClosedFormLimit:
+    """The closed form refuses a total area past analytic.MAX_LAMBDA, whose
+    square would overflow: exit 2, no file written and no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, stem, edit, profile_edit", [
+        ("evolve", "entangler_generic", {"engine": "analytic"}, {"omega0": 1e170}),
+        ("sweep", "sweep_default", {"v_range": [1e-300, 2e-300], "resolution": [3, 3]}, {}),
+        ("gate-report", "gate_report_entangler_generic", {"velocity": 433.0}, {"omega0": 1e170}),
+    ], ids=["evolve", "sweep", "gate-report"])
+    def test_area_past_the_limit_exits_2(self, command, stem, edit, profile_edit, tmp_path, capsys):
+        config = {**json.loads(example_config_path(stem).read_text()), **edit}
+        config.get("profile", {}).update(profile_edit)
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, stem, config), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: total pulse area") and "closed form's limit" in err
+        assert list(out.iterdir()) == []
+
+
+class TestOutDirectory:
+    """An --out that cannot be created or written into exits 2 with one line naming the path."""
+
+    def test_existing_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "F"
+        target.write_text("")
+        config = example_config_path("calibrate_not_generic")
+        assert run(["calibrate", "--config", config, "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(target) in err
+        assert target.read_text() == ""
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        # a directory where the calibration file goes
+        blocked = tmp_path / "out" / "calibrate_not_generic_calibration.json"
+        blocked.mkdir(parents=True)
+        config = example_config_path("calibrate_not_generic")
+        assert run(["calibrate", "--config", config, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(blocked) in err
 
 
 @pytest.mark.parametrize("command, stem", [("field-stats", "field3d_stats"),

@@ -64,10 +64,6 @@ class TestPhotonLifetime:
 
 
 class TestCavityParams:
-    def test_from_dipole_is_consistent(self):
-        cav = CavityParams.from_dipole(MU_RB, OMEGA_MM, 12.0, 1e-9)
-        assert cav.g0 == g0_from_params(MU_RB, OMEGA_MM, 12.0, 1e-9)
-
     def test_rejects_non_positive_volume(self):
         with pytest.raises(ValueError):
             CavityParams(omega_cav=OMEGA_MM, eps_m=12.0, mode_volume=0.0, g0=1e6)
