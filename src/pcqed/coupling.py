@@ -7,6 +7,15 @@ from a discretized mode field.  The drives built from both integrate into
 pulse areas, the angles that drive the Rabi rotations downstream, and every
 such area has a closed form.
 
+Each drive also states its value at one time T as source lines, which the
+ODE engine inlines into its generated DOP853 step: ``scalar_lines(out, p)``
+returns (lines, names, values), lines that read T and ``names`` and set
+``out``, the names bound to ``values`` when the step is built.  Every
+other name the lines read or set begins with ``p`` or is a builtin.  The
+text is the formula alone: the samples, parameters and factor of a drive
+are values the lines read by name, so every drive of one kind shares one
+generated step.
+
 Drive convention, decided in one place, :func:`drive_from_profile`:
 analytic generic profiles are real and signed and drive the interaction as
 they are; traces sampled from mode fields may be complex and drive it
@@ -77,7 +86,8 @@ _FIELDS = (*_POSITIVE, "zeta")
 
 @dataclass(frozen=True)
 class GenericProfile:
-    """Callable wrapper of the generic analytic profile over its transit window."""
+    """Callable wrapper of the generic analytic profile over its transit
+    window; its formula at one time is :meth:`scalar_lines`."""
 
     params: GenericProfileParams
 
@@ -97,17 +107,17 @@ class GenericProfile:
         )
         return value if value.ndim else float(value)
 
-    def at(self, t: float) -> float:
-        """The coupling at one time t, as a Python float: the call's formula
-        term by term on scalars, for the ODE's right-hand side."""
+    def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
+        """(lines, names, values): the call's formula at one time T on Python
+        floats, as source that sets ``out``, term by term with Omega0 cos(zeta)
+        taken first as one number W."""
         params = self.params
-        x = params.velocity * t - params.path_half_length
-        return (
-            params.omega0
-            * math.cos(params.zeta)
-            * math.exp(-abs(x) / params.defect_radius)
-            * math.cos(math.pi * x / params.lattice_const)
-        )
+        lines = (f"{p}x = {p}V * T - {p}L",
+                 f"{out} = {p}W * {p}exp(-abs({p}x) / {p}R) * {p}cos({p}PI * {p}x / {p}l)")
+        names = tuple(p + name for name in ("V", "L", "W", "R", "l", "exp", "cos", "PI"))
+        return lines, names, (params.velocity, params.path_half_length,
+                              params.omega0 * math.cos(params.zeta), params.defect_radius,
+                              params.lattice_const, math.exp, math.cos, math.pi)
 
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         """Times in (t0, t1) where the profile's derivative jumps: the peak,
@@ -134,7 +144,8 @@ class GenericProfile:
 
 @dataclass(frozen=True)
 class ScaledProfile:
-    """A drive times a constant factor: atom B's drive, as :func:`drive_pair` builds it."""
+    """A drive times a constant factor: atom B's drive, as :func:`drive_pair`
+    builds it.  Its lines are the base's, then the factor times their value."""
 
     base: object
     factor: float
@@ -142,9 +153,11 @@ class ScaledProfile:
     def __call__(self, t):
         return self.factor * self.base(t)
 
-    def at(self, t: float) -> float:
-        """The value at one time t: factor times the base's own scalar value."""
-        return self.factor * self.base.at(t)
+    def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
+        """(lines, names, values): the base's own lines, then ``out`` as the
+        factor times their value."""
+        lines, names, values = self.base.scalar_lines(f"{p}g", f"{p}b_")
+        return (*lines, f"{out} = {p}c * {p}g"), (*names, f"{p}c"), (*values, self.factor)
 
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         """The base's breakpoints in (t0, t1)."""
@@ -220,28 +233,38 @@ class CouplingTrace:
 
 @dataclass(frozen=True)
 class TraceMagnitude:
-    """|g| of a sampled trace: the drive a field-derived trace puts into the interaction."""
+    """|g| of a sampled trace: the drive a field-derived trace puts into the
+    interaction.  Its lines at one time (:meth:`scalar_lines`) read the
+    samples and the segments' slopes as values, so one text serves every
+    real trace and another every complex one."""
 
     trace: CouplingTrace
 
     def __call__(self, t):
         return np.abs(self.trace(t))
 
-    def at(self, t: float) -> float:
-        """|g| at one time t, as a Python float: the arithmetic of ``np.interp``
-        on the bracketing samples, found by bisection."""
-        times, re, im = self._samples
-        j = bisect.bisect_right(times, t) - 1
-        if j < 0 or t > times[-1]:
-            return 0.0
-        if t == times[j]:
-            return abs(complex(re[j], im[j])) if im else abs(re[j])
-        u = t - times[j]
-        h = times[j + 1] - times[j]
-        value = (re[j + 1] - re[j]) / h * u + re[j]
+    def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
+        """(lines, names, values): |g| at one time T as source that sets
+        ``out``, with the arithmetic of ``np.interp`` on the bracketing
+        samples: the segment j found by bisection, then |g_j| at its sample
+        and |slope_j u + g_j| at u = T - t_j past it, with each segment's
+        slope precomputed, and 0.0 outside the window."""
+        times, re, im, re_slope, im_slope = self._segments
+        names = ["bisect", "times", "end", "re", "re_slope"]
+        values = [bisect.bisect_right, times, times[-1], re, re_slope]
+        sample, value = f"{p}re[{p}j]", f"{p}re_slope[{p}j] * {p}u + {p}re[{p}j]"
         if im:
-            return abs(complex(value, (im[j + 1] - im[j]) / h * u + im[j]))
-        return abs(value)
+            names += ["im", "im_slope"]
+            values += [im, im_slope]
+            sample = f"complex({sample}, {p}im[{p}j])"
+            value = f"complex({value}, {p}im_slope[{p}j] * {p}u + {p}im[{p}j])"
+        lines = (f"{p}j = {p}bisect({p}times, T) - 1",
+                 f"if {p}j < 0 or T > {p}end:",
+                 f"    {out} = 0.0",
+                 "else:",
+                 f"    {p}u = T - {p}times[{p}j]",
+                 f"    {out} = abs({value}) if {p}u else abs({sample})")
+        return lines, tuple(p + name for name in names), tuple(values)
 
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         """Times in (t0, t1) where |g| bends: the sample times, and each
@@ -253,11 +276,21 @@ class TraceMagnitude:
         return _inside(self._kinks, t0, t1)
 
     @cached_property
-    def _samples(self) -> tuple[list, list, list]:
-        """Times, real parts and imaginary parts (empty for a real trace) as lists."""
-        values = self.trace.values
-        im = values.imag.tolist() if self.trace.is_complex else []
-        return self.trace.times.tolist(), values.real.tolist(), im
+    def _segments(self) -> tuple[list, ...]:
+        """Times, real parts, imaginary parts and each segment's slopes of
+        both parts, (g_(j+1) - g_j) / (t_(j+1) - t_j), as lists; a real
+        trace's imaginary parts and slopes are empty.  A slope past the
+        largest double is inf, as that quotient is on Python floats."""
+        times, values = self.trace.times, self.trace.values
+        steps = np.diff(times)
+
+        def split(part):
+            with np.errstate(over="ignore"):
+                return part.tolist(), (np.diff(part) / steps).tolist()
+
+        re, re_slope = split(values.real)
+        im, im_slope = split(values.imag) if self.trace.is_complex else ([], [])
+        return times.tolist(), re, im, re_slope, im_slope
 
     @cached_property
     def _kinks(self) -> np.ndarray:

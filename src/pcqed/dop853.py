@@ -257,7 +257,10 @@ class Source:
     ``values``.  Any other name they set is a temporary of their own and
     must not be one of the step's: t, h, y, k1, rtol, atol, s, s3, s5, err,
     sqrt, the tableau's constant names, or a name that ends in an
-    underscore and digits.
+    underscore and digits.  The lines and names are the key of the
+    generated code (:func:`_kernel`): they state formulas, the drives'
+    included, and every number of a run enters through ``values``, so runs
+    that differ only in their numbers share one step.
     """
 
     __slots__ = ("lines", "names", "values")
@@ -283,8 +286,10 @@ def _kernel(n: int, blocks: tuple, lines: tuple, names: tuple) -> Callable:
     These are the operations of one list comprehension per stage, of the
     right-hand side the source states and of the norms over list slices,
     in the same order, so the results are the same to the bit.  The code
-    is built from the integers n and ``blocks``, the source and the names
-    of this module's constants alone; no value of a run enters it.
+    is built from the integers n and ``blocks``, the source's text, which
+    may state the drives' formulas, and the names of this module's
+    constants alone; no value of a run enters it, so a run whose source
+    differs from a cached one only in its values reuses that code.
     """
     def source(out: str) -> list:  # the right-hand side, writing <out>_<c>
         return ["        " + re.sub(r"\bf_(\d+)\b", rf"{out}_\1", line) for line in lines]
@@ -506,9 +511,6 @@ class DOP853:
 
     def _rows(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         """fun on each row of y at its time in t, one call per row."""
-        out = np.empty_like(y)
-        # One row is a list at a time, so few Python objects live whatever BATCH is.
-        for i, s in enumerate(t.tolist()):
-            out[i] = self.fun(s, y[i].tolist())
-        self.nfev += len(out)
-        return out
+        rows = [self.fun(s, row) for s, row in zip(t.tolist(), y.tolist())]
+        self.nfev += len(rows)
+        return np.array(rows, dtype=complex)

@@ -11,12 +11,15 @@ The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
 complex scalars, with its interpolants evaluated on arrays.  The
 right-hand side is handed to it as source code stated from the coupling
 table (:func:`_source`), which the solver inlines at every stage of one
-generated step function per table.  DOP853 assumes a smooth right-hand
-side; a step across a jump in a derivative of the drive loses its order and
-its error estimate.  The drives of :mod:`pcqed.coupling` report such
-breakpoints, and :func:`evolve` and :func:`final_states` step span by span
-between them (Hairer, Norsett & Wanner, Solving Ordinary Differential
-Equations I, sec. II.6) through one private integration loop.  Any other
+generated step function per table.  Each drive that pcqed builds enters
+that source as its own formula, whose text holds no value of a run: the
+samples, parameters and factors are values bound by name, so the runs of
+one kind of drive share one generated step.  DOP853 assumes a smooth
+right-hand side; a step across a jump in a derivative of the drive loses
+its order and its error estimate.  The drives of :mod:`pcqed.coupling`
+report such breakpoints, and :func:`evolve` and :func:`final_states` step
+span by span between them (Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, sec. II.6) through one private integration loop.  Any other
 callable integrates as one span.  The work grows with the drives' absolute
 pulse area: a run whose atom B drives as c times atom A, as
 :func:`pcqed.coupling.drive_pair` builds the pair, refuses before any step
@@ -124,8 +127,8 @@ def evolve(
     """Integrate i psi' = H(t) psi from t0 to t1 with DOP853, span by span.
 
     g_a, g_b: coupling strengths as functions of time, rad/s (complex
-    allowed).  A drive that pcqed builds (:mod:`pcqed.coupling`) is read
-    through its scalar evaluator ``at`` and reports ``breakpoints``, the
+    allowed).  A drive that pcqed builds (:mod:`pcqed.coupling`) enters
+    the generated step as its own formula and reports ``breakpoints``, the
     times where its derivative jumps; the integrator stops at every
     breakpoint of either drive and resumes from there, so no step straddles
     a kink.  Any other callable is called as it is and, reporting no
@@ -284,36 +287,53 @@ def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> Source:
     """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components,
     as straight-line source.
 
-    Reads each drive once per evaluation, through its scalar evaluator ``at``
-    if it has one.  When ``scaled``, atom B's drive is a ScaledProfile of
-    atom A's (:func:`_integrate` decides) and is read as its factor c times
-    atom A's value, the number its own ``at`` returns, so atom A is read
-    once.  Entry e of the table makes c_e = (-i factor_e) g_atom, and
-    component i sums, from 0j and in the order of the table, + c_e psi[col]
-    over the entries whose row is i and - c_e.conjugate() psi[row] over
-    those whose column is i: the operations of accumulating the table entry
-    by entry, in the same order.  Raises ConvergenceError on a non-finite
-    coupling, at the time it was read: the step control would shrink the
-    step to nothing on NaN.  The lines hold the table's integers alone; the
-    drives and the factors are values.
+    Sets g0 to atom A's drive at T and g1 to atom B's (:func:`_drive_lines`):
+    a drive pcqed builds as its own formula, inlined, any other callable by
+    a call.  When ``scaled``, atom B's drive is a ScaledProfile of atom A's
+    (:func:`_integrate` decides) and g1 is its factor c times g0, the
+    number B's own lines give, so atom A's formula is evaluated once.
+    Entry e of the table makes c_e = (-i factor_e) g_atom, and component i
+    sums, from 0j and in the order of the table, + c_e psi[col] over the
+    entries whose row is i and - c_e.conjugate() psi[row] over those whose
+    column is i: the operations of accumulating the table entry by entry,
+    in the same order.  Raises ConvergenceError on a non-finite coupling,
+    at the time it was read: the step control would shrink the step to
+    nothing on NaN.  g - g is 0 for a finite g and NaN otherwise, so the
+    check calls nothing.  The lines hold the table's integers and the
+    drives' formulas alone; every number of a run, the factors included,
+    is a value.
     """
-    drive_a = getattr(g_a, "at", g_a)
-    drive_b = g_b.factor if scaled else getattr(g_b, "at", g_b)
+    a_lines, a_names, a_values = _drive_lines(g_a, "g0", "da_")
+    if scaled:
+        b_lines, b_names, b_values = ("g1 = db_c * g0",), ("db_c",), (g_b.factor,)
+    else:
+        b_lines, b_names, b_values = _drive_lines(g_b, "g1", "db_")
     terms = [[] for _ in range(dim)]
     for e, (row, col, _, _) in enumerate(couplings):
         terms[row].append(f" + c{e} * a_{col}")
         terms[col].append(f" - c{e}.conjugate() * a_{row}")
-    lines = ("g0 = drive_a(T)",
-             f"g1 = {'drive_b * g0' if scaled else 'drive_b(T)'}",
-             "if not (isfinite(g0) and isfinite(g1)):",
+    lines = (*a_lines, *b_lines,
+             "if g0 - g0 or g1 - g1:",
              "    non_finite(T)",
              *(f"c{e} = m{e} * g{atom}" for e, (_, _, atom, _) in enumerate(couplings)),
              *(f"f_{i} = 0j{''.join(parts)}" for i, parts in enumerate(terms)))
     # -i H[row, col] is (-i factor) g_atom; -i H[col, row] is minus its conjugate
     factors = [-1j * factor for *_, factor in couplings]
-    return Source(lines, ("drive_a", "drive_b", "isfinite", "non_finite",
+    return Source(lines, (*a_names, *b_names, "isfinite", "non_finite",
                           *(f"m{e}" for e in range(len(couplings)))),
-                  (drive_a, drive_b, cmath.isfinite, _non_finite, *factors))
+                  (*a_values, *b_values, cmath.isfinite, _non_finite, *factors))
+
+
+def _drive_lines(drive, out: str, p: str) -> tuple[tuple, tuple, tuple]:
+    """(lines, names, values) that set ``out`` to ``drive`` at T: the drive's
+    own ``scalar_lines`` (:mod:`pcqed.coupling`), or a call of any other
+    callable.  A callable may return a numpy scalar, whose inf - inf warns
+    where a Python number's is NaN, so its value is checked by
+    ``isfinite`` as it is read."""
+    if hasattr(drive, "scalar_lines"):
+        return drive.scalar_lines(out, p)
+    return ((f"{out} = {p}call(T)", f"if not isfinite({out}):", "    non_finite(T)"),
+            (f"{p}call",), (drive,))
 
 
 def _non_finite(t: float):

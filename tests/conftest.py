@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pcqed import dop853
 from pcqed.core import CavityParams
 from pcqed.coupling import GenericProfileParams
 from pcqed.fieldgrid import (
@@ -45,6 +46,15 @@ def generic_family(velocity: float = 433.0, zeta: float = 0.0) -> GenericProfile
         velocity=velocity,
         zeta=zeta,
     )
+
+
+def inlined(drive):
+    """The drive's value at one time, as the generated DOP853 code inlines
+    it: its ``scalar_lines`` run by the right-hand side that
+    ``dop853._kernel`` generates from them, as a function of T."""
+    lines, names, values = drive.scalar_lines("g", "d_")
+    rhs = dop853._kernel(1, ((0, 1),), (*lines, "f_0 = g"), names)(*values)[1]
+    return lambda t: rhs(t, [0j])[0]
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Independent reference implementations that only the tests use."""
 
+import bisect
 import cmath
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 
 import pcqed
 from pcqed.core import EPS0, HBAR, CalibrationError, ConvergenceError
+from pcqed.coupling import GenericProfile, ScaledProfile, TraceMagnitude
 from pcqed.dop853 import (
     A21, A31, A32, A41, A43, A51, A53, A54, A61, A64, A65, A71, A74, A75, A76,
     A81, A84, A85, A86, A87, A91, A94, A95, A96, A97, A98,
@@ -246,12 +248,57 @@ def comprehension_step(fun, blocks):
     return step
 
 
+def drive_at(drive):
+    """The drive's value at one time, as a function of a Python float.
+
+    A drive pcqed builds is evaluated by its vectorized call's formula term
+    by term on Python scalars: the generic profile as Omega0 cos(zeta)
+    exp(-|x| / R) cos(pi x / l) with x = V t - L, a trace's magnitude as
+    the arithmetic of ``np.interp`` on the bracketing samples, found by
+    bisection (0.0 outside the window), and a ScaledProfile as its factor
+    times its base's value.  Any other callable is returned as it is.
+    """
+    if isinstance(drive, ScaledProfile):
+        base = drive_at(drive.base)
+        return lambda t: drive.factor * base(t)
+    if isinstance(drive, GenericProfile):
+        params = drive.params
+
+        def generic(t):
+            x = params.velocity * t - params.path_half_length
+            return (params.omega0 * math.cos(params.zeta)
+                    * math.exp(-abs(x) / params.defect_radius)
+                    * math.cos(math.pi * x / params.lattice_const))
+
+        return generic
+    if isinstance(drive, TraceMagnitude):
+        values = drive.trace.values
+        times, re = drive.trace.times.tolist(), values.real.tolist()
+        im = values.imag.tolist() if drive.trace.is_complex else []
+
+        def magnitude(t):
+            j = bisect.bisect_right(times, t) - 1
+            if j < 0 or t > times[-1]:
+                return 0.0
+            if t == times[j]:
+                return abs(complex(re[j], im[j])) if im else abs(re[j])
+            u = t - times[j]
+            h = times[j + 1] - times[j]
+            value = (re[j + 1] - re[j]) / h * u + re[j]
+            if im:
+                return abs(complex(value, (im[j + 1] - im[j]) / h * u + im[j]))
+            return abs(value)
+
+        return magnitude
+    return drive
+
+
 def table_rhs(couplings, g_a, g_b, dim):
     """The right-hand side that :func:`pcqed.ode._source` states, walking the
-    coupling table entry by entry and reading both drives, atom B's through
-    its own ``at``: -i H(t) psi with H from ``couplings`` over ``dim``
-    components."""
-    drives = (getattr(g_a, "at", g_a), getattr(g_b, "at", g_b))
+    coupling table entry by entry and reading both drives through
+    :func:`drive_at`, atom B's as its own: -i H(t) psi with H from
+    ``couplings`` over ``dim`` components."""
+    drives = (drive_at(g_a), drive_at(g_b))
     table = [(row, col, atom, -1j * factor) for row, col, atom, factor in couplings]
 
     def rhs(t: float, psi: list) -> list:

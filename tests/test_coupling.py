@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcqed.coupling import (
     CouplingTrace,
     GenericProfile,
+    GenericProfileParams,
     ScaledProfile,
     TraceMagnitude,
     absolute_area_bound,
@@ -20,7 +22,9 @@ from pcqed.coupling import (
     scaled_pair,
 )
 
-from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, generic_family
+from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, generic_family, inlined
+from oracles import drive_at
+from test_area_properties import BOUNDS, family_at
 
 
 def simpson_oracle(f, a, b, n_start=4096, max_doublings=8, tol=1e-12):
@@ -182,7 +186,8 @@ class TestDrivePair:
         profile, p = pair
         drive_a, drive_b, c = drive_pair(profile, p)
         times = np.linspace(*drive_a.window, 2001).tolist()
-        assert [drive_b.at(t) for t in times] == [c * drive_a.at(t) for t in times]
+        at_a, at_b = inlined(drive_a), inlined(drive_b)
+        assert [at_b(t) for t in times] == [c * at_a(t) for t in times]
         assert pulse_area(drive_b) == pytest.approx(c * pulse_area(drive_a), rel=1e-15)
         np.testing.assert_array_equal(drive_b.breakpoints(*drive_a.window),
                                       drive_a.breakpoints(*drive_a.window))
@@ -352,7 +357,7 @@ class TestAbsoluteAreaBound:
 
 
 class TestScalarDrives:
-    """Each drive's scalar evaluator ``at`` against its vectorized ``__call__``."""
+    """Each drive's inlined scalar lines against its vectorized ``__call__``."""
 
     @pytest.mark.parametrize(
         "make",
@@ -374,17 +379,19 @@ class TestScalarDrives:
         times = probe_times(drive.window, samples)
         vectorized = drive(times)
         peak = np.max(np.abs(vectorized))
+        at = inlined(drive)
         for t, want in zip(times.tolist(), vectorized):
-            got = drive.at(t)
+            got = at(t)
             assert isinstance(got, float)
             assert abs(got - want) <= 4e-16 * peak, t
 
     def test_trace_is_zero_outside_its_window(self):
         drive = TraceMagnitude(complex_trace())
         t0, t1 = drive.window
-        assert drive.at(t0) > 0 and drive.at(t1) > 0
-        assert drive.at(np.nextafter(t0, -np.inf)) == 0.0
-        assert drive.at(np.nextafter(t1, np.inf)) == 0.0
+        at = inlined(drive)
+        assert at(t0) > 0 and at(t1) > 0
+        assert at(math.nextafter(t0, -math.inf)) == 0.0
+        assert at(math.nextafter(t1, math.inf)) == 0.0
 
 
 class TestBreakpoints:
@@ -416,6 +423,94 @@ class TestBreakpoints:
         # segment 1 -> 2 passes delta from zero at its midpoint; the others'
         # closest approaches fall at or beyond an end, which is a sample time
         np.testing.assert_allclose(drive.breakpoints(0.0, 3.0), [1.0, 1.5, 2.0], rtol=1e-15)
-        t = 1.5
-        assert drive.at(t) == pytest.approx(delta, rel=1e-12)
-        assert drive.at(t - 1e-2) > drive.at(t) < drive.at(t + 1e-2)
+        t, at = 1.5, inlined(drive)
+        assert at(t) == pytest.approx(delta, rel=1e-12)
+        assert at(t - 1e-2) > at(t) < at(t + 1e-2)
+
+
+# hypothesis also draws floats from literals it collects in the package
+# source, so its draws move with any edit there; the @example pins run
+# whatever it draws: a slope past the largest double, signed zeros, a
+# segment passing 1e-3 from zero, and the bundled family at zeta 0.7.
+INLINED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def real_traces(draw):
+    """Real traces of 2..10 samples in [0, 10 ns] that change sign at least once."""
+    times = sorted(draw(st.lists(st.floats(0.0, 1e-8), min_size=2, max_size=10, unique=True)))
+    values = draw(st.lists(st.floats(-1e10, 1e10), min_size=len(times), max_size=len(times)))
+    values[0], values[-1] = abs(values[0]) or 1.0, -abs(values[-1]) or -1.0
+    return CouplingTrace(times, values)
+
+
+@st.composite
+def complex_traces(draw):
+    times = sorted(draw(st.lists(st.floats(0.0, 1e-8), min_size=2, max_size=10, unique=True)))
+    values = draw(st.lists(st.complex_numbers(max_magnitude=1e10, allow_nan=False,
+                                              allow_infinity=False),
+                           min_size=len(times), max_size=len(times)))
+    return CouplingTrace(times, values)
+
+
+@st.composite
+def numpy_families(draw):
+    """The property tests' generic families with zeta != 0, every parameter
+    passed as a numpy scalar."""
+    family = family_at(*(draw(st.floats(low, high)) for low, high in BOUNDS[:5]),
+                       draw(st.floats(0.05, 3.0)))
+    return as_numpy(family)
+
+
+def as_numpy(family):
+    return GenericProfileParams(**{name: np.float64(v) for name, v in vars(family).items()})
+
+
+def check_inlined_bits(drive, factor, fractions):
+    """The drive and c times it, inlined, give the oracle's bits at the
+    window's ends, every breakpoint (each sample time and closest approach
+    of a trace, a generic profile's peak), interior points and the doubles
+    just outside the window, where a trace is 0.0."""
+    t0, t1 = (float(t) for t in drive.window)
+    times = [t0, t1, *drive.breakpoints(-math.inf, math.inf).tolist(),
+             *(t0 + f * (t1 - t0) for f in fractions)]
+    outside = [math.nextafter(t0, -math.inf), math.nextafter(t1, math.inf)]
+    for d in (drive, ScaledProfile(drive, factor)):
+        got, want = inlined(d), drive_at(d)
+        for t in times + outside:
+            value = got(t)
+            assert type(value) is float and value.hex() == want(t).hex(), t
+        if isinstance(drive, TraceMagnitude):
+            assert [got(t) for t in outside] == [0.0, 0.0]
+
+
+FRACTIONS = st.lists(st.floats(0.0, 1.0), max_size=8)
+FACTORS = st.floats(-3.0, 3.0)
+
+
+class TestInlinedDrives:
+    """Each drive's inlined lines against the oracle's scalar evaluator, bit for bit."""
+
+    @INLINED
+    @given(real_traces(), FACTORS, FRACTIONS)
+    @example(CouplingTrace([0.0, 1e-9, 2e-9, 3e-9, 4e-9], [1e9, -3e9, -1e9, 2e9, 2e9]), -0.7,
+             [0.25 / 4, 0.5, 0.99])
+    @example(CouplingTrace([0.0, 5e-324, 1e-9], [1e10, -1e10, 0.0]), 0.414, [0.5])
+    @example(CouplingTrace([1e-9, 2e-9], [0.0, -0.0]), 1.0, [0.5])
+    def test_real_traces_with_zero_crossings(self, trace, factor, fractions):
+        check_inlined_bits(TraceMagnitude(trace), factor, fractions)
+
+    @INLINED
+    @given(complex_traces(), FACTORS, FRACTIONS)
+    @example(CouplingTrace([0.0, 1.0, 2.0, 3.0], [-3.0 + 1j, -1.0 + 1e-3j, 1.0 + 1e-3j, 3.0 + 2j]),
+             0.414, [0.3, 0.5, 0.9])
+    @example(CouplingTrace([0.0, 1e-9], [1e9 + 1e9j, -1e9 - 1e9j]), -2.5, [0.5])
+    def test_complex_traces(self, trace, factor, fractions):
+        check_inlined_bits(TraceMagnitude(trace), factor, fractions)
+
+    @INLINED
+    @given(numpy_families(), FACTORS, FRACTIONS)
+    @example(as_numpy(generic_family(velocity=433.0, zeta=0.7)), 0.414, [0.1, 0.7])
+    @example(as_numpy(family_at(2.0, 3e10, 16.0, 0.5, 150.0, 3.0)), -1.0, [0.5])
+    def test_generic_profiles(self, family, factor, fractions):
+        check_inlined_bits(GenericProfile(family), factor, fractions)

@@ -6,9 +6,12 @@ take the same steps, call the right-hand side as often, and end in the same
 state to rounding.
 """
 
+import ast
 import cmath
 import json
+import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,7 @@ from scipy.integrate._ivp import dop853_coefficients as ref
 from pcqed import dop853, ode
 from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
 from pcqed.coupling import (
+    CouplingTrace,
     GenericProfile,
     GenericProfileParams,
     ScaledProfile,
@@ -305,6 +309,20 @@ def kernel_step(couplings, g_a, g_b, dim, scaled=False):
     return dop853._kernel(dim, ((0, dim),), source.lines, source.names)(*source.values)[0]
 
 
+def generated_text(source, n):
+    """The code ``dop853._kernel`` generates from ``source`` on n components
+    and one block, bypassing its cache."""
+    texts = []
+
+    def recording(text, *args):
+        texts.append(text)
+        return compile(text, *args)
+
+    with mock.patch.object(dop853, "compile", recording, create=True):
+        dop853._kernel.__wrapped__(n, ((0, n),), source.lines, source.names)
+    return texts[0]
+
+
 class TestStraightLineKernels:
     """``ode._integrate`` on generated code against ``tests/oracles.py``."""
 
@@ -404,19 +422,34 @@ class TestStraightLineKernels:
         assert runs[0].diagnostics == runs[1].diagnostics
 
     def test_scaled_atom_b_reads_atom_a_once(self):
-        # B = ScaledProfile(A, c) is read as c times A's value, never through
-        # B's own ``at``: once per evaluation, and once per stage of a step
+        # B = ScaledProfile(A, c) is c times A's value, never B's own lines:
+        # the generated code evaluates A's formula once per evaluation, so
+        # once per stage of a step and once in the standalone right-hand side
+        g_a, g_b, _ = drive_pair(GenericProfile(generic_family(velocity=433.0)), 0.414)
+        couplings, psi = build_subspace(1).couplings, [0.6 + 0j, 0.8j, 0j]
+        with mock.patch.object(ScaledProfile, "scalar_lines", side_effect=AssertionError):
+            source = ode._source(couplings, g_a, g_b, 3, True)
+            out = generated_rhs(couplings, g_a, g_b, 3, scaled=True)(1e-9, psi)
+        formula = [line for line in source.lines if line.startswith("g0 = ")]
+        assert len(formula) == 1 and "g1 = db_c * g0" in source.lines
+        assert [line for line in source.lines if "db_" in line] == ["g1 = db_c * g0"]
+        assert generated_text(source, 3).count(formula[0]) == 12 + 1
+        assert out == table_rhs(couplings, g_a, g_b, 3)(1e-9, psi)
+
+    def test_scaled_atom_b_calls_atom_a_once(self):
+        # the same on the call path: a callable atom A is called once per
+        # evaluation, and once per stage of a step
         reads = []
+        profile = GenericProfile(generic_family(velocity=433.0))
 
-        class Drive(GenericProfile):
-            def at(self, t):
-                reads.append(t)
-                return super().at(t)
+        def g_a(t):
+            reads.append(t)
+            return profile(t)
 
-        g_a, g_b, _ = drive_pair(Drive(generic_family(velocity=433.0)), 0.414)
+        g_b = ScaledProfile(g_a, 0.414)
         couplings, psi = build_subspace(1).couplings, [0.6 + 0j, 0.8j, 0j]
         t, h = 1e-9, 2e-11
-        with mock.patch.object(ScaledProfile, "at", side_effect=AssertionError):
+        with mock.patch.object(ScaledProfile, "scalar_lines", side_effect=AssertionError):
             out = generated_rhs(couplings, g_a, g_b, 3, scaled=True)(t, psi)
             assert reads == [t]
             reads.clear()
@@ -426,11 +459,11 @@ class TestStraightLineKernels:
 
     def test_separately_built_trace_pair_is_drive_pair(self, field3d_trace, field3d_config):
         # A and B built apart from one trace share its one drive, so the run
-        # reads B as c times A, never through B's own ``at``: drive_pair's run
+        # reads B as c times A, never through B's own lines: drive_pair's run
         p = field3d_config["p"]
         t0, t1 = field3d_trace.window
         psi0 = AmplitudeVector.basis_state("010")
-        with mock.patch.object(ScaledProfile, "at", side_effect=AssertionError):
+        with mock.patch.object(ScaledProfile, "scalar_lines", side_effect=AssertionError):
             apart = ode.evolve(build_subspace(1), drive_from_profile(field3d_trace),
                                drive_from_profile(scaled_pair(field3d_trace, p)), psi0, t0, t1)
             paired = ode.evolve(build_subspace(1), *drive_pair(field3d_trace, p)[:2], psi0, t0, t1)
@@ -443,18 +476,28 @@ class TestStraightLineKernels:
             rhs(2.5, [1 + 0j, 0j, 0j])
         assert err.value.t == 2.5
 
+    @pytest.mark.parametrize("bad", [np.float64(np.inf), np.complex128(np.nan)],
+                             ids=["inf", "complex-nan"])
+    def test_non_finite_numpy_scalar_refused_without_warning(self, bad):
+        # a callable is called as it is; a non-finite numpy scalar it returns
+        # is refused as it is read, before numpy arithmetic could warn on it
+        rhs = generated_rhs(build_subspace(1).couplings, lambda t: 1.0, lambda t: bad, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite coupling") as err:
+                rhs(2.5, [1 + 0j, 0j, 0j])
+        assert err.value.t == 2.5
+
     @pytest.mark.parametrize("j", [2, 7, 12, 13])
     def test_non_finite_coupling_at_an_inner_stage(self, j):
-        # the drive is NaN at stage j's time alone: the step raises there,
-        # with that time, as the comprehension stages do
+        # atom A's trace spikes at stage j's time alone, where c g_a
+        # overflows: the step raises there, with that time, through the
+        # check of the inlined values, as the comprehension stages do
         t, h = 1.0, 0.25
         bad = t + h if j == 13 else t + getattr(dop853, f"C{j}") * h
-
-        class Drive(GenericProfile):
-            def at(self, s):
-                return float("nan") if s == bad else super().at(s)
-
-        g_a, g_b, _ = drive_pair(Drive(generic_family(velocity=433.0)), 0.414)
+        spike = CouplingTrace([bad - 1e-6, bad, bad + 1e-6], [0.0, 1e10, 0.0])
+        g_a, g_b, c = drive_pair(spike, 1e300)
+        assert math.isinf(c * 1e10)
         couplings = build_subspace(1).couplings
         y, k1 = [1 + 0j, 0j, 0j], [0j, -0.5j, 0j]
         steps = (kernel_step(couplings, g_a, g_b, 3, scaled=True),
@@ -463,3 +506,48 @@ class TestStraightLineKernels:
             with pytest.raises(ConvergenceError, match="non-finite coupling") as err:
                 step(t, h, y, k1, 1e-9, 1e-11)
             assert err.value.t == bad
+
+    def test_real_trace_with_zero_crossings(self):
+        # a real trace drives through the real branch of the trace's lines
+        times = np.linspace(0.0, 1e-8, 41)
+        trace = CouplingTrace(times, 2e9 * np.cos(5 * np.pi * times / 1e-8) + 0.4e9)
+        g_a, g_b, _ = drive_pair(trace, -0.6)
+        crossings = np.setdiff1d(g_a.breakpoints(*trace.window), times)
+        assert not trace.is_complex and crossings.size == 5
+        for n in (1, 2):
+            h = build_subspace(n)
+            check_matches_oracles(h.couplings, g_a, g_b, np.eye(h.dim)[0], *trace.window,
+                                  min_steps=2 * len(times))
+
+
+class TestKernelReuse:
+    """Drives of one kind share one generated step: the step's text holds
+    the drives' formulas, and every number of a run enters as a value, so
+    a new run reuses the cached kernel instead of compiling its own."""
+
+    @pytest.mark.parametrize("kind", ["real-trace", "complex-trace", "generic"])
+    def test_runs_of_one_kind_share_one_kernel(self, kind):
+        rng = np.random.default_rng(11)
+        if kind == "generic":
+            profile = GenericProfile(generic_family(velocity=433.0))
+            profiles = [profile, profile.at_velocity(611.0)]
+        else:
+            def trace(n):
+                values = rng.normal(size=n) + (1j * rng.normal(size=n) if kind == "complex-trace" else 0)
+                return CouplingTrace(np.sort(rng.uniform(1e-9, 3e-9, n)), 1e9 * values)
+            profiles = [trace(7), trace(12)]
+        psi0 = AmplitudeVector.basis_state("100")
+        infos, texts = [], []
+        for profile, p in zip(profiles, (0.414, 0.7)):
+            g_a, g_b, _ = drive_pair(profile, p)
+            ode.evolve(build_subspace(1), g_a, g_b, psi0, *g_a.window, n_points=3)
+            infos.append(dop853._kernel.cache_info())
+            source = ode._source(build_subspace(1).couplings, g_a, g_b, 3, True)
+            texts.append(generated_text(source, 3))
+        assert infos[1].hits == infos[0].hits + 1 and infos[1].misses == infos[0].misses
+        assert infos[1].currsize == infos[0].currsize
+        assert texts[0] == texts[1]
+        # the literals are the step's own: no value of either run
+        literals = {node.value for node in ast.walk(ast.parse(texts[0]))
+                    if isinstance(node, ast.Constant)}
+        assert literals <= {0, 1, 2, 3, 0.01}

@@ -309,7 +309,7 @@ class TestEvolve:
 
 
 class TestBareCallables:
-    """Callables without a scalar evaluator or breakpoints integrate as one span."""
+    """Callables without scalar lines or breakpoints integrate as one span."""
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_real_callables_match_expm(self, n):
