@@ -51,8 +51,9 @@ __all__ = [
 ]
 
 # Classification thresholds: minimum per-input fidelity, and how far the
-# rail phases may drift apart before the label is withheld (0.2 rad keeps a
-# superposition input above 0.99 fidelity).
+# rail phases may drift apart before the label is withheld.  With both rails
+# perfect, 0.2 rad keeps every superposition input at or above cos^2(0.1),
+# 0.990; with both at MIN_FIDELITY, the bound falls to 0.99 cos^2(0.1), 0.980.
 MIN_FIDELITY = 0.99
 MAX_RELATIVE_PHASE = 0.2
 

@@ -2,44 +2,42 @@
 
 This is the independent check on the closed forms: an adaptive Runge-Kutta
 integration of i psi' = H(t) psi with the coupling-only Hamiltonian (free
-phases removed exactly on resonance), valid for arbitrary, including
-non-proportional and complex, couplings.  Subspaces with zero, one, and two
-total excitations are supported, through the Hamiltonians of
+phases removed exactly on resonance), valid for any pair of drives that
+state their formula, non-proportional pairs included.  Subspaces with zero,
+one, and two total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 
 The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
 complex scalars, with its interpolants evaluated on arrays.  The
 right-hand side is handed to it as source code stated from the coupling
 table (:func:`_source`), which the solver inlines at every stage of one
-generated step function per table.  Each drive that pcqed builds enters
-that source as its own formula, whose text holds no value of a run: the
-samples, parameters and factors are values bound by name, so the runs of
-one kind of drive share one generated step.  DOP853 assumes a smooth
-right-hand side; a step across a jump in a derivative of the drive loses
-its order and its error estimate.  The drives of :mod:`pcqed.coupling`
-report such breakpoints, and :func:`evolve` and :func:`final_states` step
-span by span between them (Hairer, Norsett & Wanner, Solving Ordinary
-Differential Equations I, sec. II.6) through one private integration loop.  Any other
-callable integrates as one span.  The work grows with the drives' absolute
-pulse area: a run whose atom B drives as c times atom A, as
-:func:`pcqed.coupling.drive_pair` builds the pair, refuses before any step
-an area that may pass :data:`MAX_AREA` (:func:`check_area`).
+generated step function per table.  Each drive enters that source as its
+own formula, a :class:`pcqed.coupling.Drive`, whose text holds no value of
+a run: the samples, parameters and factors are values bound by name, so
+the runs of one kind of drive share one generated step.  DOP853 assumes a
+smooth right-hand side; a step across a jump in a derivative of the drive
+loses its order and its error estimate.  Each drive reports such
+breakpoints, and :func:`evolve` and :func:`final_states` step span by span
+between them (Hairer, Norsett & Wanner, Solving Ordinary Differential
+Equations I, sec. II.6) through one private integration loop.  Anything
+else, a bare callable included, raises TypeError before any step.  The work
+grows with the drives' absolute pulse area: a run whose atom B drives as c
+times atom A, as :func:`pcqed.coupling.drive_pair` builds the pair, refuses
+before any step an area that may pass :data:`MAX_AREA` (:func:`check_area`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .core import (AmplitudeVector, ConvergenceError, SubspaceHamiltonian, basis_labels,
                    build_subspace, write_csv)
-from .coupling import ScaledProfile, absolute_area_bound
+from .coupling import Drive, ScaledProfile, _require_drive, absolute_area_bound
 # perfbench reads build_subspace and drive_from_profile from this module.
 from .coupling import drive_from_profile  # noqa: F401
 from .dop853 import DOP853, Source
@@ -113,40 +111,29 @@ class Trajectory:
         return float(np.max(np.abs(norms - 1.0)))
 
 
-def evolve(
-    h: SubspaceHamiltonian,
-    g_a: Callable[[float], complex],
-    g_b: Callable[[float], complex],
-    psi0: AmplitudeVector,
-    t0: float,
-    t1: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    n_points: int = DEFAULT_POINTS,
-) -> Trajectory:
+def evolve(h: SubspaceHamiltonian, g_a: Drive, g_b: Drive, psi0: AmplitudeVector, t0: float,
+           t1: float, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+           n_points: int = DEFAULT_POINTS) -> Trajectory:
     """Integrate i psi' = H(t) psi from t0 to t1 with DOP853, span by span.
 
-    g_a, g_b: coupling strengths as functions of time, rad/s (complex
-    allowed).  A drive that pcqed builds (:mod:`pcqed.coupling`) enters
-    the generated step as its own formula and reports ``breakpoints``, the
-    times where its derivative jumps; the integrator stops at every
+    g_a, g_b: the atoms' drives (rad/s), each a :class:`pcqed.coupling.Drive`,
+    whose formula enters the generated step; the integrator stops at every
     breakpoint of either drive and resumes from there, so no step straddles
-    a kink.  Any other callable is called as it is and, reporting no
-    breakpoints, integrates as one span.  Output is sampled on a fixed
-    stride of n_points times, independent of the internal adaptive steps:
-    each time is read from the order-7 interpolant of the first step whose
-    end is at or past it.  The solver evaluates those interpolants for many
-    steps at once; their three extra stages are three more calls of the
-    right-hand side per step that holds an output time, which ``nfev``
-    counts.  rtol must be at least MIN_RTOL and atol at least MIN_ATOL.
-    A pair of :func:`pcqed.coupling.drive_pair` whose absolute area may pass
-    MAX_AREA raises ValueError before any step (:func:`check_area`).
+    a kink.  Anything else raises TypeError before any step.  Output is
+    sampled on a fixed stride of n_points times, independent of the internal
+    adaptive steps: each time is read from the order-7 interpolant of the
+    first step whose end is at or past it.  The solver evaluates those
+    interpolants for many steps at once; their three extra stages are three
+    more calls of the right-hand side per step that holds an output time,
+    which ``nfev`` counts.  rtol must be at least MIN_RTOL and atol at least
+    MIN_ATOL.  A pair of :func:`pcqed.coupling.drive_pair` whose absolute
+    area may pass MAX_AREA raises ValueError before any step (:func:`check_area`).
     Raises ConvergenceError when the integrator cannot proceed (step
     underflow / non-finite couplings), carrying the failure time.
     """
     if psi0.n_excitations != h.n_excitations:
         raise ValueError("initial state and Hamiltonian subspaces differ")
-    _check_window(t0, t1, rtol, atol)
+    _check_run((g_a, g_b), t0, t1, rtol, atol)
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
 
@@ -168,15 +155,8 @@ def evolve(
     return traj
 
 
-def final_states(
-    g_a: Callable[[float], complex],
-    g_b: Callable[[float], complex],
-    states: list[AmplitudeVector],
-    t0: float,
-    t1: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> list[AmplitudeVector]:
+def final_states(g_a: Drive, g_b: Drive, states: list[AmplitudeVector], t0: float, t1: float,
+                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> list[AmplitudeVector]:
     """Final states of several initial states under one pair of drives.
 
     The states are integrated together as one block-diagonal system, each
@@ -191,12 +171,12 @@ def final_states(
     own :func:`evolve` run in the last digits the tolerances allow, since
     the blocks stacked with it may force shorter steps.  Returns the
     final states in the order given.  Raises ValueError on an empty list or
-    an area past MAX_AREA, and ConvergenceError, carrying the failure time,
-    as :func:`evolve` does.
+    an area past MAX_AREA, and TypeError and ConvergenceError, carrying the
+    failure time, as :func:`evolve` does.
     """
     if not states:
         raise ValueError("need at least one initial state")
-    _check_window(t0, t1, rtol, atol)
+    _check_run((g_a, g_b), t0, t1, rtol, atol)
     # The interaction annihilates |000>: it is returned as it is.
     couplings, blocks = _stack(states)
     if not blocks:
@@ -242,7 +222,9 @@ def check_area(drive, c: float) -> float:
     return area
 
 
-def _check_window(t0: float, t1: float, rtol: float, atol: float) -> None:
+def _check_run(drives, t0: float, t1: float, rtol: float, atol: float) -> None:
+    for drive in drives:
+        _require_drive(drive)
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got [{t0!r}, {t1!r}]")
     if not rtol >= MIN_RTOL:
@@ -287,11 +269,10 @@ def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> Source:
     """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components,
     as straight-line source.
 
-    Sets g0 to atom A's drive at T and g1 to atom B's (:func:`_drive_lines`):
-    a drive pcqed builds as its own formula, inlined, any other callable by
-    a call.  When ``scaled``, atom B's drive is a ScaledProfile of atom A's
-    (:func:`_integrate` decides) and g1 is its factor c times g0, the
-    number B's own lines give, so atom A's formula is evaluated once.
+    Sets g0 to atom A's drive at T and g1 to atom B's, each by its own
+    ``scalar_lines``.  When ``scaled``, atom B's drive is a ScaledProfile of
+    atom A's (:func:`_integrate` decides) and g1 is its factor c times g0,
+    the number B's own lines give, so atom A's formula is evaluated once.
     Entry e of the table makes c_e = (-i factor_e) g_atom, and component i
     sums, from 0j and in the order of the table, + c_e psi[col] over the
     entries whose row is i and - c_e.conjugate() psi[row] over those whose
@@ -303,11 +284,11 @@ def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> Source:
     drives' formulas alone; every number of a run, the factors included,
     is a value.
     """
-    a_lines, a_names, a_values = _drive_lines(g_a, "g0", "da_")
+    a_lines, a_names, a_values = g_a.scalar_lines("g0", "da_")
     if scaled:
         b_lines, b_names, b_values = ("g1 = db_c * g0",), ("db_c",), (g_b.factor,)
     else:
-        b_lines, b_names, b_values = _drive_lines(g_b, "g1", "db_")
+        b_lines, b_names, b_values = g_b.scalar_lines("g1", "db_")
     terms = [[] for _ in range(dim)]
     for e, (row, col, _, _) in enumerate(couplings):
         terms[row].append(f" + c{e} * a_{col}")
@@ -319,21 +300,9 @@ def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> Source:
              *(f"f_{i} = 0j{''.join(parts)}" for i, parts in enumerate(terms)))
     # -i H[row, col] is (-i factor) g_atom; -i H[col, row] is minus its conjugate
     factors = [-1j * factor for *_, factor in couplings]
-    return Source(lines, (*a_names, *b_names, "isfinite", "non_finite",
+    return Source(lines, (*a_names, *b_names, "non_finite",
                           *(f"m{e}" for e in range(len(couplings)))),
-                  (*a_values, *b_values, cmath.isfinite, _non_finite, *factors))
-
-
-def _drive_lines(drive, out: str, p: str) -> tuple[tuple, tuple, tuple]:
-    """(lines, names, values) that set ``out`` to ``drive`` at T: the drive's
-    own ``scalar_lines`` (:mod:`pcqed.coupling`), or a call of any other
-    callable.  A callable may return a numpy scalar, whose inf - inf warns
-    where a Python number's is NaN, so its value is checked by
-    ``isfinite`` as it is read."""
-    if hasattr(drive, "scalar_lines"):
-        return drive.scalar_lines(out, p)
-    return ((f"{out} = {p}call(T)", f"if not isfinite({out}):", "    non_finite(T)"),
-            (f"{p}call",), (drive,))
+                  (*a_values, *b_values, _non_finite, *factors))
 
 
 def _non_finite(t: float):
@@ -341,10 +310,8 @@ def _non_finite(t: float):
 
 
 def _breakpoints(drives, t0: float, t1: float) -> list[float]:
-    """Sorted union of the drives' breakpoints in (t0, t1); a drive that
-    reports none adds none."""
-    cuts = [g.breakpoints(t0, t1) for g in drives if hasattr(g, "breakpoints")]
-    return np.unique(np.concatenate([np.empty(0), *cuts])).tolist()
+    """Sorted union of the drives' breakpoints in (t0, t1)."""
+    return np.unique(np.concatenate([g.breakpoints(t0, t1) for g in drives])).tolist()
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:

@@ -248,6 +248,23 @@ def comprehension_step(fun, blocks):
     return step
 
 
+class Formula:
+    """A drive the tests state as one expression in T, through the protocol of
+    :mod:`pcqed.coupling`: ``expr`` reads T and, written ``{p}name``, the
+    keyword ``values``.  It reports no breakpoints.  A constant drive g is
+    ``Formula("{p}g", g=g)``."""
+
+    def __init__(self, expr: str, **values):
+        self.expr, self.values = expr, values
+
+    def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
+        return ((f"{out} = {self.expr.format(p=p)}",), tuple(p + name for name in self.values),
+                tuple(self.values.values()))
+
+    def breakpoints(self, t0: float, t1: float) -> np.ndarray:
+        return np.empty(0)
+
+
 def drive_at(drive):
     """The drive's value at one time, as a function of a Python float.
 
@@ -256,8 +273,10 @@ def drive_at(drive):
     exp(-|x| / R) cos(pi x / l) with x = V t - L, a trace's magnitude as
     the arithmetic of ``np.interp`` on the bracketing samples, found by
     bisection (0.0 outside the window), and a ScaledProfile as its factor
-    times its base's value.  Any other callable is returned as it is.
+    times its base's value.  A :class:`Formula` is its expression.
     """
+    if isinstance(drive, Formula):
+        return eval(f"lambda T: {drive.expr.format(p='')}", dict(drive.values))
     if isinstance(drive, ScaledProfile):
         base = drive_at(drive.base)
         return lambda t: drive.factor * base(t)
@@ -290,7 +309,7 @@ def drive_at(drive):
             return abs(value)
 
         return magnitude
-    return drive
+    raise TypeError(f"no scalar evaluator for a drive of type {type(drive).__name__}")
 
 
 def table_rhs(couplings, g_a, g_b, dim):

@@ -10,6 +10,8 @@ from pcqed.core import AmplitudeVector, basis_labels, build_subspace
 from pcqed.analytic import _SMALL_LAMBDA, logical_unitary, two_excitation_unitary
 from pcqed.ode import evolve
 
+from oracles import Formula
+
 PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # each example of the ODE comparison runs DOP853 at rtol 1e-12
 ODE_PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -47,13 +49,11 @@ def pinned(test):
 @example(0.6 * _SMALL_LAMBDA, -1.0, "011")
 @example(0.8 * _SMALL_LAMBDA, 1.0, "002")
 def test_two_excitation_block_matches_tight_ode(area, c, initial):
-    # a smooth, non-constant drive of total area `area` over [0, 1]; atom B's is c times it
-    def drive_a(t):
-        return area * (1.0 - math.cos(2.0 * math.pi * t))
-
-    def drive_b(t):
-        return c * drive_a(t)
-
+    # a smooth, non-constant drive of total area `area` over [0, 1]; atom B's
+    # is c times it, stated as its own formula
+    terms = dict(A=area, cos=math.cos, w=2.0 * math.pi)
+    drive_a = Formula("{p}A * (1.0 - {p}cos({p}w * T))", **terms)
+    drive_b = Formula("{p}c * ({p}A * (1.0 - {p}cos({p}w * T)))", c=c, **terms)
     traj = evolve(build_subspace(2), drive_a, drive_b, AmplitudeVector.basis_state(initial),
                   0.0, 1.0, rtol=1e-12, atol=1e-14, n_points=2)
     column = two_excitation_unitary(area, c * area)[:, basis_labels(2).index(initial)]

@@ -135,6 +135,9 @@ class TestPulseArea:
             pulse_area(drive)
         with pytest.raises(TypeError):
             exact_area(drive, 0.0, np.array([1.0, 2.0]))
+        # nor does it state a formula, so it is no base of atom B's drive
+        with pytest.raises(TypeError, match="states no formula"):
+            ScaledProfile(drive, 2.0)
 
 
 class TestScaledPair:

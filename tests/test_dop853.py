@@ -11,7 +11,6 @@ import cmath
 import json
 import math
 import re
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -32,7 +31,7 @@ from pcqed.coupling import (
 )
 
 from conftest import generic_family
-from oracles import comprehension_step, example_config_path, table_rhs
+from oracles import Formula, comprehension_step, example_config_path, table_rhs
 
 
 def coefficient(prefix: str, row: int, col: int) -> float:
@@ -350,13 +349,9 @@ class TestStraightLineKernels:
         check_matches_oracles(couplings, g_a, g_b, y0, *profile.window, blocks=blocks.values())
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_complex_callables(self, n):
-        def g_a(t):
-            return 0.9e9 * cmath.exp(2.1e9j * t)
-
-        def g_b(t):
-            return (-0.2 + 0.4j) * 1e9 * cmath.exp(-0.7e9 * t)
-
+    def test_complex_formulas(self, n):
+        g_a = Formula("{p}g * {p}exp({p}w * T)", g=0.9e9, exp=cmath.exp, w=2.1e9j)
+        g_b = Formula("{p}g * {p}exp({p}w * T)", g=(-0.2 + 0.4j) * 1e9, exp=cmath.exp, w=-0.7e9)
         h = build_subspace(n)
         check_matches_oracles(h.couplings, g_a, g_b, np.eye(h.dim)[-1], 0.0, 2.3e-9, n_times=50)
 
@@ -371,12 +366,9 @@ class TestStraightLineKernels:
     def test_rejected_steps(self):
         # A drive that switches on inside the window, with no breakpoint
         # reported: the steps across the switch are rejected and retried.
-        def g_a(t):
-            return 2e9 if t > 0.7e-9 else 0.3e9
-
-        def g_b(t):
-            return -0.5 * g_a(t)
-
+        switch = dict(hi=2e9, t=0.7e-9, lo=0.3e9)
+        g_a = Formula("{p}hi if T > {p}t else {p}lo", **switch)
+        g_b = Formula("{p}c * ({p}hi if T > {p}t else {p}lo)", c=-0.5, **switch)
         check_matches_oracles(build_subspace(2).couplings, g_a, g_b, np.eye(4)[0], 0.0, 2e-9,
                               n_times=50, min_rejected=3)
 
@@ -436,27 +428,6 @@ class TestStraightLineKernels:
         assert generated_text(source, 3).count(formula[0]) == 12 + 1
         assert out == table_rhs(couplings, g_a, g_b, 3)(1e-9, psi)
 
-    def test_scaled_atom_b_calls_atom_a_once(self):
-        # the same on the call path: a callable atom A is called once per
-        # evaluation, and once per stage of a step
-        reads = []
-        profile = GenericProfile(generic_family(velocity=433.0))
-
-        def g_a(t):
-            reads.append(t)
-            return profile(t)
-
-        g_b = ScaledProfile(g_a, 0.414)
-        couplings, psi = build_subspace(1).couplings, [0.6 + 0j, 0.8j, 0j]
-        t, h = 1e-9, 2e-11
-        with mock.patch.object(ScaledProfile, "scalar_lines", side_effect=AssertionError):
-            out = generated_rhs(couplings, g_a, g_b, 3, scaled=True)(t, psi)
-            assert reads == [t]
-            reads.clear()
-            kernel_step(couplings, g_a, g_b, 3, scaled=True)(t, h, psi, out, 1e-9, 1e-11)
-        assert reads == [t + getattr(dop853, f"C{j}") * h for j in range(2, 13)] + [t + h]
-        assert out == table_rhs(couplings, g_a, g_b, 3)(t, psi)
-
     def test_separately_built_trace_pair_is_drive_pair(self, field3d_trace, field3d_config):
         # A and B built apart from one trace share its one drive, so the run
         # reads B as c times A, never through B's own lines: drive_pair's run
@@ -471,21 +442,10 @@ class TestStraightLineKernels:
         assert apart.diagnostics["nfev"] == paired.diagnostics["nfev"]
 
     def test_non_finite_coupling_raises_with_time(self):
-        rhs = generated_rhs(build_subspace(1).couplings, lambda t: 1.0, lambda t: float("nan"), 3)
+        rhs = generated_rhs(build_subspace(1).couplings, Formula("{p}g", g=1.0),
+                            Formula("{p}g", g=math.nan), 3)
         with pytest.raises(ConvergenceError, match="non-finite coupling") as err:
             rhs(2.5, [1 + 0j, 0j, 0j])
-        assert err.value.t == 2.5
-
-    @pytest.mark.parametrize("bad", [np.float64(np.inf), np.complex128(np.nan)],
-                             ids=["inf", "complex-nan"])
-    def test_non_finite_numpy_scalar_refused_without_warning(self, bad):
-        # a callable is called as it is; a non-finite numpy scalar it returns
-        # is refused as it is read, before numpy arithmetic could warn on it
-        rhs = generated_rhs(build_subspace(1).couplings, lambda t: 1.0, lambda t: bad, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="non-finite coupling") as err:
-                rhs(2.5, [1 + 0j, 0j, 0j])
         assert err.value.t == 2.5
 
     @pytest.mark.parametrize("j", [2, 7, 12, 13])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcqed.core import AmplitudeVector, ConvergenceError, build_subspace
-from pcqed.coupling import (CouplingTrace, GenericProfile, GenericProfileParams,
+from pcqed.coupling import (CouplingTrace, GenericProfile, GenericProfileParams, ScaledProfile,
                             drive_from_profile, drive_pair, pulse_area, scaled_pair)
 from pcqed.dop853 import DOP853
 from pcqed.analytic import amplitudes, analytic_trajectory, logical_unitary, two_excitation_unitary
@@ -15,7 +15,7 @@ from pcqed import ode
 from pcqed.gates import calibrate_velocity
 
 from conftest import csv_rows, generic_family
-from oracles import example_config_path
+from oracles import Formula, example_config_path
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,13 @@ def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def constant(value):
-    return lambda t: value
+    """A constant drive, real or complex, with no breakpoints."""
+    return Formula("{p}g", g=value)
+
+
+def nan_after(t: float, value: float) -> Formula:
+    """A drive of constant ``value`` that turns NaN past time t."""
+    return Formula("{p}nan if T > {p}t else {p}g", nan=math.nan, t=t, g=value)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +230,17 @@ class TestEvolve:
             t1,
             n_points=2,
         )
-        reversed_a = lambda t: -profile(t0 + t1 - t)
-        reversed_b = lambda t: -0.7 * profile(t0 + t1 - t)
+        # c times the profile at t0 + t1 - T, with no breakpoints reported
+        x = "({p}V * ({p}s - T) - {p}L)"
+        expr = "{p}c * {p}W * {p}exp(-abs(" + x + ") / {p}R) * {p}cos({p}PI * " + x + " / {p}l)"
+        params = profile.params
+        terms = dict(V=params.velocity, s=t0 + t1, L=params.path_half_length,
+                     W=params.omega0 * math.cos(params.zeta), R=params.defect_radius,
+                     l=params.lattice_const, exp=math.exp, cos=math.cos, PI=math.pi)
         back = evolve(
             build_subspace(1),
-            reversed_a,
-            reversed_b,
+            Formula(expr, c=-1.0, **terms),
+            Formula(expr, c=-0.7, **terms),
             AmplitudeVector(1, forward.amplitudes[-1]),
             t0,
             t1,
@@ -263,11 +274,10 @@ class TestEvolve:
         assert tight < loose
 
     def test_non_finite_coupling_fails_with_time(self):
-        bad = lambda t: float("nan") if t > 0.5e-9 else 1e9
         with pytest.raises(ConvergenceError) as err:
             evolve(
                 build_subspace(1),
-                bad,
+                nan_after(0.5e-9, 1e9),
                 constant(0.0),
                 AmplitudeVector.basis_state("100"),
                 0.0,
@@ -308,25 +318,25 @@ class TestEvolve:
             )
 
 
-class TestBareCallables:
-    """Callables without scalar lines or breakpoints integrate as one span."""
+class TestConstantDrives:
+    """Constant drives that report no breakpoints integrate as one span."""
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_real_callables_match_expm(self, n):
+    def test_real_constants_match_expm(self, n):
         g_a, g_b, duration = 0.9e9, -0.5e9, 2.3e-9
         h = build_subspace(n)
         psi0 = AmplitudeVector(n, np.eye(h.dim)[0])
-        traj = evolve(h, lambda t: g_a, lambda t: np.float64(g_b), psi0, 0.0, duration, n_points=5)
+        traj = evolve(h, constant(g_a), constant(g_b), psi0, 0.0, duration, n_points=5)
         want = expm_unitary(h.matrix(g_a, g_b), duration) @ psi0.amplitudes
         np.testing.assert_allclose(traj.amplitudes[-1], want, rtol=0, atol=1e-9)
         assert traj.diagnostics["n_spans"] == 1
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_complex_callables_match_expm(self, n):
+    def test_complex_constants_match_expm(self, n):
         g_a, g_b, duration = (0.6 + 0.7j) * 1e9, (-0.2 + 0.4j) * 1e9, 2.3e-9
         h = build_subspace(n)
         psi0 = AmplitudeVector(n, np.eye(h.dim)[-1])
-        traj = evolve(h, lambda t: g_a, lambda t: np.asarray(g_b), psi0, 0.0, duration, n_points=5)
+        traj = evolve(h, constant(g_a), constant(g_b), psi0, 0.0, duration, n_points=5)
         want = expm_unitary(h.matrix(g_a, g_b), duration) @ psi0.amplitudes
         np.testing.assert_allclose(traj.amplitudes[-1], want, rtol=0, atol=1e-9)
         assert traj.diagnostics["n_spans"] == 1
@@ -335,9 +345,35 @@ class TestBareCallables:
         trace = CouplingTrace([0.0, 1e-9, 2e-9], [1e9, 2e9, 1e9])
         drive_a, _, _ = drive_pair(trace, 1.0)
         with pytest.raises(ConvergenceError) as err:
-            evolve(build_subspace(2), drive_a, lambda t: math.nan if t > 1.5e-9 else 0.0,
+            evolve(build_subspace(2), drive_a, nan_after(1.5e-9, 0.0),
                    AmplitudeVector.basis_state("110"), 0.0, 2e-9)
         assert 1.5e-9 < err.value.t <= 2e-9
+
+
+class TestDrivesWithoutFormula:
+    """A drive that states no formula is refused with TypeError before any step."""
+
+    @pytest.mark.parametrize("atom", [0, 1], ids=["atom-a", "atom-b"])
+    def test_bare_callable(self, atom):
+        drives = [constant(2e9), constant(1e9)]
+        drives[atom] = lambda t: 1e9
+        psi0 = AmplitudeVector.basis_state("100")
+        with mock.patch.object(DOP853, "step", side_effect=AssertionError("the ODE ran")):
+            with pytest.raises(TypeError, match="type function"):
+                evolve(build_subspace(1), *drives, psi0, 0.0, 1e-9)
+            for states in ([psi0], [AmplitudeVector.basis_state("000")]):
+                with pytest.raises(TypeError, match="type function"):
+                    final_states(*drives, states, 0.0, 1e-9)
+
+    def test_scaled_bare_callable(self):
+        # atom B over a callable, beside a different atom A
+        with pytest.raises(TypeError, match="type function"):
+            evolve(build_subspace(1), constant(2e9), ScaledProfile(lambda t: 1e9, 0.5),
+                   AmplitudeVector.basis_state("100"), 0.0, 1e-9)
+
+    def test_drive_pair_of_a_bare_callable(self):
+        with pytest.raises(TypeError, match="type function"):
+            drive_pair(lambda t: 1e9, 0.5)
 
 
 def kinked_trace(n: int, delta: float, g0: float = 4e9, duration: float = 1e-9) -> CouplingTrace:
@@ -446,7 +482,7 @@ class TestFinalStates:
         drive_a, _, _ = drive_pair(trace, 1.0)
         initials = [AmplitudeVector.basis_state(label) for label in ("100", "110")]
         with pytest.raises(ConvergenceError) as err:
-            final_states(drive_a, lambda t: math.nan if t > 1.5e-9 else 0.0, initials, 0.0, 2e-9)
+            final_states(drive_a, nan_after(1.5e-9, 0.0), initials, 0.0, 2e-9)
         assert 1.5e-9 < err.value.t <= 2e-9
 
     def test_empty_batch_rejected(self):
