@@ -7,16 +7,21 @@ from a discretized mode field.  The drives built from both integrate into
 pulse areas, the angles that drive the Rabi rotations downstream, and every
 such area has a closed form.
 
-Each drive also states its value at one time T as source lines, which the
-ODE engine inlines into its generated DOP853 step: ``scalar_lines(out, p)``
+Each drive states its value at one time T as source lines, which the ODE
+engine inlines into its generated DOP853 step: ``scalar_lines(out, p)``
 returns (lines, names, values), lines that read T and ``names`` and set
-``out``, the names bound to ``values`` when the step is built.  Every
-other name the lines read or set begins with ``p`` or is a builtin.  The
-text is the formula alone: the samples, parameters and factor of a drive
-are values the lines read by name, so every drive of one kind shares one
-generated step.  With ``breakpoints(t0, t1)``, the times in (t0, t1) where
-its derivative jumps, these make the :class:`Drive` protocol, all the ODE
-engine reads of a drive; it refuses anything else with TypeError.
+``out``, the names bound to ``values`` when the step is built: the form in
+which :class:`pcqed.dop853.DOP853` takes its right-hand side.  Every other
+name the lines read or set begins with ``p`` or is a builtin.  The text is
+the formula alone: the samples, parameters and factor of a drive are values
+the lines read by name, so every drive of one kind shares one generated
+step.  With ``breakpoints(t0, t1)``, the times in (t0, t1) where its
+derivative jumps, these make the :class:`Drive` protocol, all the ODE
+engine reads of a drive; it refuses anything else with TypeError.  The
+drive-only classes, :class:`TraceMagnitude` and :class:`ScaledProfile`,
+state their value this way alone; the profiles, :class:`GenericProfile` and
+:class:`CouplingTrace`, are also vectorized callables, which the profile
+CSV and a trace's exact area read.
 
 Drive convention, decided in one place, :func:`drive_from_profile`:
 analytic generic profiles are real and signed and drive the interaction as
@@ -24,7 +29,7 @@ they are; traces sampled from mode fields may be complex and drive it
 through their magnitude |g|, whose area is the exact area of the magnitude
 of the linear interpolant; the drives of one trace compare equal.
 :func:`drive_pair` adds atom B, whose drive is exactly c times atom A's,
-the same drive scaled.
+the same drive scaled, by p or |p| as drive_from_profile decided.
 :func:`pulse_area` is exact or refuses: it integrates what
 :func:`exact_area` integrates and raises TypeError for anything else, a raw
 trace or a bare callable included.
@@ -173,9 +178,6 @@ class ScaledProfile:
     def __post_init__(self) -> None:
         _require_drive(self.base)
 
-    def __call__(self, t):
-        return self.factor * self.base(t)
-
     def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
         """(lines, names, values): the base's own lines, then ``out`` as the
         factor times their value."""
@@ -185,10 +187,6 @@ class ScaledProfile:
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         """The base's breakpoints in (t0, t1)."""
         return self.base.breakpoints(t0, t1)
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return self.base.window
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +260,6 @@ class TraceMagnitude:
     real trace and another every complex one."""
 
     trace: CouplingTrace
-
-    def __call__(self, t):
-        return np.abs(self.trace(t))
 
     def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
         """(lines, names, values): |g| at one time T as source that sets
@@ -353,15 +348,16 @@ def drive_pair(profile, p: float):
 
     Atom A drives through :func:`drive_from_profile` of ``profile``; atom B's
     drive is that same drive times c, a :class:`ScaledProfile`, so every
-    engine reads B as exactly c times A and both report A's breakpoints.  A
-    trace drives through |g|, so c = |p|; every other profile drives signed,
-    so c = p.  c is a Python float whatever number type p is.  Every engine
+    engine reads B as exactly c times A and both report A's breakpoints.  c
+    follows what drive_from_profile returned: p for a profile that is its
+    own signed drive, |p| for one that drives through its magnitude, a
+    trace.  c is a Python float whatever number type p is.  Every engine
     reads atom B from here; a profile that states no formula raises TypeError.
     """
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     drive = drive_from_profile(profile)
-    c = float(abs(p) if isinstance(profile, CouplingTrace) else p)
+    c = float(p if drive is profile else abs(p))
     return drive, ScaledProfile(drive, c), c
 
 

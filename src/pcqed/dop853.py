@@ -6,15 +6,16 @@ Norsett & Wanner, Solving Ordinary Differential Equations I, sec. II.5
 (their Fortran code ``dop853.f``, whose coefficient names the constants
 below keep).  The state is a list of Python complex numbers: for the few
 components pcqed integrates, scalar arithmetic costs less than array calls
-do.  The right-hand side is a :class:`Source`, lines of code that compute
-the derivative's components from the time and the state's, which the
-solver inlines.  One attempted step, its twelve stages, its new state, f at
-its end and its error norm, is one straight-line function generated from
-that source, the number of components, the blocks and the tableau's
-constant names, on first use, and kept; each component's sums leave out
-the tableau's zero coefficients, as ``dop853.f`` writes them.  The same
-source, alone, is the right-hand side that the initial step and the dense
-output call.  The dense output is the exception to scalar
+do.  The right-hand side is source, a (lines, names, values) triple: lines
+of code that compute the derivative's components from the time and the
+state's, the names they read and the values a run binds to those names,
+which the solver inlines.  One attempted step, its twelve stages, its new
+state, f at its end and its error norm, is one straight-line function
+generated from those lines and names, the number of components, the blocks
+and the tableau's constant names, on first use, and kept; each component's
+sums leave out the tableau's zero coefficients, as ``dop853.f`` writes
+them.  The same lines, alone, are the right-hand side that the initial step
+and the dense output call.  The dense output is the exception to scalar
 arithmetic: its interpolants are built and evaluated for many steps at
 once, on numpy arrays of steps x components, with the same operations in
 the same order, and numpy's product of a real and a complex number rounds
@@ -249,26 +250,6 @@ _ERRORS = [(i, f"ER{i}", f"E3{i}" if f"E3{i}" in globals() else f"B{i}")
 _KEPT = range(6, 14)  # the stages a step returns, for the next step and the dense output
 
 
-class Source:
-    """A right-hand side as source code, for the solver to inline.
-
-    ``lines`` set f_0, ..., f_(n-1) from the time T and the state a_0, ...,
-    a_(n-1); they read the names ``names``, which a run binds to
-    ``values``.  Any other name they set is a temporary of their own and
-    must not be one of the step's: t, h, y, k1, rtol, atol, s, s3, s5, err,
-    sqrt, the tableau's constant names, or a name that ends in an
-    underscore and digits.  The lines and names are the key of the
-    generated code (:func:`_kernel`): they state formulas, the drives'
-    included, and every number of a run enters through ``values``, so runs
-    that differ only in their numbers share one step.
-    """
-
-    __slots__ = ("lines", "names", "values")
-
-    def __init__(self, lines: tuple[str, ...], names: tuple[str, ...], values: tuple) -> None:
-        self.lines, self.names, self.values = lines, names, values
-
-
 @lru_cache(maxsize=16)
 def _kernel(n: int, blocks: tuple, lines: tuple, names: tuple) -> Callable:
     """build(*values) -> (step, rhs) of one right-hand side source on n
@@ -343,13 +324,24 @@ def _norm2(v: list) -> float:
 class DOP853:
     """One DOP853 run of y' = f(t, y) forward from t0.
 
-    ``source`` states f and is inlined into the step; the solver's ``fun``,
-    fun(t, y) on a float and a list of complex, is f generated from it
-    alone.  ``t_bound`` is the end of the current span: no step passes it,
-    and a caller may move it further once ``t`` has reached it, which
-    continues the run with the step size it proposes there.  ``blocks``
-    partitions the components into (start, stop) ranges whose norms are
-    taken apart; None is one block of all.
+    ``source`` states f as (lines, names, values) and is inlined into the
+    step.  The lines set f_0, ..., f_(n-1) from the time T and the state
+    a_0, ..., a_(n-1); they read ``names``, which the run binds to
+    ``values``.  Any other name they set is a temporary of their own and
+    must not be one of the step's: t, h, y, k1, rtol, atol, s, s3, s5, err,
+    sqrt, the tableau's constant names, or a name that ends in an
+    underscore and digits.  The lines and names are the key of the
+    generated code (:func:`_kernel`): they state formulas, the drives'
+    included, and every number of a run enters through ``values``, so runs
+    that differ only in their numbers share one step.  The solver's
+    ``fun``, fun(t, y) on a float and a list of complex, is f generated
+    from the lines alone.
+
+    ``t_bound`` is the end of the current span: no step passes it, and a
+    caller may move it further once ``t`` has reached it, which continues
+    the run with the step size it proposes there.  ``blocks`` partitions
+    the components into (start, stop) ranges whose norms are taken apart;
+    None is one block of all.
 
     ``times``, increasing and past t0, are output times: row j of ``dense``
     becomes the state at times[j], read from the interpolant of the first
@@ -361,7 +353,7 @@ class DOP853:
 
     def __init__(
         self,
-        source: Source,
+        source: tuple[tuple[str, ...], tuple[str, ...], tuple],
         t0: float,
         y0: Sequence[complex],
         t_bound: float,
@@ -380,8 +372,8 @@ class DOP853:
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
         self.blocks = [(0, len(self.y))] if blocks is None else [tuple(b) for b in blocks]
-        build = _kernel(len(self.y), tuple(self.blocks), source.lines, source.names)
-        self._step, self.fun = build(*source.values)
+        lines, names, values = source
+        self._step, self.fun = _kernel(len(self.y), tuple(self.blocks), lines, names)(*values)
         self.f = self.fun(t0, self.y)
         self.nfev = 1
         self.h_abs = self._initial_step()

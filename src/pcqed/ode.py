@@ -40,7 +40,7 @@ from .core import (AmplitudeVector, ConvergenceError, SubspaceHamiltonian, basis
 from .coupling import Drive, ScaledProfile, _require_drive, absolute_area_bound
 # perfbench reads build_subspace and drive_from_profile from this module.
 from .coupling import drive_from_profile  # noqa: F401
-from .dop853 import DOP853, Source
+from .dop853 import DOP853
 
 __all__ = [
     "MAX_AREA",
@@ -265,9 +265,10 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
     return solver, n_steps, len(bounds)
 
 
-def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> Source:
+def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> tuple[tuple, tuple, tuple]:
     """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components,
-    as straight-line source.
+    as the straight-line source :class:`pcqed.dop853.DOP853` takes: (lines,
+    names, values).
 
     Sets g0 to atom A's drive at T and g1 to atom B's, each by its own
     ``scalar_lines``.  When ``scaled``, atom B's drive is a ScaledProfile of
@@ -300,9 +301,8 @@ def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> Source:
              *(f"f_{i} = 0j{''.join(parts)}" for i, parts in enumerate(terms)))
     # -i H[row, col] is (-i factor) g_atom; -i H[col, row] is minus its conjugate
     factors = [-1j * factor for *_, factor in couplings]
-    return Source(lines, (*a_names, *b_names, "non_finite",
-                          *(f"m{e}" for e in range(len(couplings)))),
-                  (*a_values, *b_values, _non_finite, *factors))
+    return (lines, (*a_names, *b_names, "non_finite", *(f"m{e}" for e in range(len(couplings)))),
+            (*a_values, *b_values, _non_finite, *factors))
 
 
 def _non_finite(t: float):

@@ -196,8 +196,8 @@ def check_same_steps(couplings, g_a, g_b, y0, t0, t1, min_steps=1):
 
 
 # y' = -i y and y' = y on one component
-ROTATION = dop853.Source(("f_0 = -1j * a_0",), (), ())
-GROWTH = dop853.Source(("f_0 = a_0",), (), ())
+ROTATION = (("f_0 = -1j * a_0",), (), ())
+GROWTH = (("f_0 = a_0",), (), ())
 
 
 class TestSolver:
@@ -206,7 +206,7 @@ class TestSolver:
         # output, and output times do not move the steps.
         def run(times=()):
             calls = []
-            source = dop853.Source(("called(T)", "f_0 = -1j * a_0"), ("called",), (calls.append,))
+            source = ("called(T)", "f_0 = -1j * a_0"), ("called",), (calls.append,)
             solver = dop853.DOP853(source, 0.0, [1 + 0j], 1000.0, 1e-9, 1e-11, times=times)
             ends = []
             while solver.t < 1000.0:
@@ -247,8 +247,7 @@ class TestSolver:
         # |f| over the error scale past 1.3e154 overflows the norm's squares;
         # the first-step guess then divided by zero.
         with pytest.raises(ConvergenceError, match="not finite") as err:
-            dop853.DOP853(dop853.Source(("f_0 = 1e160 * a_0",), (), ()), 2.0, [1 + 0j], 3.0,
-                          1e-9, 1e-11)
+            dop853.DOP853((("f_0 = 1e160 * a_0",), (), ()), 2.0, [1 + 0j], 3.0, 1e-9, 1e-11)
         assert err.value.t == 2.0
 
     def test_empty_span_rejected(self):
@@ -298,19 +297,20 @@ def check_matches_oracles(couplings, g_a, g_b, y0, t0, t1, blocks=None, n_times=
 
 def generated_rhs(couplings, g_a, g_b, dim, scaled=False):
     """The standalone right-hand side generated from ``ode._source``."""
-    source = ode._source(couplings, g_a, g_b, dim, scaled)
-    return dop853._kernel(dim, ((0, dim),), source.lines, source.names)(*source.values)[1]
+    lines, names, values = ode._source(couplings, g_a, g_b, dim, scaled)
+    return dop853._kernel(dim, ((0, dim),), lines, names)(*values)[1]
 
 
 def kernel_step(couplings, g_a, g_b, dim, scaled=False):
     """The generated step of ``ode._source`` on one block."""
-    source = ode._source(couplings, g_a, g_b, dim, scaled)
-    return dop853._kernel(dim, ((0, dim),), source.lines, source.names)(*source.values)[0]
+    lines, names, values = ode._source(couplings, g_a, g_b, dim, scaled)
+    return dop853._kernel(dim, ((0, dim),), lines, names)(*values)[0]
 
 
 def generated_text(source, n):
     """The code ``dop853._kernel`` generates from ``source`` on n components
     and one block, bypassing its cache."""
+    lines, names, _ = source
     texts = []
 
     def recording(text, *args):
@@ -318,7 +318,7 @@ def generated_text(source, n):
         return compile(text, *args)
 
     with mock.patch.object(dop853, "compile", recording, create=True):
-        dop853._kernel.__wrapped__(n, ((0, n),), source.lines, source.names)
+        dop853._kernel.__wrapped__(n, ((0, n),), lines, names)
     return texts[0]
 
 
@@ -375,9 +375,9 @@ class TestStraightLineKernels:
     def test_callable_source(self):
         # a piecewise source with a temporary of its own, with rejections,
         # against a plain function of the same arithmetic
-        source = dop853.Source(("rate = 3.0 if T > 0.4 else 0.5",
-                                "f_0 = -1j * rate * a_1",
-                                "f_1 = -1j * rate * a_0 + 0.1 * a_1"), (), ())
+        source = (("rate = 3.0 if T > 0.4 else 0.5",
+                   "f_0 = -1j * rate * a_1",
+                   "f_1 = -1j * rate * a_0 + 0.1 * a_1"), (), ())
 
         def fun(t, y):
             rate = 3.0 if t > 0.4 else 0.5
@@ -422,9 +422,10 @@ class TestStraightLineKernels:
         with mock.patch.object(ScaledProfile, "scalar_lines", side_effect=AssertionError):
             source = ode._source(couplings, g_a, g_b, 3, True)
             out = generated_rhs(couplings, g_a, g_b, 3, scaled=True)(1e-9, psi)
-        formula = [line for line in source.lines if line.startswith("g0 = ")]
-        assert len(formula) == 1 and "g1 = db_c * g0" in source.lines
-        assert [line for line in source.lines if "db_" in line] == ["g1 = db_c * g0"]
+        lines = source[0]
+        formula = [line for line in lines if line.startswith("g0 = ")]
+        assert len(formula) == 1 and "g1 = db_c * g0" in lines
+        assert [line for line in lines if "db_" in line] == ["g1 = db_c * g0"]
         assert generated_text(source, 3).count(formula[0]) == 12 + 1
         assert out == table_rhs(couplings, g_a, g_b, 3)(1e-9, psi)
 

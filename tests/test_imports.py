@@ -1,12 +1,15 @@
-"""What a fresh pcqed process imports.
+"""What a fresh pcqed process imports, and what each module imports.
 
 pcqed's runtime needs numpy and jsonschema only: the ODE engine runs its own
 DOP853 and field traces are sampled by its own multilinear interpolation, so
 no command loads scipy (a test-only dependency).
 Each check runs a fresh interpreter, because this test process has loaded
-scipy long before.
+scipy long before.  Every name a module imports is read by its own code,
+but for the re-exports perfbench reads; the check walks each module's
+syntax tree, with the standard library alone.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -122,3 +125,29 @@ def test_load_config_validates_through_jsonschema_once(monkeypatch):
     config = cli._load_config(str(example_config_path("sweep_default")), "sweep")
     assert len(calls) == 1
     assert calls[0] == (config, cli.SCHEMAS["sweep"])
+
+
+# Imported for others to read, as marked where they are imported:
+# perfbench reads pcqed.AmplitudeVector, pcqed.CavityParams and
+# pcqed.ode.drive_from_profile.
+RE_EXPORTS = {"__init__.py": {"AmplitudeVector", "CavityParams"},
+              "ode.py": {"drive_from_profile"}}
+
+
+def unread_imports(path: Path) -> set[str]:
+    """The names a module's imports bind that none of its own code reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path) == RE_EXPORTS.get(path.name, set())
