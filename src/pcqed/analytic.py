@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import build_subspace
+from .core import basis_labels, build_subspace
 from .coupling import exact_area
 
 __all__ = [
@@ -130,8 +130,8 @@ def analytic_trajectory(
     the chosen initial basis state; row 0 is the initial state when
     times[0] is the window start.
     """
-    if initial not in ("100", "010", "001"):
-        raise ValueError("initial must be one of '100', '010', '001'")
+    if initial not in basis_labels(1):
+        raise ValueError(f"initial must be one of {', '.join(map(repr, basis_labels(1)))}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two output times")

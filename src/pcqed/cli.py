@@ -3,6 +3,10 @@
 Science parameters come from JSON config files (schema-validated, unknown
 keys rejected, each scenario's needed keys checked, optional keys resolved to
 the defaults of the library code that reads them); flags handle only I/O.
+Every command's schema comes from one helper, and each rule the library holds
+is read from the library: the profile keys, which are required and which
+positive, from :class:`GenericProfileParams`, and the ``initial`` states
+from the one-excitation basis.
 Every :class:`ConfigError` is raised while the config loads, before any work.
 A number literal that is not a finite double (``NaN``, ``Infinity``,
 ``1e400``, a 401-digit integer) exits 2; an underflowing ``1e-400`` reads as
@@ -33,11 +37,12 @@ from .core import (
     CavityParams,
     ConvergenceError,
     AmplitudeVector,
+    basis_labels,
     build_subspace,
     g0_from_params,
     write_csv,
 )
-from .coupling import GenericProfile, GenericProfileParams, drive_pair
+from .coupling import _FIELDS, _POSITIVE, GenericProfile, GenericProfileParams, drive_pair
 from .fieldgrid import (
     DEFAULT_SAMPLES,
     FieldGrid,
@@ -69,25 +74,21 @@ _NUM_POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM = {"type": "number"}
 _VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
 
+# The generic profile's keys as GenericProfileParams takes them: positive
+# where it checks so, required where it has no default.
 _PROFILE_SCHEMA = {
     "type": "object",
-    "properties": {
-        "omega0": _NUM_POS,
-        "path_half_length": _NUM_POS,
-        "defect_radius": _NUM_POS,
-        "lattice_const": _NUM_POS,
-        "velocity": _NUM_POS,
-        "zeta": _NUM,
-    },
-    "required": ["omega0", "path_half_length", "defect_radius", "lattice_const", "velocity"],
+    "properties": {key: _NUM_POS if key in _POSITIVE else _NUM for key in _FIELDS},
+    "required": [name for name, param in inspect.signature(GenericProfileParams).parameters.items()
+                 if param.default is param.empty],
     "additionalProperties": False,
 }
 
+# A sweep family: the profile without its velocity, which the sweep sets per cell.
 _FAMILY_SCHEMA = {
-    "type": "object",
+    **_PROFILE_SCHEMA,
     "properties": {k: v for k, v in _PROFILE_SCHEMA["properties"].items() if k != "velocity"},
-    "required": ["omega0", "path_half_length", "defect_radius", "lattice_const"],
-    "additionalProperties": False,
+    "required": [k for k in _PROFILE_SCHEMA["required"] if k != "velocity"],
 }
 
 _FIELD_SCHEMA = {
@@ -150,7 +151,6 @@ _N_POINTS = {"type": "integer", "minimum": 2, "maximum": 1_000_000}
 
 # Keys every command that builds atom A's profile from a scenario accepts.
 _SCENARIO_KEYS = {
-    "description": {"type": "string"},
     "scenario": _SCENARIO,
     "profile": _PROFILE_SCHEMA,
     "field": _FIELD_SCHEMA,
@@ -163,20 +163,25 @@ _SCENARIO_KEYS = {
 }
 
 
-def _scenario_command(required: tuple[str, ...], **keys) -> dict:
-    """Schema of a scenario command: the shared keys plus its own."""
+def _command(required: tuple[str, ...], **keys) -> dict:
+    """Schema of a command's config: a description, its own keys, and no other."""
     return {
         "type": "object",
-        "properties": {**_SCENARIO_KEYS, **keys},
-        "required": ["scenario", "p", *required],
+        "properties": {"description": {"type": "string"}, **keys},
+        "required": list(required),
         "additionalProperties": False,
     }
+
+
+def _scenario_command(required: tuple[str, ...], **keys) -> dict:
+    """Schema of a scenario command: the shared keys plus its own."""
+    return _command(("scenario", "p", *required), **_SCENARIO_KEYS, **keys)
 
 
 SCHEMAS = {
     "evolve": _scenario_command(
         ("initial",),
-        initial={"enum": ["100", "010", "001"]},
+        initial={"enum": list(basis_labels(1))},
         engine={"enum": ["analytic", "ode", "both"]},
         ode=_ODE_SCHEMA,
         n_points=_N_POINTS,
@@ -194,38 +199,28 @@ SCHEMAS = {
         engine={"enum": ["analytic", "ode"]},
         ode=_ODE_SCHEMA,
     ),
-    "field-stats": {
-        "type": "object",
-        "properties": {
-            "description": {"type": "string"},
-            "field": _FIELD_SCHEMA,
-            "plane_index": {"type": "integer", "minimum": 0},
-            "dipole_moment": _NUM_POS,
-            "omega_cav": _NUM_POS,
-            "effective_height": _NUM_POS,
+    "field-stats": _command(
+        ("field",),
+        field=_FIELD_SCHEMA,
+        plane_index={"type": "integer", "minimum": 0},
+        dipole_moment=_NUM_POS,
+        omega_cav=_NUM_POS,
+        effective_height=_NUM_POS,
+    ),
+    "sweep": _command(
+        ("family",),
+        family=_FAMILY_SCHEMA,
+        v_range=_V_BOUNDS,
+        p_range={"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
+        resolution={
+            "type": "array",
+            "items": {"type": "integer", "minimum": 2, "maximum": 5001},
+            "minItems": 2,
+            "maxItems": 2,
         },
-        "required": ["field"],
-        "additionalProperties": False,
-    },
-    "sweep": {
-        "type": "object",
-        "properties": {
-            "description": {"type": "string"},
-            "family": _FAMILY_SCHEMA,
-            "v_range": _V_BOUNDS,
-            "p_range": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-            "resolution": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 2, "maximum": 5001},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "initial": {"enum": ["100", "010"]},
-            "svg": {"type": "boolean"},
-        },
-        "required": ["family"],
-        "additionalProperties": False,
-    },
+        initial={"enum": list(basis_labels(1)[:2])},  # the atom states
+        svg={"type": "boolean"},
+    ),
 }
 
 

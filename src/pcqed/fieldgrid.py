@@ -223,8 +223,8 @@ def polarization_fraction(grid: FieldGrid, plane_index: int) -> float:
     return ez / total
 
 
-def _interpolators(grid: FieldGrid):
-    """Linear interpolator for the coupling component of the field.
+def _sample(grid: FieldGrid, positions: np.ndarray) -> np.ndarray:
+    """The coupling component of the field at ``positions``, linearly interpolated.
 
     Scalar grids interpolate the scalar field; 3-component grids interpolate
     E_z (the TM component that couples to the dipole).  Degenerate axes
@@ -241,28 +241,24 @@ def _interpolators(grid: FieldGrid):
     live = [k for k in range(3) if grid.dims[k] > 1]
     squeezed = values.reshape([grid.dims[k] for k in live]) if live else values
     parts = (squeezed.real, squeezed.imag)
-
-    def sample(positions: np.ndarray) -> np.ndarray:
-        corners = []  # per axis, the lower and upper (index, weight)
-        for k in live:
-            g = axes[k]
-            # Clamp to the cell-center hull: linear interpolation then never
-            # exceeds the sampled extrema.
-            q = np.clip(positions[:, k], g[0], g[-1])
-            i = np.clip(np.searchsorted(g, q, side="left") - 1, 0, g.size - 2)
-            d = (q - g[i]) / (g[i + 1] - g[i])
-            corners.append(((i, 1 - d), (i + 1, d)))
-        re, im = 0.0, 0.0
-        for corner in itertools.product(*corners):
-            index, weights = zip(*corner)
-            weight = 1.0
-            for w in weights:
-                weight = weight * w
-            re = re + parts[0][index] * weight
-            im = im + parts[1][index] * weight
-        return re + 1j * im
-
-    return sample
+    corners = []  # per axis, the lower and upper (index, weight)
+    for k in live:
+        g = axes[k]
+        # Clamp to the cell-center hull: linear interpolation then never
+        # exceeds the sampled extrema.
+        q = np.clip(positions[:, k], g[0], g[-1])
+        i = np.clip(np.searchsorted(g, q, side="left") - 1, 0, g.size - 2)
+        d = (q - g[i]) / (g[i + 1] - g[i])
+        corners.append(((i, 1 - d), (i + 1, d)))
+    re, im = 0.0, 0.0
+    for corner in itertools.product(*corners):
+        index, weights = zip(*corner)
+        weight = 1.0
+        for w in weights:
+            weight = weight * w
+        re = re + parts[0][index] * weight
+        im = im + parts[1][index] * weight
+    return re + 1j * im
 
 
 def _clip_to_bounds(path: PathSpec, grid: FieldGrid) -> tuple[float, float]:
@@ -311,12 +307,13 @@ def coupling_trace_from_field(
     # Psi normalizes by |E| at the energy-density maximum, not the global
     # |E| maximum (the two coincide only when the peak sits in dielectric).
     peak_mag = math.sqrt(float(intensity.flat[peak]))
-    sample = _interpolators(grid)
 
     s_lo, s_hi = _clip_to_bounds(path, grid)
     s = np.linspace(s_lo, s_hi, n_samples)
     positions = np.asarray(path.entry) + np.outer(s, np.asarray(path.direction))
-    psi = sample(positions) / peak_mag
+    psi = _sample(grid, positions) / peak_mag
+    if not psi.imag.any():  # exactly real, whatever the scale of g0
+        psi = psi.real
     slack = float(np.max(np.abs(psi))) - 1.0
     if slack > 1e-9:
         warnings.warn(
@@ -325,8 +322,6 @@ def coupling_trace_from_field(
             stacklevel=2,
         )
     values = cavity.g0 * psi * math.cos(path.zeta)
-    if np.allclose(values.imag, 0.0):
-        values = values.real
     return CouplingTrace(s / path.velocity, values, velocity=path.velocity)
 
 

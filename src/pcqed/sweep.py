@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import amplitudes
-from .core import FLOAT_FORMAT, VELOCITY_WINDOW, write_csv
+from .core import FLOAT_FORMAT, VELOCITY_WINDOW, basis_labels, write_csv
 from .coupling import GenericProfile, GenericProfileParams, pulse_area
 
 __all__ = ["SweepGrid", "surface", "surfaces_to_csv"]
@@ -65,8 +65,9 @@ def surface(
     family's velocity field is ignored: the area at each grid velocity V is
     the exact area at V = 1 divided by V.
     """
-    if initial not in ("100", "010"):
-        raise ValueError("initial state must be '100' or '010'")
+    atom_states = basis_labels(1)[:2]
+    if initial not in atom_states:
+        raise ValueError(f"initial state must be {atom_states[0]!r} or {atom_states[1]!r}")
     n_v, n_p = resolution
     if n_v < 2 or n_p < 2:
         raise ValueError("resolution must be at least 2 per axis")

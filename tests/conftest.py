@@ -70,7 +70,11 @@ def field3d_config() -> dict:
 @pytest.fixture(scope="session")
 def field3d_trace(field3d_config):
     """The complex coupling trace of the bundled evolve_field3d transit."""
-    c = field3d_config
+    return field3d_transit(field3d_config, field3d_config["g0"])
+
+
+def field3d_transit(c: dict, g0: float):
+    """The coupling trace of the evolve_field3d config ``c``'s transit at coupling g0 (rad/s)."""
     f = c["field"]
     grid = synthesize_mode(f["kind"], f["lattice_const"], f["decay_radius"],
                            tuple(f["dims"]), tuple(f["spacing"]))
@@ -78,5 +82,5 @@ def field3d_trace(field3d_config):
                     length=c["path"]["length"], velocity=c["path"]["velocity"])
     _, eps_m = peak_energy_point(grid)
     cavity = CavityParams(omega_cav=c["omega_cav"], eps_m=eps_m, mode_volume=mode_volume(grid),
-                          g0=c["g0"])
+                          g0=g0)
     return coupling_trace_from_field(grid, path, cavity, c["n_samples"])

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 import pcqed
 from pcqed import cli
 from pcqed.core import ConvergenceError
+from pcqed.coupling import GenericProfileParams
 from pcqed.cli import main
 
 from conftest import LATTICE_GENERIC, OMEGA0_GENERIC, csv_rows
@@ -715,6 +717,38 @@ def test_ode_block_resolves_key_by_key(tmp_path):
     config = {**_GENERIC, "initial": "100", "ode": {"rtol": 1e-10}}
     resolved = cli._load_config(str(write_config(tmp_path, "cfg", config)), "evolve")
     assert resolved["ode"] == {"rtol": 1e-10, "atol": _default(pcqed.ode.evolve, "atol")}
+
+
+def _refuses(build, *args) -> bool:
+    try:
+        build(*args)
+    except (jsonschema.ValidationError, TypeError, ValueError):
+        return True
+    return False
+
+
+# The block's parameters as the library takes them: a profile as GenericProfileParams
+# does, a sweep family as the sweep does, with the velocity each grid cell sets.
+@pytest.mark.parametrize("command, stem, block, params", [
+    pytest.param("calibrate", "calibrate_not_generic", "profile",
+                 lambda block: GenericProfileParams(**block), id="profile"),
+    pytest.param("sweep", "sweep_default", "family", cli._generic_params, id="family"),
+])
+@pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(GenericProfileParams)])
+def test_profile_schema_agrees_with_generic_profile_params(command, stem, block, params, key):
+    # each value, and the key's absence: the schema refuses exactly what the library does
+    config = json.loads(example_config_path(stem).read_text())
+    others = {k: v for k, v in config[block].items() if k != key}
+    for edited in ({**others, key: 0.0}, {**others, key: -1.0}, others):
+        assert (_refuses(jsonschema.validate, {**config, block: edited}, cli.SCHEMAS[command])
+                == _refuses(params, edited)), edited
+
+
+def test_sweep_family_takes_no_velocity():
+    config = json.loads(example_config_path("sweep_default").read_text())
+    config["family"]["velocity"] = 433.0
+    with pytest.raises(jsonschema.ValidationError, match="'velocity' was unexpected"):
+        jsonschema.validate(config, cli.SCHEMAS["sweep"])
 
 
 def literal_config(tmp_path, stem, key, literal):

@@ -23,7 +23,7 @@ from pcqed.fieldgrid import (
 )
 from pcqed import fieldgrid
 
-from conftest import LATTICE_2D, LATTICE_3D, OMEGA_MM
+from conftest import LATTICE_2D, LATTICE_3D, OMEGA_MM, field3d_transit
 from oracles import example_config_path, mp_rod_epsilon, rod_loop_epsilon
 
 G0_2D = 2.765e6  # rad/s, calibration input for the 2D scenario
@@ -392,6 +392,14 @@ class TestCouplingTraceFromField:
         assert float(np.max(np.abs(trace.values))) <= 2.899e6 * (1 + 1e-9)
         assert trace.is_complex  # 3D synthetic modes carry a genuine phase
 
+    def test_real_or_complex_whatever_g0(self, field3d_config, field3d_trace):
+        # Psi alone decides: an absolute tolerance on g0 * Psi would make the
+        # bundled 3D trace real at g0 = 1e-9 rad/s, its |g| area 0.32 % short
+        small = field3d_transit(field3d_config, 1e-9)
+        assert small.is_complex and field3d_trace.is_complex
+        assert pulse_area(drive_from_profile(small)) / 1e-9 == pytest.approx(
+            pulse_area(drive_from_profile(field3d_trace)) / field3d_config["g0"], rel=1e-12)
+
     def test_off_center_path_stays_below_g0(self):
         grid = square_grid_2d(61, 8 * LATTICE_2D)
         lo, hi = grid.bounds
@@ -440,7 +448,7 @@ class TestCouplingTraceFromField:
 
 def rgi_sampler(grid):
     """The field sampler on scipy's RegularGridInterpolator: the reference
-    whose arithmetic ``fieldgrid._interpolators`` keeps."""
+    whose arithmetic ``fieldgrid._sample`` keeps."""
     values = grid.field if grid.components == 1 else grid.field[..., 2]
     axes = [grid.axis_centers(k) for k in range(3)]
     live = [k for k in range(3) if grid.dims[k] > 1]
@@ -470,7 +478,7 @@ class TestSampler:
     ])
     def test_bit_identical_to_regular_grid_interpolator(self, grid):
         grid = grid()
-        mine, ref = fieldgrid._interpolators(grid), rgi_sampler(grid)
+        ref = rgi_sampler(grid)
         lo, hi = grid.bounds
         rng = np.random.default_rng(2001)
         centres = [grid.axis_centers(k) for k in range(3)]
@@ -480,7 +488,7 @@ class TestSampler:
             for k in range(3):  # grid nodes on one axis, on several where rows repeat
                 positions[rng.integers(0, 2001, 100), k] = rng.choice(centres[k], 100)
             positions[:4] = [lo - 1.0, hi + 1.0, lo, [c[-1] for c in centres]]
-            got, want = mine(positions), ref(positions)
+            got, want = fieldgrid._sample(grid, positions), ref(positions)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
