@@ -17,7 +17,10 @@ the formula alone: the samples, parameters and factor of a drive are values
 the lines read by name, so every drive of one kind shares one generated
 step.  With ``breakpoints(t0, t1)``, the times in (t0, t1) where its
 derivative jumps, these make the :class:`Drive` protocol, all the ODE
-engine reads of a drive; it refuses anything else with TypeError.  The
+engine reads of a drive; it refuses anything else with TypeError.  A drive
+class whose lines always set a Python float says so with a true
+``real_valued``, which :func:`is_real` reads: the ODE engine then writes one
+real product per coupling, and any other drive takes the complex path.  The
 drive-only classes, :class:`TraceMagnitude` and :class:`ScaledProfile`,
 state their value this way alone; the profiles, :class:`GenericProfile` and
 :class:`CouplingTrace`, are also vectorized callables, which the profile
@@ -58,6 +61,7 @@ __all__ = [
     "drive_from_profile",
     "drive_pair",
     "exact_area",
+    "is_real",
     "pulse_area",
 ]
 
@@ -77,6 +81,12 @@ def _require_drive(drive) -> None:
     if not (hasattr(drive, "scalar_lines") and hasattr(drive, "breakpoints")):
         raise TypeError(f"a drive of type {type(drive).__name__} states no formula; pass "
                         "drive_from_profile(profile) of a generic profile or a trace")
+
+
+def is_real(drive) -> bool:
+    """Whether the drive's lines set a Python float at every time: its
+    ``real_valued`` is True.  A drive that does not say so is taken as complex."""
+    return getattr(drive, "real_valued", False) is True
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,7 @@ class GenericProfile:
     window; its formula at one time is :meth:`scalar_lines`."""
 
     params: GenericProfileParams
+    real_valued = True  # float arithmetic on the float parameters
 
     def __call__(self, t):
         """Coupling strength (rad/s) at time t (s), vectorized over t:
@@ -177,6 +188,11 @@ class ScaledProfile:
 
     def __post_init__(self) -> None:
         _require_drive(self.base)
+
+    @property
+    def real_valued(self) -> bool:
+        """A real base times a real factor."""
+        return is_real(self.base) and isinstance(self.factor, (int, float))
 
     def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
         """(lines, names, values): the base's own lines, then ``out`` as the
@@ -260,6 +276,7 @@ class TraceMagnitude:
     real trace and another every complex one."""
 
     trace: CouplingTrace
+    real_valued = True  # abs of a float or a complex, or 0.0
 
     def scalar_lines(self, out: str, p: str) -> tuple[tuple, tuple, tuple]:
         """(lines, names, values): |g| at one time T as source that sets

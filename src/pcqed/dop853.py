@@ -4,22 +4,44 @@ The Dormand-Prince pair of order 8 with error estimators of orders 5 and 3
 and a dense output of order 7, transcribed stage by stage from Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I, sec. II.5
 (their Fortran code ``dop853.f``, whose coefficient names the constants
-below keep).  The state is a list of Python complex numbers: for the few
-components pcqed integrates, scalar arithmetic costs less than array calls
-do.  The right-hand side is source, a (lines, names, values) triple: lines
-of code that compute the derivative's components from the time and the
-state's, the names they read and the values a run binds to those names,
-which the solver inlines.  One attempted step, its twelve stages, its new
-state, f at its end and its error norm, is one straight-line function
-generated from those lines and names, the number of components, the blocks
-and the tableau's constant names, on first use, and kept; each component's
-sums leave out the tableau's zero coefficients, as ``dop853.f`` writes
-them.  The same lines, alone, are the right-hand side that the initial step
-and the dense output call.  The dense output is the exception to scalar
-arithmetic: its interpolants are built and evaluated for many steps at
-once, on numpy arrays of steps x components, with the same operations in
-the same order, and numpy's product of a real and a complex number rounds
-as Python's does, so its values are those of the scalar arithmetic.
+below keep).  The state is complex, and the step carries it as float pairs,
+the real and imaginary part of each component: for the few components
+pcqed integrates, scalar arithmetic costs less than array calls do, and
+CPython specializes float + - * where it sends every product of a float
+weight and a complex stage through ``complex(w, 0.0) * k``.  The
+right-hand side is source, a (lines, names, values) triple: lines of code
+that compute the parts of the derivative's components, f_<c>r and f_<c>i,
+from the time and the parts of the state's, a_<c>r and a_<c>i, the names
+they read and the values a run binds to those names, which the solver
+inlines.  One attempted step, its twelve stages, its new state, f at its
+end and its error norm, is one straight-line function generated from those
+lines and names, the number of components, the blocks and the tableau's
+constant names, on first use, and kept; each part's sums leave out the
+tableau's zero coefficients, as ``dop853.f`` writes them.  The same lines,
+alone, are the right-hand side that the initial step and the dense output
+call.  The dense output is the exception to scalar arithmetic: its
+interpolants are built and evaluated for many steps at once, on numpy
+arrays of steps x components, with the same operations in the same order,
+and numpy's product of a real and a complex number rounds as Python's
+does, so its values are those of the scalar arithmetic.
+
+The float pairs give the bits of the same step on Python complex numbers
+(``tests/oracles.py`` keeps that step as the reference):
+
+- CPython multiplies a float w by a complex k as complex(w, 0.0) * k, whose
+  real part w * k.real - 0.0 * k.imag differs from the pair's w * k.real
+  only in the sign of an exact zero; so does the imaginary part, and so do
+  a complex times the float h and a complex over the float scale.  |z| is
+  the C library's hypot on both sides, as ``abs(complex(re, im))``.
+- Every part of f is a sum that starts at 0.0, as the right-hand sides of
+  :func:`pcqed.ode._source` are written: it never holds -0.0, and a term
+  that is an exact zero, of either sign, leaves it as it is.  So the
+  stages are the same to the bit.
+- Each stage's and the new state's weighted sum has a positive weight, so
+  a sum of exact zeros is +0.0 either way, and y + that sum * h is the
+  same; the norms square their parts.  Only where a product underflows to
+  zero, below 1e-308, can a state part of -0.0 come out with the other
+  sign.
 
 The step control is that of ``scipy.integrate.DOP853``, so on the same
 problem both take the same steps, up to the rounding of sums that numpy
@@ -253,55 +275,62 @@ _KEPT = range(6, 14)  # the stages a step returns, for the next step and the den
 @lru_cache(maxsize=16)
 def _kernel(n: int, blocks: tuple, lines: tuple, names: tuple) -> Callable:
     """build(*values) -> (step, rhs) of one right-hand side source on n
-    components, as straight-line code, generated on first use and kept for
-    the last 16 keys.
+    components, as straight-line code on float pairs, generated on first use
+    and kept for the last 16 keys.
 
-    step(t, h, y, k1, rtol, atol) -> (error_norm, y_new, k6, ..., k13) is
-    one attempted step: per component c it evaluates y_c + (A<j>1 * k1_c +
-    ...) * h as the state a_c of stage j at T = t + C<j> * h and runs the
-    source there, writing k<j>_c; then y_c + h * (B1 * k1_c + ...) for the
-    new state, the source at t + h for stage 13, and the combined E3/E5
-    norm of dop853.f over atol + rtol * max(|y|, |y_new|), the largest over
-    ``blocks``, each block's sums of squares summed with ``sum`` from its
-    first component to its last.  rhs(T, a) -> list is the source alone.
-    These are the operations of one list comprehension per stage, of the
-    right-hand side the source states and of the norms over list slices,
-    in the same order, so the results are the same to the bit.  The code
-    is built from the integers n and ``blocks``, the source's text, which
-    may state the drives' formulas, and the names of this module's
+    A state or stage is a list of 2n floats, the real and imaginary parts of
+    each component in turn.  step(t, h, y, k1, rtol, atol) -> (error_norm,
+    y_new, k6, ..., k13) is one attempted step: per part p of component c
+    it evaluates y_cp + (A<j>1 * k1_cp + ...) * h as the state a_cp of stage
+    j at T = t + C<j> * h and runs the source there, writing k<j>_cp; then
+    y_cp + h * (B1 * k1_cp + ...) for the new state, the source at t + h
+    for stage 13, and the combined E3/E5 norm of dop853.f over atol + rtol *
+    max(|y_c|, |y_new_c|), the largest over ``blocks``, each block's sums of
+    squares summed with ``sum`` from its first component to its last.
+    rhs(T, a) -> list is the source alone.  These are the operations of the
+    list comprehensions over complex numbers in ``tests/oracles.py``, part
+    by part and in the same order, so the results are the same to the bit
+    (see the module docstring); |z| is ``abs(complex(re, im))``, the C
+    library's hypot, which ``math.hypot`` does not always round alike.  The
+    code is built from the integers n and ``blocks``, the source's text,
+    which may state the drives' formulas, and the names of this module's
     constants alone; no value of a run enters it, so a run whose source
     differs from a cached one only in its values reuses that code.
     """
-    def source(out: str) -> list:  # the right-hand side, writing <out>_<c>
-        return ["        " + re.sub(r"\bf_(\d+)\b", rf"{out}_\1", line) for line in lines]
+    parts = [f"{c}{part}" for c in range(n) for part in "ri"]
+
+    def source(out: str) -> list:  # the right-hand side, writing <out>_<c>r and <out>_<c>i
+        return ["        " + re.sub(r"\bf_(\d+[ri])\b", rf"{out}_\1", line) for line in lines]
 
     def unpack(name: str) -> str:
-        return f"        {''.join(f'{name}_{c}, ' for c in range(n))}= {name}"
+        return f"        {''.join(f'{name}_{cp}, ' for cp in parts)}= {name}"
 
     def listed(name: str) -> str:
-        return f"[{', '.join(f'{name}_{c}' for c in range(n))}]"
+        return f"[{', '.join(f'{name}_{cp}' for cp in parts)}]"
 
     body = [f"def build({', '.join(names)}):",
             "    def step(t, h, y, k1, rtol, atol):", unpack("y"), unpack("k1")]
     for j, terms in _STAGES:
         body.append(f"        T = t + C{j} * h")
-        body += [f"        a_{c} = y_{c} + ({' + '.join(f'A{j}{i} * k{i}_{c}' for i in terms)}) * h"
-                 for c in range(n)]
+        body += [f"        a_{cp} = y_{cp} + ({' + '.join(f'A{j}{i} * k{i}_{cp}' for i in terms)}) * h"
+                 for cp in parts]
         body += source(f"k{j}")
     # the new state is the state of stage 13, at t + h
-    body += [f"        a_{c} = y_{c} + h * ({' + '.join(f'B{i} * k{i}_{c}' for i in _WEIGHTS)})"
-             for c in range(n)]
+    body += [f"        a_{cp} = y_{cp} + h * ({' + '.join(f'B{i} * k{i}_{cp}' for i in _WEIGHTS)})"
+             for cp in parts]
     body.append("        T = t + h")
     body += source("k13")
     for c in range(n):
-        body += [f"        s = atol + max(abs(y_{c}), abs(a_{c})) * rtol",
-                 f"        e5_{c} = ({' + '.join(f'{e5} * k{i}_{c}' for i, e5, _ in _ERRORS)}) / s",
-                 f"        e3_{c} = ({' + '.join(f'{e3} * k{i}_{c}' for i, _, e3 in _ERRORS)}) / s"]
+        body.append(f"        s = atol + max(abs(complex(y_{c}r, y_{c}i)), "
+                    f"abs(complex(a_{c}r, a_{c}i))) * rtol")
+        for part in "ri":
+            e5 = " + ".join(f"{w} * k{i}_{c}{part}" for i, w, _ in _ERRORS)
+            e3 = " + ".join(f"{w} * k{i}_{c}{part}" for i, _, w in _ERRORS)
+            body += [f"        e5_{c}{part} = ({e5}) / s", f"        e3_{c}{part} = ({e3}) / s"]
     body.append("        err = 0.0")
     for lo, hi in blocks:
         for e in ("e5", "e3"):
-            squares = ", ".join(f"{e}_{c}.real * {e}_{c}.real + {e}_{c}.imag * {e}_{c}.imag"
-                                for c in range(lo, hi))
+            squares = ", ".join(f"{e}_{c}r * {e}_{c}r + {e}_{c}i * {e}_{c}i" for c in range(lo, hi))
             body.append(f"        s{e[1]} = sqrt(sum([{squares}])) ** 2")
         body += ["        if s5 or s3:",
                  f"            err = max(err, abs(h) * s5 / sqrt((s5 + 0.01 * s3) * {hi - lo}))"]
@@ -316,6 +345,16 @@ def _kernel(n: int, blocks: tuple, lines: tuple, names: tuple) -> Callable:
     return namespace["build"]
 
 
+def _pairs(z: Sequence[complex]) -> list:
+    """The float pairs of a list of complex numbers: re, im of each in turn."""
+    return [part for a in z for part in (a.real, a.imag)]
+
+
+def _complex(pairs: list) -> list:
+    """The complex numbers of a list of float pairs."""
+    return [complex(re, im) for re, im in zip(pairs[::2], pairs[1::2])]
+
+
 def _norm2(v: list) -> float:
     """Euclidean norm of a list of complex numbers."""
     return math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in v]))
@@ -325,17 +364,21 @@ class DOP853:
     """One DOP853 run of y' = f(t, y) forward from t0.
 
     ``source`` states f as (lines, names, values) and is inlined into the
-    step.  The lines set f_0, ..., f_(n-1) from the time T and the state
-    a_0, ..., a_(n-1); they read ``names``, which the run binds to
-    ``values``.  Any other name they set is a temporary of their own and
-    must not be one of the step's: t, h, y, k1, rtol, atol, s, s3, s5, err,
-    sqrt, the tableau's constant names, or a name that ends in an
-    underscore and digits.  The lines and names are the key of the
-    generated code (:func:`_kernel`): they state formulas, the drives'
-    included, and every number of a run enters through ``values``, so runs
-    that differ only in their numbers share one step.  The solver's
-    ``fun``, fun(t, y) on a float and a list of complex, is f generated
-    from the lines alone.
+    step.  The lines set the floats f_0r, f_0i, ..., f_(n-1)r, f_(n-1)i, the
+    real and imaginary parts of f, from the time T and the parts a_0r,
+    a_0i, ..., a_(n-1)r, a_(n-1)i of the state; each part of f is a sum
+    that starts at 0.0, so that the step's bits are those of complex
+    arithmetic (see the module docstring).  They read ``names``, which the
+    run binds to ``values``.  Any other name they set is a temporary of
+    their own and must not be one of the step's: t, h, y, k1, rtol, atol,
+    s, s3, s5, err, sqrt, the builtins the step calls, the tableau's
+    constant names, or a name that ends in an underscore, digits and r or
+    i.  The lines and names are the key of the generated code
+    (:func:`_kernel`): they state formulas, the drives' included, and every
+    number of a run enters through ``values``, so runs that differ only in
+    their numbers share one step.  ``y0``, ``y`` and ``dense`` hold complex
+    numbers, and :meth:`fun`, fun(t, y) on a float and a list of complex, is
+    f generated from the lines alone, on their float pairs.
 
     ``t_bound`` is the end of the current span: no step passes it, and a
     caller may move it further once ``t`` has reached it, which continues
@@ -367,28 +410,40 @@ class DOP853:
         self._times = np.asarray(times, dtype=float)
         if self._times.size and not t0 < self._times[0]:
             raise ValueError("output times must come after t0")
+        y0 = list(y0)
         self.t = t0
-        self.y = list(y0)
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
-        self.blocks = [(0, len(self.y))] if blocks is None else [tuple(b) for b in blocks]
+        self.blocks = [(0, len(y0))] if blocks is None else [tuple(b) for b in blocks]
         lines, names, values = source
-        self._step, self.fun = _kernel(len(self.y), tuple(self.blocks), lines, names)(*values)
-        self.f = self.fun(t0, self.y)
+        self._step, self._rhs = _kernel(len(y0), tuple(self.blocks), lines, names)(*values)
+        self._y = _pairs(y0)
+        self._f = self._rhs(t0, self._y)
         self.nfev = 1
-        self.h_abs = self._initial_step()
-        self.dense = np.empty((self._times.size, len(self.y)), dtype=complex)
+        self.h_abs = self._initial_step(y0)
+        self.dense = np.empty((self._times.size, len(y0)), dtype=complex)
         self._time_list = self._times.tolist()  # as Python floats, for bisection
         self._kept = []  # the steps that hold output times, not yet evaluated
         self._filled = self._flushed = 0  # output rows held by kept steps / written
+
+    @property
+    def y(self) -> list:
+        """The state at ``t``, a list of complex numbers."""
+        return _complex(self._y)
+
+    def fun(self, t: float, y: Sequence[complex]) -> list:
+        """f(t, y) on a list of complex numbers: the generated right-hand
+        side on their float pairs."""
+        return _complex(self._rhs(t, _pairs(y)))
 
     def _norm(self, v: list) -> float:
         """Largest root-mean-square norm over the blocks."""
         return max(_norm2(v[lo:hi]) / (hi - lo) ** 0.5 for lo, hi in self.blocks)
 
-    def _initial_step(self) -> float:
-        """Hairer, Norsett & Wanner's first-step guess (sec. II.4), as scipy takes it."""
-        t0, y0, f0 = self.t, self.y, self.f
+    def _initial_step(self, y0: list) -> float:
+        """Hairer, Norsett & Wanner's first-step guess (sec. II.4), as scipy
+        takes it, on the complex numbers of the state y0 at t0 and of f there."""
+        t0, f0 = self.t, _complex(self._f)
         interval = self.t_bound - t0
         scale = [self.atol + abs(a) * self.rtol for a in y0]
         d0 = self._norm([a / s for a, s in zip(y0, scale)])
@@ -414,7 +469,7 @@ class DOP853:
         Raises ConvergenceError, carrying the time, when the step size
         falls below the smallest step.
         """
-        t, y, k1 = self.t, self.y, self.f
+        t, y, k1 = self.t, self._y, self._f
         rtol, atol = self.rtol, self.atol
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -444,7 +499,7 @@ class DOP853:
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
 
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, k13, h_abs
+        self.t, self._y, self._f, self.h_abs = t_new, y_new, k13, h_abs
         filled = bisect.bisect_right(self._time_list, t_new, self._filled)
         if filled > self._filled:
             self._kept.append((filled, t, t_new, y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13))
@@ -462,7 +517,8 @@ class DOP853:
         """
         stops, t, t_new, *arrays = zip(*self._kept)
         self._kept = []
-        y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13 = np.array(arrays, dtype=complex)
+        # the float pairs of each step's states and stages, as complex arrays
+        y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13 = np.array(arrays, dtype=float).view(complex)
         t = np.array(t)
         h = np.array(t_new) - t
         hh = h[:, None]
@@ -502,7 +558,8 @@ class DOP853:
         self._flushed = stops[-1]
 
     def _rows(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """fun on each row of y at its time in t, one call per row."""
-        rows = [self.fun(s, row) for s, row in zip(t.tolist(), y.tolist())]
+        """f on each row of y at its time in t, one call of the generated
+        right-hand side on the row's float pairs per row."""
+        rows = [self._rhs(s, row) for s, row in zip(t.tolist(), y.view(float).tolist())]
         self.nfev += len(rows)
-        return np.array(rows, dtype=complex)
+        return np.array(rows, dtype=float).view(complex)

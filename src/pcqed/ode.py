@@ -7,11 +7,17 @@ state their formula, non-proportional pairs included.  Subspaces with zero,
 one, and two total excitations are supported, through the Hamiltonians of
 :func:`pcqed.core.build_subspace`, the same ones the closed forms use.
 
-The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on Python
-complex scalars, with its interpolants evaluated on arrays.  The
-right-hand side is handed to it as source code stated from the coupling
-table (:func:`_source`), which the solver inlines at every stage of one
-generated step function per table.  Each drive enters that source as its
+The integrator is pcqed's own DOP853 (:mod:`pcqed.dop853`), on the float
+pairs of the complex amplitudes, with its interpolants evaluated on arrays.
+The right-hand side is handed to it as source code stated from the coupling
+table (:func:`_source`): lines that set f_<i>r and f_<i>i, the parts of
+-i H(t) psi, from a_<i>r and a_<i>i, which the solver inlines at every
+stage of one generated step function per table.  With real drives, as pcqed
+builds them all, each coupling -i factor g is purely imaginary and each
+term is one real product; each part of f is a sum from 0.0, which a term
+that is an exact zero of either sign leaves as it is, so the values are
+those of complex arithmetic to the bit (:mod:`pcqed.dop853` states the
+whole argument).  Each drive enters that source as its
 own formula, a :class:`pcqed.coupling.Drive`, whose text holds no value of
 a run: the samples, parameters and factors are values bound by name, so
 the runs of one kind of drive share one generated step.  DOP853 assumes a
@@ -37,7 +43,7 @@ import numpy as np
 
 from .core import (AmplitudeVector, ConvergenceError, SubspaceHamiltonian, basis_labels,
                    build_subspace, write_csv)
-from .coupling import Drive, ScaledProfile, _require_drive, absolute_area_bound
+from .coupling import Drive, ScaledProfile, _require_drive, absolute_area_bound, is_real
 # perfbench reads build_subspace and drive_from_profile from this module.
 from .coupling import drive_from_profile  # noqa: F401
 from .dop853 import DOP853
@@ -268,41 +274,73 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
 def _source(couplings, g_a, g_b, dim: int, scaled: bool) -> tuple[tuple, tuple, tuple]:
     """The right-hand side -i H(t) psi of ``couplings`` over ``dim`` components,
     as the straight-line source :class:`pcqed.dop853.DOP853` takes: (lines,
-    names, values).
+    names, values), lines that set f_<i>r and f_<i>i, the real and imaginary
+    parts of component i's derivative, from a_<i>r and a_<i>i.
 
     Sets g0 to atom A's drive at T and g1 to atom B's, each by its own
     ``scalar_lines``.  When ``scaled``, atom B's drive is a ScaledProfile of
-    atom A's (:func:`_integrate` decides) and g1 is its factor c times g0,
-    the number B's own lines give, so atom A's formula is evaluated once.
-    Entry e of the table makes c_e = (-i factor_e) g_atom, and component i
-    sums, from 0j and in the order of the table, + c_e psi[col] over the
-    entries whose row is i and - c_e.conjugate() psi[row] over those whose
-    column is i: the operations of accumulating the table entry by entry,
-    in the same order.  Raises ConvergenceError on a non-finite coupling,
-    at the time it was read: the step control would shrink the step to
-    nothing on NaN.  g - g is 0 for a finite g and NaN otherwise, so the
-    check calls nothing.  The lines hold the table's integers and the
-    drives' formulas alone; every number of a run, the factors included,
-    is a value.
+    atom A's (:func:`_integrate` decides) and g1 is its factor times g0, the
+    number B's own lines give, so atom A's formula is evaluated once.  Each
+    distinct (atom, factor) of the table makes one coupling c = (-i factor)
+    g_atom, and each part of component i sums, from 0.0 and in the order of
+    the table, that part of + c psi[col] over the entries whose row is i and
+    of - c.conjugate() psi[row] over those whose column is i: the operations
+    of accumulating the table entry by entry in complex numbers, part by
+    part, as CPython's complex product states them.  When both drives are
+    real (:func:`pcqed.coupling.is_real`), c is purely imaginary: its real
+    part is an exact zero, its imaginary part is -factor times g, and the
+    lines write one real product per term, since a term that is an exact
+    zero, of either sign, leaves a sum that starts at 0.0 as it is.  Any
+    other drive takes its value's real and imaginary parts and writes every
+    product of the complex ones.  Raises ConvergenceError on a non-finite
+    coupling, at the time it was read: the step control would shrink the
+    step to nothing on NaN.  g - g is 0 for a finite g and NaN otherwise, so
+    the check calls nothing.  The lines hold the table's integers and the
+    drives' formulas alone; every number of a run, the factors included, is
+    a value.
     """
     a_lines, a_names, a_values = g_a.scalar_lines("g0", "da_")
     if scaled:
         b_lines, b_names, b_values = ("g1 = db_c * g0",), ("db_c",), (g_b.factor,)
     else:
         b_lines, b_names, b_values = g_b.scalar_lines("g1", "db_")
-    terms = [[] for _ in range(dim)]
-    for e, (row, col, _, _) in enumerate(couplings):
-        terms[row].append(f" + c{e} * a_{col}")
-        terms[col].append(f" - c{e}.conjugate() * a_{row}")
+    real = is_real(g_a) and is_real(g_b)
+    kinds: dict = {}  # (atom, factor) -> the index of its coupling
+    re_terms, im_terms = [[] for _ in range(dim)], [[] for _ in range(dim)]
+    for row, col, atom, factor in couplings:
+        k = kinds.setdefault((atom, factor), len(kinds))
+        if real:  # c = i c<k>: + c psi[col] and - c.conjugate() psi[row]
+            re_terms[row].append(f" - c{k} * a_{col}i")
+            im_terms[row].append(f" + c{k} * a_{col}r")
+            re_terms[col].append(f" - c{k} * a_{row}i")
+            im_terms[col].append(f" + c{k} * a_{row}r")
+        else:
+            re_terms[row].append(f" + (c{k}r * a_{col}r - c{k}i * a_{col}i)")
+            im_terms[row].append(f" + (c{k}r * a_{col}i + c{k}i * a_{col}r)")
+            re_terms[col].append(f" - (c{k}r * a_{row}r + c{k}i * a_{row}i)")
+            im_terms[col].append(f" - (c{k}r * a_{row}i - c{k}i * a_{row}r)")
+    # -i H[row, col] is (-i factor) g_atom; -i H[col, row] is minus its conjugate
+    factors = [-1j * factor for _, factor in kinds]
+    if real:
+        couple = [f"c{k} = m{k} * g{atom}" for k, (atom, _) in enumerate(kinds)]
+        names = tuple(f"m{k}" for k in range(len(kinds)))
+        values = tuple(m.imag for m in factors)
+    else:
+        couple = [line for atom in sorted({atom for atom, _ in kinds})
+                  for line in (f"g{atom}r = g{atom}.real", f"g{atom}i = g{atom}.imag")]
+        couple += [line for k, (atom, _) in enumerate(kinds)
+                   for line in (f"c{k}r = m{k}r * g{atom}r - m{k}i * g{atom}i",
+                                f"c{k}i = m{k}r * g{atom}i + m{k}i * g{atom}r")]
+        names = tuple(f"m{k}{part}" for k in range(len(kinds)) for part in "ri")
+        values = tuple(part for m in factors for part in (m.real, m.imag))
     lines = (*a_lines, *b_lines,
              "if g0 - g0 or g1 - g1:",
              "    non_finite(T)",
-             *(f"c{e} = m{e} * g{atom}" for e, (_, _, atom, _) in enumerate(couplings)),
-             *(f"f_{i} = 0j{''.join(parts)}" for i, parts in enumerate(terms)))
-    # -i H[row, col] is (-i factor) g_atom; -i H[col, row] is minus its conjugate
-    factors = [-1j * factor for *_, factor in couplings]
-    return (lines, (*a_names, *b_names, "non_finite", *(f"m{e}" for e in range(len(couplings)))),
-            (*a_values, *b_values, _non_finite, *factors))
+             *couple,
+             *(f"f_{i}{part} = 0.0{''.join(terms[i])}"
+               for i in range(dim) for part, terms in (("r", re_terms), ("i", im_terms))))
+    return (lines, (*a_names, *b_names, "non_finite", *names),
+            (*a_values, *b_values, _non_finite, *values))
 
 
 def _non_finite(t: float):

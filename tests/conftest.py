@@ -51,10 +51,11 @@ def generic_family(velocity: float = 433.0, zeta: float = 0.0) -> GenericProfile
 def inlined(drive):
     """The drive's value at one time, as the generated DOP853 code inlines
     it: its ``scalar_lines`` run by the right-hand side that
-    ``dop853._kernel`` generates from them, as a function of T."""
+    ``dop853._kernel`` generates from them, which hands the value on as the
+    real part of its one component, as a function of T."""
     lines, names, values = drive.scalar_lines("g", "d_")
-    rhs = dop853._kernel(1, ((0, 1),), (*lines, "f_0 = g"), names)(*values)[1]
-    return lambda t: rhs(t, [0j])[0]
+    rhs = dop853._kernel(1, ((0, 1),), (*lines, "f_0r = g", "f_0i = 0.0"), names)(*values)[1]
+    return lambda t: rhs(t, [0.0, 0.0])[0]
 
 
 @pytest.fixture

@@ -11,10 +11,12 @@ import cmath
 import json
 import math
 import re
+from functools import cache
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate._ivp import dop853_coefficients as ref
 
@@ -25,8 +27,10 @@ from pcqed.coupling import (
     GenericProfile,
     GenericProfileParams,
     ScaledProfile,
+    TraceMagnitude,
     drive_from_profile,
     drive_pair,
+    is_real,
     scaled_pair,
 )
 
@@ -195,9 +199,19 @@ def check_same_steps(couplings, g_a, g_b, y0, t0, t1, min_steps=1):
     assert np.max(np.abs(mine_d - their_d)) <= 1e-13
 
 
-# y' = -i y and y' = y on one component
-ROTATION = (("f_0 = -1j * a_0",), (), ())
-GROWTH = (("f_0 = a_0",), (), ())
+# y' = -i y and y' = y on one component, as float pairs
+ROTATION = (("f_0r = a_0i", "f_0i = -a_0r"), (), ())
+GROWTH = (("f_0r = a_0r", "f_0i = a_0i"), (), ())
+
+
+def pairs(z) -> list:
+    """A list of complex numbers as the float pairs the generated code takes."""
+    return np.array(z, dtype=complex).view(float).tolist()
+
+
+def complexes(parts) -> list:
+    """The complex numbers of a list of float pairs."""
+    return np.array(parts, dtype=float).view(complex).tolist()
 
 
 class TestSolver:
@@ -206,7 +220,7 @@ class TestSolver:
         # output, and output times do not move the steps.
         def run(times=()):
             calls = []
-            source = ("called(T)", "f_0 = -1j * a_0"), ("called",), (calls.append,)
+            source = ("called(T)", *ROTATION[0]), ("called",), (calls.append,)
             solver = dop853.DOP853(source, 0.0, [1 + 0j], 1000.0, 1e-9, 1e-11, times=times)
             ends = []
             while solver.t < 1000.0:
@@ -247,7 +261,8 @@ class TestSolver:
         # |f| over the error scale past 1.3e154 overflows the norm's squares;
         # the first-step guess then divided by zero.
         with pytest.raises(ConvergenceError, match="not finite") as err:
-            dop853.DOP853((("f_0 = 1e160 * a_0",), (), ()), 2.0, [1 + 0j], 3.0, 1e-9, 1e-11)
+            dop853.DOP853((("f_0r = 1e160 * a_0r", "f_0i = 1e160 * a_0i"), (), ()), 2.0,
+                          [1 + 0j], 3.0, 1e-9, 1e-11)
         assert err.value.t == 2.0
 
     def test_empty_span_rejected(self):
@@ -257,18 +272,20 @@ class TestSolver:
 
 def oracle_kernel(fun, attempts):
     """A stand-in for ``dop853._kernel`` built from ``tests/oracles.py``: the
-    comprehension step on the plain right-hand side ``fun``, whatever source
-    the solver passes.  Appends the time of every attempted step to
+    comprehension step on the plain complex right-hand side ``fun``, whatever
+    source the solver passes, taking and returning the float pairs of the
+    generated code.  Appends the time of every attempted step to
     ``attempts``."""
     def kernel(n, blocks, lines, names):
         def build(*values):
             oracle = comprehension_step(fun, blocks)
 
-            def step(t, *args):
+            def step(t, h, y, k1, rtol, atol):
                 attempts.append(t)
-                return oracle(t, *args)
+                err, *states = oracle(t, h, complexes(y), complexes(k1), rtol, atol)
+                return (err, *map(pairs, states))
 
-            return step, fun
+            return step, lambda t, a: pairs(fun(t, complexes(a)))
 
         return build
 
@@ -295,16 +312,29 @@ def check_matches_oracles(couplings, g_a, g_b, y0, t0, t1, blocks=None, n_times=
     assert mine == theirs
 
 
-def generated_rhs(couplings, g_a, g_b, dim, scaled=False):
-    """The standalone right-hand side generated from ``ode._source``."""
+def generated(couplings, g_a, g_b, dim, scaled=False, blocks=None):
+    """(step, rhs) generated from ``ode._source``, on ``blocks`` (one by
+    default), taking and returning float pairs."""
     lines, names, values = ode._source(couplings, g_a, g_b, dim, scaled)
-    return dop853._kernel(dim, ((0, dim),), lines, names)(*values)[1]
+    return dop853._kernel(dim, tuple(blocks or [(0, dim)]), lines, names)(*values)
+
+
+def generated_rhs(couplings, g_a, g_b, dim, scaled=False):
+    """The standalone right-hand side generated from ``ode._source``, on
+    complex numbers."""
+    rhs = generated(couplings, g_a, g_b, dim, scaled)[1]
+    return lambda t, psi: complexes(rhs(t, pairs(psi)))
 
 
 def kernel_step(couplings, g_a, g_b, dim, scaled=False):
-    """The generated step of ``ode._source`` on one block."""
-    lines, names, values = ode._source(couplings, g_a, g_b, dim, scaled)
-    return dop853._kernel(dim, ((0, dim),), lines, names)(*values)[0]
+    """The generated step of ``ode._source`` on one block, on complex numbers."""
+    step = generated(couplings, g_a, g_b, dim, scaled)[0]
+
+    def on_complex(t, h, y, k1, rtol, atol):
+        err, *states = step(t, h, pairs(y), pairs(k1), rtol, atol)
+        return (err, *map(complexes, states))
+
+    return on_complex
 
 
 def generated_text(source, n):
@@ -376,12 +406,14 @@ class TestStraightLineKernels:
         # a piecewise source with a temporary of its own, with rejections,
         # against a plain function of the same arithmetic
         source = (("rate = 3.0 if T > 0.4 else 0.5",
-                   "f_0 = -1j * rate * a_1",
-                   "f_1 = -1j * rate * a_0 + 0.1 * a_1"), (), ())
+                   "f_0r = 0.0 + rate * a_1i",
+                   "f_0i = 0.0 - rate * a_1r",
+                   "f_1r = 0.0 + rate * a_0i + 0.1 * a_1r",
+                   "f_1i = 0.0 - rate * a_0r + 0.1 * a_1i"), (), ())
 
         def fun(t, y):
             rate = 3.0 if t > 0.4 else 0.5
-            return [-1j * rate * y[1], -1j * rate * y[0] + 0.1 * y[1]]
+            return [0j - 1j * rate * y[1], 0j - 1j * rate * y[0] + 0.1 * y[1]]
 
         def run():
             solver = dop853.DOP853(source, 0.0, [1 + 0j, 0j], 5.0, 1e-9, 1e-11,
@@ -479,6 +511,158 @@ class TestStraightLineKernels:
             h = build_subspace(n)
             check_matches_oracles(h.couplings, g_a, g_b, np.eye(h.dim)[0], *trace.window,
                                   min_steps=2 * len(times))
+
+
+@cache
+def drive_pairs(kind):
+    """(g_a, g_b, window) of the drives the float-pair checks run: pcqed's
+    real ones, atom B as drive_pair builds it or apart, and complex
+    ``Formula`` drives, alone or beside a real one."""
+    generic = GenericProfile(generic_family(velocity=433.0))
+    complex_formula = Formula("{p}g * {p}exp({p}w * T)", g=(-0.2 + 0.4j) * 1e9, exp=cmath.exp,
+                              w=2.1e9j)
+    if kind == "generic":
+        return (*drive_pair(generic, 0.414)[:2], generic.window)
+    if kind == "generic-apart":
+        wider = GenericProfileParams(**{**vars(generic.params), "defect_radius": 2e-7})
+        return generic, GenericProfile(wider), generic.window
+    if kind in ("real-trace", "complex-trace"):
+        rng = np.random.default_rng(3)
+        times = np.sort(rng.uniform(0.0, 1e-8, 24))
+        values = rng.normal(size=24) + (1j * rng.normal(size=24) if kind == "complex-trace" else 0)
+        trace = CouplingTrace(times, 2e9 * values)
+        return (*drive_pair(trace, -0.6)[:2], trace.window)
+    if kind == "formula":
+        g_a = Formula("{p}g * {p}exp({p}w * T)", g=0.9e9, exp=cmath.exp, w=2.1e9j)
+        return g_a, complex_formula, (0.0, 2.3e-9)
+    assert kind == "mixed"
+    return generic, complex_formula, generic.window
+
+
+DRIVE_KINDS = ("generic", "generic-apart", "real-trace", "complex-trace", "formula", "mixed")
+# exact zeros of both signs, and parts far enough above the smallest double
+# that no product of a step underflows (see the dop853 module docstring)
+PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-100, 1.0), st.floats(-1.0, -1e-100))
+
+
+@st.composite
+def step_cases(draw):
+    """(drive kind, excitation number of each block, state, t and h as
+    fractions of the window): 1-3 blocks of the 1- and 2-excitation
+    subspaces, superpositions whose parts may be exact zeros of either sign."""
+    kind = draw(st.sampled_from(DRIVE_KINDS))
+    excitations = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3))
+    dim = sum(build_subspace(n).dim for n in excitations)
+    y = [complex(*draw(st.tuples(PARTS, PARTS))) for _ in range(dim)]
+    return kind, excitations, y, draw(st.floats(0.0, 1.0)), draw(st.floats(1e-6, 1.0))
+
+
+def check_step_bits(kind, excitations, y, t_frac, h_frac):
+    """The generated float-pair step and right-hand side of ``ode._source``
+    against ``tests/oracles.py``'s comprehension step and table walk on
+    complex numbers, as bytes, so that signed zeros count.  k1 is f at (t,
+    y), as the solver hands it on.  Returns the error norm."""
+    g_a, g_b, (t0, t1) = drive_pairs(kind)
+    couplings, blocks = ode._stack([AmplitudeVector.basis_state("100" if n == 1 else "110")
+                                    for n in excitations])
+    blocks = list(blocks.values())
+    dim = blocks[-1][1]
+    t, h = t0 + t_frac * (t1 - t0), h_frac * (t1 - t0)
+    scaled = isinstance(g_b, ScaledProfile) and g_b.base == g_a  # as ode._integrate decides
+    step, rhs = generated(couplings, g_a, g_b, dim, scaled, blocks)
+    fun = table_rhs(couplings, g_a, g_b, dim)
+    k1 = fun(t, y)
+    assert np.array(rhs(t, pairs(y))).tobytes() == np.array(k1, dtype=complex).tobytes()
+    err, *mine = step(t, h, pairs(y), pairs(k1), ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)
+    their_err, *theirs = comprehension_step(fun, blocks)(t, h, y, k1, ode.DEFAULT_RTOL,
+                                                         ode.DEFAULT_ATOL)
+    assert err.hex() == their_err.hex()
+    assert ([np.array(state).tobytes() for state in mine]
+            == [np.array(state, dtype=complex).tobytes() for state in theirs])
+    return err
+
+
+# hypothesis also draws from literals it collects in the package source, so
+# its draws move with any edit there; the @example pins run whatever it draws
+FLOAT_PAIRS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestFloatPairsAgainstOracles:
+    """One attempted step and the right-hand side on float pairs, against
+    the same arithmetic on complex numbers, to the bit."""
+
+    @FLOAT_PAIRS
+    @given(step_cases())
+    @example(("generic", [1], [complex(1.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)],
+              0.3, 1e-3))
+    @example(("generic-apart", [2], [0.5j, complex(-0.5, -0.0), complex(0.0, 0.5), -0.5 + 0j],
+              0.5, 2e-3))
+    @example(("real-trace", [1, 2], [complex(-0.0, 0.6), 0.8 + 0j, complex(-0.0, -0.0), 0.5 + 0.5j,
+                                     -0.5 + 0j, complex(0.0, -0.0), 0.5j], 0.4, 1e-2))
+    @example(("complex-trace", [2, 1, 2], [complex(-0.0, 0.0)] * 3 + [0.6 - 0.8j] * 8, 0.6, 1e-2))
+    @example(("formula", [2], [complex(-0.0, -0.0), 0.5 - 0.5j, complex(0.0, -0.0), -0.7j],
+              0.2, 0.05))
+    @example(("mixed", [1, 1], [1 + 0j, complex(-0.0, 0.0), -0j, complex(0.0, -1.0), -0.0 + 0j, 0j],
+              0.45, 1e-3))
+    def test_step_and_rhs_match_the_oracles(self, case):
+        check_step_bits(*case)
+
+    @pytest.mark.parametrize("kind", DRIVE_KINDS)
+    def test_rejected_attempt(self, kind):
+        # a step over half the window fails the error test on every drive
+        y = [complex(0.6, -0.0), complex(-0.0, 0.8), 0j,
+             0.5 - 0.5j, complex(-0.0, 0.5), -0.5 + 0j, 0j]
+        assert check_step_bits(kind, [1, 2], y, 0.25, 0.5) >= 1
+
+
+class TestRealOrComplexPath:
+    """The drive classes that state they are real take one real product per
+    coupling; every other drive takes the complex one."""
+
+    @pytest.mark.parametrize("drive", [
+        GenericProfile(generic_family(velocity=433.0)),
+        ScaledProfile(GenericProfile(generic_family(velocity=211.0, zeta=0.7)), -1.7),
+        drive_from_profile(CouplingTrace([1e-9, 4e-9, 9e-9], [2e9, -1e9, 3e9])),
+        ScaledProfile(drive_from_profile(
+            CouplingTrace([1e-9, 4e-9, 9e-9], [2e9j, -1e9, 3e9 + 1e9j])), 0.414),
+    ], ids=["generic", "scaled-generic", "real-trace", "scaled-complex-trace"])
+    def test_real_drives_yield_floats_at_every_stage(self, drive):
+        # one attempted step from before the window to past it: every stage
+        # time, a trace's 0.0 outside its samples included
+        assert is_real(drive)
+        lines, names, values = drive.scalar_lines("g", "d_")
+        seen = []
+        build = dop853._kernel(1, ((0, 1),), (*lines, "seen(g)", "f_0r = 0.0", "f_0i = 0.0"),
+                               (*names, "seen"))
+        step = build(*values, seen.append)[0]
+        step(-2e-9, 2.4e-8, [1.0, 0.0], [0.0, 0.0], 1e-9, 1e-11)
+        assert len(seen) == 12 and all(type(g) is float for g in seen)
+
+    def test_complex_drives_take_the_complex_path(self):
+        couplings = build_subspace(1).couplings
+        generic = GenericProfile(generic_family(velocity=433.0))
+        assert not is_real(drive_pairs("formula")[0])
+        assert not is_real(ScaledProfile(generic, 0.5j))
+        for kind in ("formula", "mixed"):
+            g_a, g_b, _ = drive_pairs(kind)
+            lines = ode._source(couplings, g_a, g_b, 3, False)[0]
+            assert "c0r = m0r * g0r - m0i * g0i" in lines
+            # the products of Re c stay in the generated text
+            assert "+ (c0r * a_2r - c0i * a_2i)" in generated_text((lines, (), ()), 3)
+        lines = ode._source(couplings, *drive_pair(generic, 0.414)[:2], 3, True)[0]
+        assert "c0 = m0 * g0" in lines and not any("c0r" in line for line in lines)
+
+    def test_one_coupling_per_atom_and_factor(self):
+        # a stack repeats each block's (atom, factor) pairs: 8 entries, 4 couplings
+        states = [AmplitudeVector.basis_state(label) for label in ("100", "010", "110")]
+        couplings, _ = ode._stack(states)
+        kinds = list(dict.fromkeys((atom, factor) for _, _, atom, factor in couplings))
+        assert (len(couplings), len(kinds)) == (8, 4)
+        g_a, g_b, _ = drive_pair(GenericProfile(generic_family()), 0.414)
+        lines, names, values = ode._source(couplings, g_a, g_b, 10, True)
+        assert [line for line in lines if line.startswith("c")] == [
+            f"c{k} = m{k} * g{atom}" for k, (atom, _) in enumerate(kinds)]
+        assert [values[names.index(f"m{k}")] for k in range(4)] == [-factor for _, factor in kinds]
 
 
 class TestKernelReuse:
