@@ -219,15 +219,6 @@ class AmplitudeVector:
         amps[labels.index(label)] = 1.0
         return cls(n, amps)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def overlap(self, other: "AmplitudeVector") -> complex:
-        """<self|other>; the two states must share an excitation number."""
-        if self.n_excitations != other.n_excitations:
-            raise ValueError("basis mismatch between states")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 # Every table pcqed writes: 17 significant digits read back bit-identical.
 FLOAT_FORMAT = "%.17g"

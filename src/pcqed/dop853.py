@@ -376,9 +376,10 @@ class DOP853:
     i.  The lines and names are the key of the generated code
     (:func:`_kernel`): they state formulas, the drives' included, and every
     number of a run enters through ``values``, so runs that differ only in
-    their numbers share one step.  ``y0``, ``y`` and ``dense`` hold complex
-    numbers, and :meth:`fun`, fun(t, y) on a float and a list of complex, is
-    f generated from the lines alone, on their float pairs.
+    their numbers share one step.  ``y0`` (taken as Python complex numbers,
+    so that numpy scalars run no step on numpy floats), ``y`` and ``dense``
+    hold complex numbers, and :meth:`fun`, fun(t, y) on a float and a list
+    of complex, is f generated from the lines alone, on their float pairs.
 
     ``t_bound`` is the end of the current span: no step passes it, and a
     caller may move it further once ``t`` has reached it, which continues
@@ -410,7 +411,7 @@ class DOP853:
         self._times = np.asarray(times, dtype=float)
         if self._times.size and not t0 < self._times[0]:
             raise ValueError("output times must come after t0")
-        y0 = list(y0)
+        y0 = [complex(a) for a in y0]
         self.t = t0
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol

@@ -5,15 +5,16 @@ A logical qubit lives in which atom carries the single excitation (|10> vs
 areas: the gate conditions are odd multiples of pi in the total area, so the
 operating velocities follow algebraically from one reference area.  Truth
 tables evolve every input of a gate, SWAP's |00> and |11> included, with
-either engine (the ODE engine all of them in one integration), measure each
-against its target state in one loop, and classify the result; everything is
-reported up to a common global phase, printed separately.
+either engine (the ODE engine all of them in one integration), read every
+rail figure from M = T^dagger U, U the rails' final states and T their
+targets, and classify the result; everything is reported up to a common
+global phase, printed separately.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -56,6 +57,7 @@ __all__ = [
 # 0.990; with both at MIN_FIDELITY, the bound falls to 0.99 cos^2(0.1), 0.980.
 MIN_FIDELITY = 0.99
 MAX_RELATIVE_PHASE = 0.2
+_RAILS = ("10", "01")  # the rail inputs, in the order of U's columns and of a target's rails
 
 
 @dataclass(frozen=True)
@@ -63,24 +65,30 @@ class GateTarget:
     """Intended logical action: input label -> target rail amplitudes.
 
     Rail amplitudes are (amplitude on |10>, amplitude on |01>) for the inputs
-    "10" and "01", once each; the dual-rail block must be unitary.  SWAP
-    additionally maps the no-excitation and double-excitation inputs to
-    themselves; the truth table measures them in the same loop as the rails.
-    p is the coupling ratio the gate's calibration condition needs, None
-    for a target that has none.
+    "10" and "01", once each, in either order.  ``rails`` is T, built from
+    them: the target states of |10> and |01> over (|100>, |010>, |001>) as
+    columns; its dual-rail block must be unitary.  SWAP additionally maps
+    the no-excitation and double-excitation inputs to themselves.  p is the
+    coupling ratio the gate's calibration condition needs, None for a
+    target that has none.
     """
 
     label: str
     rail_map: tuple[tuple[str, tuple[complex, complex]], ...]
     includes_outer: bool = False  # also check |00> and |11>
     p: float | None = None
+    rails: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        block = np.array([amps for _, amps in self.rail_map], dtype=complex).T
-        if sorted(label for label, _ in self.rail_map) != ["01", "10"] or block.shape != (2, 2):
+        amps = dict(self.rail_map)
+        if (sorted(label for label, _ in self.rail_map) != ["01", "10"]
+                or any(len(pair) != 2 for pair in amps.values())):
             raise ValueError("rail map must cover exactly the two rail inputs")
+        block = np.array([[*amps[label], 0.0] for label in _RAILS], dtype=complex).T
         if not np.allclose(block.conj().T @ block, np.eye(2), atol=1e-12):
             raise ValueError(f"target {self.label!r} is not unitary on the rails")
+        block.flags.writeable = False
+        object.__setattr__(self, "rails", block)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -288,22 +296,21 @@ class GateReport:
         return "\n".join(lines)
 
 
-# The initial state of each logical input |label>, cavity empty.
-_INPUTS = {label: AmplitudeVector.basis_state(label + "0") for label in ("10", "01", "00", "11")}
-_PROPAGATORS = {1: logical_unitary, 2: two_excitation_unitary}
-
-
-def _final_states(settings, drives, areas, labels, engine: str) -> list[AmplitudeVector]:
-    """Final state of each logical input |label> after the transit, in order,
-    from the drives (ode) or the pulse areas (g_a, g_b) (analytic)."""
-    initials = [_INPUTS[label] for label in labels]
-    if engine == "analytic":  # |000> carries no excitation and is returned as it is
-        unitaries = {n: _PROPAGATORS[n](*areas) for n in {psi.n_excitations for psi in initials} if n}
-        return [AmplitudeVector(psi.n_excitations, unitaries[psi.n_excitations] @ psi.amplitudes)
-                if psi.n_excitations else psi for psi in initials]
+def _outcome(settings, drives, areas, engine: str) -> tuple[np.ndarray, list]:
+    """U, the rails' final states over (|100>, |010>, |001>) as columns, and the
+    list of |00>'s and |11>'s for a target that includes them, from the
+    drives (ode) or the pulse areas (g_a, g_b) (analytic)."""
+    outer = settings.target.includes_outer
+    if engine == "analytic":
+        # the interaction annihilates |000>: it is returned as it is
+        finals = [np.ones(1, dtype=complex), two_excitation_unitary(*areas)[:, 0]] if outer else []
+        return logical_unitary(*areas)[:, :2], finals
     if engine == "ode":
-        return final_states(*drives, initials, *settings.profile_a.window,
-                            rtol=settings.rtol, atol=settings.atol)
+        inputs = [*_RAILS, "00", "11"] if outer else _RAILS
+        finals = [psi.amplitudes for psi in final_states(
+            *drives, [AmplitudeVector.basis_state(label + "0") for label in inputs],
+            *settings.profile_a.window, rtol=settings.rtol, atol=settings.atol)]
+        return np.stack(finals[:2], axis=1), finals[2:]
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -311,19 +318,22 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     """Run every input of the gate through the engine and report the outcome.
 
     Every input runs on the requested engine in its own excitation subspace:
-    the analytic engine applies :func:`logical_unitary` or, for SWAP's |11>,
-    :func:`two_excitation_unitary`, and runs no ODE; the ode engine runs
+    the analytic engine reads U from :func:`logical_unitary` and SWAP's |11>
+    from :func:`two_excitation_unitary`, and runs no ODE; the ode engine runs
     them all in one DOP853 run of :func:`pcqed.ode.final_states`.  Both
     return SWAP's |00> as it is.  Atom A's area is the pulse_area of its
     drive, atom B's c times it with the c of drive_pair (only the ode engine
     reads B's drive); a non-finite area raises ValueError before either
     engine runs, and :func:`pcqed.ode.final_states` refuses, before any
-    step, an absolute area that may pass :data:`pcqed.ode.MAX_AREA`.  Each
-    input's fidelity and phase come from its overlap with its target state,
-    the phase relative to the first rail's (the global phase); its residual
-    is the probability on basis states that hold a photon.  The label is
-    assigned only if every rail fidelity reaches 0.99 and the rail phases
-    agree to MAX_RELATIVE_PHASE.
+    step, an absolute area that may pass :data:`pcqed.ode.MAX_AREA`.  Every
+    rail figure is a function of M = T^dagger U, T the target's ``rails``:
+    a rail's overlap with its target is its diagonal entry of M, its
+    fidelity |overlap|^2, its phase that relative to the first rail's (the
+    global phase), and its residual its probability on |001>, U's photon
+    row.  SWAP's |00> and |11> are measured against themselves, with the
+    probability on the basis states that hold a photon as the residual.
+    The label is assigned only if every rail fidelity reaches 0.99 and the
+    rail phases agree to MAX_RELATIVE_PHASE.
     """
     target = settings.target
     drive_a, drive_b, c = drive_pair(settings.profile_a, settings.p)
@@ -332,22 +342,20 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
     if not (math.isfinite(g_a) and math.isfinite(g_b)):
         raise ValueError("pulse areas must be finite")
 
-    # The rails' target states, then SWAP's |00> and |11>, which it keeps as they are.
-    targets = {label: AmplitudeVector(1, [*amps, 0.0]) for label, amps in target.rail_map}
-    if target.includes_outer:
-        targets.update((label, _INPUTS[label]) for label in ("00", "11"))
-    finals = _final_states(settings, (drive_a, drive_b), (g_a, g_b), targets, engine)
-    rail_labels = [label for label, _ in target.rail_map]
-    z0 = targets[rail_labels[0]].overlap(finals[0])
+    u, outer = _outcome(settings, (drive_a, drive_b), (g_a, g_b), engine)
+    diagonal = dict(zip(_RAILS, np.diagonal(target.rails.conj().T @ u).tolist()))
+    photon = dict(zip(_RAILS, (np.abs(u[2]) ** 2).tolist()))
+    overlaps = {label: diagonal[label] for label, _ in target.rail_map}
+    residual = {label: photon[label] for label in overlaps}
+    # |00> and |11> each sit first in their own basis; every later state holds a photon
+    for label, psi in zip(("00", "11"), outer):
+        overlaps[label] = complex(psi[0])
+        residual[label] = float(np.sum(np.abs(psi[1:]) ** 2))
+    z0 = overlaps[target.rail_map[0][0]]
     global_phase = float(np.angle(z0)) if abs(z0) > 0 else 0.0
-
-    fidelities, residual, relative_phases = {}, {}, {}
-    for (label, state), final in zip(targets.items(), finals):
-        z = state.overlap(final)
-        fidelities[label] = float(abs(z) ** 2)
-        probs = zip(final.basis_labels, final.probabilities())
-        residual[label] = float(sum(prob for basis, prob in probs if basis[2:] != "0"))
-        relative_phases[label] = float(np.angle(z * np.conj(z0))) if abs(z) > 0 else 0.0
+    fidelities = {label: float(abs(z) ** 2) for label, z in overlaps.items()}
+    relative_phases = {label: float(np.angle(z * np.conj(z0))) if abs(z) > 0 else 0.0
+                       for label, z in overlaps.items()}
 
     notes = (
         "double-excitation return measured, not asserted: the two-excitation "
@@ -356,8 +364,8 @@ def truth_table(settings: GateSettings, engine: Literal["analytic", "ode"]) -> G
         "picture",
     ) if target.includes_outer else ()
 
-    rail_ok = all(fidelities[lbl] >= MIN_FIDELITY for lbl in rail_labels)
-    phases_ok = all(abs(relative_phases[lbl]) <= MAX_RELATIVE_PHASE for lbl in rail_labels)
+    rail_ok = all(fidelities[lbl] >= MIN_FIDELITY for lbl in _RAILS)
+    phases_ok = all(abs(relative_phases[lbl]) <= MAX_RELATIVE_PHASE for lbl in _RAILS)
     classified = target.label if (rail_ok and phases_ok) else None
 
     t0, t1 = settings.profile_a.window

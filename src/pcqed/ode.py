@@ -255,7 +255,6 @@ def _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=None, times=(
     if scaled:
         check_area(g_a, g_b.factor)
     bounds = [*_breakpoints((g_a, g_b), t0, t1), float(t1)]
-    y0 = np.asarray(y0, dtype=complex).tolist()
     solver = DOP853(_source(couplings, g_a, g_b, len(y0), scaled), float(t0), y0, bounds[0],
                     rtol, atol, blocks, times)
     n_steps = 0

@@ -88,18 +88,11 @@ class TestAmplitudeVector:
     def test_basis_state(self):
         psi = AmplitudeVector.basis_state("010")
         assert psi.n_excitations == 1
-        np.testing.assert_allclose(psi.probabilities(), [0.0, 1.0, 0.0])
+        assert psi.amplitudes.tolist() == [0.0, 1.0, 0.0]
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             AmplitudeVector(1, [1.0, 1.0, 0.0])
-
-    def test_overlap_and_mismatch(self):
-        a = AmplitudeVector.basis_state("100")
-        b = AmplitudeVector(1, np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
-        assert a.overlap(b) == pytest.approx(1 / math.sqrt(2))
-        with pytest.raises(ValueError):
-            a.overlap(AmplitudeVector.basis_state("110"))
 
     def test_amplitudes_read_only(self):
         psi = AmplitudeVector.basis_state("100")

@@ -445,6 +445,24 @@ class TestStraightLineKernels:
         assert runs[0].amplitudes.tobytes() == runs[1].amplitudes.tobytes()
         assert runs[0].diagnostics == runs[1].diagnostics
 
+    def test_numpy_scalar_state_runs_as_floats(self):
+        # list(array) hands the solver numpy scalars, .tolist() Python complex
+        # numbers: both run the same floats, bit for bit
+        profile = GenericProfile(generic_family(velocity=433.0))
+        g_a, g_b, _ = drive_pair(profile, 0.414)
+        t0, t1 = profile.window
+        source = ode._source(build_subspace(1).couplings, g_a, g_b, 3, True)
+        y0 = np.array([0.6, 0.8j, 0.0], dtype=complex)
+        runs = []
+        for start in (list(y0), y0.tolist()):
+            solver = dop853.DOP853(source, t0, start, t1, 1e-9, 1e-11, times=[(t0 + t1) / 2, t1])
+            assert all(type(part) is float for part in solver._y + solver._f)
+            while solver.t < t1:
+                solver.step()
+            assert all(type(part) is float for part in solver._y + solver._f)
+            runs.append((np.array(solver.y).tobytes(), solver.dense.tobytes(), solver.nfev))
+        assert runs[0] == runs[1]
+
     def test_scaled_atom_b_reads_atom_a_once(self):
         # B = ScaledProfile(A, c) is c times A's value, never B's own lines:
         # the generated code evaluates A's formula once per evaluation, so
