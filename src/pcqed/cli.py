@@ -36,8 +36,8 @@ from .core import (
     CalibrationError,
     CavityParams,
     ConvergenceError,
-    AmplitudeVector,
     basis_labels,
+    basis_state,
     build_subspace,
     g0_from_params,
     write_csv,
@@ -392,7 +392,7 @@ def _cmd_evolve(config: dict, out: Path, stem: str, args) -> list[Path]:
             build_subspace(1),
             drive_a,
             drive_b,
-            AmplitudeVector.basis_state(initial),
+            basis_state(initial),
             t0,
             t1,
             rtol=config["ode"]["rtol"],

@@ -23,6 +23,7 @@ __all__ = [
     "CavityParams",
     "AmplitudeVector",
     "SubspaceHamiltonian",
+    "basis_state",
     "basis_labels",
     "build_subspace",
     "g0_from_params",
@@ -218,6 +219,10 @@ class AmplitudeVector:
         amps = np.zeros(len(labels), dtype=complex)
         amps[labels.index(label)] = 1.0
         return cls(n, amps)
+
+
+# The basis state of a label, for callers that read nothing else of the class.
+basis_state = AmplitudeVector.basis_state
 
 
 # Every table pcqed writes: 17 significant digits read back bit-identical.

@@ -19,14 +19,17 @@ lines and names, the number of components, the blocks and the tableau's
 constant names, on first use, and kept; each part's sums leave out the
 tableau's zero coefficients, as ``dop853.f`` writes them.  The same lines,
 alone, are the right-hand side that the initial step and the dense output
-call.  The dense output is the exception to scalar arithmetic: its
-interpolants are built and evaluated for many steps at once, on numpy
-arrays of steps x components, with the same operations in the same order,
-and numpy's product of a real and a complex number rounds as Python's
-does, so its values are those of the scalar arithmetic.
+call.  The solver holds the state and f as float pairs from y0, taken
+once, to its last state, and takes the initial step's norms on them too.
+The dense output is the exception to scalar arithmetic: its interpolants
+are built and evaluated for many steps at once, on numpy arrays of steps x
+components, with the same operations in the same order, and numpy's
+product of a real and a complex number rounds as Python's does, so its
+values are those of the scalar arithmetic.
 
-The float pairs give the bits of the same step on Python complex numbers
-(``tests/oracles.py`` keeps that step as the reference):
+The float pairs give the bits of the same step, and of the same initial
+step, on Python complex numbers (``tests/oracles.py`` keeps both as the
+reference):
 
 - CPython multiplies a float w by a complex k as complex(w, 0.0) * k, whose
   real part w * k.real - 0.0 * k.imag differs from the pair's w * k.real
@@ -345,21 +348,6 @@ def _kernel(n: int, blocks: tuple, lines: tuple, names: tuple) -> Callable:
     return namespace["build"]
 
 
-def _pairs(z: Sequence[complex]) -> list:
-    """The float pairs of a list of complex numbers: re, im of each in turn."""
-    return [part for a in z for part in (a.real, a.imag)]
-
-
-def _complex(pairs: list) -> list:
-    """The complex numbers of a list of float pairs."""
-    return [complex(re, im) for re, im in zip(pairs[::2], pairs[1::2])]
-
-
-def _norm2(v: list) -> float:
-    """Euclidean norm of a list of complex numbers."""
-    return math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in v]))
-
-
 class DOP853:
     """One DOP853 run of y' = f(t, y) forward from t0.
 
@@ -376,10 +364,11 @@ class DOP853:
     i.  The lines and names are the key of the generated code
     (:func:`_kernel`): they state formulas, the drives' included, and every
     number of a run enters through ``values``, so runs that differ only in
-    their numbers share one step.  ``y0`` (taken as Python complex numbers,
-    so that numpy scalars run no step on numpy floats), ``y`` and ``dense``
-    hold complex numbers, and :meth:`fun`, fun(t, y) on a float and a list
-    of complex, is f generated from the lines alone, on their float pairs.
+    their numbers share one step.  The state is taken from ``y0``, any
+    sequence of complex numbers, once, as the float pairs of a complex array
+    converted to Python floats, so that numpy scalars run no step on numpy
+    floats; from there to the dense output the solver holds the state and f
+    as float pairs alone, and ``y`` and ``dense`` view them as complex arrays.
 
     ``t_bound`` is the end of the current span: no step passes it, and a
     caller may move it further once ``t`` has reached it, which continues
@@ -411,53 +400,53 @@ class DOP853:
         self._times = np.asarray(times, dtype=float)
         if self._times.size and not t0 < self._times[0]:
             raise ValueError("output times must come after t0")
-        y0 = [complex(a) for a in y0]
+        self._y = np.ascontiguousarray(y0, dtype=complex).view(float).tolist()
+        n = len(self._y) // 2
         self.t = t0
         self.t_bound = t_bound
         self.rtol, self.atol = rtol, atol
-        self.blocks = [(0, len(y0))] if blocks is None else [tuple(b) for b in blocks]
+        self.blocks = [(0, n)] if blocks is None else [tuple(b) for b in blocks]
         lines, names, values = source
-        self._step, self._rhs = _kernel(len(y0), tuple(self.blocks), lines, names)(*values)
-        self._y = _pairs(y0)
+        self._step, self._rhs = _kernel(n, tuple(self.blocks), lines, names)(*values)
         self._f = self._rhs(t0, self._y)
         self.nfev = 1
-        self.h_abs = self._initial_step(y0)
-        self.dense = np.empty((self._times.size, len(y0)), dtype=complex)
+        self.h_abs = self._initial_step()
+        self.dense = np.empty((self._times.size, n), dtype=complex)
         self._time_list = self._times.tolist()  # as Python floats, for bisection
         self._kept = []  # the steps that hold output times, not yet evaluated
         self._filled = self._flushed = 0  # output rows held by kept steps / written
 
     @property
-    def y(self) -> list:
-        """The state at ``t``, a list of complex numbers."""
-        return _complex(self._y)
+    def y(self) -> np.ndarray:
+        """The state at ``t``, a complex array of its float pairs."""
+        return np.array(self._y).view(complex)
 
-    def fun(self, t: float, y: Sequence[complex]) -> list:
-        """f(t, y) on a list of complex numbers: the generated right-hand
-        side on their float pairs."""
-        return _complex(self._rhs(t, _pairs(y)))
+    def _norm(self, parts: list, scale: list) -> float:
+        """Largest root-mean-square norm over the blocks of float pairs, each
+        component's pair over its scale."""
+        scaled = [(re / s, im / s) for re, im, s in zip(parts[::2], parts[1::2], scale)]
+        return max(math.sqrt(sum([re * re + im * im for re, im in scaled[lo:hi]]))
+                   / (hi - lo) ** 0.5 for lo, hi in self.blocks)
 
-    def _norm(self, v: list) -> float:
-        """Largest root-mean-square norm over the blocks."""
-        return max(_norm2(v[lo:hi]) / (hi - lo) ** 0.5 for lo, hi in self.blocks)
-
-    def _initial_step(self, y0: list) -> float:
+    def _initial_step(self) -> float:
         """Hairer, Norsett & Wanner's first-step guess (sec. II.4), as scipy
-        takes it, on the complex numbers of the state y0 at t0 and of f there."""
-        t0, f0 = self.t, _complex(self._f)
+        takes it, on the float pairs of the state at t0 and of f there, over
+        the scale atol + rtol * |y0| of each component."""
+        t0, y0, f0 = self.t, self._y, self._f
         interval = self.t_bound - t0
-        scale = [self.atol + abs(a) * self.rtol for a in y0]
-        d0 = self._norm([a / s for a, s in zip(y0, scale)])
-        d1 = self._norm([a / s for a, s in zip(f0, scale)])
+        scale = [self.atol + abs(complex(re, im)) * self.rtol
+                 for re, im in zip(y0[::2], y0[1::2])]
+        d0 = self._norm(y0, scale)
+        d1 = self._norm(f0, scale)
         if not math.isfinite(d1):
             raise ConvergenceError(
                 f"integration failed at t={t0:g}: the norm of the right-hand side over "
                 "the error scale is not finite", t=t0)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        f1 = self.fun(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+        f1 = self._rhs(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
         self.nfev += 1
-        d2 = self._norm([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+        d2 = self._norm([a - b for a, b in zip(f1, f0)], scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:

@@ -135,6 +135,19 @@ class FieldGrid:
             return np.sum(np.abs(self.field) ** 2, axis=-1)
         return np.abs(self.field) ** 2
 
+    @functools.cached_property
+    def _energy(self) -> tuple[int, float, float, float]:
+        """The flat index of the peak of the energy density eps |E|^2 (the
+        lowest on a tie), |E|^2 and eps |E|^2 there, and the sum of eps |E|^2
+        over the cells: one pass over the grid, kept as four numbers.  Raises
+        ValueError for a field that is identically zero."""
+        intensity = self.field_intensity()
+        density = self.epsilon * intensity
+        peak = int(np.argmax(density))
+        if not density.flat[peak] > 0:
+            raise ValueError("field is identically zero")
+        return peak, float(intensity.flat[peak]), float(density.flat[peak]), float(np.sum(density))
+
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -162,23 +175,12 @@ class PathSpec:
         object.__setattr__(self, "entry", tuple(float(x) for x in self.entry))
 
 
-def _energy_density(grid: FieldGrid) -> tuple[np.ndarray, np.ndarray, int]:
-    """|E|^2 and eps |E|^2 per cell, and the flat index of the latter's peak (the
-    lowest on a tie); raises ValueError for a field that is identically zero."""
-    intensity = grid.field_intensity()
-    density = grid.epsilon * intensity
-    peak = int(np.argmax(density))
-    if not density.flat[peak] > 0:
-        raise ValueError("field is identically zero")
-    return intensity, density, peak
-
-
 def peak_energy_point(grid: FieldGrid) -> tuple[np.ndarray, float]:
     """Position (cell center) maximizing eps |E|^2, and eps there.
 
     Ties break deterministically to the lowest linear (row-major) index.
     """
-    idx = np.unravel_index(_energy_density(grid)[2], grid.dims)
+    idx = np.unravel_index(grid._energy[0], grid.dims)
     r_m = np.array([grid.axis_centers(k)[i] for k, i in enumerate(idx)])
     return r_m, float(grid.epsilon[idx])
 
@@ -190,7 +192,7 @@ def mode_volume(grid: FieldGrid, effective_height: float | None = None) -> float
     multiplied by an effective height: the explicit argument if given, else
     the grid's lattice constant.
     """
-    _, density, peak = _energy_density(grid)
+    _, _, density, total = grid._energy
     hx, hy, hz = grid.spacing
     if grid.is_2d:
         height = effective_height if effective_height is not None else grid.lattice_const
@@ -203,7 +205,7 @@ def mode_volume(grid: FieldGrid, effective_height: float | None = None) -> float
         cell = hx * hy * height
     else:
         cell = hx * hy * hz
-    return float(np.sum(density) * cell / density.flat[peak])
+    return total * cell / density
 
 
 def polarization_fraction(grid: FieldGrid, plane_index: int) -> float:
@@ -303,10 +305,9 @@ def coupling_trace_from_field(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    intensity, _, peak = _energy_density(grid)
     # Psi normalizes by |E| at the energy-density maximum, not the global
     # |E| maximum (the two coincide only when the peak sits in dielectric).
-    peak_mag = math.sqrt(float(intensity.flat[peak]))
+    peak_mag = math.sqrt(grid._energy[1])
 
     s_lo, s_hi = _clip_to_bounds(path, grid)
     s = np.linspace(s_lo, s_hi, n_samples)

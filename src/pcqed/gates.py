@@ -20,12 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .analytic import logical_unitary, two_excitation_unitary
-from .core import (
-    VELOCITY_WINDOW,
-    AmplitudeVector,
-    CalibrationError,
-    photon_lifetime,
-)
+from .core import VELOCITY_WINDOW, CalibrationError, basis_state, photon_lifetime
 from .coupling import (
     CouplingTrace,
     GenericProfile,
@@ -307,9 +302,8 @@ def _outcome(settings, drives, areas, engine: str) -> tuple[np.ndarray, list]:
         return logical_unitary(*areas)[:, :2], finals
     if engine == "ode":
         inputs = [*_RAILS, "00", "11"] if outer else _RAILS
-        finals = [psi.amplitudes for psi in final_states(
-            *drives, [AmplitudeVector.basis_state(label + "0") for label in inputs],
-            *settings.profile_a.window, rtol=settings.rtol, atol=settings.atol)]
+        finals = final_states(*drives, [basis_state(label + "0") for label in inputs],
+                              *settings.profile_a.window, rtol=settings.rtol, atol=settings.atol)
         return np.stack(finals[:2], axis=1), finals[2:]
     raise ValueError(f"unknown engine {engine!r}")
 

@@ -162,35 +162,36 @@ def evolve(h: SubspaceHamiltonian, g_a: Drive, g_b: Drive, psi0: AmplitudeVector
 
 
 def final_states(g_a: Drive, g_b: Drive, states: list[AmplitudeVector], t0: float, t1: float,
-                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> list[AmplitudeVector]:
-    """Final states of several initial states under one pair of drives.
+                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> list[np.ndarray]:
+    """Final amplitudes of several initial states under one pair of drives.
 
     The states are integrated together as one block-diagonal system, each
     in the subspace of its own excitation number (1 or 2), by a single
     DOP853 run that steps span by span between the drives' breakpoints as
     :func:`evolve` does; the no-excitation state |000> is exactly invariant
-    and is returned unintegrated.  Each block's coupling table is the one of
-    :func:`pcqed.core.build_subspace`, shifted to the block's offset.  The
-    steps are shared, but the error norm is taken block by block and the
+    and its own amplitudes are returned.  Each block's coupling table is the
+    one of :func:`pcqed.core.build_subspace`, shifted to the block's offset.
+    The steps are shared, but the error norm is taken block by block and the
     largest one sets the step, so a block that barely moves does not loosen
     the control of the others; a state's result may still differ from its
     own :func:`evolve` run in the last digits the tolerances allow, since
-    the blocks stacked with it may force shorter steps.  Returns the
-    final states in the order given.  Raises ValueError on an empty list or
-    an area past MAX_AREA, and TypeError and ConvergenceError, carrying the
-    failure time, as :func:`evolve` does.
+    the blocks stacked with it may force shorter steps.  Returns one complex
+    array per state, over the state's ``basis_labels``, in the order given;
+    they are not validated, so a state that loses norm is returned as it
+    is.  Raises ValueError on an empty list or an area past MAX_AREA, and
+    TypeError and ConvergenceError, carrying the failure time, as
+    :func:`evolve` does.
     """
     if not states:
         raise ValueError("need at least one initial state")
     _check_run((g_a, g_b), t0, t1, rtol, atol)
     # The interaction annihilates |000>: it is returned as it is.
     couplings, blocks = _stack(states)
-    if not blocks:
-        return list(states)
-    y0 = np.concatenate([states[i].amplitudes for i in blocks])
-    y1 = _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=blocks.values())[0].y
-    return [AmplitudeVector(psi.n_excitations, y1[slice(*blocks[i])])
-            if i in blocks else psi for i, psi in enumerate(states)]
+    if blocks:
+        y0 = np.concatenate([states[i].amplitudes for i in blocks])
+        y1 = _integrate(couplings, g_a, g_b, y0, t0, t1, rtol, atol, blocks=blocks.values())[0].y
+    return [y1[slice(*blocks[i])] if i in blocks else psi.amplitudes
+            for i, psi in enumerate(states)]
 
 
 def _stack(states: list[AmplitudeVector]) -> tuple[list, dict[int, tuple[int, int]]]:

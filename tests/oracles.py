@@ -212,6 +212,11 @@ def comprehension_stages(fun, t, h, y, k1):
     return y_new, k6, k7, k8, k9, k10, k11, k12
 
 
+def norm2(v):
+    """Euclidean norm of a list of complex numbers, summed in order."""
+    return math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in v]))
+
+
 def comprehension_norm(y, y_new, ks, h, rtol, atol, blocks):
     """The combined E3/E5 error norm of dop853.f as list comprehensions over
     the scale, E5 and E3, taken over list slices block by block: the norm
@@ -223,10 +228,6 @@ def comprehension_norm(y, y_new, ks, h, rtol, atol, blocks):
     e3 = [(E31 * b1 + B6 * b6 + B7 * b7 + B8 * b8 + E39 * b9 + B10 * b10
            + B11 * b11 + E312 * b12) / s
           for s, b1, b6, b7, b8, b9, b10, b11, b12 in zip(scale, *ks)]
-
-    def norm2(v):
-        return math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in v]))
-
     err = 0.0
     for lo, hi in blocks:
         s5 = norm2(e5[lo:hi]) ** 2
@@ -246,6 +247,32 @@ def comprehension_step(fun, blocks):
         return (comprehension_norm(y, y_new, (k1, *ks), h, rtol, atol, blocks), y_new, *ks, k13)
 
     return step
+
+
+def initial_step(fun, t0, y0, t_bound, rtol, atol, blocks):
+    """Hairer, Norsett & Wanner's first-step guess (sec. II.4), as scipy
+    takes it, on the complex numbers of the state y0 at t0 and of f =
+    fun(t, y) there: the first step of :class:`pcqed.dop853.DOP853`, whose
+    norms are the largest root-mean-square norm over the (start, stop)
+    ``blocks``, as it takes them on float pairs."""
+    def norm(v):
+        return max(norm2(v[lo:hi]) / (hi - lo) ** 0.5 for lo, hi in blocks)
+
+    y0 = [complex(a) for a in y0]
+    f0 = fun(t0, y0)
+    interval = t_bound - t0
+    scale = [atol + abs(a) * rtol for a in y0]
+    d0 = norm([a / s for a, s in zip(y0, scale)])
+    d1 = norm([a / s for a, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+    d2 = norm([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval)
 
 
 class Formula:

@@ -304,6 +304,37 @@ class TestProfile:
         assert len(lines) - 1 == traces[0].times.size
 
 
+FIELD_COMMANDS = [
+    ("field-stats", "field2d_stats", {}),
+    ("field-stats", "field3d_stats", {}),
+    ("profile", "evolve_field3d", {}),
+    ("evolve", "evolve_field3d", {"initial": "100", "engine": "analytic"}),
+    ("calibrate", "evolve_field3d", {"target": "ENTANGLER_HADAMARD"}),
+    ("gate-report", "evolve_field3d", {"target": "ENTANGLER_HADAMARD", "engine": "analytic"}),
+]
+
+
+@pytest.mark.parametrize("command, stem, extra", FIELD_COMMANDS,
+                         ids=[f"{command}-{stem}" for command, stem, _ in FIELD_COMMANDS])
+def test_field_command_makes_one_energy_pass(command, stem, extra, tmp_path, monkeypatch):
+    # the peak, eps_m, the mode volume and the trace's normalization all read
+    # one pass of eps |E|^2 over the grid
+    config = json.loads(example_config_path(stem).read_text())
+    if stem == "evolve_field3d":
+        config = {**{k: v for k, v in config.items()
+                     if k not in ("initial", "engine", "svg", "n_samples")}, **extra}
+    passes = []
+    intensity = pcqed.fieldgrid.FieldGrid.field_intensity
+
+    def counting(grid):
+        passes.append(grid)
+        return intensity(grid)
+
+    monkeypatch.setattr(pcqed.fieldgrid.FieldGrid, "field_intensity", counting)
+    assert run([command, "--config", write_config(tmp_path, "c", config), "--out", tmp_path]) == 0
+    assert len(passes) == 1
+
+
 def _no_grid(*args, **kwargs):
     raise AssertionError("a grid was built for a config that must be refused")
 

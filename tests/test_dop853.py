@@ -35,7 +35,8 @@ from pcqed.coupling import (
 )
 
 from conftest import generic_family
-from oracles import Formula, comprehension_step, example_config_path, table_rhs
+from oracles import (Formula, comprehension_norm, comprehension_step, example_config_path,
+                     initial_step, table_rhs)
 
 
 def coefficient(prefix: str, row: int, col: int) -> float:
@@ -130,10 +131,14 @@ def run_both(couplings, g_a, g_b, y0, t0, t1, sample=False):
         assert steps == mine_t  # output times do not move the steps
     mine = (mine_t, solver.nfev, np.array(solver.y), solver.dense)
 
-    fun = solver.fun  # the same right-hand side, on arrays
+    rhs = solver._rhs  # the same right-hand side, on the float pairs of complex arrays
+
+    def fun(t, y):
+        return np.array(rhs(float(t), np.ascontiguousarray(y).view(float).tolist())).view(complex)
+
     bounds = [*ode._breakpoints((g_a, g_b), t0, t1), t1]
-    theirs = ScipyDOP853(lambda t, y: np.array(fun(float(t), y.tolist())), t0, np.asarray(y0),
-                         bounds[0], rtol=ode.DEFAULT_RTOL, atol=ode.DEFAULT_ATOL)
+    theirs = ScipyDOP853(fun, t0, np.asarray(y0), bounds[0], rtol=ode.DEFAULT_RTOL,
+                         atol=ode.DEFAULT_ATOL)
     their_t, their_dense = [], []
     for bound in bounds:
         theirs.t_bound, theirs.status = bound, "running"
@@ -631,6 +636,60 @@ class TestFloatPairsAgainstOracles:
         y = [complex(0.6, -0.0), complex(-0.0, 0.8), 0j,
              0.5 - 0.5j, complex(-0.0, 0.5), -0.5 + 0j, 0j]
         assert check_step_bits(kind, [1, 2], y, 0.25, 0.5) >= 1
+
+
+class TestInitialStep:
+    """The first-step guess on float pairs against ``oracles.initial_step``,
+    the same arithmetic on complex numbers, to the bit."""
+
+    @pytest.mark.parametrize("excitations", [[1], [2], [1, 1, 2]], ids=["one", "two", "stack"])
+    @pytest.mark.parametrize("kind", ["generic", "complex-trace", "formula"])
+    def test_matches_the_complex_oracle(self, kind, excitations):
+        # states whose parts may be exact zeros of either sign, the zero
+        # states of both signs first, tolerances from 1e-12 to 1e-3, and y0
+        # as Python complex numbers and as numpy scalars
+        g_a, g_b, (t0, t1) = drive_pairs(kind)
+        couplings, blocks = ode._stack([AmplitudeVector.basis_state("100" if n == 1 else "110")
+                                        for n in excitations])
+        blocks = list(blocks.values())
+        dim = blocks[-1][1]
+        scaled = isinstance(g_b, ScaledProfile) and g_b.base == g_a  # as ode._integrate decides
+        source = ode._source(couplings, g_a, g_b, dim, scaled)
+        fun = table_rhs(couplings, g_a, g_b, dim)
+        rng = np.random.default_rng(dim)
+        for case in range(340):
+            parts = rng.choice([0.0, -0.0, 1.0], 2 * dim) * rng.uniform(-1.0, 1.0, 2 * dim)
+            if case < 2:
+                parts[:] = (0.0, -0.0)[case]
+            y0 = parts.view(complex)
+            rtol, atol = (10.0 ** rng.uniform(-12.0, -3.0, 2)).tolist()
+            t = t0 + rng.uniform(0.0, 0.9) * (t1 - t0)
+            want = initial_step(fun, t, y0.tolist(), t1, rtol, atol, blocks)
+            for start in (y0.tolist(), list(y0)):
+                solver = dop853.DOP853(source, t, start, t1, rtol, atol, blocks)
+                assert solver.h_abs.hex() == want.hex()
+
+
+class TestErrorScale:
+    def test_norm_takes_the_c_librarys_hypot(self):
+        # One component that decays, so that at atol 0 and rtol 1 the scale
+        # is |y| itself, on states where math.hypot rounds |y| otherwise than
+        # abs(complex(re, im)) does: the generated error norm is the
+        # comprehension's, to the bit.
+        rng = np.random.default_rng(5)
+        states = []
+        while len(states) < 200:
+            states += [(re, im) for re, im in rng.uniform(-1.0, 1.0, (10_000, 2)).tolist()
+                       if math.hypot(re, im) != abs(complex(re, im))]
+        step, rhs = dop853._kernel(1, ((0, 1),), ("f_0r = 0.0 - a_0r", "f_0i = 0.0 - a_0i"), ())()
+        for y in states:
+            k1 = rhs(0.0, list(y))
+            err, y_new, *ks = step(0.0, 0.5, list(y), k1, 1.0, 0.0)
+            assert abs(complex(*y_new[:2])) < abs(complex(*y))
+            stages = [complexes(k) for k in (k1, *ks[:-1])]  # k1, k6..k12
+            want = comprehension_norm(complexes(y), complexes(y_new), stages, 0.5, 1.0, 0.0,
+                                      [(0, 1)])
+            assert err.hex() == want.hex()
 
 
 class TestRealOrComplexPath:

@@ -500,6 +500,19 @@ class TestTruthTable:
             assert min(abs(lam - math.pi), abs(lam - 3 * math.pi)) <= 0.1
 
 
+def states_built(monkeypatch) -> list:
+    """The AmplitudeVectors constructed from here on, in order."""
+    built = []
+    real = AmplitudeVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(AmplitudeVector, "__post_init__", counting)
+    return built
+
+
 class TestFiguresOfM:
     """Every figure of a gate report is a function of M = T^dagger U."""
 
@@ -523,18 +536,19 @@ class TestFiguresOfM:
     @pytest.mark.parametrize("target, p", OPERATING_POINTS, ids=OPERATING_IDS)
     def test_analytic_table_builds_no_state_object(self, monkeypatch, target, p):
         gate = settings_for(target, p, 433.0)
-        built = []
-        real = AmplitudeVector.__post_init__
-
-        def counting(self):
-            built.append(self)
-            real(self)
-
-        monkeypatch.setattr(AmplitudeVector, "__post_init__", counting)
+        built = states_built(monkeypatch)
         assert truth_table(gate, "analytic").classified_label == target.label
         assert built == []
-        truth_table(gate, "ode")  # the count sees the states the ODE engine takes
-        assert built
+
+    @pytest.mark.parametrize("target, p", OPERATING_POINTS, ids=OPERATING_IDS)
+    def test_ode_table_builds_one_state_object_per_input(self, monkeypatch, target, p):
+        # the inputs are validated states; the final states leave the ODE as
+        # arrays, unvalidated
+        gate = settings_for(target, p, 433.0)
+        built = states_built(monkeypatch)
+        assert truth_table(gate, "ode").classified_label == target.label
+        inputs = ["100", "010", "000", "110"] if target.includes_outer else ["100", "010"]
+        assert [psi.basis_labels[int(np.argmax(np.abs(psi.amplitudes)))] for psi in built] == inputs
 
 
 def transit_time(profile):

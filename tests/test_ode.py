@@ -445,12 +445,12 @@ def check_batch(profile, p: float, batch) -> None:
     finals = final_states(drive_a, drive_b, initials, *profile.window)
     assert len(finals) == len(batch)
     for label, psi, got in zip(batch, initials, finals):
-        assert got.basis_labels == psi.basis_labels
+        assert got.dtype == complex and got.shape == psi.amplitudes.shape
         own = evolve(build_subspace(psi.n_excitations), drive_a, drive_b, psi, *profile.window,
                      n_points=2)
-        assert np.max(np.abs(got.amplitudes - own.amplitudes[-1])) <= 1e-9, label
+        assert np.max(np.abs(got - own.amplitudes[-1])) <= 1e-9, label
         column = unitaries[psi.n_excitations][:, psi.basis_labels.index(label)]
-        assert np.max(np.abs(got.amplitudes - column)) <= 1e-8, label
+        assert np.max(np.abs(got - column)) <= 1e-8, label
 
 
 class TestFinalStates:
@@ -473,9 +473,9 @@ class TestFinalStates:
         rail_a, rail_b = (AmplitudeVector.basis_state(label) for label in ("100", "010"))
         (alone,) = final_states(drive_a, drive_b, [rail_a], *profile.window)
         stacked = final_states(drive_a, drive_b, [rail_a, rail_b], *profile.window)
-        np.testing.assert_array_equal(stacked[1].amplitudes, rail_b.amplitudes)
-        np.testing.assert_array_equal(stacked[0].amplitudes, alone.amplitudes)
-        assert alone.amplitudes[0].real < -0.99  # the excitation went round: Z's sign
+        np.testing.assert_array_equal(stacked[1], rail_b.amplitudes)
+        np.testing.assert_array_equal(stacked[0], alone)
+        assert alone[0].real < -0.99  # the excitation went round: Z's sign
 
     def test_nan_drive_fails_with_time(self):
         trace = CouplingTrace([0.0, 1e-9, 2e-9], [1e9, 2e9, 1e9])
@@ -527,7 +527,7 @@ class TestAreaBound:
 def return_110(g_a, g_b, t0, t1, **tolerances):
     """|<110|psi(t1)>|^2 for |110> under the drives, through final_states."""
     (final,) = final_states(g_a, g_b, [AmplitudeVector.basis_state("110")], t0, t1, **tolerances)
-    return float(abs(final.amplitudes[0]) ** 2)
+    return float(abs(final[0]) ** 2)
 
 
 class TestTwoExcitationReturn:
